@@ -6,7 +6,9 @@ reduce (stages 1-2, final operations plus iteration trace).
 
 Exit codes: 0 success (an infeasible instance is a successful answer), 1 for
 failed verification or violated solver hypotheses, 2 for malformed input,
-bad usage, or an exceeded enumeration cap.
+bad usage, or an exceeded ``--cap``.  The cap bounds each term table, the
+oracle, the stage-3 brute-force fallback and the ``--paranoid`` scans, not
+the assignment space of an instance that stage 3 solves by min-cut.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import argparse
 import json
 import sys
 
-from .consistency import decompose_instance, enforce_strong_3_consistency
+from .consistency import (decompose_instance, enforce_strong_3_consistency,
+                          run_stage1)
 from .costs import FLOAT_TOL, format_cost
 from .errors import CapExceeded, FormatError, StageError, ValidationError, VcspError
 from .io_formats import parse_instance, parse_ops, serialize_ops
@@ -29,11 +32,15 @@ def _add_common(parser):
     parser.add_argument("--float", action="store_true", dest="float_mode",
                         help="use floating-point costs (tolerant comparisons)")
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="enumeration cap in tuples")
+                        help="cap in tuples on each term table, on the "
+                             "oracle and the stage-3 brute-force fallback, "
+                             "and on the --paranoid scans; min-cut solves "
+                             "are not bounded by it")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
     parser.add_argument("--paranoid", action="store_true",
-                        help="run the expensive diagnostic network scans")
+                        help="run the expensive diagnostic scans, including "
+                             "the exhaustive stage-1 certificate")
     parser.add_argument("--trace", metavar="PATH",
                         help="write the stage-2 iteration trace to a file")
 
@@ -129,26 +136,17 @@ def main(argv=None):
             _emit_result(result, args.json)
             return 0
         if args.command == "reduce":
-            from .consistency import (restrict_instance, restrict_network,
-                                      restrict_operation_system, support_maps,
-                                      certify_decomposition)
             ops.validate()
-            net = decompose_instance(instance, cap=args.cap)
-            net, empty = enforce_strong_3_consistency(net)
-            if empty:
+            stage1 = run_stage1(instance, ops, cap=args.cap,
+                                paranoid=args.paranoid)
+            if stage1 is None:
                 print("empty true")
                 _write_trace(args, [])
                 return 0
-            if not certify_decomposition(net, instance, cap=args.cap):
-                raise StageError("consistency",
-                                 "decomposition certification failed")
-            keep = support_maps(net)
+            _, inst_r, ops_r, net_r = stage1
             trace = []
-            final = run_stage2(
-                restrict_instance(instance, keep),
-                restrict_operation_system(ops, keep).normalized(),
-                restrict_network(net, keep),
-                paranoid=args.paranoid, trace=trace, tol=tol)
+            final = run_stage2(inst_r, ops_r, net_r, paranoid=args.paranoid,
+                               trace=trace, tol=tol)
             _write_trace(args, trace)
             for line in trace:
                 print(line)

@@ -7,11 +7,14 @@ symmetry invariant holds by construction.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .costs import INF, is_finite
-from .errors import CapExceeded, VcspError
-from .model import DEFAULT_CAP, CostTable, DomainSpec, Instance, Term
+from .costs import is_finite
+from .errors import CapExceeded, StageError, VcspError
+from .model import (DEFAULT_CAP, CostTable, DomainSpec, Instance, Term,
+                    merge_repeated)
 
 
 def image(rel, labels, forward=True):
@@ -170,8 +173,40 @@ def enforce_strong_3_consistency(net, rng=None):
     return net, net.is_empty()
 
 
-def certify_decomposition(net, instance, cap=DEFAULT_CAP):
-    """Verify that network membership coincides with global feasibility."""
+def certify_decomposition(instance):
+    """Per-term certificate that binary networks capture the feasible set.
+
+    After merging repeated scope variables, each term's feasible set must
+    equal the join of its own unary and binary projections; terms over one
+    or two variables pass trivially.  When every term passes, the network of
+    ``decompose_instance`` has exactly the globally feasible assignments as
+    solutions, and strong 3-consistency keeps that solution set, so this
+    implies ``certify_decomposition_exhaustive``.  A relation with a majority
+    polymorphism always passes (Baker-Pixley).  The cost is exponential in
+    term arity only.
+    """
+    for term in instance.terms:
+        if 0 < len(set(term.scope)) <= 2:
+            continue
+        table = merge_repeated(term).table
+        feasible = np.fromiter((is_finite(e) for e in table.entries),
+                               dtype=bool, count=len(table.entries))
+        feasible = feasible.reshape(table.shape)
+        joined = np.ones(table.shape, dtype=bool)
+        for a, b in itertools.combinations(range(table.arity), 2):
+            others = tuple(p for p in range(table.arity) if p not in (a, b))
+            joined &= feasible.any(axis=others, keepdims=True)
+        if not np.array_equal(joined, feasible):
+            return False
+    return True
+
+
+def certify_decomposition_exhaustive(net, instance, cap=DEFAULT_CAP):
+    """Verify that network membership coincides with global feasibility.
+
+    Enumerates every assignment; the reference oracle for the per-term
+    ``certify_decomposition`` and the ``--paranoid`` stage-1 check.
+    """
     n = instance.domains.variable_count
     for x in instance.domains.assignments(cap=cap):
         in_net = all(net.unary[i][x[i]] for i in range(n)) and all(
@@ -180,6 +215,37 @@ def certify_decomposition(net, instance, cap=DEFAULT_CAP):
         if in_net != is_finite(instance.evaluate(x)):
             return False
     return True
+
+
+def run_stage1(instance, ops, cap=DEFAULT_CAP, paranoid=False):
+    """Stage 1: decompose, enforce strong 3-consistency, certify, restrict.
+
+    Returns ``None`` when consistency empties a domain (the instance is
+    infeasible).  Otherwise returns ``(keep, instance_r, ops_r, net_r)``:
+    the surviving labels per variable and the instance, normalized
+    operation system and network re-indexed to them.  ``cap`` bounds the
+    size of each term table and, under ``paranoid``, the exhaustive scan
+    that cross-checks the per-term certificate.
+    """
+    net = decompose_instance(instance, cap=cap)
+    net, empty = enforce_strong_3_consistency(net)
+    if empty:
+        return None
+    if not certify_decomposition(instance):
+        raise StageError(
+            "consistency",
+            "binary decomposition does not capture the feasible set; "
+            "the instance lacks the required majority structure")
+    if paranoid and not certify_decomposition_exhaustive(net, instance,
+                                                         cap=cap):
+        raise StageError(
+            "consistency",
+            "network membership disagrees with global feasibility although "
+            "every term passed the per-term certificate")
+    keep = support_maps(net)
+    return (keep, restrict_instance(instance, keep),
+            restrict_operation_system(ops, keep).normalized(),
+            restrict_network(net, keep))
 
 
 def support_maps(net):

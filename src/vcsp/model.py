@@ -127,6 +127,25 @@ class Term:
             raise VcspError("scope length must equal table arity")
 
 
+def merge_repeated(term):
+    """Rewrite a term so no variable repeats in its scope."""
+    scope = term.scope
+    distinct = sorted(set(scope))
+    if len(distinct) == len(scope):
+        return term
+    positions = {v: [p for p, w in enumerate(scope) if w == v] for v in distinct}
+    shape = tuple(term.table.shape[positions[v][0]] for v in distinct)
+
+    def entry(*vals):
+        full = [None] * len(scope)
+        for v, val in zip(distinct, vals):
+            for p in positions[v]:
+                full[p] = val
+        return term.table[tuple(full)]
+
+    return Term(CostTable.from_function(shape, entry), tuple(distinct))
+
+
 class Instance:
     """A sum of cost-function terms over finite-domain variables."""
 

@@ -12,18 +12,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .consistency import (
-    certify_decomposition,
-    decompose_instance,
-    enforce_strong_3_consistency,
-    restrict_instance,
-    restrict_network,
-    restrict_operation_system,
-    support_maps,
-)
+from .consistency import restrict_instance, run_stage1
 from .costs import INF, cost_eq, is_finite
 from .errors import StageError, VcspError
-from .model import DEFAULT_CAP, CostTable, DomainSpec, Instance, Term
+from .model import DEFAULT_CAP, CostTable, Instance, merge_repeated
 from .operations import (
     BinaryPair,
     PairSet,
@@ -132,9 +124,6 @@ class MaxFlow:
         self.to.append(u)
         self.cap.append(0)
 
-    def _residual(self, e):
-        return self.cap[e]
-
     def _bfs(self, s, t):
         level = [-1] * self.n
         level[s] = 0
@@ -147,32 +136,43 @@ class MaxFlow:
                     queue.append(self.to[e])
         return level if level[t] >= 0 else None
 
-    def _dfs(self, u, t, f, level, it):
-        if u == t:
-            if f is None:
-                raise _InfiniteFlow()
-            return f
-        while it[u] < len(self.adj[u]):
-            e = self.adj[u][it[u]]
-            v = self.to[e]
-            cap = self.cap[e]
-            if (cap is None or cap > 0) and level[v] == level[u] + 1:
-                if cap is None:
-                    f2 = f
-                elif f is None:
-                    f2 = cap
-                else:
-                    f2 = min(f, cap)
-                d = self._dfs(v, t, f2, level, it)
-                if d:
-                    if self.cap[e] is not None:
-                        self.cap[e] -= d
-                    rev = e ^ 1
-                    if self.cap[rev] is not None:
-                        self.cap[rev] += d
-                    return d
-            it[u] += 1
-        return 0
+    def _dfs(self, s, t, level, it):
+        """Push flow along one s-t path of the level graph; 0 when none.
+
+        The path is kept on an explicit stack, so its length is not bounded
+        by the interpreter's recursion limit.  ``it`` holds each node's
+        current arc; an arc is skipped for the rest of the phase once no
+        path to t continues through it.
+        """
+        caps, to = self.cap, self.to
+        path = []
+        u = s
+        while u != t:
+            adj = self.adj[u]
+            while it[u] < len(adj):
+                e = adj[it[u]]
+                cap = caps[e]
+                if (cap is None or cap > 0) and level[to[e]] == level[u] + 1:
+                    break
+                it[u] += 1
+            else:
+                if not path:
+                    return 0
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+                continue
+            path.append(e)
+            u = to[e]
+        finite = [caps[e] for e in path if caps[e] is not None]
+        if not finite:
+            raise _InfiniteFlow()
+        f = min(finite)
+        for e in path:
+            if caps[e] is not None:
+                caps[e] -= f
+            if caps[e ^ 1] is not None:
+                caps[e ^ 1] += f
+        return f
 
     def max_flow(self, s, t):
         """Total flow value, or INF when an infinite augmenting path exists."""
@@ -184,7 +184,7 @@ class MaxFlow:
             it = [0] * self.n
             while True:
                 try:
-                    d = self._dfs(s, t, None, level, it)
+                    d = self._dfs(s, t, level, it)
                 except _InfiniteFlow:
                     return INF
                 if not d:
@@ -203,25 +203,6 @@ class MaxFlow:
                     seen[self.to[e]] = True
                     queue.append(self.to[e])
         return {u for u in range(self.n) if seen[u]}
-
-
-def _merge_repeated(term):
-    """Rewrite a term so no variable repeats in its scope."""
-    scope = term.scope
-    distinct = sorted(set(scope))
-    if len(distinct) == len(scope):
-        return term
-    positions = {v: [p for p, w in enumerate(scope) if w == v] for v in distinct}
-    shape = tuple(term.table.shape[positions[v][0]] for v in distinct)
-
-    def entry(*vals):
-        full = [None] * len(scope)
-        for v, val in zip(distinct, vals):
-            for p in positions[v]:
-                full[p] = val
-        return term.table[tuple(full)]
-
-    return Term(CostTable.from_function(shape, entry), tuple(distinct))
 
 
 def _prune_unsupported(instance):
@@ -390,7 +371,7 @@ def mincut_reduce(instance, tol=0):
 
 def _solve_by_mincut(instance, tol=0):
     """Prune, encode and solve; instance must already be order-relabelled."""
-    terms = [_merge_repeated(t) for t in instance.terms]
+    terms = [merge_repeated(t) for t in instance.terms]
     instance = Instance(instance.domains, terms)
     keep = _prune_unsupported(instance)
     if any(not k for k in keep):
@@ -409,7 +390,7 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP, tol=0):
     all terms are binary or unary; otherwise falls back to brute force.
     """
     order = extract_tournament_order(pair)
-    merged = [_merge_repeated(t) for t in instance.terms]
+    merged = [merge_repeated(t) for t in instance.terms]
     stats = {"path": "mincut"}
     if not order.all_ordered:
         stats["path"] = "bruteforce"
@@ -441,9 +422,39 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP, tol=0):
     return SolveResult(optimum, argmin, stats)
 
 
+def _check_network_closed(net, pair, tol=0):
+    """Diagnostic: every network relation, as a crisp table, admits ``pair``.
+
+    Once stage 1 is certified the relations are implied by the instance's
+    own terms, so stage 3 solves without them; ``paranoid`` pipeline runs
+    still check here that the final pair preserves them.
+    """
+    n = net.domains.variable_count
+    for i in range(n):
+        for j in range(i + 1, n):
+            rel = net.rel(i, j)
+            table = CostTable.relation(
+                rel.shape, {(int(a), int(b)) for a, b in zip(*rel.nonzero())})
+            ok, witness = check_binary_multimorphism(table, pair, (i, j), tol)
+            if not ok:
+                raise StageError(
+                    "solve", f"network relation on variables {i} and {j} is "
+                    f"not closed under the final pair at {witness}",
+                    witness=(i, j, witness))
+
+
 def solve_pipeline(instance, ops, cap=DEFAULT_CAP, paranoid=False, trace=None,
                    tol=0):
-    """Run validation, consistency, pair rewriting and the final solve."""
+    """Run validation, consistency, pair rewriting and the final solve.
+
+    Stage 1 (``run_stage1``) certifies each term locally, so on instances
+    whose final pair leads to the min-cut path no step enumerates the
+    assignment space: ``cap`` then bounds only per-term table sizes.  It
+    still bounds the brute-force fallback of stage 3 and, under
+    ``paranoid``, the exhaustive stage-1 cross-check.  Stage 3 solves the
+    restricted instance alone; the network relations it implies are checked
+    against the final pair only under ``paranoid``.
+    """
     stats = {}
     t0 = time.perf_counter()
 
@@ -460,22 +471,12 @@ def solve_pipeline(instance, ops, cap=DEFAULT_CAP, paranoid=False, trace=None,
     stats["validate_s"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    net = decompose_instance(instance, cap=cap)
-    net, empty = enforce_strong_3_consistency(net)
-    if empty:
-        stats["consistency_s"] = time.perf_counter() - t1
+    stage1 = run_stage1(instance, ops, cap=cap, paranoid=paranoid)
+    stats["consistency_s"] = time.perf_counter() - t1
+    if stage1 is None:
         stats["path"] = "infeasible"
         return SolveResult(INF, None, stats)
-    if not certify_decomposition(net, instance, cap=cap):
-        raise StageError(
-            "consistency",
-            "binary decomposition does not capture the feasible set; "
-            "the instance lacks the required majority structure")
-    keep = support_maps(net)
-    net_r = restrict_network(net, keep)
-    inst_r = restrict_instance(instance, keep)
-    ops_r = restrict_operation_system(ops, keep).normalized()
-    stats["consistency_s"] = time.perf_counter() - t1
+    keep, inst_r, ops_r, net_r = stage1
 
     t2 = time.perf_counter()
     trace_lines = [] if trace is None else trace
@@ -486,17 +487,9 @@ def solve_pipeline(instance, ops, cap=DEFAULT_CAP, paranoid=False, trace=None,
     stats["final_ops"] = final_ops
 
     t3 = time.perf_counter()
-    crisp_terms = []
-    n = inst_r.domains.variable_count
-    for i in range(n):
-        for j in range(i + 1, n):
-            rel = net_r.rel(i, j)
-            tuples = {(int(a), int(b)) for a in range(rel.shape[0])
-                      for b in range(rel.shape[1]) if rel[a, b]}
-            crisp_terms.append(Term(
-                CostTable.relation(rel.shape, tuples), (i, j)))
-    stage3 = Instance(inst_r.domains, list(inst_r.terms) + crisp_terms)
-    result = solve_stp(stage3, final_ops.pair, cap=cap, tol=tol)
+    if paranoid:
+        _check_network_closed(net_r, final_ops.pair, tol)
+    result = solve_stp(inst_r, final_ops.pair, cap=cap, tol=tol)
     stats["solve_s"] = time.perf_counter() - t3
     stats["path"] = result.stats.get("path")
     stats.update({k: v for k, v in result.stats.items() if k != "path"})

@@ -284,6 +284,17 @@ def random_submodular_instance(rng, max_vars=8, max_size=5, crisp=True):
     return instance, system
 
 
+def submodular_chain(rng, n, d=3):
+    """Path of ``n`` variables over d labels: random unaries and submodular
+    links, with the min/max system.  Its assignment space exceeds the
+    default cap from n = 15 at d = 3."""
+    domains = DomainSpec((d,) * n)
+    terms = [Term(random_unary(rng, d), (v,)) for v in range(n)]
+    terms += [Term(random_submodular_table(rng, d, d), (v, v + 1))
+              for v in range(n - 1)]
+    return Instance(domains, terms), minmax_system(domains)
+
+
 def random_majority_closed_instance(rng, max_vars=5, max_size=3):
     """Crisp binary instance whose relations are closed under the median."""
     n = rng.randint(3, max_vars)

@@ -27,6 +27,8 @@ from vcsp import (
     solve_stp,
 )
 from vcsp.consistency import (
+    certify_decomposition,
+    certify_decomposition_exhaustive,
     decompose_instance,
     enforce_strong_3_consistency,
     restrict_instance,
@@ -135,6 +137,28 @@ def test_criterion_4_boolean_mjn_class():
     report(4, mismatches == 0, f"{count} Boolean instances, {mismatches} mismatches")
 
 
+def test_local_certificate_stricter_never_looser(corpus):
+    # the criterion-1 corpus and the criterion-4 Boolean corpus (same seed,
+    # same draws); both generators build instances that pass validation
+    rng = random.Random(20241)
+    cases = [(inst, system) for inst, system, _, _ in corpus[0]]
+    cases += [random_boolean_mjn_instance(rng) for _ in range(100)]
+    looser = rejected_valid = 0
+    for inst, system in cases:
+        system.validate()
+        mu = build_majority(system.pair, system.triple)
+        assert all(ternary_polymorphism_closed(mu, t.table.dom(), t.scope)
+                   for t in inst.terms)
+        net, _ = enforce_strong_3_consistency(decompose_instance(inst))
+        local = certify_decomposition(inst)
+        exhaustive = certify_decomposition_exhaustive(net, inst)
+        looser += local and not exhaustive
+        rejected_valid += not (local and exhaustive)
+    assert looser == 0 and rejected_valid == 0, (
+        f"{len(cases)} instances: {looser} passed only the per-term "
+        f"certificate, {rejected_valid} valid ones were rejected")
+
+
 def test_criterion_5_pure_stp_mincut():
     rng = random.Random(20242)
     count = 100
@@ -215,7 +239,6 @@ def test_criterion_7_majority_construction(corpus):
 
 
 def test_criterion_8_negative_controls():
-    from vcsp.consistency import certify_decomposition
     from harness import minmax_system
 
     # parity has no majority polymorphism, so it is not 2-decomposable
@@ -224,7 +247,8 @@ def test_criterion_8_negative_controls():
     parity = Instance(DomainSpec((2, 2, 2)), [
         Term(CostTable.relation((2, 2, 2), even), (0, 1, 2))])
     net, _ = enforce_strong_3_consistency(decompose_instance(parity))
-    parity_ok = not certify_decomposition(net, parity)
+    parity_ok = (not certify_decomposition_exhaustive(net, parity)
+                 and not certify_decomposition(parity))
 
     # supermodular product table: smallest pairwise witness is ((0,1),(1,0))
     from fractions import Fraction

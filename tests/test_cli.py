@@ -9,7 +9,8 @@ from vcsp.io_formats import parse_ops, serialize_instance, serialize_ops
 from vcsp.operations import is_stp_on
 from vcsp.solvers import solve_bruteforce
 
-from harness import minmax_system, random_boolean_mjn_instance, random_instance
+from harness import (minmax_system, random_boolean_mjn_instance,
+                     random_instance, submodular_chain)
 
 
 def write_pair(tmp_path, inst, system):
@@ -181,6 +182,15 @@ class TestExitCodes:
         ipath, opath = write_pair(tmp_path, inst, system)
         assert main(["oracle", ipath, "--cap", "1"]) == 2
         assert "cap" in capsys.readouterr().err
+
+    def test_chain_above_cap_solves(self, tmp_path, capsys):
+        # 3^16 assignments exceed the default cap; no min-cut stage needs them
+        inst, system = submodular_chain(random.Random(179), 16)
+        ipath, opath = write_pair(tmp_path, inst, system)
+        assert main(["solve", ipath, opath]) == 0
+        assert "stat path mincut" in capsys.readouterr().out.splitlines()
+        assert main(["reduce", ipath, opath]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_stage_failure_is_exit_one(self, tmp_path, capsys):
         # parity relation: validation of the derived majority fails

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vcsp import CostTable, DomainSpec, Instance, Term, VcspError
+from vcsp import INF, CostTable, DomainSpec, Instance, Term, VcspError
 from vcsp.consistency import (
     BinaryNetwork,
     certify_decomposition,
+    certify_decomposition_exhaustive,
     compose,
     decompose_instance,
     enforce_strong_3_consistency,
@@ -97,7 +98,7 @@ class TestDecompose:
         net = decompose_instance(inst)
         for i, j in [(0, 1), (0, 2), (1, 2)]:
             assert net.rel(i, j).all()
-        assert certify_decomposition(net, inst)
+        assert certify_decomposition_exhaustive(net, inst)
 
     def test_repeated_scope_variable(self):
         # term on (x, x): only diagonal tuples can ever realize
@@ -183,7 +184,8 @@ class TestCertify:
         for _ in range(10):
             inst = random_majority_closed_instance(rng)
             net = decompose_instance(inst)
-            assert certify_decomposition(net, inst)
+            assert certify_decomposition_exhaustive(net, inst)
+            assert certify_decomposition(inst)
 
     def test_parity_fails(self):
         even = [t for t in itertools.product(range(2), repeat=3)
@@ -192,7 +194,26 @@ class TestCertify:
             Term(CostTable.relation((2, 2, 2), even), (0, 1, 2))])
         net, empty = enforce_strong_3_consistency(decompose_instance(inst))
         assert not empty
-        assert not certify_decomposition(net, inst)
+        assert not certify_decomposition_exhaustive(net, inst)
+        assert not certify_decomposition(inst)
+
+    def test_repeated_variables_merged_first(self):
+        # parity on (x, y, x) says y is even; only the unmerged table is
+        # not the join of its pairwise projections
+        even = [t for t in itertools.product(range(2), repeat=3)
+                if sum(t) % 2 == 0]
+        inst = Instance(DomainSpec((2, 2)), [
+            Term(CostTable.relation((2, 2, 2), even), (0, 1, 0))])
+        net, empty = enforce_strong_3_consistency(decompose_instance(inst))
+        assert not empty
+        assert certify_decomposition(inst)
+        assert certify_decomposition_exhaustive(net, inst)
+
+    def test_infeasible_nullary_term_fails(self):
+        inst = Instance(DomainSpec((2,)), [Term(CostTable((), [INF]), ())])
+        assert not certify_decomposition(inst)
+        assert not certify_decomposition_exhaustive(
+            decompose_instance(inst), inst)
 
 
 class TestRestrict:

@@ -15,7 +15,7 @@ from vcsp import (
 )
 from vcsp.consistency import (
     BinaryNetwork,
-    certify_decomposition,
+    certify_decomposition_exhaustive,
     decompose_instance,
     enforce_strong_3_consistency,
     restrict_instance,
@@ -50,7 +50,7 @@ def make_net(sizes, relations):
 def stage1(instance):
     net, empty = enforce_strong_3_consistency(decompose_instance(instance))
     assert not empty
-    assert certify_decomposition(net, instance)
+    assert certify_decomposition_exhaustive(net, instance)
     keep = support_maps(net)
     return (restrict_instance(instance, keep),
             restrict_network(net, keep), keep)
@@ -197,7 +197,7 @@ class TestRunStage2:
             net, empty = enforce_strong_3_consistency(decompose_instance(inst))
             if empty:
                 continue
-            assert certify_decomposition(net, inst)
+            assert certify_decomposition_exhaustive(net, inst)
             keep = support_maps(net)
             inst_r = restrict_instance(inst, keep)
             net_r = restrict_network(net, keep)
@@ -225,7 +225,7 @@ class TestRunStage2:
         while done < 8:
             inst, system = random_boolean_mjn_instance(rng)
             net, empty = enforce_strong_3_consistency(decompose_instance(inst))
-            if empty or not certify_decomposition(net, inst):
+            if empty or not certify_decomposition_exhaustive(net, inst):
                 continue
             keep = support_maps(net)
             ops = restrict_operation_system(system, keep).normalized()

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from vcsp import (
@@ -22,9 +23,11 @@ from vcsp import (
     solve_pipeline,
     solve_stp,
 )
+from vcsp.consistency import BinaryNetwork
 from vcsp.costs import is_finite
 from vcsp.operations import OperationSystem
-from vcsp.solvers import MaxFlow, _solve_by_mincut, mincut_reduce
+from vcsp.solvers import (MaxFlow, _check_network_closed, _solve_by_mincut,
+                          mincut_reduce)
 
 from harness import (
     minmax_system,
@@ -33,6 +36,7 @@ from harness import (
     random_submodular_instance,
     random_submodular_table,
     random_unary,
+    submodular_chain,
 )
 
 
@@ -134,6 +138,18 @@ class TestMaxFlow:
         f.add_edge(3, 1, Fraction(5))
         assert f.max_flow(0, 1) == 1
         assert f.min_cut_source_side(0) == {0}
+
+
+    def test_long_augmenting_path(self):
+        # far longer than the recursion limit; the path is a chain of
+        # finite edges after an infinite one
+        n = 3000
+        f = MaxFlow(n)
+        f.add_edge(0, 2, None)
+        for u in range(2, n - 1):
+            f.add_edge(u, u + 1, Fraction(2))
+        f.add_edge(n - 1, 1, Fraction(3))
+        assert f.max_flow(0, 1) == 2
 
 
 class TestMincut:
@@ -263,6 +279,34 @@ class TestSolveStp:
         assert res.stats["path"] == "mincut"
         assert res.optimum == solve_bruteforce(inst).optimum
 
+    def test_long_ising_chain_matches_chain_dp(self):
+        # a recursive augmenting-path search overflowed the interpreter's
+        # recursion limit here: the first variable prefers 1, the far end 0
+        n = 1200
+        strong = Fraction(10)
+        couple = CostTable((2, 2), [Fraction(0), Fraction(1), Fraction(1),
+                                    Fraction(0)])
+        terms = [Term(CostTable((2,), [strong, Fraction(0)]), (0,)),
+                 Term(CostTable((2,), [Fraction(0), strong]), (n - 1,))]
+        terms += [Term(couple, (v, v + 1)) for v in range(n - 1)]
+        inst = Instance(DomainSpec((2,) * n), terms)
+        unary = [[Fraction(0)] * 2 for _ in range(n)]
+        links = [None] * n
+        for term in terms:
+            if len(term.scope) == 1:
+                for a in range(2):
+                    unary[term.scope[0]][a] += term.table[(a,)]
+            else:
+                links[term.scope[1]] = term.table
+        best = unary[0]
+        for v in range(1, n):
+            best = [min(best[a] + links[v][(a, b)] for a in range(2))
+                    + unary[v][b] for b in range(2)]
+        res = solve_stp(inst, BinaryPair.min_max(inst.domains))
+        assert res.stats["path"] == "mincut"
+        assert res.optimum == min(best) == 1
+        assert inst.evaluate(res.argmin) == res.optimum
+
     def test_infeasible_crisp_instance(self):
         d = DomainSpec((2, 2))
         inst = Instance(d, [
@@ -283,6 +327,25 @@ class TestPipeline:
             assert res.optimum == direct.optimum
             if res.stats["path"] != "infeasible":
                 assert res.stats["reduce_iterations"] == 0
+
+    @pytest.mark.parametrize("n", [16, 48])
+    def test_chain_above_cap_takes_mincut(self, n):
+        # 3^n exceeds the default cap; stage 1 used to enumerate it
+        inst, system = submodular_chain(random.Random(211 + n), n)
+        res = solve_pipeline(inst, system)
+        direct = solve_stp(inst, system.pair)
+        assert res.stats["path"] == "mincut"
+        assert (res.optimum, res.argmin) == (direct.optimum, direct.argmin)
+
+    def test_paranoid_network_closure_check(self):
+        # the "differ" relation is not closed under min/max
+        d = DomainSpec((2, 2))
+        net = BinaryNetwork(d)
+        net.intersect(0, 1, np.array([[False, True], [True, False]]))
+        with pytest.raises(StageError) as exc:
+            _check_network_closed(net, BinaryPair.min_max(d))
+        assert exc.value.stage == "solve"
+        _check_network_closed(BinaryNetwork(d), BinaryPair.min_max(d))
 
     def test_boolean_pure_mjn_matches_oracle(self):
         rng = random.Random(103)
