@@ -5,10 +5,11 @@ and per-term multimorphism checks), consistency (stage 1 network dump), and
 reduce (stages 1-2, final operations plus iteration trace).
 
 Exit codes: 0 success (an infeasible instance is a successful answer), 1 for
-failed verification or violated solver hypotheses, 2 for malformed input,
-bad usage, or an exceeded ``--cap``.  The cap bounds each term table, the
-oracle, the stage-3 brute-force fallback and the ``--paranoid`` scans, not
-the assignment space of an instance that stage 3 solves by min-cut.
+failed verification or violated solver hypotheses, 2 for malformed input, an
+input file that cannot be read, bad usage, or an exceeded ``--cap``.  The
+cap bounds each term table, the oracle, the stage-3 brute-force fallback and
+the ``--paranoid`` scans, not the assignment space of an instance that stage
+3 solves by min-cut.  Input arguments are always file paths.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ import sys
 from .consistency import (decompose_instance, enforce_strong_3_consistency,
                           run_stage1)
 from .costs import FLOAT_TOL, format_cost
-from .errors import CapExceeded, FormatError, StageError, ValidationError, VcspError
+from .errors import CapExceeded, FormatError, ValidationError, VcspError
 from .io_formats import parse_instance, parse_ops, serialize_ops
 from .model import DEFAULT_CAP
 from .operations import check_instance_multimorphism
 from .reduction import run_stage2
-from .solvers import solve_bruteforce, solve_pipeline
+from .solvers import run_validate, solve_bruteforce, solve_pipeline
 
 
 def _add_common(parser):
@@ -136,7 +137,7 @@ def main(argv=None):
             _emit_result(result, args.json)
             return 0
         if args.command == "reduce":
-            ops.validate()
+            ops = run_validate(instance, ops)
             stage1 = run_stage1(instance, ops, cap=args.cap,
                                 paranoid=args.paranoid)
             if stage1 is None:
@@ -152,15 +153,9 @@ def main(argv=None):
                 print(line)
             print(serialize_ops(final), end="")
             return 0
-    except FormatError as exc:
+    except (FormatError, CapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValidationError, StageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except VcspError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

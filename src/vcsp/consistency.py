@@ -1,8 +1,13 @@
 """Unary/binary relation networks and strong 3-consistency enforcement.
 
-Relations are boolean numpy matrices; the network stores one matrix per
-unordered variable pair and exposes both orientations as transposes, so the
-symmetry invariant holds by construction.
+A network over n variables is one boolean array ``R[i, j, a, b]``.  Labels
+are padded to the largest domain and padded labels are always False;
+``R[i, i]`` is the diagonal matrix of variable i's unary relation, and
+``R[j, i]`` is always the transpose of ``R[i, j]``.  Strong 3-consistency
+is then the single path-consistency rule ``R_ij <= R_ik o R_kj`` over all
+triples (Montanari 1974; Mackworth 1977): k = i or k = j restricts a binary
+relation to its unary domains, i = j keeps only supported labels, and
+distinct i, j, k prune paths.
 """
 
 from __future__ import annotations
@@ -28,71 +33,68 @@ def image(rel, labels, forward=True):
 
 
 def compose(rel_a, rel_b):
-    """Relational composition; boolean matrix product semantics."""
-    if rel_a.shape[1] != rel_b.shape[0]:
+    """Relational composition of matrices or broadcast stacks of them."""
+    if rel_a.shape[-1] != rel_b.shape[-2]:
         raise VcspError("middle domains of a composition must match")
     return (rel_a.astype(np.int64) @ rel_b.astype(np.int64)) > 0
 
 
 class BinaryNetwork:
-    """Unary relations plus a total family of symmetric binary relations."""
+    """Every unary and binary relation in one padded array ``R``."""
 
     def __init__(self, domains):
         self.domains = domains
-        self.unary = [np.ones(s, dtype=bool) for s in domains.sizes]
-        self.binary = {}
-        n = domains.variable_count
-        for i in range(n):
-            for j in range(i + 1, n):
-                self.binary[(i, j)] = np.ones(
-                    (domains.sizes[i], domains.sizes[j]), dtype=bool)
+        sizes = np.array(domains.sizes, dtype=np.int64)
+        live = np.arange(max(domains.sizes, default=0)) < sizes[:, None]
+        self.R = live[:, None, :, None] & live[None, :, None, :]
+        diag = np.arange(len(sizes))
+        self.R[diag, diag] &= np.eye(live.shape[1], dtype=bool)
 
     def rel(self, i, j):
-        """Relation from i to j; the reverse orientation is the transpose."""
-        if i == j:
-            raise VcspError("binary relations require distinct variables")
-        if i < j:
-            return self.binary[(i, j)]
-        return self.binary[(j, i)].T
+        """Relation from i to j; ``rel(j, i)`` is its transpose."""
+        return self.R[i, j, :self.domains.sizes[i], :self.domains.sizes[j]]
+
+    @property
+    def unary(self):
+        """Read-only views of each variable's unary relation."""
+        return [self.R[i, i, :s, :s].diagonal()
+                for i, s in enumerate(self.domains.sizes)]
 
     def intersect(self, i, j, mat):
-        if i < j:
-            self.binary[(i, j)] &= mat
-        else:
-            self.binary[(j, i)] &= mat.T
+        """Narrow ``rel(i, j)`` to ``mat``; with i == j, mat is a diagonal."""
+        self.R[i, j, :mat.shape[0], :mat.shape[1]] &= mat
+        self.R[j, i, :mat.shape[1], :mat.shape[0]] &= mat.T
 
     def copy(self):
         out = BinaryNetwork.__new__(BinaryNetwork)
         out.domains = self.domains
-        out.unary = [u.copy() for u in self.unary]
-        out.binary = {k: v.copy() for k, v in self.binary.items()}
+        out.R = self.R.copy()
         return out
 
     def equal(self, other):
-        return (
-            all(np.array_equal(a, b) for a, b in zip(self.unary, other.unary))
-            and all(np.array_equal(self.binary[k], other.binary[k])
-                    for k in self.binary))
+        return np.array_equal(self.R, other.R)
 
     def is_empty(self):
         return any(not u.any() for u in self.unary)
 
     def dump(self):
         """Diagnostic text: one line per relation, row-major bit-strings."""
-        lines = []
-        for i, u in enumerate(self.unary):
-            bits = "".join("1" if b else "0" for b in u)
-            lines.append(f"unary {i + 1} {bits}")
-        for (i, j), mat in sorted(self.binary.items()):
-            bits = "".join("1" if b else "0" for b in mat.ravel())
-            lines.append(f"binary {i + 1} {j + 1} {bits}")
-        return "\n".join(lines)
+        def bits(mat):
+            return "".join("1" if b else "0" for b in mat.ravel())
+
+        n = self.domains.variable_count
+        return "\n".join(
+            [f"unary {i + 1} {bits(u)}" for i, u in enumerate(self.unary)]
+            + [f"binary {i + 1} {j + 1} {bits(self.rel(i, j))}"
+               for i in range(n) for j in range(i + 1, n)])
 
 
 def decompose_instance(instance, cap=DEFAULT_CAP):
     """Project every term's feasible set onto its variables and variable pairs.
 
-    Pairs never jointly constrained start as full products.
+    Pairs never jointly constrained start as full products.  A variable's
+    projection is the diagonal block ``R[i, i]``, so both kinds go through
+    ``intersect``.
     """
     net = BinaryNetwork(instance.domains)
     for term in instance.terms:
@@ -102,21 +104,14 @@ def decompose_instance(instance, cap=DEFAULT_CAP):
         if size > cap:
             raise CapExceeded(size, cap)
         dom = term.table.dom()
-        scope = term.scope
         positions = {}
-        for pos, var in enumerate(scope):
+        for pos, var in enumerate(term.scope):
             positions.setdefault(var, []).append(pos)
-        for var, poss in positions.items():
-            mask = np.zeros(instance.domains.sizes[var], dtype=bool)
-            for t in dom:
-                vals = {t[p] for p in poss}
-                if len(vals) == 1:
-                    mask[t[poss[0]]] = True
-            # a tuple assigning two labels to the same variable never realizes
-            net.unary[var] &= mask
         vars_sorted = sorted(positions)
         for ai, i in enumerate(vars_sorted):
-            for j in vars_sorted[ai + 1:]:
+            # j == i projects onto the diagonal of R[i, i]; a tuple assigning
+            # two labels to the same variable never realizes
+            for j in vars_sorted[ai:]:
                 mat = np.zeros(
                     (instance.domains.sizes[i], instance.domains.sizes[j]),
                     dtype=bool)
@@ -130,45 +125,25 @@ def decompose_instance(instance, cap=DEFAULT_CAP):
 
 
 def enforce_strong_3_consistency(net, rng=None):
-    """Greatest fixed point of arc and path pruning.
+    """Greatest fixed point of ``R_ij <= R_ik o R_kj`` over all i, j, k.
 
-    Returns (new network, emptiness flag).  ``rng`` only permutes the
-    processing order; the fixed point is order-independent.
+    Each step applies the rule for one k to every pair (i, j) at once; sweeps
+    over k repeat until nothing changes.  Returns (new network, emptiness
+    flag).  ``rng`` only permutes the order of k; the fixed point is
+    order-independent.
     """
     net = net.copy()
-    n = net.domains.variable_count
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    path_tasks = [(i, j, k) for (i, j) in pairs for k in range(n)
-                  if k != i and k != j]
+    R = net.R
+    order = list(range(net.domains.variable_count))
     changed = True
     while changed:
         changed = False
-        arc_order = list(pairs)
-        path_order = list(path_tasks)
         if rng is not None:
-            rng.shuffle(arc_order)
-            rng.shuffle(path_order)
-        for i, j in arc_order:
-            mat = net.rel(i, j)
-            restricted = mat & np.outer(net.unary[i], net.unary[j])
-            if not np.array_equal(restricted, mat):
-                net.intersect(i, j, restricted)
-                changed = True
-            mat = net.rel(i, j)
-            sup_i = mat.any(axis=1)
-            sup_j = mat.any(axis=0)
-            if not np.array_equal(net.unary[i] & sup_i, net.unary[i]):
-                net.unary[i] &= sup_i
-                changed = True
-            if not np.array_equal(net.unary[j] & sup_j, net.unary[j]):
-                net.unary[j] &= sup_j
-                changed = True
-        for i, j, k in path_order:
-            witness = compose(net.rel(i, k), net.rel(k, j))
-            mat = net.rel(i, j)
-            pruned = mat & witness
-            if not np.array_equal(pruned, mat):
-                net.intersect(i, j, pruned)
+            rng.shuffle(order)
+        for k in order:
+            pruned = R & compose(R[:, k, None], R[None, k])
+            if not np.array_equal(pruned, R):
+                R[...] = pruned
                 changed = True
     return net, net.is_empty()
 
@@ -207,11 +182,10 @@ def certify_decomposition_exhaustive(net, instance, cap=DEFAULT_CAP):
     Enumerates every assignment; the reference oracle for the per-term
     ``certify_decomposition`` and the ``--paranoid`` stage-1 check.
     """
-    n = instance.domains.variable_count
+    var = np.arange(instance.domains.variable_count)
     for x in instance.domains.assignments(cap=cap):
-        in_net = all(net.unary[i][x[i]] for i in range(n)) and all(
-            net.rel(i, j)[x[i], x[j]]
-            for i in range(n) for j in range(i + 1, n))
+        labels = np.array(x, dtype=np.int64)
+        in_net = net.R[np.ix_(var, var) + np.ix_(labels, labels)].all()
         if in_net != is_finite(instance.evaluate(x)):
             return False
     return True
@@ -250,21 +224,21 @@ def run_stage1(instance, ops, cap=DEFAULT_CAP, paranoid=False):
 
 def support_maps(net):
     """Per-variable sorted lists of surviving labels."""
-    return [sorted(int(v) for v in np.flatnonzero(u)) for u in net.unary]
+    return [np.flatnonzero(u).tolist() for u in net.unary]
 
 
 def restrict_network(net, keep):
     """Re-index the network to the shrunken domains given by ``keep``."""
     if any(not k for k in keep):
         raise VcspError("cannot restrict to an empty domain")
-    domains = DomainSpec(tuple(len(k) for k in keep))
-    out = BinaryNetwork(domains)
-    n = domains.variable_count
-    for i in range(n):
-        out.unary[i] = net.unary[i][keep[i]].copy()
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.binary[(i, j)] = net.rel(i, j)[np.ix_(keep[i], keep[j])].copy()
+    out = BinaryNetwork(DomainSpec(tuple(len(k) for k in keep)))
+    n, dmax = out.R.shape[1:3]
+    # padded positions read label 0 and are masked off by out.R
+    labels = np.array([list(k) + [0] * (dmax - len(k)) for k in keep],
+                      dtype=np.int64)
+    var = np.arange(n)
+    out.R &= net.R[var[:, None, None, None], var[None, :, None, None],
+                   labels[:, None, :, None], labels[None, :, None, :]]
     return out
 
 

@@ -40,10 +40,8 @@ def _logical_lines(text):
             yield num, line.split()
 
 
-def _read(path_or_text):
-    if "\n" in path_or_text or path_or_text.strip().startswith(("vcsp", "meet")):
-        return path_or_text
-    with open(path_or_text, encoding="utf-8") as fh:
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
         return fh.read()
 
 
@@ -54,9 +52,14 @@ def _int(tok, num, what="integer"):
         raise FormatError(f"expected {what}, got {tok!r}", line=num) from None
 
 
-def parse_instance(path_or_text, float_mode=False):
-    """Parse an instance file (or its text)."""
-    lines = list(_logical_lines(_read(path_or_text)))
+def parse_instance(path, float_mode=False):
+    """Parse the instance file at ``path``."""
+    return parse_instance_text(_read(path), float_mode=float_mode)
+
+
+def parse_instance_text(text, float_mode=False):
+    """Parse the text of an instance file."""
+    lines = list(_logical_lines(text))
     if not lines or lines[0][1][0] != "vcsp":
         raise FormatError("file must start with a 'vcsp <V>' line",
                           line=lines[0][0] if lines else 1)
@@ -146,9 +149,14 @@ def serialize_instance(instance):
 _TABLE_KINDS = ("meet", "join", "mj1", "mj2", "mn3")
 
 
-def parse_ops(path_or_text, domains, validate=True):
-    """Parse an operation-system file against known domain sizes."""
-    lines = list(_logical_lines(_read(path_or_text)))
+def parse_ops(path, domains, validate=True):
+    """Parse the operation-system file at ``path`` against known domain sizes."""
+    return parse_ops_text(_read(path), domains, validate=validate)
+
+
+def parse_ops_text(text, domains, validate=True):
+    """Parse the text of an operation-system file against known domain sizes."""
+    lines = list(_logical_lines(text))
     nvars = domains.variable_count
     tables = {kind: {} for kind in _TABLE_KINDS}
     pairs = {}

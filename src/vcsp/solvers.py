@@ -17,7 +17,6 @@ from .costs import INF, cost_eq, is_finite
 from .errors import StageError, VcspError
 from .model import DEFAULT_CAP, CostTable, Instance, merge_repeated
 from .operations import (
-    BinaryPair,
     PairSet,
     build_majority,
     check_binary_multimorphism,
@@ -208,7 +207,7 @@ class MaxFlow:
 def _prune_unsupported(instance):
     """Drop labels with no finite support in some term; fixpoint.
 
-    Returns per-variable kept-label lists, possibly empty.
+    Returns per-variable sets of kept labels, possibly empty.
     """
     keep = [set(range(s)) for s in instance.domains.sizes]
     changed = True
@@ -223,7 +222,7 @@ def _prune_unsupported(instance):
                 if not keep[var] <= allowed:
                     keep[var] &= allowed
                     changed = True
-    return [sorted(k) for k in keep]
+    return keep
 
 
 class CutEncoding:
@@ -364,56 +363,43 @@ class CutEncoding:
         return tuple(x)
 
 
-def mincut_reduce(instance, tol=0):
-    """Build the cut encoding for an ordered binary submodular instance."""
-    return CutEncoding(instance, tol=tol)
-
-
-def _solve_by_mincut(instance, tol=0):
-    """Prune, encode and solve; instance must already be order-relabelled."""
-    terms = [merge_repeated(t) for t in instance.terms]
-    instance = Instance(instance.domains, terms)
-    keep = _prune_unsupported(instance)
-    if any(not k for k in keep):
-        return INF, None
-    reduced = restrict_instance(instance, keep)
-    optimum, argmin = mincut_reduce(reduced, tol=tol).solve()
-    if argmin is None:
-        return optimum, None
-    return optimum, tuple(keep[i][v] for i, v in enumerate(argmin))
-
-
 def solve_stp(instance, pair, cap=DEFAULT_CAP, tol=0):
     """Solve an instance whose pair is a full STP multimorphism of every term.
 
     Takes the min-cut path when every variable's tournament is transitive and
-    all terms are binary or unary; otherwise falls back to brute force.
+    all terms are binary or unary; otherwise falls back to brute force.  On
+    the min-cut path the pair is min/max in the extracted order, so each
+    term is checked under the pair itself, and the unsupported labels are
+    dropped and the rest put in that order by one restriction.
     """
     order = extract_tournament_order(pair)
-    merged = [merge_repeated(t) for t in instance.terms]
+    merged = Instance(instance.domains,
+                      [merge_repeated(t) for t in instance.terms])
     stats = {"path": "mincut"}
     if not order.all_ordered:
         stats["path"] = "bruteforce"
         stats["cycles"] = [c for c in order.cycles if c is not None]
-    elif any(t.table.arity > 2 for t in merged):
+    elif any(t.table.arity > 2 for t in merged.terms):
         stats["path"] = "bruteforce"
         stats["reason"] = "term arity above 2"
     if stats["path"] == "bruteforce":
         result = solve_bruteforce(instance, cap=cap)
         result.stats.update(stats)
         return result
-    relabelled = restrict_instance(
-        Instance(instance.domains, merged), order.orders)
-    minmax = BinaryPair.min_max(relabelled.domains)
-    for idx, term in enumerate(relabelled.terms):
-        ok, w = check_binary_multimorphism(term.table, minmax, term.scope, tol)
+    for idx, term in enumerate(merged.terms):
+        ok, w = check_binary_multimorphism(term.table, pair, term.scope, tol)
         if not ok:
             raise VcspError(
                 f"term {idx} is not submodular under the extracted order at {w}; "
                 "the pair was not a multimorphism of every term")
-    optimum, argmin = _solve_by_mincut(relabelled, tol=tol)
+    survive = _prune_unsupported(merged)
+    if any(not k for k in survive):
+        return SolveResult(INF, None, stats)
+    keep = [[a for a in labels if a in live]
+            for labels, live in zip(order.orders, survive)]
+    optimum, argmin = CutEncoding(restrict_instance(merged, keep), tol=tol).solve()
     if argmin is not None:
-        argmin = tuple(order.orders[i][v] for i, v in enumerate(argmin))
+        argmin = tuple(keep[i][v] for i, v in enumerate(argmin))
         check = instance.evaluate(argmin)
         if not cost_eq(check, optimum, tol):
             raise VcspError(
@@ -443,6 +429,26 @@ def _check_network_closed(net, pair, tol=0):
                     witness=(i, j, witness))
 
 
+def run_validate(instance, ops):
+    """Check the operation system and the derived majority on every term.
+
+    Returns the normalized system; raises ``ValidationError`` for a broken
+    system and ``StageError("validate")`` when the majority derived from it
+    is not a polymorphism of some term.
+    """
+    ops.validate()
+    ops = ops.normalized()
+    mu = build_majority(ops.pair, ops.triple)
+    for idx, term in enumerate(instance.terms):
+        if not ternary_polymorphism_closed(mu, term.table.dom(), term.scope):
+            raise StageError(
+                "validate",
+                f"derived majority operation is not a polymorphism of term "
+                f"{idx}; the required operation structure is missing",
+                witness=idx)
+    return ops
+
+
 def solve_pipeline(instance, ops, cap=DEFAULT_CAP, paranoid=False, trace=None,
                    tol=0):
     """Run validation, consistency, pair rewriting and the final solve.
@@ -457,17 +463,7 @@ def solve_pipeline(instance, ops, cap=DEFAULT_CAP, paranoid=False, trace=None,
     """
     stats = {}
     t0 = time.perf_counter()
-
-    ops.validate()
-    ops = ops.normalized()
-    mu = build_majority(ops.pair, ops.triple)
-    for idx, term in enumerate(instance.terms):
-        if not ternary_polymorphism_closed(mu, term.table.dom(), term.scope):
-            raise StageError(
-                "validate",
-                f"derived majority operation is not a polymorphism of term "
-                f"{idx}; the required operation structure is missing",
-                witness=idx)
+    ops = run_validate(instance, ops)
     stats["validate_s"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()

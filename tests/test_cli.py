@@ -5,7 +5,7 @@ import random
 
 from vcsp import DomainSpec, PairSet
 from vcsp.cli import main
-from vcsp.io_formats import parse_ops, serialize_instance, serialize_ops
+from vcsp.io_formats import parse_ops_text, serialize_instance, serialize_ops
 from vcsp.operations import is_stp_on
 from vcsp.solvers import solve_bruteforce
 
@@ -164,10 +164,23 @@ class TestReduce:
                                       support_maps)
         net, _ = enforce_strong_3_consistency(decompose_instance(inst))
         sizes = tuple(len(k) for k in support_maps(net))
-        final = parse_ops(ops_text, DomainSpec(sizes), validate=False)
+        final = parse_ops_text(ops_text, DomainSpec(sizes), validate=False)
         assert final.m.is_full()
         ok, _ = is_stp_on(final.pair, PairSet.full(final.domains))
         assert ok
+
+
+class TestOracle:
+    def test_file_name_starting_with_vcsp(self, tmp_path, monkeypatch,
+                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        inst, _ = fixed_instance(181)
+        for name in ("inst.txt", "vcsp_inst.txt"):
+            (tmp_path / name).write_text(serialize_instance(inst))
+        assert main(["oracle", "inst.txt"]) == 0
+        want = capsys.readouterr().out
+        assert main(["oracle", "vcsp_inst.txt"]) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestExitCodes:
@@ -203,3 +216,27 @@ class TestExitCodes:
         opath.write_text(serialize_ops(minmax_system(DomainSpec((2, 2, 2)))))
         assert main(["solve", str(ipath), str(opath)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_missing_input_file_is_usage_error(self, tmp_path, capsys):
+        inst, system = fixed_instance(191)
+        ipath, opath = write_pair(tmp_path, inst, system)
+        missing = str(tmp_path / "absent.vcsp")
+        assert main(["oracle", missing]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["solve", ipath, missing]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["reduce", ipath, str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_reduce_validates_like_solve(self, tmp_path, capsys):
+        # crisp disequality on three labels: the median is no polymorphism
+        text = ("vcsp 2\ndomains 3 3\n"
+                "term 2 1 2\ndefault 0\n"
+                "entry 0 0 inf\nentry 1 1 inf\nentry 2 2 inf\n")
+        ipath = tmp_path / "inst.vcsp"
+        ipath.write_text(text)
+        opath = tmp_path / "ops.ops"
+        opath.write_text(serialize_ops(minmax_system(DomainSpec((3, 3)))))
+        for command in ("solve", "reduce"):
+            assert main([command, str(ipath), str(opath)]) == 1
+            assert "stage validate" in capsys.readouterr().err

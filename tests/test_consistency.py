@@ -241,8 +241,78 @@ class TestRestrict:
 
     def test_network_dump_format(self):
         net = BinaryNetwork(DomainSpec((2, 2)))
-        net.unary[0][1] = False
+        net.intersect(0, 0, np.diag([True, False]))
         lines = net.dump().splitlines()
         assert lines[0] == "unary 1 10"
         assert lines[1] == "unary 2 11"
         assert lines[2] == "binary 1 2 1111"
+
+
+def mixed_size_instances(seed, count=10):
+    """Random crisp binary and ternary terms over domain sizes (2, 3, 4)."""
+    rng = random.Random(seed)
+    sizes = (2, 3, 4)
+    for _ in range(count):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            scope = tuple(rng.sample(range(3), rng.choice((2, 3))))
+            space = list(itertools.product(*(range(sizes[v]) for v in scope)))
+            tuples = rng.sample(space, rng.randint(len(space) // 2, len(space)))
+            terms.append(Term(CostTable.relation(
+                tuple(sizes[v] for v in scope), tuples), scope))
+        yield Instance(DomainSpec(sizes), terms)
+
+
+class TestArrayLayout:
+    def networks(self, seed):
+        for inst in mixed_size_instances(seed):
+            net = decompose_instance(inst)
+            yield net
+            yield enforce_strong_3_consistency(net)[0]
+
+    def test_padded_labels_never_show(self):
+        sizes = (2, 3, 4)
+        for net in self.networks(53):
+            for i, si in enumerate(sizes):
+                assert net.unary[i].shape == (si,)
+                assert np.array_equal(net.R[i, i],
+                                      np.diag(net.R[i, i].diagonal()))
+                assert not net.R[i, :, si:].any()
+                assert not net.R[:, i, :, si:].any()
+                for j, sj in enumerate(sizes):
+                    if i != j:
+                        assert net.rel(i, j).shape == (si, sj)
+            for line in net.dump().splitlines():
+                kind, *vars_, bits = line.split()
+                want = 1
+                for v in vars_:
+                    want *= sizes[int(v) - 1]
+                assert len(bits) == want
+
+    def test_reverse_relation_is_transpose(self):
+        for net in self.networks(59):
+            for i in range(3):
+                for j in range(3):
+                    assert np.array_equal(net.rel(j, i), net.rel(i, j).T)
+
+    def test_unary_views_are_read_only(self):
+        net = BinaryNetwork(DomainSpec((2, 3, 4)))
+        with pytest.raises(ValueError):
+            net.unary[1][0] = False
+
+    def test_restrict_matches_per_pair_indexing(self):
+        rng = random.Random(61)
+        for net in self.networks(61):
+            keep = [sorted(rng.sample(range(s), rng.randint(1, s)))
+                    for s in (2, 3, 4)]
+            small = restrict_network(net, keep)
+            assert small.domains.sizes == tuple(len(k) for k in keep)
+            for i in range(3):
+                assert np.array_equal(small.unary[i], net.unary[i][keep[i]])
+                for j in range(3):
+                    if i != j:
+                        assert np.array_equal(
+                            small.rel(i, j),
+                            net.rel(i, j)[np.ix_(keep[i], keep[j])])
+            for i, k in enumerate(keep):
+                assert not small.R[i, :, len(k):].any()

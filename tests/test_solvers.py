@@ -26,8 +26,7 @@ from vcsp import (
 from vcsp.consistency import BinaryNetwork
 from vcsp.costs import is_finite
 from vcsp.operations import OperationSystem
-from vcsp.solvers import (MaxFlow, _check_network_closed, _solve_by_mincut,
-                          mincut_reduce)
+from vcsp.solvers import CutEncoding, MaxFlow, _check_network_closed
 
 from harness import (
     minmax_system,
@@ -156,17 +155,17 @@ class TestMincut:
     def test_single_variable_unary(self):
         inst = Instance(DomainSpec((3,)), [
             Term(CostTable((3,), [Fraction(5), Fraction(1), Fraction(3)]), (0,))])
-        optimum, argmin = _solve_by_mincut(inst)
-        assert optimum == 1
-        assert argmin == (1,)
+        res = solve_stp(inst, BinaryPair.min_max(inst.domains))
+        assert res.optimum == 1
+        assert res.argmin == (1,)
 
     def test_ising_chain(self):
         same = CostTable.from_function((2, 2), lambda a, b: Fraction(a != b))
         inst = Instance(DomainSpec((2, 2, 2)), [
             Term(same, (0, 1)), Term(same, (1, 2))])
-        optimum, argmin = _solve_by_mincut(inst)
-        assert optimum == 0
-        assert argmin[0] == argmin[1] == argmin[2]
+        res = solve_stp(inst, BinaryPair.min_max(inst.domains))
+        assert res.optimum == 0
+        assert res.argmin[0] == res.argmin[1] == res.argmin[2]
 
     def test_random_submodular_matches_bruteforce(self):
         rng = random.Random(73)
@@ -180,10 +179,10 @@ class TestMincut:
                 terms.append(Term(
                     random_submodular_table(rng, sizes[i], sizes[j]), (i, j)))
             inst = Instance(DomainSpec(sizes), terms)
-            optimum, argmin = _solve_by_mincut(inst)
+            res = solve_stp(inst, BinaryPair.min_max(inst.domains))
             ref = solve_bruteforce(inst)
-            assert optimum == ref.optimum
-            assert inst.evaluate(argmin) == optimum
+            assert res.optimum == ref.optimum
+            assert inst.evaluate(res.argmin) == res.optimum
 
     def test_crisp_interval_structure(self):
         # min/max closed crisp rows are intervals; the encoding keeps them
@@ -192,22 +191,22 @@ class TestMincut:
             Term(rel, (0, 1)),
             Term(CostTable((3,), [Fraction(2), Fraction(1), Fraction(5)]), (0,)),
             Term(CostTable((3,), [Fraction(3), Fraction(0), Fraction(4)]), (1,))])
-        optimum, argmin = _solve_by_mincut(inst)
+        res = solve_stp(inst, BinaryPair.min_max(inst.domains))
         ref = solve_bruteforce(inst)
-        assert optimum == ref.optimum
-        assert inst.evaluate(argmin) == optimum
+        assert res.optimum == ref.optimum
+        assert inst.evaluate(res.argmin) == res.optimum
 
     def test_non_interval_crisp_rejected(self):
         rel = CostTable.relation((2, 3), [(0, 0), (0, 2), (1, 0), (1, 1), (1, 2)])
         inst = Instance(DomainSpec((2, 3)), [Term(rel, (0, 1))])
         with pytest.raises(StageError):
-            mincut_reduce(inst)
+            CutEncoding(inst)
 
     def test_non_submodular_rejected(self):
         t = CostTable.from_function((2, 2), lambda a, b: Fraction(a * b))
         inst = Instance(DomainSpec((2, 2)), [Term(t, (0, 1))])
         with pytest.raises(StageError):
-            mincut_reduce(inst)
+            CutEncoding(inst)
 
     def test_minimum_cut_decodes_consistent_levels(self):
         # every decoded assignment respects level monotonicity by design;
@@ -219,7 +218,7 @@ class TestMincut:
                      Term(random_unary(rng, 3), (1,)),
                      Term(random_submodular_table(rng, 3, 3), (0, 1))]
             inst = Instance(DomainSpec(sizes), terms)
-            enc = mincut_reduce(inst)
+            enc = CutEncoding(inst)
             optimum, argmin = enc.solve()
             assert all(0 <= v < 3 for v in argmin)
             assert inst.evaluate(argmin) == optimum
