@@ -243,17 +243,24 @@ def restrict_network(net, keep):
 
 
 def restrict_instance(instance, keep):
-    """Re-index an instance's tables to the shrunken domains."""
+    """Re-index an instance's tables to the shrunken domains.
+
+    A term whose variables all keep every label, in order, is kept as it is;
+    the others gather their new entries with one index into the old ones.
+    """
     domains = DomainSpec(tuple(len(k) for k in keep))
+    identity = [list(k) == list(range(s))
+                for k, s in zip(keep, instance.domains.sizes)]
     terms = []
     for term in instance.terms:
-        shape = tuple(len(keep[i]) for i in term.scope)
-        maps = [keep[i] for i in term.scope]
-
-        def entry(*t, _maps=maps, _table=term.table):
-            return _table[tuple(m[v] for m, v in zip(_maps, t))]
-
-        terms.append(Term(CostTable.from_function(shape, entry), term.scope))
+        if all(identity[i] for i in term.scope):
+            terms.append(term)
+            continue
+        table = term.table
+        flat = np.arange(len(table.entries)).reshape(table.shape)[
+            np.ix_(*(keep[i] for i in term.scope))]
+        terms.append(Term(CostTable(flat.shape, [
+            table.entries[i] for i in flat.ravel().tolist()]), term.scope))
     return Instance(domains, terms)
 
 

@@ -6,20 +6,68 @@ A binary pair is a per-variable pair of tables (meet, join); a triple is three
 per-variable ternary tables.  The pair-set M marks, per variable, the label
 pairs on which the binary pair is required to be commutative; on the
 complement the triple must behave as majority/majority/minority.
+
+The term-by-term multimorphism checks share one numpy kernel that is exact:
+costs are scaled to integers by the LCM of their denominators (int64 below
+2**59, Python ints in an object array above), INF reads as a value above
+every sum of finite costs so that an infeasible image is a violation, and
+float tables compare in float64 with the same tolerance as ``cost_le``.  The
+witness is the first violation in row-major order over ``table.dom()``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .costs import INF, cost_le, is_finite
+import numpy as np
+
+from .costs import INF, cost_le
 from .errors import ValidationError, VcspError
 from .model import DomainSpec
+
+#: Scaled exact costs below _INT64_LIMIT are summed in int64, where INF
+#: reads as _INT64_INF: above any sum of three finite costs, and a sum of
+#: three of it stays below 2**63.
+_INT64_LIMIT = 1 << 59
+_INT64_INF = 1 << 61
+#: Integers below this add exactly in float64, three at a time.
+_FLOAT_EXACT_INT = 1 << 51
+#: Largest temporary array of the multimorphism kernel, in elements.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 def _pair_key(a, b):
     return (a, b) if a < b else (b, a)
+
+
+@functools.lru_cache(maxsize=64)
+def _live_labels(sizes, depth):
+    """Mask of the real (unpadded) entries of per-variable label tables."""
+    n, size = len(sizes), max(sizes, default=0)
+    live = np.arange(size) < np.array(sizes, dtype=np.intp)[:, None]
+    mask = np.ones((n,) + (size,) * depth, dtype=bool)
+    for axis in range(depth):
+        mask &= live.reshape((n,) + (1,) * axis + (size,)
+                             + (1,) * (depth - 1 - axis))
+    mask.flags.writeable = False  # shared by callers
+    return mask
+
+
+def _stacked(ops, sizes, depth):
+    """Per-variable label tables of several operations as one ``intp`` array
+    ``[op, variable, arg_1, ..., arg_depth]``, padded with label 0."""
+    flat = ops
+    for _ in range(depth + 1):
+        flat = itertools.chain.from_iterable(flat)
+    mask = _live_labels(sizes, depth)
+    out = np.zeros((len(ops),) + mask.shape, dtype=np.intp)
+    out[:, mask] = np.fromiter(flat, dtype=np.intp).reshape(len(ops), -1)
+    out.flags.writeable = False
+    return out
 
 
 def all_label_pairs(size):
@@ -86,10 +134,11 @@ class PairSet:
 class BinaryPair:
     """Per-variable (meet, join) tables, D_i x D_i -> D_i each."""
 
-    __slots__ = ("domains", "meet_tables", "join_tables")
+    __slots__ = ("domains", "meet_tables", "join_tables", "_stacks")
 
     def __init__(self, domains, meet_tables, join_tables):
         self.domains = domains
+        self._stacks = None
         self.meet_tables = tuple(tuple(tuple(r) for r in t) for t in meet_tables)
         self.join_tables = tuple(tuple(tuple(r) for r in t) for t in join_tables)
         for i, s in enumerate(domains.sizes):
@@ -107,6 +156,13 @@ class BinaryPair:
             tabs_min.append([[min(a, b) for b in range(s)] for a in range(s)])
             tabs_max.append([[max(a, b) for b in range(s)] for a in range(s)])
         return cls(domains, tabs_min, tabs_max)
+
+    def index_stacks(self):
+        """Meet and join as one padded ``intp`` array [op, variable, a, b]."""
+        if self._stacks is None:
+            self._stacks = _stacked((self.meet_tables, self.join_tables),
+                                    self.domains.sizes, 2)
+        return self._stacks
 
     def meet(self, i, a, b):
         return self.meet_tables[i][a][b]
@@ -153,7 +209,7 @@ class TernaryOp:
 class MjnTriple:
     """Per-variable triple of ternary tables (two majority-like, one minority)."""
 
-    __slots__ = ("domains", "ops")
+    __slots__ = ("domains", "ops", "_stacks")
 
     def __init__(self, domains, op1, op2, op3):
         if not isinstance(op1, TernaryOp):
@@ -162,6 +218,7 @@ class MjnTriple:
             op3 = TernaryOp(domains, op3)
         self.domains = domains
         self.ops = (op1, op2, op3)
+        self._stacks = None
 
     @classmethod
     def canonical(cls, domains):
@@ -186,6 +243,13 @@ class MjnTriple:
             TernaryOp.from_function(domains, mj2),
             TernaryOp.from_function(domains, mn3),
         )
+
+    def index_stacks(self):
+        """The three components as one ``intp`` array [op, variable, a, b, c]."""
+        if self._stacks is None:
+            self._stacks = _stacked([op.tables for op in self.ops],
+                                    self.domains.sizes, 3)
+        return self._stacks
 
     def apply(self, pos, i, a, b, c):
         return self.ops[pos].apply(i, a, b, c)
@@ -269,42 +333,118 @@ def is_mjn_on(triple, target):
     return True, None
 
 
+def _cost_values(entries, tol):
+    """A table's entries as one array that adds and compares like ``cost_le``,
+    and the flat indices of its finite entries in ascending order.
+
+    Without tolerance, integer and Fraction costs are scaled by the LCM of
+    their denominators to exact integers: int64 while every scaled cost is
+    below 2**59, with INF read as 2**61, so that a sum holding INF exceeds
+    every sum of three finite costs and no sum of three overflows; Python
+    ints in an object array above that.  Float costs, with integers small
+    enough to add exactly (crisp zeros), become float64 with INF read as inf.
+    Any other mix keeps the Python values, INF included, in an object array,
+    so every sum and comparison is the one ``cost_le`` makes.
+    """
+    dom = [i for i, e in enumerate(entries) if e is not INF]
+    finite = [entries[i] for i in dom]
+    if not tol and all(isinstance(e, (int, Fraction)) for e in finite):
+        scale = math.lcm(*{e.denominator for e in finite})
+        scaled = [e if e is INF else e.numerator * (scale // e.denominator)
+                  for e in entries]
+        if max((scaled[i] for i in dom), default=0) < _INT64_LIMIT:
+            return np.array([_INT64_INF if e is INF else e for e in scaled],
+                            dtype=np.int64), dom
+        return np.array(scaled, dtype=object), dom
+    if isinstance(tol, (int, float)) and all(
+            isinstance(e, float)
+            or (isinstance(e, (int, Fraction)) and e.denominator == 1
+                and e < _FLOAT_EXACT_INT)
+            for e in finite):
+        return np.array([math.inf if e is INF else float(e) for e in entries],
+                        dtype=np.float64), dom
+    return np.array(entries, dtype=object), dom
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(shape):
+    """Coordinates of every entry of a table shape, as an (m, size) array,
+    and its row-major weights."""
+    m = len(shape)
+    grid = np.indices(shape, dtype=np.intp).reshape(m, math.prod(shape))
+    weights = np.array([math.prod(shape[p + 1:]) for p in range(m)],
+                       dtype=np.intp)
+    grid.flags.writeable = weights.flags.writeable = False  # shared by callers
+    return grid, weights
+
+
+def _first_violation(table, stacks, scope, tol):
+    """Shared exact kernel of the multimorphism checks.
+
+    ``stacks`` holds the operation tuple as one padded ``intp`` array indexed
+    ``[component, variable, arg_1, ..., arg_k]``.  Every ordered k-tuple of
+    feasible tuples is checked: the summed cost of the components' images
+    must be at most the summed cost of the arguments (up to ``tol``), which
+    fails whenever an image is infeasible.  Returns (True, None) or
+    (False, witness), the witness being the first violation in row-major
+    order over ``table.dom()``, as tuples of Python ints.  The first
+    argument runs in row blocks so that no temporary exceeds about
+    ``_BLOCK_ELEMENTS``.
+    """
+    values, dom = _cost_values(table.entries, tol)
+    n = len(dom)
+    if n == 0:
+        return True, None
+    comps, k = len(stacks), stacks.ndim - 2
+    grid, weights = _layout(table.shape)
+    m = len(weights)
+    coords = grid.take(dom, axis=1)
+    cost = values.take(dom)
+
+    def along(arr, axis):
+        # arr's last axis moved to argument axis ``axis`` of the k-tuple grid
+        return arr.reshape(arr.shape[:-1] + (1,) * axis + (arr.shape[-1],)
+                           + (1,) * (k - 1 - axis))
+
+    var = np.array(scope, dtype=np.intp).reshape((m,) + (1,) * k)
+    rest = [along(coords, axis) for axis in range(1, k)]
+    rest_cost = [along(cost, axis) for axis in range(1, k)]
+    rows = max(1, _BLOCK_ELEMENTS // (comps * max(m, 1) * n ** (k - 1)))
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        right = along(cost[block], 0)
+        for more in rest_cost:
+            right = right + more
+        labels = stacks[(slice(None), var, along(coords[:, block], 0), *rest)]
+        images = values.take(weights @ labels.reshape(comps, m, right.size))
+        left = images[0]
+        for more in images[1:]:
+            left = left + more
+        ok = left.reshape(right.shape) <= (right + tol if tol else right)
+        first = int(ok.argmin())
+        if not ok.flat[first]:
+            at = np.unravel_index(first, ok.shape)
+            picks = (start + at[0],) + at[1:]
+            return False, tuple(tuple(coords[:, i].tolist()) for i in picks)
+    return True, None
+
+
 def check_binary_multimorphism(table, pair, scope, tol=0):
     """Inequality f(x meet y) + f(x join y) <= f(x) + f(y) over feasible pairs.
 
     Returns (True, None) or (False, (x, y)) with the lexicographically
     smallest violating ordered pair of feasible tuples.
     """
-    dom = table.dom()
-    for x in dom:
-        fx = table[x]
-        for y in dom:
-            lo = tuple(pair.meet(scope[p], x[p], y[p]) for p in range(len(x)))
-            hi = tuple(pair.join(scope[p], x[p], y[p]) for p in range(len(x)))
-            left = table[lo] + table[hi]
-            right = fx + table[y]
-            if not cost_le(left, right, tol):
-                return False, (x, y)
-    return True, None
+    return _first_violation(table, pair.index_stacks(), scope, tol)
 
 
 def check_ternary_multimorphism(table, triple, scope, tol=0):
-    """Three-way inequality over all ordered feasible triples."""
-    dom = table.dom()
-    m = len(scope)
-    for x in dom:
-        for y in dom:
-            for z in dom:
-                left = 0
-                for pos in range(3):
-                    img = tuple(
-                        triple.apply(pos, scope[p], x[p], y[p], z[p])
-                        for p in range(m))
-                    left = left + table[img]
-                right = table[x] + table[y] + table[z]
-                if not cost_le(left, right, tol):
-                    return False, (x, y, z)
-    return True, None
+    """Three-way inequality over all ordered feasible triples.
+
+    Returns (True, None) or (False, (x, y, z)) with the lexicographically
+    smallest violating ordered triple of feasible tuples.
+    """
+    return _first_violation(table, triple.index_stacks(), scope, tol)
 
 
 def check_polymorphism(op, tuples, scope):

@@ -3,10 +3,12 @@
 import json
 import random
 
-from vcsp import DomainSpec, PairSet
+import pytest
+
+from vcsp import BinaryPair, DomainSpec, MjnTriple, PairSet
 from vcsp.cli import main
 from vcsp.io_formats import parse_ops_text, serialize_instance, serialize_ops
-from vcsp.operations import is_stp_on
+from vcsp.operations import OperationSystem, is_stp_on
 from vcsp.solvers import solve_bruteforce
 
 from harness import (minmax_system, random_boolean_mjn_instance,
@@ -110,6 +112,30 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.startswith("violation term 1 binary")
         assert "(0, 1)" in out and "(1, 0)" in out
+
+    @pytest.mark.parametrize("mode", [[], ["--float"]])
+    @pytest.mark.parametrize("text, expected", [
+        ("vcsp 3\ndomains 2 3 2\nterm 1 1\ndefault 1/3\nentry 1 2/3\n"
+         "term 2 2 3\ndefault 0\nentry 2 1 7/2\nentry 1 1 1/2\n"
+         "entry 0 0 5/4\n",
+         "violation term 2 binary ((0, 1), (1, 0))\n"),
+        ("vcsp 3\ndomains 2 3 2\nterm 1 2\ndefault 1/2\nentry 0 0\n"
+         "entry 2 7/3\nterm 2 1 3\ndefault 0\nentry 0 1 1/3\n"
+         "entry 1 0 1/3\n",
+         "violation term 2 ternary ((0, 0), (0, 1), (1, 1))\n"),
+    ])
+    def test_witness_line_is_plain_ints(self, tmp_path, capsys, mode, text,
+                                        expected):
+        # min/max pair with the canonical triple; the expected lines are
+        # those of the loop checkers the numpy kernel replaced
+        d = DomainSpec((2, 3, 2))
+        ipath = tmp_path / "inst.vcsp"
+        ipath.write_text(text)
+        opath = tmp_path / "ops.ops"
+        opath.write_text(serialize_ops(OperationSystem(
+            BinaryPair.min_max(d), MjnTriple.canonical(d), PairSet.full(d))))
+        assert main(["verify", *mode, str(ipath), str(opath)]) == 1
+        assert capsys.readouterr().out == expected
 
     def test_invalid_ops_reported(self, tmp_path, capsys):
         # projection pair with M claiming the pair commutative

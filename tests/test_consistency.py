@@ -234,6 +234,27 @@ class TestRestrict:
         from vcsp import INF
         assert small_inst.evaluate((1, 0)) is INF
 
+    def test_gather_matches_closure_version(self):
+        from harness import random_instance
+        from oracles import closure_restrict_instance
+        rng = random.Random(20262)
+        for _ in range(60):
+            inst, _ = random_instance(rng, max_vars=4, max_size=4)
+            keep = []
+            for s in inst.domains.sizes:
+                labels = rng.sample(range(s), rng.randint(1, s))
+                if rng.random() < 0.5:
+                    labels.sort()
+                keep.append(labels)
+            got = restrict_instance(inst, keep)
+            want = closure_restrict_instance(inst, keep)
+            assert got.domains == want.domains
+            assert [(t.scope, t.table) for t in got.terms] == [
+                (t.scope, t.table) for t in want.terms]
+            full = [list(range(s)) for s in inst.domains.sizes]
+            same = restrict_instance(inst, full)
+            assert all(a is b for a, b in zip(same.terms, inst.terms))
+
     def test_restrict_empty_rejected(self):
         net = BinaryNetwork(DomainSpec((2, 2)))
         with pytest.raises(VcspError):

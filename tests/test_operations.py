@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from vcsp import (
     is_mjn_on,
     is_stp_on,
 )
-from vcsp.costs import cost_le, is_finite
+from vcsp.costs import FLOAT_TOL, cost_le, is_finite
 from vcsp.operations import (
     OperationSystem,
     all_label_pairs,
@@ -38,7 +39,8 @@ from vcsp.operations import (
     ternary_polymorphism_closed,
 )
 
-from harness import pair_tables_for_split, random_system
+from harness import pair_tables_for_split, random_system, sorting_triple
+from oracles import loop_binary_multimorphism, loop_ternary_multimorphism
 
 
 def projection_pair(domains):
@@ -405,3 +407,161 @@ def test_per_term_check_implies_global_check():
         assert ok
         ok, _ = check_global_multimorphism(inst, system)
         assert ok
+
+
+# -- the numpy kernel against the loop oracles ------------------------------
+
+
+def cyclic_pair(domains):
+    """Commutative conservative pair whose meet cycles on labels 0, 1, 2."""
+    def meet(a, b):
+        return 2 if {a, b} == {0, 2} else min(a, b)
+
+    meets = [[[meet(a, b) for b in range(s)] for a in range(s)]
+             for s in domains.sizes]
+    joins = [[[a + b - meet(a, b) for b in range(s)] for a in range(s)]
+             for s in domains.sizes]
+    return BinaryPair(domains, meets, joins)
+
+
+def random_conservative_triple(rng, domains):
+    comps = []
+    for _ in range(3):
+        picks = {key: rng.randrange(3) for key in itertools.product(
+            range(domains.variable_count), range(4), range(4), range(4))}
+        comps.append(TernaryOp.from_function(
+            domains, lambda i, x, y, z, _p=picks: (x, y, z)[_p[(i, x, y, z)]]))
+    return MjnTriple(domains, *comps)
+
+
+def random_cost(rng, kind):
+    if kind == "fraction":
+        return Fraction(rng.randint(0, 12), rng.randint(1, 6))
+    if kind == "big":  # scaled numerators above 2**59: the object path
+        return Fraction(rng.randint(2**59, 2**70), rng.choice((1, 3, 7)))
+    if kind == "edge":  # just inside the int64 path
+        return Fraction(rng.randint(2**58, 2**59 - 1))
+    if kind == "float":
+        return rng.uniform(0, 10)
+    # floats mixed with non-integer Fractions
+    return rng.uniform(0, 10) if rng.random() < 0.5 else Fraction(
+        rng.randint(0, 12), 3)
+
+
+def random_kernel_table(rng, shape, kind):
+    size = 1
+    for s in shape:
+        size *= s
+    structure = rng.choice(("random", "modular", "modular", "single",
+                            "all-inf"))
+    if structure == "all-inf":
+        return CostTable(shape, [INF] * size)
+    if structure == "single":
+        entries = [INF] * size
+        entries[rng.randrange(size)] = random_cost(rng, kind)
+        return CostTable(shape, entries)
+    holes = rng.choice((0, 0, 0.3))
+    weights = [[random_cost(rng, kind) for _ in range(s)] for s in shape]
+    entries = []
+    for t in itertools.product(*(range(s) for s in shape)):
+        if rng.random() < holes:
+            entries.append(INF)
+        elif structure == "random":
+            entries.append(random_cost(rng, kind))
+        else:  # modular: every conservative operation tuple passes
+            entries.append(sum((w[v] for w, v in zip(weights, t)),
+                               Fraction(0)))
+    return CostTable(shape, entries)
+
+
+def kernel_cases(seed, count):
+    """(table, scope, pair, triple, tol) over arity 0-3 and sizes 1-4."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        domains = DomainSpec(tuple(
+            rng.randint(1, 4) for _ in range(rng.randint(1, 3))))
+        scope = tuple(rng.randrange(domains.variable_count)
+                      for _ in range(rng.randint(0, 3)))
+        kind = rng.choice(("fraction", "fraction", "big", "edge", "float",
+                           "mixed"))
+        table = random_kernel_table(
+            rng, tuple(domains.sizes[i] for i in scope), kind)
+        tol = FLOAT_TOL if kind == "float" or rng.random() < 0.1 else 0
+        pair = rng.choice((
+            BinaryPair.min_max(domains), cyclic_pair(domains),
+            BinaryPair(domains, *zip(*(pair_tables_for_split(
+                s, {p for p in all_label_pairs(s) if rng.random() < 0.7},
+                rng) for s in domains.sizes)))))
+        triple = rng.choice((
+            MjnTriple.canonical(domains), sorting_triple(domains),
+            random_conservative_triple(rng, domains)))
+        yield table, scope, pair, triple, tol
+
+
+def assert_int_witness(witness):
+    assert all(type(v) is int for t in witness for v in t)
+
+
+def test_kernel_matches_loops_witness_for_witness():
+    seen = Counter()
+    for table, scope, pair, triple, tol in kernel_cases(20260, 500):
+        got = check_binary_multimorphism(table, pair, scope, tol)
+        assert got == loop_binary_multimorphism(table, pair, scope, tol)
+        if not got[0]:
+            assert_int_witness(got[1])
+        seen["binary", got[0]] += 1
+        if len(table.dom()) > 12:
+            continue
+        got = check_ternary_multimorphism(table, triple, scope, tol)
+        assert got == loop_ternary_multimorphism(table, triple, scope, tol)
+        if not got[0]:
+            assert_int_witness(got[1])
+        seen["ternary", got[0]] += 1
+    # both outcomes of both checks are exercised
+    assert min(seen.values()) >= 50 and len(seen) == 4
+
+
+def test_kernel_row_blocks_match_loops(monkeypatch):
+    import vcsp.operations as operations
+    monkeypatch.setattr(operations, "_BLOCK_ELEMENTS", 5)
+    for table, scope, pair, triple, tol in kernel_cases(20261, 120):
+        assert (check_binary_multimorphism(table, pair, scope, tol)
+                == loop_binary_multimorphism(table, pair, scope, tol))
+        if len(table.dom()) <= 8:
+            assert (check_ternary_multimorphism(table, triple, scope, tol)
+                    == loop_ternary_multimorphism(table, triple, scope, tol))
+
+
+def test_kernel_paths_on_fixed_tables():
+    d = DomainSpec((2, 2))
+    pair = BinaryPair.min_max(d)
+    big = 2**62
+    # supermodular product table with huge numerators: object dtype
+    t = CostTable.from_function((2, 2), lambda a, b: Fraction(big * a * b, 3))
+    assert check_binary_multimorphism(t, pair, (0, 1)) == (
+        False, ((0, 1), (1, 0)))
+    # the largest int64 costs still sum below an infeasible image
+    top = 2**59 - 1
+    t = CostTable((2, 2), [INF, Fraction(top), Fraction(top), Fraction(0)])
+    assert check_binary_multimorphism(t, pair, (0, 1)) == (
+        False, ((0, 1), (1, 0)))
+    t = CostTable((2, 2), [INF, Fraction(top), Fraction(top), Fraction(top)])
+    assert check_ternary_multimorphism(
+        t, sorting_triple(d), (0, 1)) == loop_ternary_multimorphism(
+        t, sorting_triple(d), (0, 1))
+    # equality up to float rounding passes only within the tolerance
+    t = CostTable((2, 2), [0.1, 0.2, 0.2, 0.30000000000000004 + 1e-12])
+    assert loop_binary_multimorphism(t, pair, (0, 1))[0] is False
+    assert check_binary_multimorphism(t, pair, (0, 1)) == (
+        loop_binary_multimorphism(t, pair, (0, 1)))
+    assert check_binary_multimorphism(t, pair, (0, 1), FLOAT_TOL) == (
+        True, None)
+    for entries in ([INF] * 4, [INF, INF, Fraction(3, 2), INF]):
+        t = CostTable((2, 2), entries)
+        assert check_binary_multimorphism(t, pair, (0, 1)) == (True, None)
+        assert check_ternary_multimorphism(
+            t, MjnTriple.canonical(d), (0, 1)) == (True, None)
+    nullary = CostTable((), [Fraction(5, 7)])
+    assert check_binary_multimorphism(nullary, pair, ()) == (True, None)
+    assert check_ternary_multimorphism(
+        nullary, MjnTriple.canonical(d), ()) == (True, None)
