@@ -10,9 +10,10 @@ complement the triple must behave as majority/majority/minority.
 The term-by-term multimorphism checks share one numpy kernel that is exact:
 costs are scaled to integers by the LCM of their denominators (int64 below
 2**59, Python ints in an object array above), INF reads as a value above
-every sum of finite costs so that an infeasible image is a violation, and
-float tables compare in float64 with the same tolerance as ``cost_le``.  The
-witness is the first violation in row-major order over ``table.dom()``.
+every sum of finite costs so that an infeasible image is a violation.  Float
+tables, and any other mix, keep their Python values in an object array and
+add and compare exactly as ``cost_le`` does, tolerance included.  The witness
+is the first violation in row-major order over ``table.dom()``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .model import DomainSpec
 #: three of it stays below 2**63.
 _INT64_LIMIT = 1 << 59
 _INT64_INF = 1 << 61
-#: Integers below this add exactly in float64, three at a time.
-_FLOAT_EXACT_INT = 1 << 51
 #: Largest temporary array of the multimorphism kernel, in elements.
 _BLOCK_ELEMENTS = 1 << 20
 
@@ -341,10 +340,9 @@ def _cost_values(entries, tol):
     their denominators to exact integers: int64 while every scaled cost is
     below 2**59, with INF read as 2**61, so that a sum holding INF exceeds
     every sum of three finite costs and no sum of three overflows; Python
-    ints in an object array above that.  Float costs, with integers small
-    enough to add exactly (crisp zeros), become float64 with INF read as inf.
-    Any other mix keeps the Python values, INF included, in an object array,
-    so every sum and comparison is the one ``cost_le`` makes.
+    ints in an object array above that.  Float costs, a tolerance, or any
+    other mix keep the Python values, INF included, in an object array, so
+    every sum and comparison is the one ``cost_le`` makes.
     """
     dom = [i for i, e in enumerate(entries) if e is not INF]
     finite = [entries[i] for i in dom]
@@ -356,13 +354,6 @@ def _cost_values(entries, tol):
             return np.array([_INT64_INF if e is INF else e for e in scaled],
                             dtype=np.int64), dom
         return np.array(scaled, dtype=object), dom
-    if isinstance(tol, (int, float)) and all(
-            isinstance(e, float)
-            or (isinstance(e, (int, Fraction)) and e.denominator == 1
-                and e < _FLOAT_EXACT_INT)
-            for e in finite):
-        return np.array([math.inf if e is INF else float(e) for e in entries],
-                        dtype=np.float64), dom
     return np.array(entries, dtype=object), dom
 
 
@@ -388,8 +379,9 @@ def _first_violation(table, stacks, scope, tol):
     fails whenever an image is infeasible.  Returns (True, None) or
     (False, witness), the witness being the first violation in row-major
     order over ``table.dom()``, as tuples of Python ints.  The first
-    argument runs in row blocks so that no temporary exceeds about
-    ``_BLOCK_ELEMENTS``.
+    argument runs in row blocks, so that a temporary holds at most about
+    max(``_BLOCK_ELEMENTS``, comps * m * n**(k-1)) elements: a block is
+    never smaller than one row, the checks of one first argument.
     """
     values, dom = _cost_values(table.entries, tol)
     n = len(dom)
