@@ -103,7 +103,7 @@ class CostTable:
 
     def dom(self):
         """Tuples with finite cost, in lexicographic order."""
-        return [t for t in self.tuples() if is_finite(self[t])]
+        return [t for t, e in zip(self.tuples(), self.entries) if is_finite(e)]
 
     def is_crisp(self):
         return all(e is INF or e == 0 for e in self.entries)

@@ -7,6 +7,13 @@ per-variable ternary tables.  The pair-set M marks, per variable, the label
 pairs on which the binary pair is required to be commutative; on the
 complement the triple must behave as majority/majority/minority.
 
+The contract checks (``is_stp_on``, ``is_mjn_on``), ``normalize_pairset``,
+``build_majority`` and ``ternary_polymorphism_closed`` are exact boolean
+masks over the operations' padded label stacks (``index_stacks()``,
+``index_stack()``), each cached on its operation object, and over per-size
+label grids.  Each returns or raises the witness a scan entry by entry
+would find first, in the order its docstring states.
+
 The term-by-term multimorphism checks share one numpy kernel that is exact:
 costs are scaled to integers by the LCM of their denominators (int64 below
 2**59, Python ints in an object array above), INF reads as a value above
@@ -18,6 +25,7 @@ is the first violation in row-major order over ``table.dom()``.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -43,30 +51,104 @@ def _pair_key(a, b):
     return (a, b) if a < b else (b, a)
 
 
-@functools.lru_cache(maxsize=64)
+def _frozen(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False  # shared by callers
+    return arrays
+
+
+@functools.lru_cache(maxsize=32)
+def _largest_label(size, depth):
+    """Largest label at each entry of the [size] * depth grid of label
+    tuples."""
+    return _frozen(np.indices((size,) * depth, dtype=np.intp).max(axis=0))[0]
+
+
+@functools.lru_cache(maxsize=32)
+def _projections(count, size, depth):
+    """[count, 1] + [size] * depth: operation k's projection onto argument
+    k mod depth, the padding of ``_stacked``."""
+    args = np.indices((size,) * depth, dtype=np.intp)
+    return _frozen(args[np.arange(count) % depth][:, None])[0]
+
+
 def _live_labels(sizes, depth):
-    """Mask of the real (unpadded) entries of per-variable label tables."""
-    n, size = len(sizes), max(sizes, default=0)
-    live = np.arange(size) < np.array(sizes, dtype=np.intp)[:, None]
-    mask = np.ones((n,) + (size,) * depth, dtype=bool)
-    for axis in range(depth):
-        mask &= live.reshape((n,) + (1,) * axis + (size,)
-                             + (1,) * (depth - 1 - axis))
-    mask.flags.writeable = False  # shared by callers
-    return mask
+    """Mask of the real (unpadded) entries of per-variable label tables,
+    [variable] + [max size] * depth."""
+    top = _largest_label(max(sizes, default=0), depth)
+    return top < np.array(sizes, dtype=np.intp).reshape((-1,) + (1,) * depth)
 
 
 def _stacked(ops, sizes, depth):
     """Per-variable label tables of several operations as one ``intp`` array
-    ``[op, variable, arg_1, ..., arg_depth]``, padded with label 0."""
+    ``[op, variable, arg_1, ..., arg_depth]``.  Entries beyond a variable's
+    domain hold a projection, operation k's onto argument k mod depth: the
+    padding is conservative, and no padded label pair commutes under a
+    binary pair, so the contract checks need no mask of the live entries."""
     flat = ops
     for _ in range(depth + 1):
         flat = itertools.chain.from_iterable(flat)
     mask = _live_labels(sizes, depth)
-    out = np.zeros((len(ops),) + mask.shape, dtype=np.intp)
+    out = _projections(len(ops), max(sizes, default=0), depth).repeat(
+        len(sizes), axis=1)
     out[:, mask] = np.fromiter(flat, dtype=np.intp).reshape(len(ops), -1)
     out.flags.writeable = False
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_grids(size):
+    """Per-size grids over label pairs (a, b), each [size, size]: the strict
+    upper triangle a < b, and the codes a * size + b and b * size + a of the
+    pair and of its swap (see ``_image_codes``)."""
+    a, b = np.indices((size, size), dtype=np.intp)
+    return _frozen(a < b, a * size + b, b * size + a)
+
+
+_TripleGrids = collections.namedtuple(
+    "_TripleGrids", "a b c lo hi two_valued at_most_two major contract")
+
+
+@functools.lru_cache(maxsize=16)
+def _triple_grids(size):
+    """Per-size grids over label triples (a, b, c), each [size]*3: the three
+    labels, the smallest and the largest, where the triple holds exactly two
+    and at most two values, the label seen most often, and as one
+    [3, 1, size, size, size] array the images a two-value triple asks of the
+    three components of an MJN triple (majority, majority, minority)."""
+    a, b, c = np.indices((size,) * 3, dtype=np.intp)
+    count = 1 + (a != b) + ((c != a) & (c != b))
+    major = np.where(a == b, a, c)
+    minor = np.where(a == b, c, np.where(a == c, b, a))
+    return _TripleGrids(*_frozen(
+        a, b, c, np.minimum(np.minimum(a, b), c), _largest_label(size, 3),
+        count == 2, count <= 2, major, np.stack((major, major, minor))[:, None]))
+
+
+def _pair_mask(pairs, size):
+    """A ``PairSet`` as a bool array [variable, a, b], True at its pairs
+    (a < b), padded to ``size`` labels."""
+    mask = np.zeros(len(pairs.members) * size * size, dtype=bool)
+    mask[[(i * size + a) * size + b
+          for i, members in enumerate(pairs.members)
+          for a, b in members]] = True
+    return mask.reshape(len(pairs.members), size, size)
+
+
+def _image_codes(pair):
+    """The image pair (a meet b, a join b) of every label pair as one code
+    ``meet * size + join``, [variable, a, b] over the padded size: equal
+    codes mean equal images, so both operations commute on (a, b) exactly
+    where the codes at (a, b) and (b, a) agree."""
+    meet, join = pair.index_stacks()
+    return meet * meet.shape[-1] + join
+
+
+def _first_true(mask):
+    """Row-major index of the first True entry of ``mask``, which must hold
+    one, as Python ints."""
+    return tuple(int(v) for v in np.unravel_index(int(mask.argmax()),
+                                                  mask.shape))
 
 
 def all_label_pairs(size):
@@ -109,12 +191,6 @@ class PairSet:
 
     def complement(self, i):
         return sorted(set(self.universe(i)) - self.members[i])
-
-    def complement_set(self):
-        """The pair set holding exactly the pairs this one lacks."""
-        return PairSet(self.domains, tuple(
-            frozenset(self.complement(i))
-            for i in range(self.domains.variable_count)))
 
     def is_full(self):
         return all(
@@ -180,11 +256,12 @@ class BinaryPair:
 class TernaryOp:
     """One per-variable ternary table, D_i^3 -> D_i."""
 
-    __slots__ = ("domains", "tables")
+    __slots__ = ("domains", "tables", "_stack")
     arity = 3
 
     def __init__(self, domains, tables):
         self.domains = domains
+        self._stack = None
         self.tables = tuple(
             tuple(tuple(tuple(r) for r in s) for s in t) for t in tables)
         for i, size in enumerate(domains.sizes):
@@ -200,6 +277,22 @@ class TernaryOp:
             tables.append([[[fn(i, a, b, c) for c in range(size)]
                             for b in range(size)] for a in range(size)])
         return cls(domains, tables)
+
+    @classmethod
+    def from_stack(cls, domains, stack):
+        """The operation held by a stack [variable, a, b, c] padded as
+        ``index_stack`` pads it; the stack becomes that ``index_stack``."""
+        out = cls(domains, [stack[i, :s, :s, :s].tolist()
+                            for i, s in enumerate(domains.sizes)])
+        stack.flags.writeable = False
+        out._stack = stack
+        return out
+
+    def index_stack(self):
+        """The tables as one padded ``intp`` array [variable, a, b, c]."""
+        if self._stack is None:
+            self._stack = _stacked((self.tables,), self.domains.sizes, 3)[0]
+        return self._stack
 
     def apply(self, i, a, b, c):
         return self.tables[i][a][b][c]
@@ -288,16 +381,28 @@ def classify_pair(pair, i):
 
 
 def is_stp_on(pair, m):
-    """Conservative everywhere and commutative on every pair of m."""
-    for i in range(pair.domains.variable_count):
-        bad = conservative_violation(pair, i)
-        if bad is not None:
-            return False, (i, bad, "not conservative")
-        for a, b in sorted(m.members[i]):
-            if (pair.meet(i, a, b) != pair.meet(i, b, a)
-                    or pair.join(i, a, b) != pair.join(i, b, a)):
-                return False, (i, (a, b), "not commutative")
-    return True, None
+    """Conservative everywhere and commutative on every pair of m.
+
+    The witness is the first failure of the per-variable scan: conservative
+    failures row-major over (a, b), then non-commutative pairs of m in
+    sorted order.
+    """
+    code = _image_codes(pair)
+    _, same, swapped = _pair_grids(code.shape[-1])
+    not_conservative = (code != same) & (code != swapped)
+    not_commutative = ((code != code.swapaxes(1, 2))
+                       & _pair_mask(m, code.shape[-1]))
+    if not (not_conservative.any() or not_commutative.any()):
+        return True, None
+    i, check, a, b = _first_true(
+        np.stack((not_conservative, not_commutative), axis=1))
+    return False, (i, (a, b), ("not conservative", "not commutative")[check])
+
+
+_MJN_FAILURES = tuple(
+    f"component {pos} not conservative" for pos in (1, 2, 3)) + (
+    "first component not majority", "second component not majority",
+    "third component not minority")
 
 
 def is_mjn_on(triple, target):
@@ -305,31 +410,26 @@ def is_mjn_on(triple, target):
 
     ``target`` is the pair set (per variable) on which the contract must hold;
     triples whose value set is not one of those pairs are only required to be
-    conservative.
+    conservative.  The witness is the first failing label triple, row-major
+    over (variable, a, b, c); at that triple the message names the first
+    failing check: components 1-3 conservative, then the first, second and
+    third component's contract.
     """
-    domains = triple.domains
-    for i in range(domains.variable_count):
-        size = domains.sizes[i]
-        wanted = target.members[i]
-        for a, b, c in itertools.product(range(size), repeat=3):
-            vals = (triple.apply(0, i, a, b, c),
-                    triple.apply(1, i, a, b, c),
-                    triple.apply(2, i, a, b, c))
-            for pos, v in enumerate(vals):
-                if v not in (a, b, c):
-                    return False, (i, (a, b, c), f"component {pos + 1} not conservative")
-            distinct = {a, b, c}
-            if len(distinct) == 2 and _pair_key(*sorted(distinct)) in wanted:
-                counts = {v: (a, b, c).count(v) for v in distinct}
-                major = max(counts, key=counts.get)
-                minor = min(counts, key=counts.get)
-                if vals[0] != major:
-                    return False, (i, (a, b, c), "first component not majority")
-                if vals[1] != major:
-                    return False, (i, (a, b, c), "second component not majority")
-                if vals[2] != minor:
-                    return False, (i, (a, b, c), "third component not minority")
-    return True, None
+    stacks = triple.index_stacks()
+    return _mjn_contract(stacks, _pair_mask(target, stacks.shape[-1]))
+
+
+def _mjn_contract(stacks, pairs):
+    """``is_mjn_on`` over a triple's padded stacks [component, variable, a,
+    b, c], with its target pairs as a bool mask [variable, a, b]."""
+    g = _triple_grids(stacks.shape[-1])
+    wanted = g.two_valued & pairs[:, g.lo, g.hi]
+    bad = np.concatenate(((stacks != g.a) & (stacks != g.b) & (stacks != g.c),
+                          wanted & (stacks != g.contract)))
+    if not bad.any():
+        return True, None
+    first = _first_true(np.moveaxis(bad, 0, -1))  # (variable, a, b, c, check)
+    return False, (first[0], first[1:4], _MJN_FAILURES[first[4]])
 
 
 def _cost_values(entries, tol):
@@ -456,28 +556,20 @@ def ternary_polymorphism_closed(op, tuples, scope):
     """Vectorized closure check of a tuple set under a ternary operation.
 
     Same contract as ``check_polymorphism`` for arity-3 operations, but
-    usable on the larger feasible sets the pipeline validates.
+    usable on the larger feasible sets the pipeline validates: the images of
+    every ordered triple of tuples are gathered from ``op.index_stack()`` and
+    looked up in a membership mask of the term's shape.
     """
-    import numpy as np
-
-    tuples = sorted(set(map(tuple, tuples)))
+    tuples = list(tuples)
     if not tuples:
         return True
-    arr = np.array(tuples, dtype=np.int64)
-    m = len(scope)
-    shapes = [len(op.tables[scope[p]]) for p in range(m)]
-    strides = np.ones(m, dtype=np.int64)
-    for p in range(m - 2, -1, -1):
-        strides[p] = strides[p + 1] * shapes[p + 1]
-    member_keys = np.sort(arr @ strides)
-    n = len(arr)
-    keys = np.zeros((n, n, n), dtype=np.int64)
-    for p in range(m):
-        t = np.array(op.tables[scope[p]], dtype=np.int64)
-        col = arr[:, p]
-        keys += strides[p] * t[col[:, None, None], col[None, :, None],
-                               col[None, None, :]]
-    return bool(np.isin(keys.ravel(), member_keys).all())
+    cols = np.array(tuples, dtype=np.intp).reshape(len(tuples), len(scope)).T
+    member = np.zeros(tuple(op.domains.sizes[i] for i in scope), dtype=bool)
+    member[tuple(cols)] = True
+    var = np.array(scope, dtype=np.intp).reshape(-1, 1, 1, 1)
+    images = op.index_stack()[var, cols[:, :, None, None],
+                              cols[:, None, :, None], cols[:, None, None, :]]
+    return bool(member[tuple(images)].all())
 
 
 def build_majority(pair, triple):
@@ -485,38 +577,33 @@ def build_majority(pair, triple):
 
     The result acts as the majority operation whenever the argument value set
     has at most two elements; a failure of that contract means the input
-    system is invalid.
+    system is invalid.  The witness is the first failing label triple,
+    row-major over (variable, a, b, c).
     """
-    domains = pair.domains
+    meet, join = pair.index_stacks()
+    var = np.arange(meet.shape[0]).reshape(-1, 1, 1, 1)
+    g = _triple_grids(meet.shape[-1])
+    a, b, c = g.a, g.b, g.c
 
-    def mu_bar(i, x, y, z):
-        return pair.meet(
-            i,
-            pair.meet(i, pair.join(i, y, x), pair.join(i, y, z)),
-            pair.join(i, x, z))
+    def mu_bar(x, y, z):
+        return meet[var, meet[var, join[var, y, x], join[var, y, z]],
+                    join[var, x, z]]
 
-    def mu(i, x, y, z):
-        return triple.apply(
-            0, i, mu_bar(i, x, y, z), mu_bar(i, y, z, x), mu_bar(i, z, x, y))
-
-    out = TernaryOp.from_function(domains, mu)
-    for i in range(domains.variable_count):
-        size = domains.sizes[i]
-        for a, b, c in itertools.product(range(size), repeat=3):
-            v = out.apply(i, a, b, c)
-            if v not in (a, b, c):
-                raise ValidationError(
-                    "derived majority operation is not conservative",
-                    witness=(i, (a, b, c)))
-            if len({a, b, c}) <= 2:
-                counts = {u: (a, b, c).count(u) for u in {a, b, c}}
-                major = max(counts, key=counts.get)
-                if v != major:
-                    raise ValidationError(
-                        "derived operation is not majority on a two-value triple; "
-                        "the input operation system is invalid",
-                        witness=(i, (a, b, c)))
-    return out
+    mu = triple.index_stacks()[0][
+        var, mu_bar(a, b, c), mu_bar(b, c, a), mu_bar(c, a, b)]
+    live = _live_labels(pair.domains.sizes, 3)
+    mu = np.where(live, mu, a)  # the padding of a one-operation stack
+    not_conservative = (mu != a) & (mu != b) & (mu != c)
+    not_majority = g.at_most_two & (mu != g.major) & live
+    if not_conservative.any() or not_majority.any():
+        i, x, y, z, check = _first_true(
+            np.stack((not_conservative, not_majority), axis=-1))
+        raise ValidationError(
+            ("derived majority operation is not conservative",
+             "derived operation is not majority on a two-value triple; "
+             "the input operation system is invalid")[check],
+            witness=(i, (x, y, z)))
+    return TernaryOp.from_stack(pair.domains, mu)
 
 
 def normalize_pairset(pair, m):
@@ -525,16 +612,16 @@ def normalize_pairset(pair, m):
     After this, every pair outside m is genuinely non-commutative, which the
     rewriting stage assumes.
     """
-    out = m
-    for i in range(pair.domains.variable_count):
-        extra = []
-        for a, b in m.complement(i):
-            if (pair.meet(i, a, b) == pair.meet(i, b, a)
-                    and pair.join(i, a, b) == pair.join(i, b, a)):
-                extra.append((a, b))
-        if extra:
-            out = out.with_added(i, extra)
-    return out
+    code = _image_codes(pair)
+    upper, _, _ = _pair_grids(code.shape[-1])
+    extra = ((code == code.swapaxes(1, 2)) & upper
+             & ~_pair_mask(m, code.shape[-1]))
+    if not extra.any():
+        return m
+    members = [set(pairs) for pairs in m.members]
+    for i, a, b in np.argwhere(extra).tolist():
+        members[i].add((a, b))
+    return PairSet(m.domains, tuple(members))
 
 
 @dataclass(frozen=True)
@@ -557,7 +644,12 @@ class OperationSystem:
                 f"binary pair violates its contract: {witness[2]} "
                 f"at variable {witness[0]}, labels {witness[1]}",
                 witness=witness)
-        ok, witness = is_mjn_on(self.triple, self.m.complement_set())
+        # is_mjn_on on the pairs outside M
+        stacks = self.triple.index_stacks()
+        upper, _, _ = _pair_grids(stacks.shape[-1])
+        outside_m = (upper & _live_labels(self.domains.sizes, 2)
+                     & ~_pair_mask(self.m, stacks.shape[-1]))
+        ok, witness = _mjn_contract(stacks, outside_m)
         if not ok:
             raise ValidationError(
                 f"ternary triple violates its contract: {witness[2]} "

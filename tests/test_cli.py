@@ -14,6 +14,38 @@ from vcsp.solvers import solve_bruteforce
 from harness import (minmax_system, random_boolean_mjn_instance,
                      random_instance, submodular_chain)
 
+D3 = DomainSpec((3, 3))
+UNARY_3X3 = ("vcsp 2\ndomains 3 3\nterm 1 1\ndefault 0\nentry 2 1\n"
+             "term 1 2\ndefault 1\n")
+
+
+def pair_not_conservative():
+    system = minmax_system(D3)
+    meet = [list(r) for r in system.pair.meet_tables[1]]
+    meet[1][2] = 0
+    pair = system.pair.with_tables(1, meet, system.pair.join_tables[1])
+    return UNARY_3X3, OperationSystem(pair, system.triple, system.m)
+
+
+def triple_not_majority():
+    # the sorting triple's max is no majority once M leaves variable 1 empty
+    system = minmax_system(D3)
+    m = PairSet(D3, (system.m.members[0], frozenset()))
+    return UNARY_3X3, OperationSystem(system.pair, system.triple, m)
+
+
+def parity_not_closed():
+    # the derived majority of a valid system is no polymorphism of parity
+    return ("vcsp 3\ndomains 2 2 2\nterm 3 1 2 3\ndefault inf\n"
+            "entry 0 0 0 0\nentry 0 1 1 0\nentry 1 0 1 0\nentry 1 1 0 0\n",
+            minmax_system(DomainSpec((2, 2, 2))))
+
+
+def disequality_not_closed():
+    return (UNARY_3X3 + "term 2 1 2\ndefault 0\n"
+            "entry 0 0 inf\nentry 1 1 inf\nentry 2 2 inf\n",
+            minmax_system(D3))
+
 
 def write_pair(tmp_path, inst, system):
     ipath = tmp_path / "instance.vcsp"
@@ -194,6 +226,38 @@ class TestReduce:
         assert final.m.is_full()
         ok, _ = is_stp_on(final.pair, PairSet.full(final.domains))
         assert ok
+
+
+class TestValidationErrors:
+    # the expected lines are those of the per-entry loops that the numpy
+    # masks replaced; a numpy integer in a witness would print differently
+    @pytest.mark.parametrize("command", ["solve", "reduce"])
+    @pytest.mark.parametrize("case, expected", [
+        (pair_not_conservative,
+         "error: binary pair violates its contract: not conservative at "
+         "variable 1, labels (1, 2)\n"),
+        (triple_not_majority,
+         "error: ternary triple violates its contract: second component "
+         "not majority at variable 1, labels (0, 0, 1)\n"),
+        (parity_not_closed,
+         "error: stage validate: derived majority operation is not a "
+         "polymorphism of term 0; the required operation structure is "
+         "missing\n"),
+        (disequality_not_closed,
+         "error: stage validate: derived majority operation is not a "
+         "polymorphism of term 2; the required operation structure is "
+         "missing\n"),
+    ])
+    def test_error_line_and_exit_code(self, tmp_path, capsys, command, case,
+                                      expected):
+        text, system = case()
+        ipath = tmp_path / "inst.vcsp"
+        ipath.write_text(text)
+        opath = tmp_path / "ops.ops"
+        opath.write_text(serialize_ops(system))
+        assert main([command, str(ipath), str(opath)]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", expected)
 
 
 class TestOracle:

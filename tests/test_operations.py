@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,7 +41,9 @@ from vcsp.operations import (
 )
 
 from harness import pair_tables_for_split, random_system, sorting_triple
-from oracles import loop_binary_multimorphism, loop_ternary_multimorphism
+from oracles import (loop_binary_multimorphism, loop_build_majority,
+                     loop_is_mjn_on, loop_is_stp_on, loop_normalize_pairset,
+                     loop_ternary_multimorphism)
 
 
 def projection_pair(domains):
@@ -256,15 +259,40 @@ class TestCheckPolymorphism:
         assert oracle(mm)
 
     def test_vectorized_agrees_with_naive(self):
+        # mixed domain sizes (padded stacks), arity 1-3, repeated variables,
+        # the triple's components and the derived majority; a quarter of
+        # the tuple sets are closed under the operation first
         rng = random.Random(3)
-        d = DomainSpec((3, 3))
-        for _ in range(30):
+        seen = Counter()
+        for _ in range(200):
+            d = DomainSpec(tuple(
+                rng.randint(1, 4) for _ in range(rng.randint(1, 4))))
             system = random_system(rng, d)
-            op = system.triple.ops[rng.randrange(3)]
-            tuples = rng.sample(
-                list(itertools.product(range(3), repeat=2)), rng.randint(1, 6))
-            assert (ternary_polymorphism_closed(op, tuples, (0, 1))
-                    == check_polymorphism(op, tuples, (0, 1)))
+            op = rng.choice(system.triple.ops
+                            + (build_majority(system.pair, system.triple),))
+            scope = tuple(rng.randrange(d.variable_count)
+                          for _ in range(rng.randint(1, 3)))
+            space = list(itertools.product(*(range(d.sizes[i])
+                                             for i in scope)))
+            tuples = rng.sample(space, rng.randint(1, min(6, len(space))))
+            if rng.random() < 0.25:
+                tuples = closure(op, tuples, scope)
+            got = ternary_polymorphism_closed(op, tuples, scope)
+            assert got == check_polymorphism(op, tuples, scope)
+            seen[got] += 1
+        assert min(seen.values()) >= 20
+
+
+def closure(op, tuples, scope):
+    """Smallest superset of ``tuples`` closed under a ternary operation."""
+    tuples = set(tuples)
+    while True:
+        images = {tuple(op.apply(i, x[p], y[p], z[p])
+                        for p, i in enumerate(scope))
+                  for x, y, z in itertools.product(tuples, repeat=3)}
+        if images <= tuples:
+            return sorted(tuples)
+        tuples |= images
 
 
 class TestBuildMajority:
@@ -565,3 +593,124 @@ def test_kernel_paths_on_fixed_tables():
     assert check_binary_multimorphism(nullary, pair, ()) == (True, None)
     assert check_ternary_multimorphism(
         nullary, MjnTriple.canonical(d), ()) == (True, None)
+
+
+# -- the validation masks against the loop oracles --------------------------
+
+
+def with_entry(op, i, args, value):
+    """``op`` with one entry of variable i's table replaced."""
+    tables = [[[list(r) for r in sl] for sl in t] for t in op.tables]
+    a, b, c = args
+    tables[i][a][b][c] = value
+    return TernaryOp(op.domains, tables)
+
+
+def break_system(rng, system, kind):
+    """The system's (pair, triple, m), broken as ``kind`` says."""
+    d = system.domains
+    pair, triple, m = system.pair, system.triple, system.m
+    i = rng.randrange(d.variable_count)
+    size = d.sizes[i]
+    if kind == "pair-entry":  # one meet or join entry, often not conservative
+        tables = [[list(r) for r in t]
+                  for t in (pair.meet_tables[i], pair.join_tables[i])]
+        tables[rng.randrange(2)][rng.randrange(size)][rng.randrange(size)] = (
+            rng.randrange(size))
+        pair = pair.with_tables(i, *tables)
+    elif kind == "m":  # M drawn regardless of where the pair commutes
+        m = PairSet(d, tuple(
+            frozenset(p for p in all_label_pairs(s) if rng.random() < 0.5)
+            for s in d.sizes))
+    elif kind == "triple-entry":  # one component entry, any label
+        ops = list(triple.ops)
+        pos = rng.randrange(3)
+        ops[pos] = with_entry(ops[pos], i, tuple(
+            rng.randrange(size) for _ in range(3)), rng.randrange(size))
+        triple = MjnTriple(d, *ops)
+    elif kind == "contract":  # a wrong, still conservative, two-value image
+        outside = m.complement(i)
+        if outside:
+            x, y = rng.choice(outside)
+            args = rng.choice(((x, x, y), (x, y, x), (y, x, x)))
+            pos = rng.randrange(3)
+            wrong = y if pos < 2 else x
+            ops = list(triple.ops)
+            ops[pos] = with_entry(ops[pos], i, args, wrong)
+            triple = MjnTriple(d, *ops)
+    elif kind == "random-triple":
+        triple = random_conservative_triple(rng, d)
+    return pair, triple, m
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValidationError as exc:
+        return str(exc), exc.witness
+
+
+def assert_plain_ints(value):
+    if isinstance(value, tuple):
+        for v in value:
+            assert_plain_ints(v)
+    elif not isinstance(value, str) and value is not None:
+        assert type(value) is int
+
+
+def test_validation_masks_match_loops_witness_for_witness():
+    rng = random.Random(20270)
+    seen = Counter()
+    kinds = ("valid", "pair-entry", "m", "triple-entry", "contract",
+             "random-triple")
+    for _ in range(600):
+        # domain sizes 1-4 mixed in one system, so the stacks are padded
+        d = DomainSpec(tuple(
+            rng.randint(1, 4) for _ in range(rng.randint(1, 4))))
+        system = random_system(rng, d, mbar_everywhere=rng.random() < 0.2,
+                               full_m=rng.random() < 0.1)
+        kind = rng.choice(kinds)
+        pair, triple, m = break_system(rng, system, kind)
+
+        got = is_stp_on(pair, m)
+        assert got == loop_is_stp_on(pair, m)
+        assert_plain_ints(got[1])
+        seen["stp", got[1] and got[1][2]] += 1
+
+        outside_m = PairSet(d, tuple(frozenset(m.complement(i))
+                                     for i in range(d.variable_count)))
+        for target in (outside_m, m):
+            got = is_mjn_on(triple, target)
+            assert got == loop_is_mjn_on(triple, target)
+            assert_plain_ints(got[1])
+        seen["mjn", got[1] and got[1][2]] += 1
+        # validate raises the pair's witness first, then the triple's off M
+        want = (loop_is_stp_on(pair, m)[1]
+                or loop_is_mjn_on(triple, outside_m)[1])
+        assert outcome(OperationSystem(pair, triple, m).validate)[1] == want
+
+        got = normalize_pairset(pair, m)
+        assert got == loop_normalize_pairset(pair, m)
+        assert_plain_ints(tuple(p for pairs in got.members for p in pairs))
+
+        got = outcome(build_majority, pair, triple)
+        want = outcome(loop_build_majority, pair, triple)
+        if got[0] == "ok":
+            assert want[0] == "ok" and got[1].tables == want[1].tables
+            # the stack build_majority fills is the one the tables give
+            assert np.array_equal(got[1].index_stack(), TernaryOp(
+                d, got[1].tables).index_stack())
+        else:
+            assert got == want
+            assert_plain_ints(got[1])
+        seen["majority", got[0]] += 1
+    # every failure kind of every check is exercised
+    assert {key for key in seen if key[0] == "stp"} == {
+        ("stp", None), ("stp", "not conservative"),
+        ("stp", "not commutative")}
+    assert {key for key in seen if key[0] == "mjn"} == {("mjn", None)} | {
+        ("mjn", f"component {pos} not conservative") for pos in (1, 2, 3)} | {
+        ("mjn", f"{which} component not {role}") for which, role in (
+            ("first", "majority"), ("second", "majority"),
+            ("third", "minority"))}
+    assert len({key for key in seen if key[0] == "majority"}) == 3
