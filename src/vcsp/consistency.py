@@ -265,9 +265,16 @@ def restrict_instance(instance, keep):
 
 
 def restrict_operation_system(ops, keep):
-    """Re-index pair/triple tables and the pair set to the shrunken domains."""
+    """Re-index pair/triple tables and the pair set to the shrunken domains.
+
+    When every variable keeps all its labels, in order, the system is
+    returned as it is, with its cached label stacks.
+    """
     from .operations import BinaryPair, MjnTriple, OperationSystem, PairSet, TernaryOp
 
+    if len(keep) == ops.domains.variable_count and all(
+            list(k) == list(range(s)) for k, s in zip(keep, ops.domains.sizes)):
+        return ops
     domains = DomainSpec(tuple(len(k) for k in keep))
     meets, joins = [], []
     for i, labels in enumerate(keep):

@@ -8,6 +8,7 @@ and compares strictly above every finite cost, so ordinary ``+``, ``<`` and
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -81,6 +82,30 @@ def cost_eq(a, b, tol=0):
     if tol:
         return abs(a - b) <= tol
     return a == b
+
+
+def integer_costs(tables, tol=0):
+    """Scale exact costs to integers, with one scale for all of ``tables``.
+
+    ``tables`` is a sequence of entry lists.  Without tolerance, when every
+    finite entry is an int or a Fraction, returns ``(scale, scaled)``: the
+    LCM of all their denominators, and each list with its finite entries
+    multiplied by it as Python ints, INF kept.  Float costs, a tolerance or
+    any other mix return ``(None, tables)``: callers then keep the Python
+    values, whose sums and comparisons are the ones ``cost_le`` makes.
+    """
+    if tol:
+        return None, tables
+    denominators = set()
+    for entries in tables:
+        for e in entries:
+            if e is not INF:
+                if not isinstance(e, (int, Fraction)):
+                    return None, tables
+                denominators.add(e.denominator)
+    scale = math.lcm(*denominators)
+    return scale, [[e if e is INF else e.numerator * (scale // e.denominator)
+                    for e in entries] for entries in tables]
 
 
 def parse_cost(token, float_mode=False, line=None):

@@ -30,11 +30,10 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .costs import INF, cost_le
+from .costs import INF, cost_le, integer_costs
 from .errors import ValidationError, VcspError
 from .model import DomainSpec
 
@@ -380,18 +379,20 @@ def classify_pair(pair, i):
     return out
 
 
-def is_stp_on(pair, m):
-    """Conservative everywhere and commutative on every pair of m.
+def is_stp_on(pair, m=None):
+    """Conservative everywhere and commutative on every pair of m, or on
+    every label pair when m is None.
 
     The witness is the first failure of the per-variable scan: conservative
     failures row-major over (a, b), then non-commutative pairs of m in
     sorted order.
     """
     code = _image_codes(pair)
-    _, same, swapped = _pair_grids(code.shape[-1])
+    upper, same, swapped = _pair_grids(code.shape[-1])
     not_conservative = (code != same) & (code != swapped)
-    not_commutative = ((code != code.swapaxes(1, 2))
-                       & _pair_mask(m, code.shape[-1]))
+    wanted = (upper & _live_labels(pair.domains.sizes, 2) if m is None
+              else _pair_mask(m, code.shape[-1]))
+    not_commutative = (code != code.swapaxes(1, 2)) & wanted
     if not (not_conservative.any() or not_commutative.any()):
         return True, None
     i, check, a, b = _first_true(
@@ -436,25 +437,22 @@ def _cost_values(entries, tol):
     """A table's entries as one array that adds and compares like ``cost_le``,
     and the flat indices of its finite entries in ascending order.
 
-    Without tolerance, integer and Fraction costs are scaled by the LCM of
-    their denominators to exact integers: int64 while every scaled cost is
-    below 2**59, with INF read as 2**61, so that a sum holding INF exceeds
-    every sum of three finite costs and no sum of three overflows; Python
-    ints in an object array above that.  Float costs, a tolerance, or any
-    other mix keep the Python values, INF included, in an object array, so
-    every sum and comparison is the one ``cost_le`` makes.
+    Costs that ``integer_costs`` scales to exact integers are held in int64
+    while every scaled cost is below 2**59, with INF read as 2**61, so that
+    a sum holding INF exceeds every sum of three finite costs and no sum of
+    three overflows; as Python ints in an object array above that.  The
+    Python values it keeps (floats, a tolerance, any other mix) go into an
+    object array, INF included, so every sum and comparison is the one
+    ``cost_le`` makes.
     """
     dom = [i for i, e in enumerate(entries) if e is not INF]
-    finite = [entries[i] for i in dom]
-    if not tol and all(isinstance(e, (int, Fraction)) for e in finite):
-        scale = math.lcm(*{e.denominator for e in finite})
-        scaled = [e if e is INF else e.numerator * (scale // e.denominator)
-                  for e in entries]
-        if max((scaled[i] for i in dom), default=0) < _INT64_LIMIT:
-            return np.array([_INT64_INF if e is INF else e for e in scaled],
-                            dtype=np.int64), dom
-        return np.array(scaled, dtype=object), dom
-    return np.array(entries, dtype=object), dom
+    scale, (scaled,) = integer_costs([entries], tol)
+    if scale is None:
+        return np.array(entries, dtype=object), dom
+    if max((scaled[i] for i in dom), default=0) < _INT64_LIMIT:
+        return np.array([_INT64_INF if e is INF else e for e in scaled],
+                        dtype=np.int64), dom
+    return np.array(scaled, dtype=object), dom
 
 
 @functools.lru_cache(maxsize=256)

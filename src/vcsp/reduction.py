@@ -261,7 +261,7 @@ def run_stage2(instance, ops, net, paranoid=False, trace=None, tol=0):
                 f"|U| {len(state.members)} "
                 f"sumA {sum(len(state.a_sets[i]) for i in state.members)} "
                 f"sumB {sum(len(state.b_sets[i]) for i in state.members)}")
-    ok, witness = is_stp_on(ops.pair, PairSet.full(ops.domains))
+    ok, witness = is_stp_on(ops.pair)
     if not ok:
         raise StageError(
             "reduce", f"final pair is not fully commutative: {witness}",

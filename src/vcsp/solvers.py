@@ -4,20 +4,24 @@ submodular instances, and the full three-stage pipeline driver.
 The min-cut encoding uses one boolean "label >= level" indicator node per
 variable per non-bottom label.  Monotonicity between consecutive levels and
 crisp (infinite-cost) structure are enforced with an exact infinite edge
-class, never a large constant.
+class, never a large constant.  Exact costs are scaled once per instance to
+integers by the LCM of their denominators, so the network and max-flow
+carry Python ints and the optimum is (cut + offset) / scale; float costs
+keep their values.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .consistency import restrict_instance, run_stage1
-from .costs import INF, cost_eq, is_finite
+from .costs import INF, cost_eq, integer_costs
 from .errors import StageError, VcspError
 from .model import DEFAULT_CAP, CostTable, Instance, merge_repeated
 from .operations import (
-    PairSet,
     build_majority,
     check_binary_multimorphism,
     is_stp_on,
@@ -63,43 +67,35 @@ class TournamentOrder:
 
 
 def extract_tournament_order(pair):
-    """Orient every label pair by the meet table and test transitivity."""
-    ok, witness = is_stp_on(pair, PairSet.full(pair.domains))
+    """Orient every label pair by the meet table and test transitivity.
+
+    Label a lies below b when a meet b is a.  A tournament on s labels is
+    transitive exactly when the numbers of labels each label lies below are
+    s - 1, ..., 0, all distinct; the label with count s - 1 - p is then
+    p-th from the bottom.  Otherwise the tournament holds a 3-cycle, and the
+    first one (a, b, c) in row-major order is recorded.
+    """
+    ok, witness = is_stp_on(pair)
     if not ok:
         raise VcspError(
             f"pair must be conservative and fully commutative; got {witness}")
     orders = []
     cycles = []
-    for i in range(pair.domains.variable_count):
-        size = pair.domains.sizes[i]
-        below = [sum(1 for b in range(size)
-                     if b != a and pair.meet(i, a, b) == a)
-                 for a in range(size)]
-        order = sorted(range(size), key=lambda a: (-below[a], a))
-        transitive = True
-        for p in range(size):
-            for q in range(p + 1, size):
-                if pair.meet(i, order[p], order[q]) != order[p]:
-                    transitive = False
-        if transitive:
+    for table in pair.meet_tables:
+        size = len(table)
+        order = [None] * size
+        for a, row in enumerate(table):
+            order[size - row.count(a)] = a  # row.count(a) counts a meet a too
+        if None in order:
+            orders.append(None)
+            cycles.append(next(
+                (a, b, c) for a, b, c in itertools.product(range(size), repeat=3)
+                if table[a][b] == a != b and table[b][c] == b != c
+                and table[c][a] == c != a))
+        else:
             orders.append(order)
             cycles.append(None)
-        else:
-            orders.append(None)
-            cycles.append(_find_three_cycle(pair, i))
     return TournamentOrder(orders, cycles)
-
-
-def _find_three_cycle(pair, i):
-    size = pair.domains.sizes[i]
-    for a in range(size):
-        for b in range(size):
-            for c in range(size):
-                if len({a, b, c}) == 3:
-                    if (pair.meet(i, a, b) == a and pair.meet(i, b, c) == b
-                            and pair.meet(i, c, a) == c):
-                        return (a, b, c)
-    return None
 
 
 class _InfiniteFlow(Exception):
@@ -107,7 +103,11 @@ class _InfiniteFlow(Exception):
 
 
 class MaxFlow:
-    """Dinic's algorithm over exact capacities; ``None`` means infinite."""
+    """Dinic's algorithm; ``None`` means infinite.
+
+    Capacities are added and compared as given: ``CutEncoding`` passes
+    Python ints for exact costs, and floats in float mode.
+    """
 
     def __init__(self, n):
         self.n = n
@@ -207,21 +207,28 @@ class MaxFlow:
 def _prune_unsupported(instance):
     """Drop labels with no finite support in some term; fixpoint.
 
-    Returns per-variable sets of kept labels, possibly empty.
+    Returns per-variable sets of kept labels, possibly empty.  Each term's
+    feasible tuples are read once; after a round, only the terms over a
+    variable that lost labels drop their dead tuples and are scanned again.
+    The greatest fixpoint does not depend on that order.
     """
     keep = [set(range(s)) for s in instance.domains.sizes]
-    changed = True
-    while changed:
-        changed = False
-        for term in instance.terms:
-            live = [t for t in term.table.tuples()
-                    if is_finite(term.table[t])
-                    and all(t[p] in keep[term.scope[p]] for p in range(len(t)))]
-            for p, var in enumerate(term.scope):
-                allowed = {t[p] for t in live}
+    live = [term.table.dom() for term in instance.terms]
+    pending = range(len(live))
+    while pending:
+        shrunk = set()
+        for k in pending:
+            for p, var in enumerate(instance.terms[k].scope):
+                allowed = {t[p] for t in live[k]}
                 if not keep[var] <= allowed:
                     keep[var] &= allowed
-                    changed = True
+                    shrunk.add(var)
+        pending = [k for k, term in enumerate(instance.terms)
+                   if not shrunk.isdisjoint(term.scope)]
+        for k in pending:
+            scope = instance.terms[k].scope
+            live[k] = [t for t in live[k]
+                       if all(t[p] in keep[var] for p, var in enumerate(scope))]
     return keep
 
 
@@ -229,9 +236,14 @@ class CutEncoding:
     """Min-cut formulation of an ordered, binary, submodular instance.
 
     Built from an instance whose domains are already relabelled so that
-    numeric min/max is the pairwise multimorphism of every term.  The cut
-    value of the network plus ``offset`` equals the instance optimum, and
-    ``decode`` maps a minimum cut back to an argmin assignment.
+    numeric min/max is the pairwise multimorphism of every term.  Variable
+    i's indicator "label >= level" is node ``first_node[i] + level - 1``;
+    nodes 0 and 1 are the source and the sink.  Exact costs are scaled once
+    by ``scale``, the LCM of every denominator in the instance, so every
+    capacity is a Python int; with float costs or a tolerance ``scale`` is
+    None and the costs keep their Python values (see ``integer_costs``).
+    The optimum is (cut + ``offset``) / ``scale``, and ``decode`` maps a
+    minimum cut back to an argmin assignment.
     """
 
     def __init__(self, instance, tol=0):
@@ -239,34 +251,34 @@ class CutEncoding:
         self.tol = tol
         self.offset = 0
         sizes = instance.domains.sizes
-        self.node_of = {}
+        self.first_node = []
         n = 2
-        for i, s in enumerate(sizes):
-            for level in range(1, s):
-                self.node_of[(i, level)] = n
-                n += 1
+        for s in sizes:
+            self.first_node.append(n)
+            n += s - 1
         self.n_nodes = n
         self.edges = {}
         self.unary_acc = [[0] * s for s in sizes]
-        for i, s in enumerate(sizes):
-            for level in range(1, s - 1):
-                self._add(self.node_of[(i, level + 1)], self.node_of[(i, level)], INF)
-        for term in instance.terms:
+        self.scale, tables = integer_costs(
+            [term.table.entries for term in instance.terms], tol)
+        for first, s in zip(self.first_node, sizes):
+            for node in range(first, first + s - 2):
+                self._add(node + 1, node, INF)
+        for term, entries in zip(instance.terms, tables):
             if term.table.arity == 1:
-                self._fold_unary(term.scope[0], term.table)
+                self._fold_unary(term.scope[0], entries)
             elif term.table.arity == 2:
-                self._encode_pairwise(term)
+                self._encode_pairwise(term.scope, term.table.shape, entries)
             else:
                 raise VcspError("cut encoding requires terms of arity <= 2")
-        for i, s in enumerate(sizes):
-            vals = self.unary_acc[i]
+        for first, vals in zip(self.first_node, self.unary_acc):
             self.offset = self.offset + vals[0]
-            for level in range(1, s):
+            for level in range(1, len(vals)):
                 w = vals[level] - vals[level - 1]
                 if w >= 0:
-                    self._add(self.node_of[(i, level)], 1, w)
+                    self._add(first + level - 1, 1, w)
                 else:
-                    self._add(0, self.node_of[(i, level)], -w)
+                    self._add(0, first + level - 1, -w)
                     self.offset = self.offset + w
 
     def _add(self, u, v, cap):
@@ -278,41 +290,43 @@ class CutEncoding:
         else:
             self.edges[(u, v)] = cur + cap
 
-    def _fold_unary(self, var, table):
-        for a in range(table.shape[0]):
-            c = table[(a,)]
+    def _fold_unary(self, var, entries):
+        acc = self.unary_acc[var]
+        for a, c in enumerate(entries):
             if c is INF:
                 raise VcspError(
                     "unary infinity should have been pruned before encoding")
-            self.unary_acc[var][a] = self.unary_acc[var][a] + c
+            acc[a] = acc[a] + c
 
-    def _encode_pairwise(self, term):
-        i, j = term.scope
-        table = term.table
-        si, sj = table.shape
-        finite = [[is_finite(table[(a, b)]) for b in range(sj)] for a in range(si)]
+    def _encode_pairwise(self, scope, shape, entries):
+        i, j = scope
+        si, sj = shape
         lo = []
         hi = []
+        g = []  # each row's costs, clamped to its feasible interval
         for a in range(si):
-            row = [b for b in range(sj) if finite[a][b]]
-            if not row:
+            row = entries[a * sj:(a + 1) * sj]
+            live = [b for b, c in enumerate(row) if c is not INF]
+            if not live:
                 raise VcspError("empty row should have been pruned before encoding")
-            if row != list(range(row[0], row[-1] + 1)):
+            low, high = live[0], live[-1]
+            if high - low + 1 != len(live):
                 raise StageError(
                     "mincut", "feasible set of a pairwise term is not an "
                     "interval per row; crisp structure is not min/max closed",
                     witness=(i, j, a))
-            lo.append(row[0])
-            hi.append(row[-1])
+            lo.append(low)
+            hi.append(high)
+            g.append([row[low]] * low + row[low:high + 1]
+                     + [row[high]] * (sj - 1 - high))
         if any(lo[a] > lo[a + 1] or hi[a] > hi[a + 1] for a in range(si - 1)):
             raise StageError(
                 "mincut", "row intervals of a pairwise term are not monotone; "
                 "crisp structure is not min/max closed", witness=(i, j))
 
-        def g(a, b):
-            return table[(a, min(max(b, lo[a]), hi[a]))]
-
-        alpha = [[g(l, m) - g(l - 1, m) - g(l, m - 1) + g(l - 1, m - 1)
+        node_i = self.first_node[i] - 1  # node of level l is node_i + l
+        node_j = self.first_node[j] - 1
+        alpha = [[g[l][m] - g[l - 1][m] - g[l][m - 1] + g[l - 1][m - 1]
                   for m in range(1, sj)] for l in range(1, si)]
         for l in range(1, si):
             for m in range(1, sj):
@@ -322,42 +336,47 @@ class CutEncoding:
                         "mincut", "pairwise term is not submodular after "
                         "relabelling", witness=(i, j, l, m))
                 if cap > 0:
-                    self._add(self.node_of[(i, l)], self.node_of[(j, m)], cap)
+                    self._add(node_i + l, node_j + m, cap)
+        acc_i = self.unary_acc[i]
+        acc_j = self.unary_acc[j]
         for l in range(1, si):
-            w = g(l, 0) - g(l - 1, 0)
+            w = g[l][0] - g[l - 1][0]
             w = w + sum(alpha[l - 1])
             for a in range(l, si):
-                self.unary_acc[i][a] = self.unary_acc[i][a] + w
+                acc_i[a] = acc_i[a] + w
         for m in range(1, sj):
-            w = g(0, m) - g(0, m - 1)
+            w = g[0][m] - g[0][m - 1]
             for b in range(m, sj):
-                self.unary_acc[j][b] = self.unary_acc[j][b] + w
-        self.offset = self.offset + g(0, 0)
+                acc_j[b] = acc_j[b] + w
+        self.offset = self.offset + g[0][0]
         for l in range(1, si):
             if lo[l] >= 1:
-                self._add(self.node_of[(i, l)], self.node_of[(j, lo[l])], INF)
+                self._add(node_i + l, node_j + lo[l], INF)
         for m in range(1, sj):
             t_m = next(a for a in range(si) if hi[a] >= m)
             if t_m >= 1:
-                self._add(self.node_of[(j, m)], self.node_of[(i, t_m)], INF)
+                self._add(node_j + m, node_i + t_m, INF)
 
     def solve(self):
-        """(optimum, argmin) for the encoded instance."""
+        """(optimum, argmin) for the encoded instance; the optimum is
+        (cut + offset) / scale, or cut + offset without a scale."""
         flow = MaxFlow(self.n_nodes)
         for (u, v), cap in sorted(self.edges.items()):
             flow.add_edge(u, v, None if cap is INF else cap)
         value = flow.max_flow(0, 1)
         if value is INF:
             return INF, None
-        source_side = flow.min_cut_source_side(0)
-        return value + self.offset, self.decode(source_side)
+        optimum = value + self.offset
+        if self.scale is not None:
+            optimum = Fraction(optimum, self.scale)
+        return optimum, self.decode(flow.min_cut_source_side(0))
 
     def decode(self, source_side):
         x = []
-        for i, s in enumerate(self.instance.domains.sizes):
+        for first, s in zip(self.first_node, self.instance.domains.sizes):
             level = 0
             for l in range(1, s):
-                if self.node_of[(i, l)] in source_side:
+                if first + l - 1 in source_side:
                     level = l
             x.append(level)
         return tuple(x)

@@ -11,16 +11,26 @@ is ``restrict_instance`` with one Python closure call per new entry.
 ``loop_normalize_pairset`` are the per-entry loops that the numpy masks of
 ``is_stp_on``, ``is_mjn_on``, ``build_majority`` and ``normalize_pairset``
 replaced: same results, same witnesses and messages.
+``loop_extract_tournament_order`` is ``extract_tournament_order`` with one
+``pair.meet`` call per label pair.
+
+``LoopCutEncoding`` is the min-cut encoding on the instance's own cost
+values (``Fraction`` capacities for exact costs), with one table lookup per
+entry and a dict from (variable, level) to node; ``CutEncoding`` builds the
+same network on costs scaled to integers.  ``loop_prune_unsupported``
+rescans every term's table on every sweep.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from vcsp.costs import cost_le
-from vcsp.errors import ValidationError
+from vcsp.costs import INF, cost_le, is_finite
+from vcsp.errors import StageError, ValidationError, VcspError
 from vcsp.model import CostTable, DomainSpec, Instance, Term
-from vcsp.operations import TernaryOp, _pair_key, conservative_violation
+from vcsp.operations import (PairSet, TernaryOp, _pair_key,
+                             conservative_violation)
+from vcsp.solvers import MaxFlow, TournamentOrder
 
 
 def loop_binary_multimorphism(table, pair, scope, tol=0):
@@ -176,3 +186,197 @@ def loop_normalize_pairset(pair, m):
         if extra:
             out = out.with_added(i, extra)
     return out
+
+
+def loop_extract_tournament_order(pair):
+    """Orient every label pair by the meet table and test transitivity."""
+    ok, witness = loop_is_stp_on(pair, PairSet.full(pair.domains))
+    if not ok:
+        raise VcspError(
+            f"pair must be conservative and fully commutative; got {witness}")
+    orders = []
+    cycles = []
+    for i in range(pair.domains.variable_count):
+        size = pair.domains.sizes[i]
+        below = [sum(1 for b in range(size)
+                     if b != a and pair.meet(i, a, b) == a)
+                 for a in range(size)]
+        order = sorted(range(size), key=lambda a: (-below[a], a))
+        transitive = True
+        for p in range(size):
+            for q in range(p + 1, size):
+                if pair.meet(i, order[p], order[q]) != order[p]:
+                    transitive = False
+        if transitive:
+            orders.append(order)
+            cycles.append(None)
+        else:
+            orders.append(None)
+            cycles.append(_find_three_cycle(pair, i))
+    return TournamentOrder(orders, cycles)
+
+
+def _find_three_cycle(pair, i):
+    size = pair.domains.sizes[i]
+    for a in range(size):
+        for b in range(size):
+            for c in range(size):
+                if len({a, b, c}) == 3:
+                    if (pair.meet(i, a, b) == a and pair.meet(i, b, c) == b
+                            and pair.meet(i, c, a) == c):
+                        return (a, b, c)
+    return None
+
+
+def loop_prune_unsupported(instance):
+    """Drop labels with no finite support in some term; fixpoint."""
+    keep = [set(range(s)) for s in instance.domains.sizes]
+    changed = True
+    while changed:
+        changed = False
+        for term in instance.terms:
+            live = [t for t in term.table.tuples()
+                    if is_finite(term.table[t])
+                    and all(t[p] in keep[term.scope[p]] for p in range(len(t)))]
+            for p, var in enumerate(term.scope):
+                allowed = {t[p] for t in live}
+                if not keep[var] <= allowed:
+                    keep[var] &= allowed
+                    changed = True
+    return keep
+
+
+class LoopCutEncoding:
+    """Min-cut formulation of an ordered, binary, submodular instance.
+
+    The cut value of the network plus ``offset`` equals the instance
+    optimum, and ``decode`` maps a minimum cut back to an argmin assignment.
+    """
+
+    def __init__(self, instance, tol=0):
+        self.instance = instance
+        self.tol = tol
+        self.offset = 0
+        sizes = instance.domains.sizes
+        self.node_of = {}
+        n = 2
+        for i, s in enumerate(sizes):
+            for level in range(1, s):
+                self.node_of[(i, level)] = n
+                n += 1
+        self.n_nodes = n
+        self.edges = {}
+        self.unary_acc = [[0] * s for s in sizes]
+        for i, s in enumerate(sizes):
+            for level in range(1, s - 1):
+                self._add(self.node_of[(i, level + 1)], self.node_of[(i, level)], INF)
+        for term in instance.terms:
+            if term.table.arity == 1:
+                self._fold_unary(term.scope[0], term.table)
+            elif term.table.arity == 2:
+                self._encode_pairwise(term)
+            else:
+                raise VcspError("cut encoding requires terms of arity <= 2")
+        for i, s in enumerate(sizes):
+            vals = self.unary_acc[i]
+            self.offset = self.offset + vals[0]
+            for level in range(1, s):
+                w = vals[level] - vals[level - 1]
+                if w >= 0:
+                    self._add(self.node_of[(i, level)], 1, w)
+                else:
+                    self._add(0, self.node_of[(i, level)], -w)
+                    self.offset = self.offset + w
+
+    def _add(self, u, v, cap):
+        if cap is not INF and cap <= 0:
+            return
+        cur = self.edges.get((u, v), 0)
+        if cur is INF or cap is INF:
+            self.edges[(u, v)] = INF
+        else:
+            self.edges[(u, v)] = cur + cap
+
+    def _fold_unary(self, var, table):
+        for a in range(table.shape[0]):
+            c = table[(a,)]
+            if c is INF:
+                raise VcspError(
+                    "unary infinity should have been pruned before encoding")
+            self.unary_acc[var][a] = self.unary_acc[var][a] + c
+
+    def _encode_pairwise(self, term):
+        i, j = term.scope
+        table = term.table
+        si, sj = table.shape
+        finite = [[is_finite(table[(a, b)]) for b in range(sj)] for a in range(si)]
+        lo = []
+        hi = []
+        for a in range(si):
+            row = [b for b in range(sj) if finite[a][b]]
+            if not row:
+                raise VcspError("empty row should have been pruned before encoding")
+            if row != list(range(row[0], row[-1] + 1)):
+                raise StageError(
+                    "mincut", "feasible set of a pairwise term is not an "
+                    "interval per row; crisp structure is not min/max closed",
+                    witness=(i, j, a))
+            lo.append(row[0])
+            hi.append(row[-1])
+        if any(lo[a] > lo[a + 1] or hi[a] > hi[a + 1] for a in range(si - 1)):
+            raise StageError(
+                "mincut", "row intervals of a pairwise term are not monotone; "
+                "crisp structure is not min/max closed", witness=(i, j))
+
+        def g(a, b):
+            return table[(a, min(max(b, lo[a]), hi[a]))]
+
+        alpha = [[g(l, m) - g(l - 1, m) - g(l, m - 1) + g(l - 1, m - 1)
+                  for m in range(1, sj)] for l in range(1, si)]
+        for l in range(1, si):
+            for m in range(1, sj):
+                cap = -alpha[l - 1][m - 1]
+                if cap < -self.tol:
+                    raise StageError(
+                        "mincut", "pairwise term is not submodular after "
+                        "relabelling", witness=(i, j, l, m))
+                if cap > 0:
+                    self._add(self.node_of[(i, l)], self.node_of[(j, m)], cap)
+        for l in range(1, si):
+            w = g(l, 0) - g(l - 1, 0)
+            w = w + sum(alpha[l - 1])
+            for a in range(l, si):
+                self.unary_acc[i][a] = self.unary_acc[i][a] + w
+        for m in range(1, sj):
+            w = g(0, m) - g(0, m - 1)
+            for b in range(m, sj):
+                self.unary_acc[j][b] = self.unary_acc[j][b] + w
+        self.offset = self.offset + g(0, 0)
+        for l in range(1, si):
+            if lo[l] >= 1:
+                self._add(self.node_of[(i, l)], self.node_of[(j, lo[l])], INF)
+        for m in range(1, sj):
+            t_m = next(a for a in range(si) if hi[a] >= m)
+            if t_m >= 1:
+                self._add(self.node_of[(j, m)], self.node_of[(i, t_m)], INF)
+
+    def solve(self):
+        """(optimum, argmin) for the encoded instance."""
+        flow = MaxFlow(self.n_nodes)
+        for (u, v), cap in sorted(self.edges.items()):
+            flow.add_edge(u, v, None if cap is INF else cap)
+        value = flow.max_flow(0, 1)
+        if value is INF:
+            return INF, None
+        source_side = flow.min_cut_source_side(0)
+        return value + self.offset, self.decode(source_side)
+
+    def decode(self, source_side):
+        x = []
+        for i, s in enumerate(self.instance.domains.sizes):
+            level = 0
+            for l in range(1, s):
+                if self.node_of[(i, l)] in source_side:
+                    level = l
+            x.append(level)
+        return tuple(x)

@@ -20,6 +20,7 @@ from vcsp.consistency import (
     image,
     restrict_instance,
     restrict_network,
+    restrict_operation_system,
     support_maps,
 )
 from vcsp.model import feasible_assignments
@@ -254,6 +255,24 @@ class TestRestrict:
             full = [list(range(s)) for s in inst.domains.sizes]
             same = restrict_instance(inst, full)
             assert all(a is b for a, b in zip(same.terms, inst.terms))
+
+    def test_identity_restriction_returns_the_system(self):
+        from harness import random_system
+        rng = random.Random(20285)
+        for _ in range(20):
+            d = DomainSpec(tuple(rng.randint(1, 4)
+                                 for _ in range(rng.randint(1, 4))))
+            system = random_system(rng, d)
+            full = [list(range(s)) for s in d.sizes]
+            assert restrict_operation_system(system, full) is system
+            # dropping the last label of the largest domain re-indexes
+            i = max(range(len(full)), key=lambda v: d.sizes[v])
+            if d.sizes[i] > 1:
+                full[i] = full[i][:-1]
+                small = restrict_operation_system(system, full)
+                assert small.domains.sizes[i] == d.sizes[i] - 1
+                assert small.pair.meet_tables[i] == tuple(
+                    row[:-1] for row in system.pair.meet_tables[i][:-1])
 
     def test_restrict_empty_rejected(self):
         net = BinaryNetwork(DomainSpec((2, 2)))

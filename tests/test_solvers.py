@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -24,9 +25,10 @@ from vcsp import (
     solve_stp,
 )
 from vcsp.consistency import BinaryNetwork
-from vcsp.costs import is_finite
-from vcsp.operations import OperationSystem
-from vcsp.solvers import CutEncoding, MaxFlow, _check_network_closed
+from vcsp.costs import integer_costs, is_finite
+from vcsp.operations import OperationSystem, is_stp_on
+from vcsp.solvers import (CutEncoding, MaxFlow, _check_network_closed,
+                          _prune_unsupported)
 
 from harness import (
     minmax_system,
@@ -37,6 +39,8 @@ from harness import (
     random_unary,
     submodular_chain,
 )
+from oracles import (LoopCutEncoding, loop_extract_tournament_order,
+                     loop_is_stp_on, loop_prune_unsupported)
 
 
 def cyclic_pair():
@@ -401,3 +405,260 @@ class TestPipeline:
             assert ref.optimum is INF
         else:
             assert abs(res.optimum - ref.optimum) < 1e-6
+
+
+# Denominators of the costs the encoding tests draw, so that one instance
+# mixes several and its scale is their LCM.
+UNITS = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(5, 6))
+
+
+def fraction_cost(rng, hi=6):
+    return rng.randint(0, hi) * rng.choice(UNITS)
+
+
+def fraction_submodular_table(rng, si, sj):
+    """Finite pairwise table, submodular under the numeric order, whose
+    costs have mixed denominators."""
+    u = [fraction_cost(rng) for _ in range(si)]
+    v = [fraction_cost(rng) for _ in range(sj)]
+    alpha = [[-fraction_cost(rng, 3) for _ in range(sj - 1)]
+             for _ in range(si - 1)]
+    vals = [u[a] + v[b] + sum(alpha[l][m] for l in range(a) for m in range(b))
+            for a in range(si) for b in range(sj)]
+    return CostTable((si, sj), [c - min(vals) for c in vals])
+
+
+def interval_rows(rng, si, sj):
+    """Crisp pairwise table whose feasible rows are intervals [lo, hi], lo
+    and hi non-decreasing: closed under min/max.  The last row reaches the
+    last label, which the encoding needs of a term that pruning kept."""
+    lo = sorted(rng.randint(0, sj - 1) for _ in range(si))
+    hi = [max(h, low) for h, low in zip(
+        sorted(rng.randint(0, sj - 1) for _ in range(si - 1)) + [sj - 1], lo)]
+    return CostTable.from_function(
+        (si, sj), lambda a, b: Fraction(0) if lo[a] <= b <= hi[a] else INF)
+
+
+def random_encoding_instance(rng):
+    """Unary, soft submodular, crisp interval and combined pairwise terms
+    over 2-6 variables of domain sizes 1-4."""
+    n = rng.randint(2, 6)
+    sizes = tuple(rng.randint(1, 4) for _ in range(n))
+    terms = [Term(CostTable((s,), [fraction_cost(rng) for _ in range(s)]),
+                  (i,)) for i, s in enumerate(sizes)]
+    for _ in range(rng.randint(1, 2 * n)):
+        i, j = rng.sample(range(n), 2)
+        kind = rng.choice(("soft", "soft", "crisp", "both"))
+        soft = fraction_submodular_table(rng, sizes[i], sizes[j])
+        crisp = interval_rows(rng, sizes[i], sizes[j])
+        table = crisp if kind == "crisp" else soft
+        if kind == "both":
+            table = CostTable(soft.shape, [
+                c + r for c, r in zip(soft.entries, crisp.entries)])
+        terms.append(Term(table, (i, j)))
+    return Instance(DomainSpec(sizes), terms)
+
+
+def encode(cls, instance, tol=0):
+    try:
+        return cls(instance, tol=tol)
+    except VcspError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+def assert_same_network(enc, loop):
+    """The encoding is the loop encoding's network scaled by ``enc.scale``
+    (or the same network, without a scale), and solves to its answer."""
+    assert enc.n_nodes == loop.n_nodes
+    assert list(enc.edges) == list(loop.edges)
+    scale = 1 if enc.scale is None else enc.scale
+    for key, cap in loop.edges.items():
+        if cap is INF:
+            assert enc.edges[key] is INF
+        else:
+            assert enc.edges[key] == cap * scale
+            if enc.scale is not None:
+                assert type(enc.edges[key]) is int
+    assert enc.offset == loop.offset * scale
+    optimum, argmin = enc.solve()
+    want = loop.solve()
+    assert (optimum, argmin) == want
+    assert str(optimum) == str(want[0])
+    assert argmin is None or all(type(v) is int for v in argmin)
+    return optimum
+
+
+class TestCutEncodingMatchesLoop:
+    def test_random_instances(self):
+        rng = random.Random(20281)
+        seen = Counter()
+        for _ in range(400):
+            inst = random_encoding_instance(rng)
+            enc = encode(CutEncoding, inst)
+            loop = encode(LoopCutEncoding, inst)
+            if isinstance(enc, tuple):
+                assert enc == loop
+                seen["error", enc[0].__name__] += 1
+                continue
+            optimum = assert_same_network(enc, loop)
+            seen["solved", optimum is INF, enc.scale > 1] += 1
+        # solves with a scale above 1 and rejected combined terms both occur
+        assert seen["solved", False, True] >= 100
+        assert seen["error", "StageError"] >= 10
+
+    @pytest.mark.parametrize("terms, error, witness", [
+        # a row without a finite entry
+        ([((2, 2), [INF, INF, 0, 0], (0, 1))], VcspError, None),
+        # row 1 is {0, 2}, not an interval
+        ([((2, 3), [0, INF, INF, 0, INF, 0], (1, 0))], StageError, (1, 0, 1)),
+        # row intervals [0, 1] then [0, 0]
+        ([((2, 2), [0, 0, 0, INF], (0, 1))], StageError, (0, 1)),
+        # alpha is positive at (1, 2) and (2, 1); the first in row-major
+        # order is reported
+        ([((3, 3), [0, 0, 0, 0, 0, 1, 0, 1, 3], (1, 0))], StageError,
+         (1, 0, 1, 2)),
+        # infinity in a unary term
+        ([((2,), [0, INF], (0,))], VcspError, None),
+        # a ternary term
+        ([((2, 2, 2), [0] * 8, (0, 1, 2))], VcspError, None),
+        # the first failing term wins, either way round
+        ([((2, 2), [0, 0, 0, 1], (0, 1)), ((2, 2, 2), [0] * 8, (0, 1, 2))],
+         StageError, (0, 1, 1, 1)),
+        ([((2, 2, 2), [0] * 8, (0, 1, 2)), ((2, 2), [0, 0, 0, 1], (0, 1))],
+         VcspError, None),
+    ])
+    def test_errors_witness_for_witness(self, terms, error, witness):
+        sizes = [1, 1, 1]
+        for shape, _, scope in terms:
+            for var, size in zip(scope, shape):
+                sizes[var] = size
+        inst = Instance(DomainSpec(sizes), [
+            Term(CostTable(shape, [e if e is INF else Fraction(e, 2)
+                                   for e in entries]), scope)
+            for shape, entries, scope in terms])
+        got = encode(CutEncoding, inst)
+        assert got == encode(LoopCutEncoding, inst)
+        assert got[0] is error and got[2] == witness
+
+    def test_float_costs_with_tolerance(self):
+        rng = random.Random(20282)
+        solved = 0
+        for _ in range(60):
+            inst = random_encoding_instance(rng)
+            terms = [Term(CostTable(t.table.shape, [
+                e if e is INF else float(e) for e in t.table.entries]),
+                t.scope) for t in inst.terms]
+            # a coupling 1e-12 above submodular passes under the tolerance
+            fuzz = CostTable((2, 2), [0.0, 0.0, 0.0, 1e-12])
+            n = inst.domains.variable_count
+            inst = Instance(DomainSpec(inst.domains.sizes + (2, 2)),
+                            terms + [Term(fuzz, (n, n + 1))])
+            enc = encode(CutEncoding, inst, tol=1e-9)
+            loop = encode(LoopCutEncoding, inst, tol=1e-9)
+            if isinstance(enc, tuple):
+                assert enc == loop
+                continue
+            assert enc.scale is None
+            optimum = assert_same_network(enc, loop)
+            solved += optimum is not INF and isinstance(optimum, float)
+        assert solved >= 20
+
+    def test_exact_costs_with_tolerance_keep_fractions(self):
+        inst = Instance(DomainSpec((2,)), [
+            Term(CostTable((2,), [Fraction(1, 3), Fraction(1, 2)]), (0,))])
+        enc = CutEncoding(inst, tol=Fraction(1, 10**9))
+        assert enc.scale is None
+        assert_same_network(enc, LoopCutEncoding(inst, tol=Fraction(1, 10**9)))
+        assert enc.solve() == (Fraction(1, 3), (0,))
+
+
+def test_integer_costs_one_scale_for_all_tables():
+    tables = [[Fraction(1, 2), INF], [Fraction(5, 6), 2]]
+    assert integer_costs(tables) == (6, [[3, INF], [5, 12]])
+    assert integer_costs(tables, tol=1e-9) == (None, tables)
+    assert integer_costs([[0.5, INF]]) == (None, [[0.5, INF]])
+    assert integer_costs([[INF]]) == (1, [[INF]])
+
+
+def random_tournament_pair(rng, d, kind):
+    """Conservative pair whose meet orients each label pair: by a random
+    ranking ("transitive") or at random ("random"); "non-commutative" and
+    "non-conservative" then break one entry."""
+    meets, joins = [], []
+    for s in d.sizes:
+        rank = rng.sample(range(s), s)
+        meet = [[a] * s for a in range(s)]
+        for a in range(s):
+            for b in range(a + 1, s):
+                if kind == "transitive":
+                    low = a if rank[a] < rank[b] else b
+                else:
+                    low = rng.choice((a, b))
+                meet[a][b] = meet[b][a] = low
+        meets.append(meet)
+        joins.append([[a + b - meet[a][b] for b in range(s)]
+                      for a in range(s)])
+    big = [i for i, s in enumerate(d.sizes) if s >= 2]
+    if kind in ("non-commutative", "non-conservative") and big:
+        i = rng.choice(big)
+        a, b = rng.sample(range(d.sizes[i]), 2)
+        if kind == "non-commutative":
+            meets[i][a][b], joins[i][a][b] = a, b
+            meets[i][b][a], joins[i][b][a] = b, a
+        else:
+            # a third label, or with two labels a for both images
+            outside = [c for c in range(d.sizes[i]) if c not in (a, b)]
+            meets[i][a][b] = joins[i][a][b] = (outside or [a])[0]
+    return BinaryPair(d, meets, joins)
+
+
+def order_outcome(fn, pair):
+    try:
+        order = fn(pair)
+    except VcspError as exc:
+        return type(exc), str(exc)
+    return order.orders, order.cycles
+
+
+def test_tournament_order_matches_loop():
+    rng = random.Random(20283)
+    seen = Counter()
+    kinds = ("transitive", "random", "non-commutative", "non-conservative")
+    for _ in range(500):
+        d = DomainSpec(tuple(rng.randint(1, 5)
+                             for _ in range(rng.randint(1, 5))))
+        pair = random_tournament_pair(rng, d, rng.choice(kinds))
+        got = order_outcome(extract_tournament_order, pair)
+        assert got == order_outcome(loop_extract_tournament_order, pair)
+        if got[0] is VcspError:
+            seen[got[1].split("; got ")[1].split("'")[1]] += 1
+            continue
+        orders, cycles = got
+        for order, cycle in zip(orders, cycles):
+            assert all(type(v) is int for v in (order or cycle))
+            seen["cycle" if cycle else "ordered"] += 1
+        assert is_stp_on(pair) == loop_is_stp_on(pair, PairSet.full(d))
+    assert set(seen) == {"ordered", "cycle", "not commutative",
+                         "not conservative"}
+
+
+def test_prune_unsupported_matches_loop():
+    rng = random.Random(20284)
+    emptied = pruned = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        sizes = tuple(rng.randint(1, 4) for _ in range(n))
+        terms = []
+        for _ in range(rng.randint(1, 5)):
+            scope = tuple(rng.choice(range(n))
+                          for _ in range(rng.randint(1, 3)))
+            shape = tuple(sizes[i] for i in scope)
+            terms.append(Term(CostTable.from_function(
+                shape, lambda *t: INF if rng.random() < 0.3 else Fraction(1)),
+                scope))
+        inst = Instance(DomainSpec(sizes), terms)
+        keep = _prune_unsupported(inst)
+        assert keep == loop_prune_unsupported(inst)
+        emptied += any(not k for k in keep)
+        pruned += sum(map(len, keep)) < sum(sizes)
+    assert emptied >= 20 and pruned - emptied >= 20
