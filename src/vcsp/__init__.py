@@ -16,9 +16,6 @@ from .model import (
     DomainSpec,
     Instance,
     Term,
-    evaluate,
-    feasible_assignments,
-    project,
 )
 from .operations import (
     BinaryPair,
@@ -26,12 +23,9 @@ from .operations import (
     OperationSystem,
     PairSet,
     TernaryOp,
-    apply_pair,
     build_majority,
     check_binary_multimorphism,
-    check_polymorphism,
     check_ternary_multimorphism,
-    classify_pair,
     is_mjn_on,
     is_stp_on,
 )

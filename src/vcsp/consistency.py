@@ -12,8 +12,6 @@ distinct i, j, k prune paths.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .costs import is_finite
@@ -89,38 +87,44 @@ class BinaryNetwork:
                for i in range(n) for j in range(i + 1, n)])
 
 
+def _term_projections(term):
+    """A term after ``merge_repeated``: its distinct scope, its feasibility
+    mask, and the mask's projection onto every axis pair p <= q (``any``
+    over the other axes, ``keepdims``), keyed by (p, q)."""
+    term = merge_repeated(term)
+    entries = term.table.entries
+    feasible = np.fromiter(map(is_finite, entries), dtype=bool,
+                           count=len(entries)).reshape(term.table.shape)
+    arity = feasible.ndim
+    projections = {}
+    for p in range(arity):
+        for q in range(p, arity):
+            others = tuple(r for r in range(arity) if r not in (p, q))
+            projections[p, q] = (feasible.any(axis=others, keepdims=True)
+                                 if others else feasible)
+    return term.scope, feasible, projections
+
+
 def decompose_instance(instance, cap=DEFAULT_CAP):
     """Project every term's feasible set onto its variables and variable pairs.
 
-    Pairs never jointly constrained start as full products.  A variable's
-    projection is the diagonal block ``R[i, i]``, so both kinds go through
-    ``intersect``.
+    Terms are projected after ``merge_repeated``, so a tuple giving one
+    variable two labels never counts.  Pairs never jointly constrained start
+    as full products.  A variable's projection is the diagonal block
+    ``R[i, i]``, so both kinds go through ``intersect``.
     """
     net = BinaryNetwork(instance.domains)
     for term in instance.terms:
-        size = 1
-        for s in term.table.shape:
-            size *= s
+        size = len(term.table.entries)
         if size > cap:
             raise CapExceeded(size, cap)
-        dom = term.table.dom()
-        positions = {}
-        for pos, var in enumerate(term.scope):
-            positions.setdefault(var, []).append(pos)
-        vars_sorted = sorted(positions)
-        for ai, i in enumerate(vars_sorted):
-            # j == i projects onto the diagonal of R[i, i]; a tuple assigning
-            # two labels to the same variable never realizes
-            for j in vars_sorted[ai:]:
-                mat = np.zeros(
-                    (instance.domains.sizes[i], instance.domains.sizes[j]),
-                    dtype=bool)
-                for t in dom:
-                    vi = {t[p] for p in positions[i]}
-                    vj = {t[p] for p in positions[j]}
-                    if len(vi) == 1 and len(vj) == 1:
-                        mat[t[positions[i][0]], t[positions[j][0]]] = True
-                net.intersect(i, j, mat)
+        scope, feasible, projections = _term_projections(term)
+        for (p, q), proj in projections.items():
+            if p == q:
+                mat = np.diag(proj.ravel())
+            else:
+                mat = proj.reshape(feasible.shape[p], feasible.shape[q])
+            net.intersect(scope[p], scope[q], mat)
     return net
 
 
@@ -163,14 +167,11 @@ def certify_decomposition(instance):
     for term in instance.terms:
         if 0 < len(set(term.scope)) <= 2:
             continue
-        table = merge_repeated(term).table
-        feasible = np.fromiter((is_finite(e) for e in table.entries),
-                               dtype=bool, count=len(table.entries))
-        feasible = feasible.reshape(table.shape)
-        joined = np.ones(table.shape, dtype=bool)
-        for a, b in itertools.combinations(range(table.arity), 2):
-            others = tuple(p for p in range(table.arity) if p not in (a, b))
-            joined &= feasible.any(axis=others, keepdims=True)
+        _, feasible, projections = _term_projections(term)
+        joined = np.ones(feasible.shape, dtype=bool)
+        for (p, q), proj in projections.items():
+            if p < q:
+                joined &= proj
         if not np.array_equal(joined, feasible):
             return False
     return True
@@ -267,8 +268,9 @@ def restrict_instance(instance, keep):
 def restrict_operation_system(ops, keep):
     """Re-index pair/triple tables and the pair set to the shrunken domains.
 
-    When every variable keeps all its labels, in order, the system is
-    returned as it is, with its cached label stacks.
+    Each variable's old-to-new label map re-indexes all of its tables and
+    pairs.  When every variable keeps all its labels, in order, the system
+    is returned as it is, with its cached label stacks.
     """
     from .operations import BinaryPair, MjnTriple, OperationSystem, PairSet, TernaryOp
 
@@ -276,31 +278,20 @@ def restrict_operation_system(ops, keep):
             list(k) == list(range(s)) for k, s in zip(keep, ops.domains.sizes)):
         return ops
     domains = DomainSpec(tuple(len(k) for k in keep))
-    meets, joins = [], []
+    meets, joins, members = [], [], []
+    ternary = tuple([] for _ in ops.triple.ops)
     for i, labels in enumerate(keep):
         pos = {old: new for new, old in enumerate(labels)}
-        meets.append([[pos[ops.pair.meet(i, a, b)] for b in labels] for a in labels])
-        joins.append([[pos[ops.pair.join(i, a, b)] for b in labels] for a in labels])
-    pair = BinaryPair(domains, meets, joins)
-
-    tern_ops = []
-    for comp in ops.triple.ops:
-        tables = []
-        for i, labels in enumerate(keep):
-            pos = {old: new for new, old in enumerate(labels)}
-            tables.append([[[pos[comp.apply(i, a, b, c)] for c in labels]
+        meet, join = ops.pair.meet_tables[i], ops.pair.join_tables[i]
+        meets.append([[pos[meet[a][b]] for b in labels] for a in labels])
+        joins.append([[pos[join[a][b]] for b in labels] for a in labels])
+        for tables, comp in zip(ternary, ops.triple.ops):
+            t = comp.tables[i]
+            tables.append([[[pos[t[a][b][c]] for c in labels]
                             for b in labels] for a in labels])
-        tern_ops.append(TernaryOp(domains, tables))
-    triple = MjnTriple(domains, *tern_ops)
-
-    members = []
-    for i, labels in enumerate(keep):
-        pos = {old: new for new, old in enumerate(labels)}
-        kept = set()
-        for a, b in ops.m.members[i]:
-            if a in pos and b in pos:
-                na, nb = pos[a], pos[b]
-                kept.add((na, nb) if na < nb else (nb, na))
-        members.append(frozenset(kept))
-    m = PairSet(domains, tuple(members))
-    return OperationSystem(pair, triple, m)
+        members.append([(pos[a], pos[b]) for a, b in ops.m.members[i]
+                        if a in pos and b in pos])
+    return OperationSystem(
+        BinaryPair(domains, meets, joins),
+        MjnTriple(domains, *(TernaryOp(domains, t) for t in ternary)),
+        PairSet(domains, tuple(members)))

@@ -32,9 +32,6 @@ class DomainSpec:
     def variable_count(self):
         return len(self.sizes)
 
-    def labels(self, i):
-        return range(self.sizes[i])
-
     def space_size(self):
         n = 1
         for s in self.sizes:
@@ -178,30 +175,3 @@ class Instance:
             if total is INF:
                 return INF
         return total
-
-
-def evaluate(instance, x):
-    return instance.evaluate(x)
-
-
-def feasible_assignments(instance, cap=DEFAULT_CAP):
-    """Exactly the assignments with finite total cost."""
-    return {
-        x for x in instance.domains.assignments(cap=cap)
-        if is_finite(instance.evaluate(x))
-    }
-
-
-def project(instance, vars, cap=DEFAULT_CAP):
-    """Project the globally feasible set onto one or two coordinates."""
-    vars = tuple(vars)
-    if len(vars) not in (1, 2):
-        raise VcspError("projection takes one or two variable indices")
-    out = set()
-    for x in instance.domains.assignments(cap=cap):
-        if is_finite(instance.evaluate(x)):
-            if len(vars) == 1:
-                out.add(x[vars[0]])
-            else:
-                out.add((x[vars[0]], x[vars[1]]))
-    return out

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import INF, cost_le, integer_costs
+from .costs import INF, integer_costs
 from .errors import ValidationError, VcspError
 from .model import DomainSpec
 
@@ -346,39 +346,6 @@ class MjnTriple:
         return self.ops[pos].apply(i, a, b, c)
 
 
-def apply_pair(pair, x, y):
-    """Componentwise (x meet y, x join y)."""
-    if len(x) != len(y) or len(x) != pair.domains.variable_count:
-        raise VcspError("assignments do not match the domain spec")
-    lo = tuple(pair.meet(i, x[i], y[i]) for i in range(len(x)))
-    hi = tuple(pair.join(i, x[i], y[i]) for i in range(len(x)))
-    return lo, hi
-
-
-def conservative_violation(pair, i):
-    """Smallest (a, b) where {a meet b, a join b} != {a, b}, or None."""
-    size = pair.domains.sizes[i]
-    for a in range(size):
-        for b in range(size):
-            if {pair.meet(i, a, b), pair.join(i, a, b)} != {a, b}:
-                return (a, b)
-    return None
-
-
-def classify_pair(pair, i):
-    """Map each label pair of variable i to True iff both ops are commutative on it."""
-    bad = conservative_violation(pair, i)
-    if bad is not None:
-        raise ValidationError(
-            f"pair is not conservative at variable {i}, labels {bad}",
-            witness=(i,) + bad)
-    out = {}
-    for a, b in all_label_pairs(pair.domains.sizes[i]):
-        out[(a, b)] = (pair.meet(i, a, b) == pair.meet(i, b, a)
-                       and pair.join(i, a, b) == pair.join(i, b, a))
-    return out
-
-
 def is_stp_on(pair, m=None):
     """Conservative everywhere and commutative on every pair of m, or on
     every label pair when m is None.
@@ -537,25 +504,11 @@ def check_ternary_multimorphism(table, triple, scope, tol=0):
     return _first_violation(table, triple.index_stacks(), scope, tol)
 
 
-def check_polymorphism(op, tuples, scope):
-    """Closure of a tuple set under a componentwise k-ary operation."""
-    tuples = set(tuples)
-    m = len(scope)
-    for args in itertools.product(sorted(tuples), repeat=op.arity):
-        img = tuple(
-            op.apply(scope[p], *(args[j][p] for j in range(op.arity)))
-            for p in range(m))
-        if img not in tuples:
-            return False
-    return True
-
-
 def ternary_polymorphism_closed(op, tuples, scope):
     """Vectorized closure check of a tuple set under a ternary operation.
 
-    Same contract as ``check_polymorphism`` for arity-3 operations, but
-    usable on the larger feasible sets the pipeline validates: the images of
-    every ordered triple of tuples are gathered from ``op.index_stack()`` and
+    True when the componentwise image of every ordered triple of tuples is
+    in the set.  The images are gathered from ``op.index_stack()`` and
     looked up in a membership mask of the term's shape.
     """
     tuples = list(tuples)
@@ -669,32 +622,3 @@ def check_instance_multimorphism(instance, ops, tol=0):
         if not ok:
             return False, idx, ("ternary", w)
     return True, None, None
-
-
-def check_global_multimorphism(instance, ops, cap=None, tol=0):
-    """Cross-validation: both inequalities on the whole cost function.
-
-    Enumerates the global feasible set, so only usable at desk scale.
-    """
-    from .model import DEFAULT_CAP, feasible_assignments
-
-    cap = DEFAULT_CAP if cap is None else cap
-    feas = sorted(feasible_assignments(instance, cap=cap))
-    scope = tuple(range(instance.domains.variable_count))
-    for x in feas:
-        for y in feas:
-            lo, hi = apply_pair(ops.pair, x, y)
-            if not cost_le(instance.evaluate(lo) + instance.evaluate(hi),
-                           instance.evaluate(x) + instance.evaluate(y), tol):
-                return False, (x, y)
-    for x, y, z in itertools.product(feas, repeat=3):
-        left = 0
-        for pos in range(3):
-            img = tuple(
-                ops.triple.apply(pos, i, x[i], y[i], z[i]) for i in scope)
-            left = left + instance.evaluate(img)
-        if not cost_le(left,
-                       instance.evaluate(x) + instance.evaluate(y)
-                       + instance.evaluate(z), tol):
-            return False, (x, y, z)
-    return True, None

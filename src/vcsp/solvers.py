@@ -353,7 +353,10 @@ class CutEncoding:
             if lo[l] >= 1:
                 self._add(node_i + l, node_j + lo[l], INF)
         for m in range(1, sj):
-            t_m = next(a for a in range(si) if hi[a] >= m)
+            t_m = next((a for a in range(si) if hi[a] >= m), None)
+            if t_m is None:
+                raise VcspError(
+                    "empty column should have been pruned before encoding")
             if t_m >= 1:
                 self._add(node_j + m, node_i + t_m, INF)
 

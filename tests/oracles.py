@@ -19,18 +19,131 @@ values (``Fraction`` capacities for exact costs), with one table lookup per
 entry and a dict from (variable, level) to node; ``CutEncoding`` builds the
 same network on costs scaled to integers.  ``loop_prune_unsupported``
 rescans every term's table on every sweep.
+
+``loop_decompose_instance`` is ``decompose_instance`` with one Python pass
+over every feasible tuple per variable pair.  It drops a tuple only when
+one of the two projected variables reads two labels in it, so on a term
+that repeats some other variable its projections may be larger than those
+of the merged term; elsewhere they are the same.
+``loop_restrict_operation_system`` is ``restrict_operation_system`` with
+the label maps rebuilt for every table, in three loops.
+
+``apply_pair``, ``conservative_violation``, ``classify_pair``,
+``check_polymorphism`` and ``check_global_multimorphism`` are per-entry
+helpers the tests check the operations with; ``feasible_assignments`` and
+``project`` enumerate an instance's global feasible set.  The solver uses
+none of them.
 """
 
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
+from vcsp.consistency import BinaryNetwork
 from vcsp.costs import INF, cost_le, is_finite
-from vcsp.errors import StageError, ValidationError, VcspError
-from vcsp.model import CostTable, DomainSpec, Instance, Term
-from vcsp.operations import (PairSet, TernaryOp, _pair_key,
-                             conservative_violation)
+from vcsp.errors import CapExceeded, StageError, ValidationError, VcspError
+from vcsp.model import DEFAULT_CAP, CostTable, DomainSpec, Instance, Term
+from vcsp.operations import (BinaryPair, MjnTriple, OperationSystem, PairSet,
+                             TernaryOp, _pair_key, all_label_pairs)
 from vcsp.solvers import MaxFlow, TournamentOrder
+
+
+def apply_pair(pair, x, y):
+    """Componentwise (x meet y, x join y)."""
+    if len(x) != len(y) or len(x) != pair.domains.variable_count:
+        raise VcspError("assignments do not match the domain spec")
+    lo = tuple(pair.meet(i, x[i], y[i]) for i in range(len(x)))
+    hi = tuple(pair.join(i, x[i], y[i]) for i in range(len(x)))
+    return lo, hi
+
+
+def conservative_violation(pair, i):
+    """Smallest (a, b) where {a meet b, a join b} != {a, b}, or None."""
+    size = pair.domains.sizes[i]
+    for a in range(size):
+        for b in range(size):
+            if {pair.meet(i, a, b), pair.join(i, a, b)} != {a, b}:
+                return (a, b)
+    return None
+
+
+def classify_pair(pair, i):
+    """Map each label pair of variable i to True iff both ops are commutative on it."""
+    bad = conservative_violation(pair, i)
+    if bad is not None:
+        raise ValidationError(
+            f"pair is not conservative at variable {i}, labels {bad}",
+            witness=(i,) + bad)
+    out = {}
+    for a, b in all_label_pairs(pair.domains.sizes[i]):
+        out[(a, b)] = (pair.meet(i, a, b) == pair.meet(i, b, a)
+                       and pair.join(i, a, b) == pair.join(i, b, a))
+    return out
+
+
+def check_polymorphism(op, tuples, scope):
+    """Closure of a tuple set under a componentwise k-ary operation."""
+    tuples = set(tuples)
+    m = len(scope)
+    for args in itertools.product(sorted(tuples), repeat=op.arity):
+        img = tuple(
+            op.apply(scope[p], *(args[j][p] for j in range(op.arity)))
+            for p in range(m))
+        if img not in tuples:
+            return False
+    return True
+
+
+def check_global_multimorphism(instance, ops, cap=None, tol=0):
+    """Cross-validation: both inequalities on the whole cost function.
+
+    Enumerates the global feasible set, so only usable at desk scale.
+    """
+    cap = DEFAULT_CAP if cap is None else cap
+    feas = sorted(feasible_assignments(instance, cap=cap))
+    scope = tuple(range(instance.domains.variable_count))
+    for x in feas:
+        for y in feas:
+            lo, hi = apply_pair(ops.pair, x, y)
+            if not cost_le(instance.evaluate(lo) + instance.evaluate(hi),
+                           instance.evaluate(x) + instance.evaluate(y), tol):
+                return False, (x, y)
+    for x, y, z in itertools.product(feas, repeat=3):
+        left = 0
+        for pos in range(3):
+            img = tuple(
+                ops.triple.apply(pos, i, x[i], y[i], z[i]) for i in scope)
+            left = left + instance.evaluate(img)
+        if not cost_le(left,
+                       instance.evaluate(x) + instance.evaluate(y)
+                       + instance.evaluate(z), tol):
+            return False, (x, y, z)
+    return True, None
+
+
+def feasible_assignments(instance, cap=DEFAULT_CAP):
+    """Exactly the assignments with finite total cost."""
+    return {
+        x for x in instance.domains.assignments(cap=cap)
+        if is_finite(instance.evaluate(x))
+    }
+
+
+def project(instance, vars, cap=DEFAULT_CAP):
+    """Project the globally feasible set onto one or two coordinates."""
+    vars = tuple(vars)
+    if len(vars) not in (1, 2):
+        raise VcspError("projection takes one or two variable indices")
+    out = set()
+    for x in instance.domains.assignments(cap=cap):
+        if is_finite(instance.evaluate(x)):
+            if len(vars) == 1:
+                out.add(x[vars[0]])
+            else:
+                out.add((x[vars[0]], x[vars[1]]))
+    return out
 
 
 def loop_binary_multimorphism(table, pair, scope, tol=0):
@@ -380,3 +493,79 @@ class LoopCutEncoding:
                     level = l
             x.append(level)
         return tuple(x)
+
+
+def loop_decompose_instance(instance, cap=DEFAULT_CAP):
+    """Project every term's feasible set onto its variables and variable pairs,
+    one feasible tuple at a time.
+
+    Pairs never jointly constrained start as full products.  A variable's
+    projection is the diagonal block ``R[i, i]``, so both kinds go through
+    ``intersect``.
+    """
+    net = BinaryNetwork(instance.domains)
+    for term in instance.terms:
+        size = 1
+        for s in term.table.shape:
+            size *= s
+        if size > cap:
+            raise CapExceeded(size, cap)
+        dom = term.table.dom()
+        positions = {}
+        for pos, var in enumerate(term.scope):
+            positions.setdefault(var, []).append(pos)
+        vars_sorted = sorted(positions)
+        for ai, i in enumerate(vars_sorted):
+            # j == i projects onto the diagonal of R[i, i]; a tuple assigning
+            # two labels to the same variable never realizes
+            for j in vars_sorted[ai:]:
+                mat = np.zeros(
+                    (instance.domains.sizes[i], instance.domains.sizes[j]),
+                    dtype=bool)
+                for t in dom:
+                    vi = {t[p] for p in positions[i]}
+                    vj = {t[p] for p in positions[j]}
+                    if len(vi) == 1 and len(vj) == 1:
+                        mat[t[positions[i][0]], t[positions[j][0]]] = True
+                net.intersect(i, j, mat)
+    return net
+
+
+def loop_restrict_operation_system(ops, keep):
+    """Re-index pair/triple tables and the pair set to the shrunken domains.
+
+    When every variable keeps all its labels, in order, the system is
+    returned as it is, with its cached label stacks.
+    """
+    if len(keep) == ops.domains.variable_count and all(
+            list(k) == list(range(s)) for k, s in zip(keep, ops.domains.sizes)):
+        return ops
+    domains = DomainSpec(tuple(len(k) for k in keep))
+    meets, joins = [], []
+    for i, labels in enumerate(keep):
+        pos = {old: new for new, old in enumerate(labels)}
+        meets.append([[pos[ops.pair.meet(i, a, b)] for b in labels] for a in labels])
+        joins.append([[pos[ops.pair.join(i, a, b)] for b in labels] for a in labels])
+    pair = BinaryPair(domains, meets, joins)
+
+    tern_ops = []
+    for comp in ops.triple.ops:
+        tables = []
+        for i, labels in enumerate(keep):
+            pos = {old: new for new, old in enumerate(labels)}
+            tables.append([[[pos[comp.apply(i, a, b, c)] for c in labels]
+                            for b in labels] for a in labels])
+        tern_ops.append(TernaryOp(domains, tables))
+    triple = MjnTriple(domains, *tern_ops)
+
+    members = []
+    for i, labels in enumerate(keep):
+        pos = {old: new for new, old in enumerate(labels)}
+        kept = set()
+        for a, b in ops.m.members[i]:
+            if a in pos and b in pos:
+                na, nb = pos[a], pos[b]
+                kept.add((na, nb) if na < nb else (nb, na))
+        members.append(frozenset(kept))
+    m = PairSet(domains, tuple(members))
+    return OperationSystem(pair, triple, m)

@@ -35,7 +35,6 @@ from vcsp.consistency import (
     support_maps,
 )
 from vcsp.costs import is_finite
-from vcsp.model import feasible_assignments
 from vcsp.operations import is_stp_on, ternary_polymorphism_closed
 from vcsp.solvers import extract_tournament_order
 
@@ -46,6 +45,7 @@ from harness import (
     random_submodular_instance,
     random_system,
 )
+from oracles import feasible_assignments
 
 CORPUS_SIZE = 200
 

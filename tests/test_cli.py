@@ -203,6 +203,19 @@ class TestConsistency:
         assert main(["consistency", str(ipath)]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "empty true"
 
+    def test_repeated_variable_outside_the_projected_pair(self, tmp_path,
+                                                          capsys):
+        # on scope (1, 2, 3, 1) tuple 1 0 0 0 gives variable 1 two labels,
+        # so only (0, 0, 1) and (0, 1, 0) realize: (2, 3) is 01 or 10
+        text = ("vcsp 3\ndomains 2 2 2\nterm 4 1 2 3 1\ndefault inf\n"
+                "entry 0 0 1 0 0\nentry 0 1 0 0 0\nentry 1 0 0 0 0\n")
+        ipath = tmp_path / "inst.vcsp"
+        ipath.write_text(text)
+        assert main(["consistency", str(ipath)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "empty false", "unary 1 10", "unary 2 11", "unary 3 11",
+            "binary 1 2 1100", "binary 1 3 1100", "binary 2 3 0110"]
+
 
 class TestReduce:
     def test_final_ops_parse_back_full(self, tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Relation networks, decomposition and strong 3-consistency."""
 
 import itertools
+import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,9 +26,12 @@ from vcsp.consistency import (
     restrict_operation_system,
     support_maps,
 )
-from vcsp.model import feasible_assignments
+from vcsp.io_formats import serialize_ops
+from vcsp.operations import MjnTriple, OperationSystem, TernaryOp
 
-from harness import random_majority_closed_instance
+from harness import random_majority_closed_instance, random_system
+from oracles import (feasible_assignments, loop_decompose_instance,
+                     loop_restrict_operation_system)
 
 
 def rel_from_pairs(shape, pairs):
@@ -107,6 +113,92 @@ class TestDecompose:
             Term(CostTable.relation((2, 2), [(0, 1), (1, 1)]), (0, 0))])
         net = decompose_instance(inst)
         assert list(net.unary[0]) == [False, True]
+
+
+def random_scope_instance(rng):
+    """Terms of arity 0-4 over 1-4 variables of sizes 1-4, with random
+    feasible sets and finite costs; half the terms draw their scope with
+    replacement, so it may repeat a variable."""
+    n = rng.randint(1, 4)
+    sizes = tuple(rng.randint(1, 4) for _ in range(n))
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        arity = rng.randint(0, 4)
+        if arity <= n and rng.random() < 0.5:
+            scope = tuple(rng.sample(range(n), arity))
+        else:
+            scope = tuple(rng.randrange(n) for _ in range(arity))
+        shape = tuple(sizes[v] for v in scope)
+        density = rng.choice((0.3, 0.7, 0.95))
+        terms.append(Term(CostTable(shape, [
+            rng.choice((0, 1, Fraction(1, 2))) if rng.random() < density
+            else INF for _ in range(math.prod(shape))]), scope))
+    return Instance(DomainSpec(sizes), terms)
+
+
+class TestDecomposeMatchesLoop:
+    def test_random_instances(self):
+        rng = random.Random(20291)
+        seen = Counter()
+        for _ in range(400):
+            inst = random_scope_instance(rng)
+            net = decompose_instance(inst)
+            loop = loop_decompose_instance(inst)
+            if all(len(set(t.scope)) == len(t.scope) for t in inst.terms):
+                assert net.dump() == loop.dump()
+                seen["distinct"] += 1
+            else:
+                assert not (net.R & ~loop.R).any()
+                seen["repeats", net.equal(loop)] += 1
+            if certify_decomposition(inst):
+                enforced, _ = enforce_strong_3_consistency(net)
+                assert certify_decomposition_exhaustive(enforced, inst)
+                seen["certified"] += 1
+        # both kinds occur, and merging sometimes prunes what the loop keeps
+        assert seen["distinct"] >= 100 and seen["certified"] >= 100
+        assert seen["repeats", False] >= 10
+
+    def test_variable_repeated_outside_a_pair(self):
+        # on (x, y, z, x) the loop keeps (y, z) pairs that only a tuple
+        # giving x two labels realizes; the merged term never does
+        rng = random.Random(20294)
+        loop_exact = Counter()
+        for _ in range(200):
+            sizes = tuple(rng.randint(2, 3) for _ in range(3))
+            shape = sizes + sizes[:1]
+            density = rng.choice((0.2, 0.5))
+            inst = Instance(DomainSpec(sizes), [Term(CostTable(shape, [
+                0 if rng.random() < density else INF
+                for _ in range(math.prod(shape))]), (0, 1, 2, 0))])
+            net = decompose_instance(inst)
+            loop = loop_decompose_instance(inst)
+            assert not (net.R & ~loop.R).any()
+            if certify_decomposition(inst):
+                enforced, _ = enforce_strong_3_consistency(net)
+                assert certify_decomposition_exhaustive(enforced, inst)
+                enforced, _ = enforce_strong_3_consistency(loop)
+                loop_exact[certify_decomposition_exhaustive(enforced,
+                                                            inst)] += 1
+        assert loop_exact[True] >= 10 and loop_exact[False] >= 10
+
+    def test_single_term_projections_are_exact(self):
+        rng = random.Random(20292)
+        for _ in range(150):
+            inst = random_scope_instance(rng)
+            for term in inst.terms:
+                alone = Instance(inst.domains, [term])
+                feas = feasible_assignments(alone)
+                if not feas:
+                    continue
+                net = decompose_instance(alone)
+                for i in set(term.scope):
+                    for j in set(term.scope):
+                        got = set(zip(*np.nonzero(net.rel(i, j))))
+                        if i == j:
+                            want = {(x[i], x[i]) for x in feas}
+                        else:
+                            want = {(x[i], x[j]) for x in feas}
+                        assert got == want
 
 
 class TestEnforce:
@@ -217,6 +309,24 @@ class TestCertify:
             decompose_instance(inst), inst)
 
 
+    def test_matches_exhaustive_term_by_term(self):
+        # a term passes when its merged feasible set is the join of its
+        # projections: exactly when the exhaustive check passes on the
+        # network of that term alone
+        rng = random.Random(20295)
+        seen = Counter()
+        for _ in range(150):
+            inst = random_scope_instance(rng)
+            want = True
+            for term in inst.terms:
+                alone = Instance(inst.domains, [term])
+                want &= certify_decomposition_exhaustive(
+                    decompose_instance(alone), alone)
+            assert certify_decomposition(inst) == want
+            seen[want] += 1
+        assert seen[True] >= 30 and seen[False] >= 30
+
+
 class TestRestrict:
     def test_support_maps_and_restriction(self):
         inst = Instance(DomainSpec((3, 2)), [
@@ -273,6 +383,24 @@ class TestRestrict:
                 assert small.domains.sizes[i] == d.sizes[i] - 1
                 assert small.pair.meet_tables[i] == tuple(
                     row[:-1] for row in system.pair.meet_tables[i][:-1])
+
+    def test_one_label_map_matches_loop(self):
+        rng = random.Random(20293)
+        for _ in range(150):
+            d = DomainSpec(tuple(rng.randint(1, 4)
+                                 for _ in range(rng.randint(1, 4))))
+            system = random_system(rng, d)
+            if rng.random() < 0.5:
+                # any conservative components, not only the canonical ones
+                system = OperationSystem(system.pair, MjnTriple(d, *(
+                    TernaryOp.from_function(
+                        d, lambda i, a, b, c: rng.choice((a, b, c)))
+                    for _ in range(3))), system.m)
+            keep = [rng.sample(range(s), rng.randint(1, s)) for s in d.sizes]
+            if rng.random() < 0.5:
+                keep = [sorted(k) for k in keep]
+            assert serialize_ops(restrict_operation_system(system, keep)) == (
+                serialize_ops(loop_restrict_operation_system(system, keep)))
 
     def test_restrict_empty_rejected(self):
         net = BinaryNetwork(DomainSpec((2, 2)))

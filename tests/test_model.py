@@ -15,12 +15,11 @@ from vcsp import (
     Instance,
     Term,
     VcspError,
-    evaluate,
-    feasible_assignments,
-    project,
 )
 from vcsp.costs import cost_eq, cost_le, format_cost, is_finite, parse_cost
 from vcsp.errors import FormatError
+
+from oracles import feasible_assignments, project
 
 
 class TestExtCost:
@@ -112,12 +111,12 @@ def _abs_diff_table():
 class TestEvaluate:
     def test_empty_terms_is_zero(self):
         inst = Instance(DomainSpec((2, 2)), [])
-        assert evaluate(inst, (1, 0)) == 0
+        assert inst.evaluate((1, 0)) == 0
 
     def test_unary_infinity_lookup(self):
         u = CostTable((2,), [Fraction(0), INF])
         inst = Instance(DomainSpec((2,)), [Term(u, (0,))])
-        assert evaluate(inst, (1,)) is INF
+        assert inst.evaluate((1,)) is INF
 
     def test_two_term_sum(self):
         # |x1-x2| + |x2-x3| at (0,1,0) = 1 + 1
@@ -125,14 +124,14 @@ class TestEvaluate:
             Term(_abs_diff_table(), (0, 1)),
             Term(_abs_diff_table(), (1, 2)),
         ])
-        assert evaluate(inst, (0, 1, 0)) == 2
+        assert inst.evaluate((0, 1, 0)) == 2
 
     def test_dimension_mismatch(self):
         inst = Instance(DomainSpec((2, 2)), [])
         with pytest.raises(VcspError):
-            evaluate(inst, (0,))
+            inst.evaluate((0,))
         with pytest.raises(VcspError):
-            evaluate(inst, (0, 5))
+            inst.evaluate((0, 5))
 
 
 class TestFeasibleAssignments:

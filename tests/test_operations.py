@@ -21,12 +21,9 @@ from vcsp import (
     Term,
     TernaryOp,
     ValidationError,
-    apply_pair,
     build_majority,
     check_binary_multimorphism,
-    check_polymorphism,
     check_ternary_multimorphism,
-    classify_pair,
     is_mjn_on,
     is_stp_on,
 )
@@ -34,14 +31,15 @@ from vcsp.costs import FLOAT_TOL, cost_le, is_finite
 from vcsp.operations import (
     OperationSystem,
     all_label_pairs,
-    check_global_multimorphism,
     check_instance_multimorphism,
     normalize_pairset,
     ternary_polymorphism_closed,
 )
 
 from harness import pair_tables_for_split, random_system, sorting_triple
-from oracles import (loop_binary_multimorphism, loop_build_majority,
+from oracles import (apply_pair, check_global_multimorphism,
+                     check_polymorphism, classify_pair,
+                     loop_binary_multimorphism, loop_build_majority,
                      loop_is_mjn_on, loop_is_stp_on, loop_normalize_pairset,
                      loop_ternary_multimorphism)
 

@@ -212,6 +212,13 @@ class TestMincut:
         with pytest.raises(StageError):
             CutEncoding(inst)
 
+    def test_empty_column_rejected(self):
+        # both rows are the interval [0, 1]: no row reaches label 2
+        t = CostTable((2, 3), [0, 0, INF, 0, 0, INF])
+        inst = Instance(DomainSpec((2, 3)), [Term(t, (0, 1))])
+        with pytest.raises(VcspError, match="empty column"):
+            CutEncoding(inst)
+
     def test_minimum_cut_decodes_consistent_levels(self):
         # every decoded assignment respects level monotonicity by design;
         # cross-check the decoded cost on tiny instances
