@@ -20,7 +20,7 @@ import sys
 
 from .consistency import (decompose_instance, enforce_strong_3_consistency,
                           run_stage1)
-from .costs import FLOAT_TOL, format_cost
+from .costs import format_cost
 from .errors import CapExceeded, FormatError, ValidationError, VcspError
 from .io_formats import parse_instance, parse_ops, serialize_ops
 from .model import DEFAULT_CAP
@@ -99,7 +99,6 @@ def _write_trace(args, lines):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    tol = FLOAT_TOL if args.float_mode else 0
     try:
         instance = parse_instance(args.instance, float_mode=args.float_mode)
         if args.command == "oracle":
@@ -122,7 +121,7 @@ def main(argv=None):
             except ValidationError as exc:
                 print(f"violation ops {exc}")
                 return 1
-            ok, term, witness = check_instance_multimorphism(instance, ops, tol)
+            ok, term, witness = check_instance_multimorphism(instance, ops)
             if not ok:
                 print(f"violation term {term + 1} {witness[0]} {witness[1]}")
                 return 1
@@ -131,8 +130,7 @@ def main(argv=None):
         if args.command == "solve":
             trace = []
             result = solve_pipeline(instance, ops, cap=args.cap,
-                                    paranoid=args.paranoid, trace=trace,
-                                    tol=tol)
+                                    paranoid=args.paranoid, trace=trace)
             _write_trace(args, trace)
             _emit_result(result, args.json)
             return 0
@@ -147,7 +145,7 @@ def main(argv=None):
             _, inst_r, ops_r, net_r = stage1
             trace = []
             final = run_stage2(inst_r, ops_r, net_r, paranoid=args.paranoid,
-                               trace=trace, tol=tol)
+                               trace=trace)
             _write_trace(args, trace)
             for line in trace:
                 print(line)

@@ -20,10 +20,8 @@ from .model import (DEFAULT_CAP, CostTable, DomainSpec, Instance, Term,
                     merge_repeated)
 
 
-def image(rel, labels, forward=True):
-    """Forward image of a label set under a relation matrix (or backward)."""
-    if not forward:
-        rel = rel.T
+def image(rel, labels):
+    """Image of a set of row labels under a relation matrix."""
     out = set()
     for x in labels:
         out.update(int(y) for y in np.flatnonzero(rel[x]))

@@ -3,7 +3,7 @@
 Costs are plain ``Fraction`` (default, exact) or ``float`` values, with the
 singleton ``INF`` as the unique infinite element.  ``INF`` absorbs addition
 and compares strictly above every finite cost, so ordinary ``+``, ``<`` and
-``sum`` work on mixed values.
+``sum`` work on mixed values.  Costs set their own comparison (``tolerance``).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class _Infinity:
 
 INF = _Infinity()
 
-#: Default tolerance for cost comparisons in floating mode.
+#: Tolerance of every comparison between costs that are not all exact.
 FLOAT_TOL = 1e-9
 
 
@@ -67,35 +67,29 @@ def is_finite(c):
     return c is not INF
 
 
-def cost_le(a, b, tol=0):
-    """a <= b up to tolerance, with INF handled exactly."""
-    if a is INF:
-        return b is INF
-    if b is INF:
-        return True
-    return a <= b + tol
+def tolerance(scale):
+    """Exact costs (``integer_costs`` gave them a ``scale``) compare exactly;
+    once it finds any other cost and gives no scale, within ``FLOAT_TOL``."""
+    return FLOAT_TOL if scale is None else 0
 
 
-def cost_eq(a, b, tol=0):
+def cost_eq(a, b):
+    """a == b, within ``tolerance`` of the two costs; INF equals only INF."""
     if a is INF or b is INF:
         return a is b
-    if tol:
-        return abs(a - b) <= tol
-    return a == b
+    return a == b or abs(a - b) <= tolerance(integer_costs([[a, b]])[0])
 
 
-def integer_costs(tables, tol=0):
+def integer_costs(tables):
     """Scale exact costs to integers, with one scale for all of ``tables``.
 
-    ``tables`` is a sequence of entry lists.  Without tolerance, when every
-    finite entry is an int or a Fraction, returns ``(scale, scaled)``: the
-    LCM of all their denominators, and each list with its finite entries
-    multiplied by it as Python ints, INF kept.  Float costs, a tolerance or
-    any other mix return ``(None, tables)``: callers then keep the Python
-    values, whose sums and comparisons are the ones ``cost_le`` makes.
+    ``tables`` is a sequence of entry lists.  When every finite entry is an
+    int or a Fraction, returns ``(scale, scaled)``: the LCM of all their
+    denominators, and each list with its finite entries multiplied by it as
+    Python ints, INF kept.  Float costs, or any other mix, return
+    ``(None, tables)``: callers then keep the Python values and compare them
+    within ``FLOAT_TOL``.
     """
-    if tol:
-        return None, tables
     denominators = set()
     for entries in tables:
         for e in entries:
@@ -116,11 +110,13 @@ def parse_cost(token, float_mode=False, line=None):
         return INF
     try:
         value = Fraction(token)
-    except (ValueError, ZeroDivisionError):
+        if float_mode and value >= 0:
+            value = float(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise FormatError(f"bad cost {token!r}", line=line) from None
     if value < 0:
         raise FormatError(f"negative cost {token!r}", line=line)
-    return float(value) if float_mode else value
+    return value
 
 
 def format_cost(c):

@@ -73,6 +73,8 @@ def parse_instance_text(text, float_mode=False):
     if len(toks) != nvars + 1:
         raise FormatError(f"'domains' line needs {nvars} sizes", line=num)
     sizes = [_int(t, num, "domain size") for t in toks[1:]]
+    if any(s < 1 for s in sizes):
+        raise FormatError("every domain size must be at least 1", line=num)
     domains = DomainSpec(tuple(sizes))
 
     terms = []
@@ -81,6 +83,8 @@ def parse_instance_text(text, float_mode=False):
         num, toks = lines[idx]
         if toks[0] != "term":
             raise FormatError(f"expected 'term', got {toks[0]!r}", line=num)
+        if len(toks) < 2:
+            raise FormatError("'term' line needs an arity", line=num)
         arity = _int(toks[1], num, "arity")
         if len(toks) != arity + 2:
             raise FormatError(f"'term' line needs {arity} variable indices",

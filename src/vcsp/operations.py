@@ -18,8 +18,8 @@ The term-by-term multimorphism checks share one numpy kernel that is exact:
 costs are scaled to integers by the LCM of their denominators (int64 below
 2**59, Python ints in an object array above), INF reads as a value above
 every sum of finite costs so that an infeasible image is a violation.  Float
-tables, and any other mix, keep their Python values in an object array and
-add and compare exactly as ``cost_le`` does, tolerance included.  The witness
+tables, and any other mix, keep their Python values in an object array, and
+their sums compare within ``FLOAT_TOL`` (``costs.tolerance``).  The witness
 is the first violation in row-major order over ``table.dom()``.
 """
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import INF, integer_costs
+from .costs import INF, integer_costs, tolerance
 from .errors import ValidationError, VcspError
 from .model import DomainSpec
 
@@ -400,26 +400,27 @@ def _mjn_contract(stacks, pairs):
     return False, (first[0], first[1:4], _MJN_FAILURES[first[4]])
 
 
-def _cost_values(entries, tol):
-    """A table's entries as one array that adds and compares like ``cost_le``,
-    and the flat indices of its finite entries in ascending order.
+def _cost_values(entries):
+    """A table's entries as one array for the kernel's sums, the tolerance
+    their comparisons allow, and the ascending flat indices of its finite
+    entries.
 
     Costs that ``integer_costs`` scales to exact integers are held in int64
     while every scaled cost is below 2**59, with INF read as 2**61, so that
     a sum holding INF exceeds every sum of three finite costs and no sum of
     three overflows; as Python ints in an object array above that.  The
-    Python values it keeps (floats, a tolerance, any other mix) go into an
-    object array, INF included, so every sum and comparison is the one
-    ``cost_le`` makes.
+    Python values it keeps (floats, any other mix) go into an object array,
+    INF included, and compare within ``FLOAT_TOL``.
     """
     dom = [i for i, e in enumerate(entries) if e is not INF]
-    scale, (scaled,) = integer_costs([entries], tol)
+    scale, (scaled,) = integer_costs([entries])
+    tol = tolerance(scale)
     if scale is None:
-        return np.array(entries, dtype=object), dom
+        return np.array(entries, dtype=object), tol, dom
     if max((scaled[i] for i in dom), default=0) < _INT64_LIMIT:
         return np.array([_INT64_INF if e is INF else e for e in scaled],
-                        dtype=np.int64), dom
-    return np.array(scaled, dtype=object), dom
+                        dtype=np.int64), tol, dom
+    return np.array(scaled, dtype=object), tol, dom
 
 
 @functools.lru_cache(maxsize=256)
@@ -434,7 +435,7 @@ def _layout(shape):
     return grid, weights
 
 
-def _first_violation(table, stacks, scope, tol):
+def _first_violation(table, stacks, scope):
     """Shared exact kernel of the multimorphism checks.
 
     ``stacks`` holds the operation tuple as one padded ``intp`` array indexed
@@ -448,7 +449,7 @@ def _first_violation(table, stacks, scope, tol):
     max(``_BLOCK_ELEMENTS``, comps * m * n**(k-1)) elements: a block is
     never smaller than one row, the checks of one first argument.
     """
-    values, dom = _cost_values(table.entries, tol)
+    values, tol, dom = _cost_values(table.entries)
     n = len(dom)
     if n == 0:
         return True, None
@@ -486,22 +487,22 @@ def _first_violation(table, stacks, scope, tol):
     return True, None
 
 
-def check_binary_multimorphism(table, pair, scope, tol=0):
+def check_binary_multimorphism(table, pair, scope):
     """Inequality f(x meet y) + f(x join y) <= f(x) + f(y) over feasible pairs.
 
     Returns (True, None) or (False, (x, y)) with the lexicographically
     smallest violating ordered pair of feasible tuples.
     """
-    return _first_violation(table, pair.index_stacks(), scope, tol)
+    return _first_violation(table, pair.index_stacks(), scope)
 
 
-def check_ternary_multimorphism(table, triple, scope, tol=0):
+def check_ternary_multimorphism(table, triple, scope):
     """Three-way inequality over all ordered feasible triples.
 
     Returns (True, None) or (False, (x, y, z)) with the lexicographically
     smallest violating ordered triple of feasible tuples.
     """
-    return _first_violation(table, triple.index_stacks(), scope, tol)
+    return _first_violation(table, triple.index_stacks(), scope)
 
 
 def ternary_polymorphism_closed(op, tuples, scope):
@@ -612,13 +613,13 @@ class OperationSystem:
                                normalize_pairset(self.pair, self.m))
 
 
-def check_instance_multimorphism(instance, ops, tol=0):
+def check_instance_multimorphism(instance, ops):
     """Per-term check of both inequalities; returns (ok, term_index, witness)."""
     for idx, term in enumerate(instance.terms):
-        ok, w = check_binary_multimorphism(term.table, ops.pair, term.scope, tol)
+        ok, w = check_binary_multimorphism(term.table, ops.pair, term.scope)
         if not ok:
             return False, idx, ("binary", w)
-        ok, w = check_ternary_multimorphism(term.table, ops.triple, term.scope, tol)
+        ok, w = check_ternary_multimorphism(term.table, ops.triple, term.scope)
         if not ok:
             return False, idx, ("ternary", w)
     return True, None, None

@@ -64,7 +64,7 @@ def grow_uab(seed, net):
             for cand in range(size):
                 if cand in sets[k]:
                     continue
-                if any(cand in image(net.rel(k, i), sets[i], forward=False)
+                if any(cand in image(net.rel(i, k), sets[i])
                        for i in members if i != k):
                     sets[k].add(cand)
                     refresh(sets)
@@ -116,12 +116,12 @@ def check_region_invariants(state, net, m):
     for i in sorted(state.members):
         if i == k:
             continue
-        rel = net.rel(k, i)
+        rel, back = net.rel(k, i), net.rel(i, k)
         checks = (
             (image(rel, state.a_sets[k]), state.a_sets[i]),
             (image(rel, state.b_sets[k]), state.b_sets[i]),
-            (image(rel, state.a_sets[i], forward=False), state.a_sets[k]),
-            (image(rel, state.b_sets[i], forward=False), state.b_sets[k]),
+            (image(back, state.a_sets[i]), state.a_sets[k]),
+            (image(back, state.b_sets[i]), state.b_sets[k]),
         )
         for got, want in checks:
             if got != want:
@@ -208,7 +208,7 @@ def scan_boundary_exchange(state, net):
     return violations
 
 
-def run_stage2(instance, ops, net, paranoid=False, trace=None, tol=0):
+def run_stage2(instance, ops, net, paranoid=False, trace=None):
     """Iterate seed / grow / check / rewrite until the pair set is full.
 
     ``instance`` must already live on the shrunken, consistent domains
@@ -247,8 +247,7 @@ def run_stage2(instance, ops, net, paranoid=False, trace=None, tol=0):
                     "reduce", f"exchange scan failed: {bad[0]}", witness=bad[0])
         ops = apply_modification(state, ops)
         for idx, term in enumerate(instance.terms):
-            ok, w = check_binary_multimorphism(
-                term.table, ops.pair, term.scope, tol)
+            ok, w = check_binary_multimorphism(term.table, ops.pair, term.scope)
             if not ok:
                 raise StageError(
                     "reduce",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .consistency import restrict_instance, run_stage1
-from .costs import INF, cost_eq, integer_costs
+from .costs import INF, cost_eq, integer_costs, tolerance
 from .errors import StageError, VcspError
 from .model import DEFAULT_CAP, CostTable, Instance, merge_repeated
 from .operations import (
@@ -240,15 +240,14 @@ class CutEncoding:
     i's indicator "label >= level" is node ``first_node[i] + level - 1``;
     nodes 0 and 1 are the source and the sink.  Exact costs are scaled once
     by ``scale``, the LCM of every denominator in the instance, so every
-    capacity is a Python int; with float costs or a tolerance ``scale`` is
-    None and the costs keep their Python values (see ``integer_costs``).
+    capacity is a Python int; with float costs ``scale`` is None and the
+    costs keep their Python values, compared within ``tol`` (``tolerance``).
     The optimum is (cut + ``offset``) / ``scale``, and ``decode`` maps a
     minimum cut back to an argmin assignment.
     """
 
-    def __init__(self, instance, tol=0):
+    def __init__(self, instance):
         self.instance = instance
-        self.tol = tol
         self.offset = 0
         sizes = instance.domains.sizes
         self.first_node = []
@@ -260,7 +259,8 @@ class CutEncoding:
         self.edges = {}
         self.unary_acc = [[0] * s for s in sizes]
         self.scale, tables = integer_costs(
-            [term.table.entries for term in instance.terms], tol)
+            [term.table.entries for term in instance.terms])
+        self.tol = tolerance(self.scale)
         for first, s in zip(self.first_node, sizes):
             for node in range(first, first + s - 2):
                 self._add(node + 1, node, INF)
@@ -385,7 +385,7 @@ class CutEncoding:
         return tuple(x)
 
 
-def solve_stp(instance, pair, cap=DEFAULT_CAP, tol=0):
+def solve_stp(instance, pair, cap=DEFAULT_CAP):
     """Solve an instance whose pair is a full STP multimorphism of every term.
 
     Takes the min-cut path when every variable's tournament is transitive and
@@ -409,7 +409,7 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP, tol=0):
         result.stats.update(stats)
         return result
     for idx, term in enumerate(merged.terms):
-        ok, w = check_binary_multimorphism(term.table, pair, term.scope, tol)
+        ok, w = check_binary_multimorphism(term.table, pair, term.scope)
         if not ok:
             raise VcspError(
                 f"term {idx} is not submodular under the extracted order at {w}; "
@@ -419,18 +419,18 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP, tol=0):
         return SolveResult(INF, None, stats)
     keep = [[a for a in labels if a in live]
             for labels, live in zip(order.orders, survive)]
-    optimum, argmin = CutEncoding(restrict_instance(merged, keep), tol=tol).solve()
+    optimum, argmin = CutEncoding(restrict_instance(merged, keep)).solve()
     if argmin is not None:
         argmin = tuple(keep[i][v] for i, v in enumerate(argmin))
         check = instance.evaluate(argmin)
-        if not cost_eq(check, optimum, tol):
+        if not cost_eq(check, optimum):
             raise VcspError(
                 f"cut optimum {optimum} disagrees with the decoded assignment "
                 f"cost {check}")
     return SolveResult(optimum, argmin, stats)
 
 
-def _check_network_closed(net, pair, tol=0):
+def _check_network_closed(net, pair):
     """Diagnostic: every network relation, as a crisp table, admits ``pair``.
 
     Once stage 1 is certified the relations are implied by the instance's
@@ -443,7 +443,7 @@ def _check_network_closed(net, pair, tol=0):
             rel = net.rel(i, j)
             table = CostTable.relation(
                 rel.shape, {(int(a), int(b)) for a, b in zip(*rel.nonzero())})
-            ok, witness = check_binary_multimorphism(table, pair, (i, j), tol)
+            ok, witness = check_binary_multimorphism(table, pair, (i, j))
             if not ok:
                 raise StageError(
                     "solve", f"network relation on variables {i} and {j} is "
@@ -471,8 +471,7 @@ def run_validate(instance, ops):
     return ops
 
 
-def solve_pipeline(instance, ops, cap=DEFAULT_CAP, paranoid=False, trace=None,
-                   tol=0):
+def solve_pipeline(instance, ops, cap=DEFAULT_CAP, paranoid=False, trace=None):
     """Run validation, consistency, pair rewriting and the final solve.
 
     Stage 1 (``run_stage1``) certifies each term locally, so on instances
@@ -499,15 +498,15 @@ def solve_pipeline(instance, ops, cap=DEFAULT_CAP, paranoid=False, trace=None,
     t2 = time.perf_counter()
     trace_lines = [] if trace is None else trace
     final_ops = run_stage2(inst_r, ops_r, net_r, paranoid=paranoid,
-                           trace=trace_lines, tol=tol)
+                           trace=trace_lines)
     stats["reduce_s"] = time.perf_counter() - t2
     stats["reduce_iterations"] = len(trace_lines)
     stats["final_ops"] = final_ops
 
     t3 = time.perf_counter()
     if paranoid:
-        _check_network_closed(net_r, final_ops.pair, tol)
-    result = solve_stp(inst_r, final_ops.pair, cap=cap, tol=tol)
+        _check_network_closed(net_r, final_ops.pair)
+    result = solve_stp(inst_r, final_ops.pair, cap=cap)
     stats["solve_s"] = time.perf_counter() - t3
     stats["path"] = result.stats.get("path")
     stats.update({k: v for k, v in result.stats.items() if k != "path"})
@@ -516,7 +515,7 @@ def solve_pipeline(instance, ops, cap=DEFAULT_CAP, paranoid=False, trace=None,
     if argmin is not None:
         argmin = tuple(keep[i][v] for i, v in enumerate(argmin))
         check = instance.evaluate(argmin)
-        if not cost_eq(check, result.optimum, tol):
+        if not cost_eq(check, result.optimum):
             raise StageError(
                 "solve", f"pipeline optimum {result.optimum} disagrees with "
                 f"the cost {check} of its own assignment")

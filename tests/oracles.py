@@ -33,6 +33,10 @@ the label maps rebuilt for every table, in three loops.
 helpers the tests check the operations with; ``feasible_assignments`` and
 ``project`` enumerate an instance's global feasible set.  The solver uses
 none of them.
+
+``cost_le`` is the reference comparison of the loops.  Unlike the library,
+which reads the tolerance off the costs (``costs.tolerance``), the loops
+take it as an argument, and each test passes the one its costs imply.
 """
 
 from __future__ import annotations
@@ -42,12 +46,21 @@ import itertools
 import numpy as np
 
 from vcsp.consistency import BinaryNetwork
-from vcsp.costs import INF, cost_le, is_finite
+from vcsp.costs import INF, is_finite
 from vcsp.errors import CapExceeded, StageError, ValidationError, VcspError
 from vcsp.model import DEFAULT_CAP, CostTable, DomainSpec, Instance, Term
 from vcsp.operations import (BinaryPair, MjnTriple, OperationSystem, PairSet,
                              TernaryOp, _pair_key, all_label_pairs)
 from vcsp.solvers import MaxFlow, TournamentOrder
+
+
+def cost_le(a, b, tol=0):
+    """a <= b up to tolerance, with INF handled exactly."""
+    if a is INF:
+        return b is INF
+    if b is INF:
+        return True
+    return a <= b + tol
 
 
 def apply_pair(pair, x, y):

@@ -169,6 +169,26 @@ class TestVerify:
         assert main(["verify", *mode, str(ipath), str(opath)]) == 1
         assert capsys.readouterr().out == expected
 
+    def test_float_costs_compare_within_tolerance(self, tmp_path, capsys):
+        # a coupling 1e-12 above submodular: exact costs fail the kernel and
+        # the min-cut check, float costs pass both within FLOAT_TOL
+        ipath = tmp_path / "inst.vcsp"
+        ipath.write_text("vcsp 2\ndomains 2 2\nterm 2 1 2\ndefault 0\n"
+                         "entry 1 1 0.000000000001\n")
+        opath = tmp_path / "ops.ops"
+        opath.write_text(serialize_ops(minmax_system(DomainSpec((2, 2)))))
+        args = [str(ipath), str(opath)]
+        assert main(["solve", *args]) == 1
+        assert "not submodular" in capsys.readouterr().err
+        assert main(["verify", *args]) == 1
+        assert capsys.readouterr().out == (
+            "violation term 1 binary ((0, 1), (1, 0))\n")
+        assert main(["solve", "--float", *args]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "optimum 0.0" and "stat path mincut" in out
+        assert main(["verify", "--float", *args]) == 0
+        assert capsys.readouterr().out == "ok\n"
+
     def test_invalid_ops_reported(self, tmp_path, capsys):
         # projection pair with M claiming the pair commutative
         text = ("vcsp 1\ndomains 2\nterm 1 1\ndefault 0\n")
@@ -292,6 +312,26 @@ class TestExitCodes:
         ipath.write_text("vcsp x\n")
         assert main(["oracle", str(ipath)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, mode, error", [
+        ("vcsp 1\ndomains 2\nterm\n", [],
+         "error: line 3: 'term' line needs an arity\n"),
+        ("vcsp 1\ndomains 0\n", [],
+         "error: line 2: every domain size must be at least 1\n"),
+        ("vcsp 2\ndomains 2 -2\n", [],
+         "error: line 2: every domain size must be at least 1\n"),
+        ("vcsp 1\ndomains 2\nterm 1 1\ndefault 1e400\n", ["--float"],
+         "error: line 4: bad cost '1e400'\n"),
+        ("vcsp 1\ndomains 2\nterm 1 1\ndefault 0\nentry 1 1e400\n",
+         ["--float"],
+         "error: line 5: bad cost '1e400'\n"),
+    ])
+    def test_malformed_line_is_usage_error(self, tmp_path, capsys, text,
+                                           mode, error):
+        ipath = tmp_path / "bad.vcsp"
+        ipath.write_text(text)
+        assert main(["oracle", *mode, str(ipath)]) == 2
+        assert capsys.readouterr().err == error
 
     def test_cap_exceeded_is_usage_error(self, tmp_path, capsys):
         inst, system = fixed_instance(173)

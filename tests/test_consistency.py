@@ -51,7 +51,7 @@ class TestImage:
     def test_single_lookup(self):
         rel = rel_from_pairs((2, 2), [(0, 1), (1, 0)])
         assert image(rel, {0}) == {1}
-        assert image(rel, {0}, forward=False) == {1}
+        assert image(rel.T, {0}) == {1}
 
 
 class TestCompose:

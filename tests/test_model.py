@@ -16,10 +16,10 @@ from vcsp import (
     Term,
     VcspError,
 )
-from vcsp.costs import cost_eq, cost_le, format_cost, is_finite, parse_cost
+from vcsp.costs import cost_eq, format_cost, is_finite, parse_cost
 from vcsp.errors import FormatError
 
-from oracles import feasible_assignments, project
+from oracles import cost_le, feasible_assignments, project
 
 
 class TestExtCost:
@@ -46,6 +46,10 @@ class TestExtCost:
         assert cost_le(1.0, 1.0 + 1e-12, tol=1e-9)
         assert cost_eq(INF, INF)
         assert not cost_eq(INF, Fraction(1))
+        # floats compare within FLOAT_TOL, exact costs exactly
+        assert cost_eq(1.0, 1.0 + 1e-12)
+        assert not cost_eq(1.0, 1.0 + 1e-6)
+        assert not cost_eq(Fraction(1), Fraction(1) + Fraction(1, 10**12))
 
     def test_parse_and_format(self):
         assert parse_cost("inf") is INF

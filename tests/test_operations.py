@@ -27,7 +27,7 @@ from vcsp import (
     is_mjn_on,
     is_stp_on,
 )
-from vcsp.costs import FLOAT_TOL, cost_le, is_finite
+from vcsp.costs import FLOAT_TOL, integer_costs, is_finite, tolerance
 from vcsp.operations import (
     OperationSystem,
     all_label_pairs,
@@ -38,7 +38,7 @@ from vcsp.operations import (
 
 from harness import pair_tables_for_split, random_system, sorting_triple
 from oracles import (apply_pair, check_global_multimorphism,
-                     check_polymorphism, classify_pair,
+                     check_polymorphism, classify_pair, cost_le,
                      loop_binary_multimorphism, loop_build_majority,
                      loop_is_mjn_on, loop_is_stp_on, loop_normalize_pairset,
                      loop_ternary_multimorphism)
@@ -501,7 +501,8 @@ def random_kernel_table(rng, shape, kind):
 
 
 def kernel_cases(seed, count):
-    """(table, scope, pair, triple, tol) over arity 0-3 and sizes 1-4."""
+    """(table, scope, pair, triple, tol) over arity 0-3 and sizes 1-4, with
+    ``tol`` the tolerance the table's costs imply."""
     rng = random.Random(seed)
     for _ in range(count):
         domains = DomainSpec(tuple(
@@ -512,7 +513,9 @@ def kernel_cases(seed, count):
                            "mixed"))
         table = random_kernel_table(
             rng, tuple(domains.sizes[i] for i in scope), kind)
-        tol = FLOAT_TOL if kind == "float" or rng.random() < 0.1 else 0
+        if kind != "float":
+            rng.random()  # keeps the seeded sequence of cases
+        tol = tolerance(integer_costs([table.entries])[0])
         pair = rng.choice((
             BinaryPair.min_max(domains), cyclic_pair(domains),
             BinaryPair(domains, *zip(*(pair_tables_for_split(
@@ -531,14 +534,14 @@ def assert_int_witness(witness):
 def test_kernel_matches_loops_witness_for_witness():
     seen = Counter()
     for table, scope, pair, triple, tol in kernel_cases(20260, 500):
-        got = check_binary_multimorphism(table, pair, scope, tol)
+        got = check_binary_multimorphism(table, pair, scope)
         assert got == loop_binary_multimorphism(table, pair, scope, tol)
         if not got[0]:
             assert_int_witness(got[1])
         seen["binary", got[0]] += 1
         if len(table.dom()) > 12:
             continue
-        got = check_ternary_multimorphism(table, triple, scope, tol)
+        got = check_ternary_multimorphism(table, triple, scope)
         assert got == loop_ternary_multimorphism(table, triple, scope, tol)
         if not got[0]:
             assert_int_witness(got[1])
@@ -551,10 +554,10 @@ def test_kernel_row_blocks_match_loops(monkeypatch):
     import vcsp.operations as operations
     monkeypatch.setattr(operations, "_BLOCK_ELEMENTS", 5)
     for table, scope, pair, triple, tol in kernel_cases(20261, 120):
-        assert (check_binary_multimorphism(table, pair, scope, tol)
+        assert (check_binary_multimorphism(table, pair, scope)
                 == loop_binary_multimorphism(table, pair, scope, tol))
         if len(table.dom()) <= 8:
-            assert (check_ternary_multimorphism(table, triple, scope, tol)
+            assert (check_ternary_multimorphism(table, triple, scope)
                     == loop_ternary_multimorphism(table, triple, scope, tol))
 
 
@@ -575,13 +578,15 @@ def test_kernel_paths_on_fixed_tables():
     assert check_ternary_multimorphism(
         t, sorting_triple(d), (0, 1)) == loop_ternary_multimorphism(
         t, sorting_triple(d), (0, 1))
-    # equality up to float rounding passes only within the tolerance
+    # float costs pass within FLOAT_TOL; the same excess fails exactly
     t = CostTable((2, 2), [0.1, 0.2, 0.2, 0.30000000000000004 + 1e-12])
     assert loop_binary_multimorphism(t, pair, (0, 1))[0] is False
     assert check_binary_multimorphism(t, pair, (0, 1)) == (
-        loop_binary_multimorphism(t, pair, (0, 1)))
-    assert check_binary_multimorphism(t, pair, (0, 1), FLOAT_TOL) == (
-        True, None)
+        loop_binary_multimorphism(t, pair, (0, 1), FLOAT_TOL)) == (True, None)
+    t = CostTable((2, 2), [Fraction(1, 10), Fraction(2, 10), Fraction(2, 10),
+                           Fraction(3, 10) + Fraction(1, 10**12)])
+    assert check_binary_multimorphism(t, pair, (0, 1)) == (
+        False, ((0, 1), (1, 0)))
     for entries in ([INF] * 4, [INF, INF, Fraction(3, 2), INF]):
         t = CostTable((2, 2), entries)
         assert check_binary_multimorphism(t, pair, (0, 1)) == (True, None)

@@ -25,7 +25,7 @@ from vcsp import (
     solve_stp,
 )
 from vcsp.consistency import BinaryNetwork
-from vcsp.costs import integer_costs, is_finite
+from vcsp.costs import FLOAT_TOL, integer_costs, is_finite
 from vcsp.operations import OperationSystem, is_stp_on
 from vcsp.solvers import (CutEncoding, MaxFlow, _check_network_closed,
                           _prune_unsupported)
@@ -406,7 +406,7 @@ class TestPipeline:
                                  for e in t.table.entries]), t.scope)
                  for t in inst.terms]
         finst = Instance(inst.domains, terms)
-        res = solve_pipeline(finst, system, tol=1e-9)
+        res = solve_pipeline(finst, system)
         ref = solve_bruteforce(finst)
         if res.optimum is INF:
             assert ref.optimum is INF
@@ -466,9 +466,9 @@ def random_encoding_instance(rng):
     return Instance(DomainSpec(sizes), terms)
 
 
-def encode(cls, instance, tol=0):
+def encode(cls, instance, *tol):
     try:
-        return cls(instance, tol=tol)
+        return cls(instance, *tol)
     except VcspError as exc:
         return type(exc), str(exc), getattr(exc, "witness", None)
 
@@ -560,29 +560,20 @@ class TestCutEncodingMatchesLoop:
             n = inst.domains.variable_count
             inst = Instance(DomainSpec(inst.domains.sizes + (2, 2)),
                             terms + [Term(fuzz, (n, n + 1))])
-            enc = encode(CutEncoding, inst, tol=1e-9)
-            loop = encode(LoopCutEncoding, inst, tol=1e-9)
+            enc = encode(CutEncoding, inst)
+            loop = encode(LoopCutEncoding, inst, FLOAT_TOL)
             if isinstance(enc, tuple):
                 assert enc == loop
                 continue
-            assert enc.scale is None
+            assert enc.scale is None and enc.tol == FLOAT_TOL
             optimum = assert_same_network(enc, loop)
             solved += optimum is not INF and isinstance(optimum, float)
         assert solved >= 20
-
-    def test_exact_costs_with_tolerance_keep_fractions(self):
-        inst = Instance(DomainSpec((2,)), [
-            Term(CostTable((2,), [Fraction(1, 3), Fraction(1, 2)]), (0,))])
-        enc = CutEncoding(inst, tol=Fraction(1, 10**9))
-        assert enc.scale is None
-        assert_same_network(enc, LoopCutEncoding(inst, tol=Fraction(1, 10**9)))
-        assert enc.solve() == (Fraction(1, 3), (0,))
 
 
 def test_integer_costs_one_scale_for_all_tables():
     tables = [[Fraction(1, 2), INF], [Fraction(5, 6), 2]]
     assert integer_costs(tables) == (6, [[3, INF], [5, 12]])
-    assert integer_costs(tables, tol=1e-9) == (None, tables)
     assert integer_costs([[0.5, INF]]) == (None, [[0.5, INF]])
     assert integer_costs([[INF]]) == (1, [[INF]])
 
