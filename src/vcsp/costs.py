@@ -9,6 +9,7 @@ and compares strictly above every finite cost, so ordinary ``+``, ``<`` and
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 
@@ -102,8 +103,16 @@ def integer_costs(tables):
                     for e in entries] for entries in tables]
 
 
+#: Largest float cost: a sum of three of them, the most a multimorphism check
+#: adds, stays finite.
+FLOAT_COST_MAX = sys.float_info.max / 3
+
+
 def parse_cost(token, float_mode=False, line=None):
-    """Parse a cost token: ``inf``, an integer, a decimal, or ``p/q``."""
+    """Parse a cost token: ``inf``, an integer, a decimal, or ``p/q``.
+
+    In float mode a cost above ``FLOAT_COST_MAX`` is a bad cost, like one
+    too large for a float."""
     from .errors import FormatError
 
     if token == "inf":
@@ -113,7 +122,9 @@ def parse_cost(token, float_mode=False, line=None):
         if float_mode and value >= 0:
             value = float(value)
     except (ValueError, ZeroDivisionError, OverflowError):
-        raise FormatError(f"bad cost {token!r}", line=line) from None
+        value = None
+    if value is None or float_mode and value > FLOAT_COST_MAX:
+        raise FormatError(f"bad cost {token!r}", line=line)
     if value < 0:
         raise FormatError(f"negative cost {token!r}", line=line)
     return value

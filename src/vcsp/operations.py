@@ -14,13 +14,17 @@ masks over the operations' padded label stacks (``index_stacks()``,
 label grids.  Each returns or raises the witness a scan entry by entry
 would find first, in the order its docstring states.
 
-The term-by-term multimorphism checks share one numpy kernel that is exact:
-costs are scaled to integers by the LCM of their denominators (int64 below
-2**59, Python ints in an object array above), INF reads as a value above
-every sum of finite costs so that an infeasible image is a violation.  Float
-tables, and any other mix, keep their Python values in an object array, and
-their sums compare within ``FLOAT_TOL`` (``costs.tolerance``).  The witness
-is the first violation in row-major order over ``table.dom()``.
+The multimorphism checks take a list of terms and share one numpy kernel
+that is exact.  The terms are grouped by table shape and cost class, and
+each group is one kernel call, its tables' feasible tuples padded to the
+group's largest count.  Exact costs are scaled to integers by one LCM of
+all their denominators (int64 below 2**59, Python ints in an object array
+above); INF reads as a value above every sum of finite costs, so that an
+infeasible image is a violation.  Float tables, and any other mix, keep
+their Python values in an object array, and their sums compare within
+``FLOAT_TOL`` (``costs.tolerance``).  A check returns the first failing term
+in term order, and as its witness the first violation in row-major order
+over ``table.dom()``.
 """
 
 from __future__ import annotations
@@ -42,8 +46,9 @@ from .model import DomainSpec
 #: three of it stays below 2**63.
 _INT64_LIMIT = 1 << 59
 _INT64_INF = 1 << 61
-#: Largest temporary array of the multimorphism kernel, in elements.
-_BLOCK_ELEMENTS = 1 << 20
+#: Largest temporary array of the multimorphism kernel, in elements; small
+#: enough that a group of thousands of terms adds little to peak memory.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 def _pair_key(a, b):
@@ -400,27 +405,52 @@ def _mjn_contract(stacks, pairs):
     return False, (first[0], first[1:4], _MJN_FAILURES[first[4]])
 
 
-def _cost_values(entries):
-    """A table's entries as one array for the kernel's sums, the tolerance
-    their comparisons allow, and the ascending flat indices of its finite
-    entries.
+def _cost_groups(terms):
+    """The terms grouped by table shape and cost class, each group as
+    ``(term indices, shape, costs [term, entry], feasible mask, scopes
+    [term, position], tol)``, in the order of the groups' first terms.
 
-    Costs that ``integer_costs`` scales to exact integers are held in int64
-    while every scaled cost is below 2**59, with INF read as 2**61, so that
-    a sum holding INF exceeds every sum of three finite costs and no sum of
-    three overflows; as Python ints in an object array above that.  The
-    Python values it keeps (floats, any other mix) go into an object array,
-    INF included, and compare within ``FLOAT_TOL``.
+    The cost class is whether ``integer_costs`` scales the table.  Exact
+    tables share one scale, since scaling every cost by one positive
+    constant keeps every verdict.  When every table is exact and every
+    scaled cost is below 2**59, the costs are held in int64 with INF read
+    as 2**61, so that a sum holding INF exceeds every sum of three finite
+    costs and no sum of three overflows.  Otherwise all costs go into an
+    object array, INF included: exact tables as their scaled Python ints,
+    compared exactly, other tables (floats, any other mix) as their Python
+    values, compared within ``FLOAT_TOL``.
     """
-    dom = [i for i, e in enumerate(entries) if e is not INF]
-    scale, (scaled,) = integer_costs([entries])
-    tol = tolerance(scale)
+    entries = [term.table.entries for term in terms]
+    exact = [True] * len(terms)
+    scale, scaled = integer_costs(entries)
     if scale is None:
-        return np.array(entries, dtype=object), tol, dom
-    if max((scaled[i] for i in dom), default=0) < _INT64_LIMIT:
-        return np.array([_INT64_INF if e is INF else e for e in scaled],
-                        dtype=np.int64), tol, dom
-    return np.array(scaled, dtype=object), tol, dom
+        exact = [integer_costs([e])[0] is not None for e in entries]
+        scale, scaled = integer_costs([e for e, x in zip(entries, exact) if x])
+        scaled = iter(scaled)
+        scaled = [next(scaled) if x else e for e, x in zip(entries, exact)]
+    members = {}
+    for idx, (term, x) in enumerate(zip(terms, exact)):
+        members.setdefault((term.table.shape, x), []).append(idx)
+    flat = [e for idxs in members.values() for i in idxs for e in scaled[i]]
+    if all(exact) and max((e for e in flat if e is not INF),
+                          default=0) < _INT64_LIMIT:
+        values = np.array([_INT64_INF if e is INF else e for e in flat],
+                          dtype=np.int64)
+        feasible = values != _INT64_INF
+    else:
+        values = np.array(flat, dtype=object)
+        feasible = np.array([e is not INF for e in flat], dtype=bool)
+    scopes = np.array([v for idxs in members.values() for i in idxs
+                       for v in terms[i].scope], dtype=np.intp)
+    entry = position = 0
+    for (shape, x), idxs in members.items():
+        entries_at = slice(entry, entry + len(idxs) * math.prod(shape))
+        scopes_at = slice(position, position + len(idxs) * len(shape))
+        entry, position = entries_at.stop, scopes_at.stop
+        yield (idxs, shape, values[entries_at].reshape(len(idxs), -1),
+               feasible[entries_at].reshape(len(idxs), -1),
+               scopes[scopes_at].reshape(len(idxs), len(shape)),
+               tolerance(scale if x else None))
 
 
 @functools.lru_cache(maxsize=256)
@@ -435,74 +465,113 @@ def _layout(shape):
     return grid, weights
 
 
-def _first_violation(table, stacks, scope):
-    """Shared exact kernel of the multimorphism checks.
+def _group_violation(shape, costs, feasible, scopes, tol, stacks):
+    """Exact kernel of the multimorphism checks on one group of same-shape
+    tables, ``costs`` [term, entry] with ``scopes`` [term, position].
 
     ``stacks`` holds the operation tuple as one padded ``intp`` array indexed
-    ``[component, variable, arg_1, ..., arg_k]``.  Every ordered k-tuple of
-    feasible tuples is checked: the summed cost of the components' images
-    must be at most the summed cost of the arguments (up to ``tol``), which
-    fails whenever an image is infeasible.  Returns (True, None) or
-    (False, witness), the witness being the first violation in row-major
-    order over ``table.dom()``, as tuples of Python ints.  The first
-    argument runs in row blocks, so that a temporary holds at most about
-    max(``_BLOCK_ELEMENTS``, comps * m * n**(k-1)) elements: a block is
-    never smaller than one row, the checks of one first argument.
+    ``[component, variable, arg_1, ..., arg_k]``.  For every term, every
+    ordered k-tuple of its feasible tuples is checked: the summed cost of
+    the components' images must be at most the summed cost of the arguments
+    (up to ``tol``), which fails whenever an image is infeasible.  Each
+    term's feasible tuples are padded to the group's largest count with
+    copies of its first one, so a padded k-tuple checks the same as an
+    earlier real one and is never the first violation.  Returns None or
+    (position of the first failing term, its witness): the first violation
+    in row-major order over ``table.dom()``, as tuples of Python ints.
+    Blocks run over terms, then over the first argument's rows, so that a
+    temporary holds at most about max(``_BLOCK_ELEMENTS``,
+    comps * m * n**(k-1)) elements: a block is never smaller than one row,
+    the checks of one first argument.
     """
-    values, tol, dom = _cost_values(table.entries)
-    n = len(dom)
-    if n == 0:
-        return True, None
     comps, k = len(stacks), stacks.ndim - 2
-    grid, weights = _layout(table.shape)
-    m = len(weights)
-    coords = grid.take(dom, axis=1)
-    cost = values.take(dom)
+    grid, weights = _layout(shape)
+    m, size = grid.shape
+    count = len(costs)
+    base = np.arange(0, count * size, size).reshape(count, 1)
+    flat = costs.reshape(-1)
+    if feasible.all():  # no padding
+        n, cost = size, costs
+        coords = grid[:, None].repeat(count, axis=1)
+    else:
+        counts = feasible.sum(axis=1)
+        n = int(counts.max())
+        if n == 0:
+            return None
+        # a term without feasible tuples reads k INF costs on the right of
+        # every check, which no left side exceeds
+        dom = np.argsort(~feasible, axis=1, kind="stable")[:, :n]
+        dom = np.where(np.arange(n) < counts[:, None], dom, dom[:, :1])
+        cost = flat.take(dom + base)
+        coords = grid[:, dom]  # [position, term, tuple]
+    var = scopes.T.reshape((m, count) + (1,) * k)
+    # index that moves a last axis to argument axis a of the k-tuple grid
+    along = [(Ellipsis,) + (None,) * a + (slice(None),) + (None,) * (k - 1 - a)
+             for a in range(k)]
+    row = comps * max(m, 1) * n ** (k - 1)  # elements per first argument
+    rows = min(n, max(1, _BLOCK_ELEMENTS // row))
+    batch = max(1, _BLOCK_ELEMENTS // (row * n)) if rows == n else 1
+    for first in range(0, count, batch):
+        tb = slice(first, first + batch)
+        held = min(batch, count - first)
+        for start in range(0, n, rows):
+            rb = slice(start, start + rows)
+            right = cost[tb, rb][along[0]]
+            for a in range(1, k):
+                right = right + cost[tb][along[a]]
+            labels = stacks[(slice(None), var[:, tb],
+                             coords[:, tb, rb][along[0]],
+                             *(coords[:, tb][along[a]] for a in range(1, k)))]
+            images = flat.take(base[tb] + weights @ labels.reshape(
+                comps, m, held, right.size // held).swapaxes(1, 2))
+            left = images[0]
+            for more in images[1:]:
+                left = left + more
+            ok = left.reshape(right.shape) <= (right + tol if tol else right)
+            if not ok.all():
+                bad = ~ok.reshape(held, -1)
+                t = int(bad.any(axis=1).argmax())
+                at = np.unravel_index(int(bad[t].argmax()), right.shape[1:])
+                picks = (start + at[0],) + at[1:]
+                return first + t, tuple(
+                    tuple(coords[:, first + t, j].tolist()) for j in picks)
+    return None
 
-    def along(arr, axis):
-        # arr's last axis moved to argument axis ``axis`` of the k-tuple grid
-        return arr.reshape(arr.shape[:-1] + (1,) * axis + (arr.shape[-1],)
-                           + (1,) * (k - 1 - axis))
 
-    var = np.array(scope, dtype=np.intp).reshape((m,) + (1,) * k)
-    rest = [along(coords, axis) for axis in range(1, k)]
-    rest_cost = [along(cost, axis) for axis in range(1, k)]
-    rows = max(1, _BLOCK_ELEMENTS // (comps * max(m, 1) * n ** (k - 1)))
-    for start in range(0, n, rows):
-        block = slice(start, start + rows)
-        right = along(cost[block], 0)
-        for more in rest_cost:
-            right = right + more
-        labels = stacks[(slice(None), var, along(coords[:, block], 0), *rest)]
-        images = values.take(weights @ labels.reshape(comps, m, right.size))
-        left = images[0]
-        for more in images[1:]:
-            left = left + more
-        ok = left.reshape(right.shape) <= (right + tol if tol else right)
-        first = int(ok.argmin())
-        if not ok.flat[first]:
-            at = np.unravel_index(first, ok.shape)
-            picks = (start + at[0],) + at[1:]
-            return False, tuple(tuple(coords[:, i].tolist()) for i in picks)
-    return True, None
+def _first_violation(terms, stacks):
+    """The batched multimorphism check of ``terms`` under ``stacks``: (True,
+    None), or (False, (term index, witness)) for the first failing term in
+    term order.  Each group of ``_cost_groups`` is one kernel call; a group
+    whose first term comes after a failing term is not checked."""
+    found = None
+    for idxs, shape, *group in _cost_groups(terms):
+        if found is not None and idxs[0] > found[0]:
+            break
+        hit = _group_violation(shape, *group, stacks)
+        if hit is not None and (found is None or idxs[hit[0]] < found[0]):
+            found = (idxs[hit[0]], hit[1])
+    return (True, None) if found is None else (False, found)
 
 
-def check_binary_multimorphism(table, pair, scope):
-    """Inequality f(x meet y) + f(x join y) <= f(x) + f(y) over feasible pairs.
+def check_binary_multimorphism(terms, pair):
+    """Inequality f(x meet y) + f(x join y) <= f(x) + f(y) over feasible
+    pairs of every term of ``terms``, a sequence of ``Term``s.
 
-    Returns (True, None) or (False, (x, y)) with the lexicographically
-    smallest violating ordered pair of feasible tuples.
+    Returns (True, None) or (False, (term_index, (x, y))): the first failing
+    term in term order, with the lexicographically smallest violating
+    ordered pair of its feasible tuples.
     """
-    return _first_violation(table, pair.index_stacks(), scope)
+    return _first_violation(terms, pair.index_stacks())
 
 
-def check_ternary_multimorphism(table, triple, scope):
-    """Three-way inequality over all ordered feasible triples.
+def check_ternary_multimorphism(terms, triple):
+    """Three-way inequality over all ordered feasible triples of every term.
 
-    Returns (True, None) or (False, (x, y, z)) with the lexicographically
-    smallest violating ordered triple of feasible tuples.
+    Returns (True, None) or (False, (term_index, (x, y, z))): the first
+    failing term in term order, with the lexicographically smallest
+    violating ordered triple of its feasible tuples.
     """
-    return _first_violation(table, triple.index_stacks(), scope)
+    return _first_violation(terms, triple.index_stacks())
 
 
 def ternary_polymorphism_closed(op, tuples, scope):
@@ -614,12 +683,17 @@ class OperationSystem:
 
 
 def check_instance_multimorphism(instance, ops):
-    """Per-term check of both inequalities; returns (ok, term_index, witness)."""
-    for idx, term in enumerate(instance.terms):
-        ok, w = check_binary_multimorphism(term.table, ops.pair, term.scope)
-        if not ok:
-            return False, idx, ("binary", w)
-        ok, w = check_ternary_multimorphism(term.table, ops.triple, term.scope)
-        if not ok:
-            return False, idx, ("ternary", w)
+    """Both inequalities on every term; returns (ok, term_index, witness).
+
+    The first failing term in term order is reported, its binary failure
+    before its ternary one, as a loop over the terms checking both would.
+    """
+    terms = instance.terms
+    ok, hit = check_binary_multimorphism(terms, ops.pair)
+    limit = len(terms) if ok else hit[0]
+    ok3, hit3 = check_ternary_multimorphism(terms[:limit], ops.triple)
+    if not ok3:
+        return False, hit3[0], ("ternary", hit3[1])
+    if not ok:
+        return False, hit[0], ("binary", hit[1])
     return True, None, None

@@ -246,13 +246,11 @@ def run_stage2(instance, ops, net, paranoid=False, trace=None):
                 raise StageError(
                     "reduce", f"exchange scan failed: {bad[0]}", witness=bad[0])
         ops = apply_modification(state, ops)
-        for idx, term in enumerate(instance.terms):
-            ok, w = check_binary_multimorphism(term.table, ops.pair, term.scope)
-            if not ok:
-                raise StageError(
-                    "reduce",
-                    f"rewritten pair is no longer a multimorphism of term {idx} "
-                    f"at {w}", witness=(idx, w))
+        ok, hit = check_binary_multimorphism(instance.terms, ops.pair)
+        if not ok:
+            raise StageError(
+                "reduce", "rewritten pair is no longer a multimorphism of "
+                f"term {hit[0]} at {hit[1]}", witness=hit)
         if trace is not None:
             k, (a, b) = seed
             trace.append(

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .consistency import restrict_instance, run_stage1
 from .costs import INF, cost_eq, integer_costs, tolerance
 from .errors import StageError, VcspError
-from .model import DEFAULT_CAP, CostTable, Instance, merge_repeated
+from .model import DEFAULT_CAP, CostTable, Instance, Term, merge_repeated
 from .operations import (
     build_majority,
     check_binary_multimorphism,
@@ -408,12 +408,11 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP):
         result = solve_bruteforce(instance, cap=cap)
         result.stats.update(stats)
         return result
-    for idx, term in enumerate(merged.terms):
-        ok, w = check_binary_multimorphism(term.table, pair, term.scope)
-        if not ok:
-            raise VcspError(
-                f"term {idx} is not submodular under the extracted order at {w}; "
-                "the pair was not a multimorphism of every term")
+    ok, hit = check_binary_multimorphism(merged.terms, pair)
+    if not ok:
+        raise VcspError(
+            f"term {hit[0]} is not submodular under the extracted order at "
+            f"{hit[1]}; the pair was not a multimorphism of every term")
     survive = _prune_unsupported(merged)
     if any(not k for k in survive):
         return SolveResult(INF, None, stats)
@@ -438,17 +437,20 @@ def _check_network_closed(net, pair):
     still check here that the final pair preserves them.
     """
     n = net.domains.variable_count
+    terms = []
     for i in range(n):
         for j in range(i + 1, n):
             rel = net.rel(i, j)
-            table = CostTable.relation(
-                rel.shape, {(int(a), int(b)) for a, b in zip(*rel.nonzero())})
-            ok, witness = check_binary_multimorphism(table, pair, (i, j))
-            if not ok:
-                raise StageError(
-                    "solve", f"network relation on variables {i} and {j} is "
-                    f"not closed under the final pair at {witness}",
-                    witness=(i, j, witness))
+            terms.append(Term(CostTable.relation(
+                rel.shape, {(int(a), int(b)) for a, b in zip(*rel.nonzero())}),
+                (i, j)))
+    ok, hit = check_binary_multimorphism(terms, pair)
+    if not ok:
+        (i, j), witness = terms[hit[0]].scope, hit[1]
+        raise StageError(
+            "solve", f"network relation on variables {i} and {j} is "
+            f"not closed under the final pair at {witness}",
+            witness=(i, j, witness))
 
 
 def run_validate(instance, ops):

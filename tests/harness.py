@@ -182,15 +182,35 @@ def minmax_system(domains):
 
 
 def verify_term(system, term):
-    ok, w = check_binary_multimorphism(term.table, system.pair, term.scope)
+    ok, w = check_binary_multimorphism([term], system.pair)
     assert ok, f"generated table violates the pairwise inequality at {w}"
     if term.table.is_crisp():
         dom = term.table.dom()
         for comp in system.triple.ops:
             assert ternary_polymorphism_closed(comp, dom, term.scope)
     else:
-        ok, w = check_ternary_multimorphism(term.table, system.triple, term.scope)
+        ok, w = check_ternary_multimorphism([term], system.triple)
         assert ok, f"generated table violates the three-way inequality at {w}"
+
+
+def _one_term(check, table, ops, scope):
+    ok, hit = check([Term(table, scope)], ops)
+    if ok:
+        return True, None
+    assert hit[0] == 0
+    return False, hit[1]
+
+
+def binary_on(table, pair, scope):
+    """``check_binary_multimorphism`` on the one-term list [Term(table,
+    scope)], as (ok, witness): the per-term form of the loops in
+    ``oracles``."""
+    return _one_term(check_binary_multimorphism, table, pair, scope)
+
+
+def ternary_on(table, triple, scope):
+    """``check_ternary_multimorphism`` on one term, as ``binary_on``."""
+    return _one_term(check_ternary_multimorphism, table, triple, scope)
 
 
 def random_instance(rng, max_vars=6, max_size=4, ternary=True):

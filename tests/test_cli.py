@@ -2,12 +2,15 @@
 
 import json
 import random
+import warnings
 
 import pytest
 
-from vcsp import BinaryPair, DomainSpec, MjnTriple, PairSet
+from vcsp import (BinaryPair, DomainSpec, MjnTriple, PairSet, VcspError,
+                  solve_pipeline)
 from vcsp.cli import main
-from vcsp.io_formats import parse_ops_text, serialize_instance, serialize_ops
+from vcsp.io_formats import (parse_instance_text, parse_ops_text,
+                             serialize_instance, serialize_ops)
 from vcsp.operations import OperationSystem, is_stp_on
 from vcsp.solvers import solve_bruteforce
 
@@ -333,6 +336,32 @@ class TestExitCodes:
         assert main(["oracle", *mode, str(ipath)]) == 2
         assert capsys.readouterr().err == error
 
+    def test_float_sum_overflow_is_bad_cost(self, tmp_path, capsys):
+        # each cost fits a float, but the pairwise check's sums overflow
+        text = ("vcsp 2\ndomains 2 2\nterm 2 1 2\ndefault {}\n"
+                "entry 0 0 {}\nentry 1 1 {}\n")
+        ipath, opath = tmp_path / "inst.vcsp", tmp_path / "ops.ops"
+        opath.write_text(serialize_ops(minmax_system(DomainSpec((2, 2)))))
+        ipath.write_text(text.format("1.6e308", "1.7e308", "1.7e308"))
+        for command in ("verify", "solve"):
+            assert main([command, "--float", str(ipath), str(opath)]) == 2
+            assert capsys.readouterr() == (
+                "", "error: line 4: bad cost '1.6e308'\n")
+        # exact costs have no limit; the supermodular term is found
+        not_submodular = ("error: term 0 is not submodular under the "
+                          "extracted order at ((0, 1), (1, 0)); the pair was "
+                          "not a multimorphism of every term\n")
+        violation = "violation term 1 binary ((0, 1), (1, 0))\n"
+        for mode in ([], ["--float"]):
+            if mode:  # the same table below a third of the float range
+                ipath.write_text(text.format("5e307", "5.9e307", "5.9e307"))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["verify", *mode, str(ipath), str(opath)]) == 1
+                assert capsys.readouterr() == (violation, "")
+                assert main(["solve", *mode, str(ipath), str(opath)]) == 1
+                assert capsys.readouterr() == ("", not_submodular)
+
     def test_cap_exceeded_is_usage_error(self, tmp_path, capsys):
         inst, system = fixed_instance(173)
         ipath, opath = write_pair(tmp_path, inst, system)
@@ -383,3 +412,63 @@ class TestExitCodes:
         for command in ("solve", "reduce"):
             assert main([command, str(ipath), str(opath)]) == 1
             assert "stage validate" in capsys.readouterr().err
+
+
+# -- the errors of the solver's multimorphism checks -------------------------
+
+SUPERMODULAR_SECOND = ("vcsp 3\ndomains 2 2 2\nterm 1 1\ndefault 0\n"
+                       "entry 1 2\nterm 2 2 3\ndefault 0\nentry 1 1 1\n")
+DISEQUALITY_SECOND = ("vcsp 3\ndomains 2 2 2\nterm 1 1\ndefault 0\n"
+                      "entry 1 2\nterm 2 2 3\ndefault inf\nentry 0 1 0\n"
+                      "entry 1 0 0\n")
+D2X3 = DomainSpec((2, 2, 2))
+
+
+def projection_first():
+    """The canonical triple, with min/max on variables 1 and 2 and, on
+    variable 0, the projection pair (meet = first, join = second
+    argument), which does not commute: stage 2 rewrites it."""
+    pair = BinaryPair.min_max(D2X3).with_tables(
+        0, [[0, 0], [1, 1]], [[0, 1], [0, 1]])
+    m = PairSet(D2X3, (frozenset(), frozenset({(0, 1)}), frozenset({(0, 1)})))
+    return OperationSystem(pair, MjnTriple.canonical(D2X3), m)
+
+
+@pytest.mark.parametrize("text, system, command, error, witness", [
+    # stage 3: no stage-2 iteration checks a full commutative pair
+    (SUPERMODULAR_SECOND, minmax_system(D2X3), ["solve"],
+     "error: term 1 is not submodular under the extracted order at "
+     "((0, 1), (1, 0)); the pair was not a multimorphism of every term\n",
+     None),
+    # stage 2: the initial pair already failed term 1, the rewrite keeps it
+    (SUPERMODULAR_SECOND, projection_first(), ["reduce"],
+     "error: stage reduce: rewritten pair is no longer a multimorphism of "
+     "term 1 at ((0, 1), (1, 0))\n", (1, ((0, 1), (1, 0)))),
+    (SUPERMODULAR_SECOND, projection_first(), ["solve"],
+     "error: stage reduce: rewritten pair is no longer a multimorphism of "
+     "term 1 at ((0, 1), (1, 0))\n", (1, ((0, 1), (1, 0)))),
+    # the paranoid closure check names the relation, before stage 3 runs
+    (DISEQUALITY_SECOND, minmax_system(D2X3), ["solve", "--paranoid"],
+     "error: stage solve: network relation on variables 1 and 2 is not "
+     "closed under the final pair at ((0, 1), (1, 0))\n",
+     (1, 2, ((0, 1), (1, 0)))),
+    (DISEQUALITY_SECOND, minmax_system(D2X3), ["solve"],
+     "error: term 1 is not submodular under the extracted order at "
+     "((0, 1), (1, 0)); the pair was not a multimorphism of every term\n",
+     None),
+])
+def test_multimorphism_check_errors(tmp_path, capsys, text, system, command,
+                                    error, witness):
+    ipath, opath = tmp_path / "inst.vcsp", tmp_path / "ops.ops"
+    ipath.write_text(text)
+    opath.write_text(serialize_ops(system))
+    assert main([*command, str(ipath), str(opath)]) == 1
+    assert capsys.readouterr() == ("", error)
+    # the library raises the same error, with the witness as data
+    instance = parse_instance_text(text)
+    with pytest.raises(VcspError) as exc:
+        solve_pipeline(instance, parse_ops_text(serialize_ops(system),
+                                                instance.domains),
+                       paranoid="--paranoid" in command)
+    assert f"error: {exc.value}\n" == error
+    assert getattr(exc.value, "witness", None) == witness

@@ -1,6 +1,7 @@
 """Operation algebra: pairs, triples, contracts and multimorphism checks."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -28,6 +29,7 @@ from vcsp import (
     is_stp_on,
 )
 from vcsp.costs import FLOAT_TOL, integer_costs, is_finite, tolerance
+from vcsp.model import merge_repeated
 from vcsp.operations import (
     OperationSystem,
     all_label_pairs,
@@ -36,7 +38,8 @@ from vcsp.operations import (
     ternary_polymorphism_closed,
 )
 
-from harness import pair_tables_for_split, random_system, sorting_triple
+from harness import (binary_on, pair_tables_for_split, random_system,
+                     sorting_triple, ternary_on)
 from oracles import (apply_pair, check_global_multimorphism,
                      check_polymorphism, classify_pair, cost_le,
                      loop_binary_multimorphism, loop_build_majority,
@@ -166,21 +169,21 @@ class TestBinaryMultimorphism:
     def test_single_feasible_tuple(self):
         d = DomainSpec((2, 2))
         t = CostTable.relation((2, 2), [(0, 1)])
-        ok, _ = check_binary_multimorphism(t, BinaryPair.min_max(d), (0, 1))
+        ok, _ = binary_on(t, BinaryPair.min_max(d), (0, 1))
         assert ok
 
     def test_product_table_witness(self):
         # f(x1,x2) = x1*x2 is supermodular: 0+1 <= 0+0 fails
         d = DomainSpec((2, 2))
         t = CostTable.from_function((2, 2), lambda a, b: Fraction(a * b))
-        ok, w = check_binary_multimorphism(t, BinaryPair.min_max(d), (0, 1))
+        ok, w = binary_on(t, BinaryPair.min_max(d), (0, 1))
         assert not ok
         assert w == ((0, 1), (1, 0))
 
     def test_absolute_difference_is_submodular(self):
         d = DomainSpec((2, 2))
         t = CostTable.from_function((2, 2), lambda a, b: Fraction(abs(a - b)))
-        ok, _ = check_binary_multimorphism(t, BinaryPair.min_max(d), (0, 1))
+        ok, _ = binary_on(t, BinaryPair.min_max(d), (0, 1))
         assert ok
 
 
@@ -188,18 +191,18 @@ class TestTernaryMultimorphism:
     def test_diagonal_triples_never_violate(self):
         d = DomainSpec((3,))
         t = CostTable((3,), [Fraction(5), Fraction(0), Fraction(7)])
-        ok, _ = check_ternary_multimorphism(t, MjnTriple.canonical(d), (0,))
+        ok, _ = ternary_on(t, MjnTriple.canonical(d), (0,))
         assert ok
 
     def test_crisp_check_is_closure(self):
         d = DomainSpec((2, 2))
         triple = MjnTriple.canonical(d)
         closed = CostTable.relation((2, 2), [(0, 0), (1, 1)])
-        ok, _ = check_ternary_multimorphism(closed, triple, (0, 1))
+        ok, _ = ternary_on(closed, triple, (0, 1))
         assert ok
         # three tuples whose minority image escapes the set
         open_rel = CostTable.relation((2, 2), [(0, 0), (0, 1), (1, 0)])
-        ok, w = check_ternary_multimorphism(open_rel, triple, (0, 1))
+        ok, w = ternary_on(open_rel, triple, (0, 1))
         assert not ok
         imgs = [tuple(triple.apply(pos, p, w[0][p], w[1][p], w[2][p])
                       for p in range(2)) for pos in range(3)]
@@ -211,7 +214,7 @@ class TestTernaryMultimorphism:
         d = DomainSpec((2, 2))
         triple = MjnTriple.canonical(d)
         t = CostTable.from_function((2, 2), lambda a, b: Fraction(a ^ b))
-        ok, w = check_ternary_multimorphism(t, triple, (0, 1))
+        ok, w = ternary_on(t, triple, (0, 1))
         assert not ok
         assert w == ((0, 0), (0, 1), (1, 1))
 
@@ -222,7 +225,7 @@ class TestTernaryMultimorphism:
         while seen_soft < 5:
             inst, system = random_boolean_mjn_instance(rng)
             for term in inst.terms:
-                ok, _ = check_ternary_multimorphism(
+                ok, _ = ternary_on(
                     term.table, system.triple, term.scope)
                 assert ok
                 if not term.table.is_crisp() and term.table.arity >= 2:
@@ -397,7 +400,7 @@ def random_tables(draw):
 def test_binary_checker_matches_oracle(table, rng):
     d = DomainSpec(table.shape)
     system = random_system(rng, d)
-    ok, _ = check_binary_multimorphism(table, system.pair, (0, 1))
+    ok, _ = binary_on(table, system.pair, (0, 1))
     assert ok == naive_binary_oracle(table, system.pair, (0, 1))
 
 
@@ -406,7 +409,7 @@ def test_binary_checker_matches_oracle(table, rng):
 def test_ternary_checker_matches_oracle(table, rng):
     d = DomainSpec(table.shape)
     system = random_system(rng, d)
-    ok, _ = check_ternary_multimorphism(table, system.triple, (0, 1))
+    ok, _ = ternary_on(table, system.triple, (0, 1))
     assert ok == naive_ternary_oracle(table, system.triple, (0, 1))
 
 
@@ -418,7 +421,7 @@ def test_crisp_ternary_pass_implies_component_closure():
         tuples = rng.sample(
             list(itertools.product(range(3), repeat=2)), rng.randint(1, 5))
         table = CostTable.relation((3, 3), tuples)
-        ok, _ = check_ternary_multimorphism(table, system.triple, (0, 1))
+        ok, _ = ternary_on(table, system.triple, (0, 1))
         if ok:
             for comp in system.triple.ops:
                 assert check_polymorphism(comp, table.dom(), (0, 1))
@@ -500,6 +503,21 @@ def random_kernel_table(rng, shape, kind):
     return CostTable(shape, entries)
 
 
+def random_operations(rng, domains):
+    """A conservative pair and triple, not always a valid system: min/max,
+    a cyclic or a random commutative split, and the canonical, sorting or
+    a random conservative triple."""
+    pair = rng.choice((
+        BinaryPair.min_max(domains), cyclic_pair(domains),
+        BinaryPair(domains, *zip(*(pair_tables_for_split(
+            s, {p for p in all_label_pairs(s) if rng.random() < 0.7},
+            rng) for s in domains.sizes)))))
+    triple = rng.choice((
+        MjnTriple.canonical(domains), sorting_triple(domains),
+        random_conservative_triple(rng, domains)))
+    return pair, triple
+
+
 def kernel_cases(seed, count):
     """(table, scope, pair, triple, tol) over arity 0-3 and sizes 1-4, with
     ``tol`` the tolerance the table's costs imply."""
@@ -516,15 +534,7 @@ def kernel_cases(seed, count):
         if kind != "float":
             rng.random()  # keeps the seeded sequence of cases
         tol = tolerance(integer_costs([table.entries])[0])
-        pair = rng.choice((
-            BinaryPair.min_max(domains), cyclic_pair(domains),
-            BinaryPair(domains, *zip(*(pair_tables_for_split(
-                s, {p for p in all_label_pairs(s) if rng.random() < 0.7},
-                rng) for s in domains.sizes)))))
-        triple = rng.choice((
-            MjnTriple.canonical(domains), sorting_triple(domains),
-            random_conservative_triple(rng, domains)))
-        yield table, scope, pair, triple, tol
+        yield (table, scope, *random_operations(rng, domains), tol)
 
 
 def assert_int_witness(witness):
@@ -534,14 +544,14 @@ def assert_int_witness(witness):
 def test_kernel_matches_loops_witness_for_witness():
     seen = Counter()
     for table, scope, pair, triple, tol in kernel_cases(20260, 500):
-        got = check_binary_multimorphism(table, pair, scope)
+        got = binary_on(table, pair, scope)
         assert got == loop_binary_multimorphism(table, pair, scope, tol)
         if not got[0]:
             assert_int_witness(got[1])
         seen["binary", got[0]] += 1
         if len(table.dom()) > 12:
             continue
-        got = check_ternary_multimorphism(table, triple, scope)
+        got = ternary_on(table, triple, scope)
         assert got == loop_ternary_multimorphism(table, triple, scope, tol)
         if not got[0]:
             assert_int_witness(got[1])
@@ -554,10 +564,10 @@ def test_kernel_row_blocks_match_loops(monkeypatch):
     import vcsp.operations as operations
     monkeypatch.setattr(operations, "_BLOCK_ELEMENTS", 5)
     for table, scope, pair, triple, tol in kernel_cases(20261, 120):
-        assert (check_binary_multimorphism(table, pair, scope)
+        assert (binary_on(table, pair, scope)
                 == loop_binary_multimorphism(table, pair, scope, tol))
         if len(table.dom()) <= 8:
-            assert (check_ternary_multimorphism(table, triple, scope)
+            assert (ternary_on(table, triple, scope)
                     == loop_ternary_multimorphism(table, triple, scope, tol))
 
 
@@ -567,35 +577,169 @@ def test_kernel_paths_on_fixed_tables():
     big = 2**62
     # supermodular product table with huge numerators: object dtype
     t = CostTable.from_function((2, 2), lambda a, b: Fraction(big * a * b, 3))
-    assert check_binary_multimorphism(t, pair, (0, 1)) == (
+    assert binary_on(t, pair, (0, 1)) == (
         False, ((0, 1), (1, 0)))
     # the largest int64 costs still sum below an infeasible image
     top = 2**59 - 1
     t = CostTable((2, 2), [INF, Fraction(top), Fraction(top), Fraction(0)])
-    assert check_binary_multimorphism(t, pair, (0, 1)) == (
+    assert binary_on(t, pair, (0, 1)) == (
         False, ((0, 1), (1, 0)))
     t = CostTable((2, 2), [INF, Fraction(top), Fraction(top), Fraction(top)])
-    assert check_ternary_multimorphism(
+    assert ternary_on(
         t, sorting_triple(d), (0, 1)) == loop_ternary_multimorphism(
         t, sorting_triple(d), (0, 1))
     # float costs pass within FLOAT_TOL; the same excess fails exactly
     t = CostTable((2, 2), [0.1, 0.2, 0.2, 0.30000000000000004 + 1e-12])
     assert loop_binary_multimorphism(t, pair, (0, 1))[0] is False
-    assert check_binary_multimorphism(t, pair, (0, 1)) == (
+    assert binary_on(t, pair, (0, 1)) == (
         loop_binary_multimorphism(t, pair, (0, 1), FLOAT_TOL)) == (True, None)
     t = CostTable((2, 2), [Fraction(1, 10), Fraction(2, 10), Fraction(2, 10),
                            Fraction(3, 10) + Fraction(1, 10**12)])
-    assert check_binary_multimorphism(t, pair, (0, 1)) == (
+    assert binary_on(t, pair, (0, 1)) == (
         False, ((0, 1), (1, 0)))
     for entries in ([INF] * 4, [INF, INF, Fraction(3, 2), INF]):
         t = CostTable((2, 2), entries)
-        assert check_binary_multimorphism(t, pair, (0, 1)) == (True, None)
-        assert check_ternary_multimorphism(
+        assert binary_on(t, pair, (0, 1)) == (True, None)
+        assert ternary_on(
             t, MjnTriple.canonical(d), (0, 1)) == (True, None)
     nullary = CostTable((), [Fraction(5, 7)])
-    assert check_binary_multimorphism(nullary, pair, ()) == (True, None)
-    assert check_ternary_multimorphism(
+    assert binary_on(nullary, pair, ()) == (True, None)
+    assert ternary_on(
         nullary, MjnTriple.canonical(d), ()) == (True, None)
+
+
+def loop_over_terms(loop, terms, ops):
+    """The per-term ``loop`` over a term list, each term with the tolerance
+    its own costs imply: (True, None) or (False, (index of the first failing
+    term, its witness)), the contract of the batched checks."""
+    for idx, term in enumerate(terms):
+        tol = tolerance(integer_costs([term.table.entries])[0])
+        ok, witness = loop(term.table, ops, term.scope, tol)
+        if not ok:
+            return False, (idx, witness)
+    return True, None
+
+
+def modular_table(rng, shape, kind):
+    """A sum of per-argument costs, without infeasible entries."""
+    weights = [[random_cost(rng, kind) for _ in range(s)] for s in shape]
+    return CostTable.from_function(shape, lambda *t: sum(
+        (w[v] for w, v in zip(weights, t)), Fraction(0)))
+
+
+def term_lists(seed, count):
+    """(terms, pair, triple): lists of 1-40 terms of arity 0-3 over one
+    domain of 1-4 variables, half of them merged by ``merge_repeated``, with
+    the table kinds of ``kernel_cases`` mixed in one list, so that the lists
+    hold several shapes and cost classes.  Most tables are modular; at one
+    of three rates a list draws the rest like ``kernel_cases`` or with
+    random entries, so that lists pass and fail at every position."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        domains = DomainSpec(tuple(
+            rng.randint(1, 3) for _ in range(rng.randint(1, 4))))
+        kinds = rng.choice((
+            ("fraction",), ("fraction", "edge"), ("fraction", "big"),
+            ("float",), ("fraction", "float", "mixed"),
+            ("fraction", "big", "edge", "float", "mixed")))
+        rate = rng.choice((0.05, 0.3, 0.6))
+        terms = []
+        for _ in range(rng.randint(1, 40)):
+            scope = tuple(rng.randrange(domains.variable_count)
+                          for _ in range(rng.randint(0, 3)))
+            shape = tuple(domains.sizes[i] for i in scope)
+            kind = rng.choice(kinds)
+            if rng.random() >= rate:
+                table = modular_table(rng, shape, kind)
+            elif rng.random() < 0.5:
+                table = random_kernel_table(rng, shape, kind)
+            else:  # fails whenever two arguments vary
+                table = CostTable(shape, [random_cost(rng, kind)
+                                          for _ in range(math.prod(shape))])
+            term = Term(table, scope)
+            terms.append(merge_repeated(term) if rng.random() < 0.5
+                         else term)
+        yield (terms, *random_operations(rng, domains))
+
+
+def group_keys(terms):
+    """Each term's group in the batched checks: its shape and cost class."""
+    return [(t.table.shape, integer_costs([t.table.entries])[0] is not None)
+            for t in terms]
+
+
+def ternary_is_cheap(terms):
+    return sum(len(t.table.dom()) ** 3 for t in terms) <= 3000
+
+
+def test_batched_checks_match_loops_witness_for_witness():
+    seen = Counter()
+    for terms, pair, triple in term_lists(20280, 600):
+        got = check_binary_multimorphism(terms, pair)
+        assert got == loop_over_terms(loop_binary_multimorphism, terms, pair)
+        keys = group_keys(terms)
+        if got[0]:
+            seen["binary pass"] += 1
+        else:
+            failing = got[1][0]
+            first = keys.index(keys[failing])  # first term of its group
+            seen["binary fail"] += 1
+            # a group listed before the failing term's group passes
+            seen["earlier group passes"] += any(
+                keys.index(key) < first and not any(
+                    not binary_on(t.table, pair, t.scope)[0]
+                    for t, k in zip(terms, keys) if k == key)
+                for key in set(keys))
+            # an earlier group fails too, at a later term
+            seen["earlier group fails later"] += any(
+                keys.index(keys[idx]) < first
+                and not binary_on(terms[idx].table, pair, terms[idx].scope)[0]
+                for idx in range(failing + 1, len(terms)))
+        seen["several classes"] += len({k[1] for k in keys}) > 1
+        if ternary_is_cheap(terms):
+            got = check_ternary_multimorphism(terms, triple)
+            assert got == loop_over_terms(
+                loop_ternary_multimorphism, terms, triple)
+            seen["ternary", got[0]] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_batched_checks_in_blocks_match_loops(monkeypatch):
+    import vcsp.operations as operations
+    monkeypatch.setattr(operations, "_BLOCK_ELEMENTS", 5)
+    for terms, pair, triple in term_lists(20281, 80):
+        assert check_binary_multimorphism(terms, pair) == loop_over_terms(
+            loop_binary_multimorphism, terms, pair)
+        if ternary_is_cheap(terms):
+            assert check_ternary_multimorphism(
+                terms, triple) == loop_over_terms(
+                loop_ternary_multimorphism, terms, triple)
+
+
+def test_instance_check_matches_term_loop():
+    # both checks on each term in turn, the pair's before the triple's
+    seen = Counter()
+    for terms, pair, triple in term_lists(20282, 300):
+        if not ternary_is_cheap(terms):
+            continue
+        want = (True, None, None)
+        for idx, term in enumerate(terms):
+            tol = tolerance(integer_costs([term.table.entries])[0])
+            ok, w = loop_binary_multimorphism(term.table, pair, term.scope, tol)
+            if not ok:
+                want = (False, idx, ("binary", w))
+                break
+            ok, w = loop_ternary_multimorphism(
+                term.table, triple, term.scope, tol)
+            if not ok:
+                want = (False, idx, ("ternary", w))
+                break
+        ops = OperationSystem(pair, triple, PairSet.empty(pair.domains))
+        assert check_instance_multimorphism(
+            Instance(pair.domains, terms), ops) == want
+        seen[want[2] and want[2][0]] += 1
+    assert set(seen) == {None, "binary", "ternary"}
+    assert min(seen.values()) >= 20, seen
 
 
 # -- the validation masks against the loop oracles --------------------------

@@ -207,10 +207,8 @@ class TestRunStage2:
             assert out.m.is_full()
             ok, _ = is_stp_on(out.pair, PairSet.full(out.domains))
             assert ok
-            for term in inst_r.terms:
-                ok, _ = check_binary_multimorphism(
-                    term.table, out.pair, term.scope)
-                assert ok
+            ok, _ = check_binary_multimorphism(inst_r.terms, out.pair)
+            assert ok
             # each iteration adds at least the seed pair
             assert len(trace) <= PairSet.full(out.domains).total_size()
             for line in trace:

@@ -2,15 +2,20 @@
 
 The benchmark wraps the functions listed in ``perfbench/layers.py`` by
 qualified name; a target that moved or was renamed reads as a missing span
-there.  This reads ``perfbench/`` and changes nothing in it.
+there, and so does one that a solve no longer calls.  This reads
+``perfbench/`` and changes nothing in it.
 """
 
 import importlib
 import importlib.util
 import pkgutil
+import random
 from pathlib import Path
 
 import vcsp
+from vcsp import solve_pipeline, solve_stp
+
+from harness import submodular_chain
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -31,3 +36,20 @@ def test_every_trace_target_resolves():
     names = [name for name, _, _ in layers.targets()]
     assert "decompose_instance" in names and "Instance.evaluate" in names
     assert [name for name in names if tracer._find(name) is None] == []
+
+
+def test_solves_open_binary_check_spans():
+    # perfbench reports operations.binary_check_s as null without these spans
+    tracer_module = load_perfbench("tracer")
+    instance, system = submodular_chain(random.Random(5), 6)
+    for solve in (lambda: solve_stp(instance, system.pair),
+                  lambda: solve_pipeline(instance, system)):
+        tracer = tracer_module.Tracer()
+        tracer.install([("check_binary_multimorphism", "span", None)])
+        try:
+            solve()
+        finally:
+            tracer.uninstall()
+        assert tracer.missing == []
+        assert [span for span in tracer.spans
+                if span[0] == "check_binary_multimorphism"]
