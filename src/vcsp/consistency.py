@@ -108,8 +108,8 @@ def decompose_instance(instance, cap=DEFAULT_CAP):
 
     Terms are projected after ``merge_repeated``, so a tuple giving one
     variable two labels never counts.  Pairs never jointly constrained start
-    as full products.  A variable's projection is the diagonal block
-    ``R[i, i]``, so both kinds go through ``intersect``.
+    as full products.  A variable's projection narrows the diagonal of its
+    block ``R[i, i]`` in place, a pair's goes through ``intersect``.
     """
     net = BinaryNetwork(instance.domains)
     for term in instance.terms:
@@ -119,10 +119,11 @@ def decompose_instance(instance, cap=DEFAULT_CAP):
         scope, feasible, projections = _term_projections(term)
         for (p, q), proj in projections.items():
             if p == q:
-                mat = np.diag(proj.ravel())
+                labels = np.arange(feasible.shape[p])
+                net.R[scope[p], scope[p], labels, labels] &= proj.ravel()
             else:
-                mat = proj.reshape(feasible.shape[p], feasible.shape[q])
-            net.intersect(scope[p], scope[q], mat)
+                net.intersect(scope[p], scope[q], proj.reshape(
+                    feasible.shape[p], feasible.shape[q]))
     return net
 
 
@@ -266,30 +267,29 @@ def restrict_instance(instance, keep):
 def restrict_operation_system(ops, keep):
     """Re-index pair/triple tables and the pair set to the shrunken domains.
 
-    Each variable's old-to-new label map re-indexes all of its tables and
-    pairs.  When every variable keeps all its labels, in order, the system
-    is returned as it is, with its cached label stacks.
+    One gather reads the stacks and the mask at the kept labels, and the
+    old-to-new label maps re-index the images.  When every variable keeps
+    all its labels, in order, the system is returned as it is.
     """
-    from .operations import BinaryPair, MjnTriple, OperationSystem, PairSet, TernaryOp
+    from .operations import BinaryPair, MjnTriple, OperationSystem, PairSet
 
     if len(keep) == ops.domains.variable_count and all(
             list(k) == list(range(s)) for k, s in zip(keep, ops.domains.sizes)):
         return ops
     domains = DomainSpec(tuple(len(k) for k in keep))
-    meets, joins, members = [], [], []
-    ternary = tuple([] for _ in ops.triple.ops)
-    for i, labels in enumerate(keep):
-        pos = {old: new for new, old in enumerate(labels)}
-        meet, join = ops.pair.meet_tables[i], ops.pair.join_tables[i]
-        meets.append([[pos[meet[a][b]] for b in labels] for a in labels])
-        joins.append([[pos[join[a][b]] for b in labels] for a in labels])
-        for tables, comp in zip(ternary, ops.triple.ops):
-            t = comp.tables[i]
-            tables.append([[[pos[t[a][b][c]] for c in labels]
-                            for b in labels] for a in labels])
-        members.append([(pos[a], pos[b]) for a, b in ops.m.members[i]
-                        if a in pos and b in pos])
+    n, dmax = len(keep), max(domains.sizes, default=0)
+    # padded positions read label 0; the new objects re-pad them
+    labels = np.array([list(k) + [0] * (dmax - len(k)) for k in keep],
+                      dtype=np.intp)
+    rows, cols = np.nonzero(np.arange(dmax) < np.array(domains.sizes)[:, None])
+    new = np.zeros(ops.pair.index_stacks().shape[1:3], dtype=np.intp)
+    new[rows, labels[rows, cols]] = cols
+    var = np.arange(n).reshape(-1, 1, 1)
+    a, b = labels[:, :, None], labels[:, None, :]
+    mask = ops.m.mask | ops.m.mask.swapaxes(1, 2)
+    triple = ops.triple.index_stacks()[:, var[..., None], a[..., None],
+                                       b[..., None], labels[:, None, None, :]]
     return OperationSystem(
-        BinaryPair(domains, meets, joins),
-        MjnTriple(domains, *(TernaryOp(domains, t) for t in ternary)),
-        PairSet(domains, tuple(members)))
+        BinaryPair.of(domains, new[var, ops.pair.index_stacks()[:, var, a, b]]),
+        MjnTriple.of(domains, new[var[..., None], triple]),
+        PairSet.of(domains, mask[var, a, b]))

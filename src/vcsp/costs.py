@@ -60,7 +60,7 @@ class _Infinity:
 
 INF = _Infinity()
 
-#: Tolerance of every comparison between costs that are not all exact.
+#: Relative tolerance of every comparison of costs that are not all exact.
 FLOAT_TOL = 1e-9
 
 
@@ -68,17 +68,22 @@ def is_finite(c):
     return c is not INF
 
 
-def tolerance(scale):
+def tolerance(scale, costs=()):
     """Exact costs (``integer_costs`` gave them a ``scale``) compare exactly;
-    once it finds any other cost and gives no scale, within ``FLOAT_TOL``."""
-    return FLOAT_TOL if scale is None else 0
+    others within ``FLOAT_TOL`` times the largest finite magnitude among
+    ``costs``, the costs compared or summed, as float rounding grows with
+    it, or within ``FLOAT_TOL`` below magnitude 1."""
+    if scale is not None:
+        return 0
+    return FLOAT_TOL * max([1] + [abs(c) for c in costs if c is not INF])
 
 
 def cost_eq(a, b):
     """a == b, within ``tolerance`` of the two costs; INF equals only INF."""
     if a is INF or b is INF:
         return a is b
-    return a == b or abs(a - b) <= tolerance(integer_costs([[a, b]])[0])
+    return a == b or abs(a - b) <= tolerance(integer_costs([[a, b]])[0],
+                                             (a, b))
 
 
 def integer_costs(tables):
@@ -89,7 +94,7 @@ def integer_costs(tables):
     denominators, and each list with its finite entries multiplied by it as
     Python ints, INF kept.  Float costs, or any other mix, return
     ``(None, tables)``: callers then keep the Python values and compare them
-    within ``FLOAT_TOL``.
+    within ``tolerance``.
     """
     denominators = set()
     for entries in tables:

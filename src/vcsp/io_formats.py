@@ -24,13 +24,12 @@ commutative label pairs as ``a:b``.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 
 from .costs import format_cost, parse_cost
 from .errors import FormatError, VcspError
 from .model import CostTable, DomainSpec, Instance, Term
-from .operations import BinaryPair, MjnTriple, OperationSystem, PairSet, TernaryOp
+from .operations import BinaryPair, MjnTriple, OperationSystem, PairSet
 
 
 def _logical_lines(text):
@@ -239,7 +238,7 @@ def parse_ops_text(text, domains, validate=True):
             rows = tables[kind][v]
             cubes.append([[rows[a * size + b] for b in range(size)]
                           for a in range(size)])
-        terns.append(TernaryOp(domains, cubes))
+        terns.append(cubes)
     triple = MjnTriple(domains, *terns)
     m = PairSet(domains, tuple(pairs[v] for v in range(nvars)))
     system = OperationSystem(pair, triple, m)
@@ -250,20 +249,14 @@ def parse_ops_text(text, domains, validate=True):
 
 def serialize_ops(ops):
     lines = []
-    nvars = ops.domains.variable_count
-    for v in range(nvars):
-        size = ops.domains.sizes[v]
-        lines.append(f"meet {v + 1}")
-        for a in range(size):
-            lines.append(" ".join(str(ops.pair.meet(v, a, b)) for b in range(size)))
-        lines.append(f"join {v + 1}")
-        for a in range(size):
-            lines.append(" ".join(str(ops.pair.join(v, a, b)) for b in range(size)))
-        for kind, pos in (("mj1", 0), ("mj2", 1), ("mn3", 2)):
+    pair, triple = ops.pair.index_stacks(), ops.triple.index_stacks()
+    for v, size in enumerate(ops.domains.sizes):
+        live = (v,) + (slice(size),) * 3  # the stacks pad labels at the end
+        tables = [pair[(k,) + live[:3]] for k in range(2)] + [
+            triple[(k,) + live].reshape(size * size, size) for k in range(3)]
+        for kind, table in zip(_TABLE_KINDS, tables):
             lines.append(f"{kind} {v + 1}")
-            for a, b in itertools.product(range(size), repeat=2):
-                lines.append(" ".join(
-                    str(ops.triple.apply(pos, v, a, b, c)) for c in range(size)))
-        pairs = " ".join(f"{a}:{b}" for a, b in sorted(ops.m.members[v]))
+            lines.extend(" ".join(map(str, row)) for row in table.tolist())
+        pairs = " ".join(f"{a}:{b}" for a, b in zip(*ops.m.mask[v].nonzero()))
         lines.append(f"M {v + 1}" + (" " + pairs if pairs else ""))
     return "\n".join(lines) + "\n"

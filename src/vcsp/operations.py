@@ -7,12 +7,18 @@ per-variable ternary tables.  The pair-set M marks, per variable, the label
 pairs on which the binary pair is required to be commutative; on the
 complement the triple must behave as majority/majority/minority.
 
-The contract checks (``is_stp_on``, ``is_mjn_on``), ``normalize_pairset``,
-``build_majority`` and ``ternary_polymorphism_closed`` are exact boolean
-masks over the operations' padded label stacks (``index_stacks()``,
-``index_stack()``), each cached on its operation object, and over per-size
-label grids.  Each returns or raises the witness a scan entry by entry
-would find first, in the order its docstring states.
+Each object stores one read-only array and nothing else: a pair its padded
+``intp`` stack [op, variable, a, b] (``index_stacks()``), a ternary operation
+[variable, a, b, c] (``index_stack()``), a triple [component, variable, a, b,
+c] (``index_stacks()``), and M its bool ``mask`` [variable, a, b], True at
+its pairs a < b.  Labels are padded to the largest domain: a stack holds a
+projection beyond a variable's domain, the mask False.  ``meet_tables``,
+``join_tables``, ``TernaryOp.tables`` and ``PairSet.members`` are nested
+tuples derived from the arrays on each read.  The contract checks
+(``is_stp_on``, ``is_mjn_on``), ``normalize_pairset``, ``build_majority`` and
+``ternary_polymorphism_closed`` are exact boolean masks over these arrays
+and over per-size label grids.  Each returns or raises the witness a scan
+entry by entry would find first, in the order its docstring states.
 
 The multimorphism checks take a list of terms and share one numpy kernel
 that is exact.  The terms are grouped by table shape and cost class, and
@@ -21,10 +27,10 @@ group's largest count.  Exact costs are scaled to integers by one LCM of
 all their denominators (int64 below 2**59, Python ints in an object array
 above); INF reads as a value above every sum of finite costs, so that an
 infeasible image is a violation.  Float tables, and any other mix, keep
-their Python values in an object array, and their sums compare within
-``FLOAT_TOL`` (``costs.tolerance``).  A check returns the first failing term
-in term order, and as its witness the first violation in row-major order
-over ``table.dom()``.
+their Python values in an object array, and their sums compare within the
+tolerance of the group's costs (``costs.tolerance``).  A check returns the
+first failing term in term order, and as its witness the first violation
+in row-major order over ``table.dom()``.
 """
 
 from __future__ import annotations
@@ -51,10 +57,6 @@ _INT64_INF = 1 << 61
 _BLOCK_ELEMENTS = 1 << 14
 
 
-def _pair_key(a, b):
-    return (a, b) if a < b else (b, a)
-
-
 def _frozen(*arrays):
     for arr in arrays:
         arr.flags.writeable = False  # shared by callers
@@ -71,33 +73,62 @@ def _largest_label(size, depth):
 @functools.lru_cache(maxsize=32)
 def _projections(count, size, depth):
     """[count, 1] + [size] * depth: operation k's projection onto argument
-    k mod depth, the padding of ``_stacked``."""
+    k mod depth, the padding of ``_padded``."""
     args = np.indices((size,) * depth, dtype=np.intp)
     return _frozen(args[np.arange(count) % depth][:, None])[0]
 
 
+@functools.lru_cache(maxsize=64)
 def _live_labels(sizes, depth):
     """Mask of the real (unpadded) entries of per-variable label tables,
     [variable] + [max size] * depth."""
     top = _largest_label(max(sizes, default=0), depth)
-    return top < np.array(sizes, dtype=np.intp).reshape((-1,) + (1,) * depth)
+    return _frozen(top < np.array(sizes, dtype=np.intp).reshape(
+        (-1,) + (1,) * depth))[0]
 
 
-def _stacked(ops, sizes, depth):
-    """Per-variable label tables of several operations as one ``intp`` array
-    ``[op, variable, arg_1, ..., arg_depth]``.  Entries beyond a variable's
-    domain hold a projection, operation k's onto argument k mod depth: the
-    padding is conservative, and no padded label pair commutes under a
-    binary pair, so the contract checks need no mask of the live entries."""
-    flat = ops
-    for _ in range(depth + 1):
-        flat = itertools.chain.from_iterable(flat)
-    mask = _live_labels(sizes, depth)
-    out = _projections(len(ops), max(sizes, default=0), depth).repeat(
-        len(sizes), axis=1)
-    out[:, mask] = np.fromiter(flat, dtype=np.intp).reshape(len(ops), -1)
-    out.flags.writeable = False
-    return out
+def _padded(values, sizes, depth):
+    """``values`` [op, variable, arg_1, ..., arg_depth], over the largest
+    domain, as the read-only stack every operation object holds: each entry
+    beyond a variable's domain is replaced by a projection, operation k's
+    onto argument k mod depth.  The padding is conservative, and no padded
+    label pair commutes under a binary pair, so the contract checks need no
+    mask of the live entries."""
+    return _frozen(np.where(_live_labels(sizes, depth), values, _projections(
+        len(values), max(sizes, default=0), depth)))[0]
+
+
+def _stacked(ops, sizes, depth, what):
+    """Per-variable label tables of several operations, nested sequences,
+    checked and laid out as ``_padded`` lays them out; ``what`` names a
+    table in the errors."""
+    flat = []
+    for tables in ops:
+        for i, size in enumerate(sizes):
+            level = [tables[i]]
+            for _ in range(depth):
+                if set(map(len, level)) != {size}:
+                    raise VcspError(f"{what} for variable {i} has wrong shape")
+                level = list(itertools.chain.from_iterable(level))
+            flat += level
+    live = _live_labels(sizes, depth)
+    out = np.zeros((len(ops),) + live.shape, dtype=np.intp)
+    out[:, live] = np.array(flat, dtype=np.intp).reshape(len(ops), -1)
+    top = np.array(sizes, dtype=np.intp).reshape((-1,) + (1,) * depth)
+    bad = (out < 0) | (out >= top)
+    if bad.any():
+        raise VcspError(f"{what} for variable {_first_true(bad)[1]} has "
+                        "out-of-range label")
+    return _padded(out, sizes, depth)
+
+
+def _nested(stack, sizes):
+    """Per-variable tables of one operation's stack [variable, arg, ...], as
+    nested tuples of Python ints."""
+    def tuples(rows):
+        return tuple(map(tuples, rows)) if isinstance(rows, list) else rows
+    return tuple(tuples(table[(slice(s),) * table.ndim].tolist())
+                 for table, s in zip(stack, sizes))
 
 
 @functools.lru_cache(maxsize=16)
@@ -129,16 +160,6 @@ def _triple_grids(size):
         count == 2, count <= 2, major, np.stack((major, major, minor))[:, None]))
 
 
-def _pair_mask(pairs, size):
-    """A ``PairSet`` as a bool array [variable, a, b], True at its pairs
-    (a < b), padded to ``size`` labels."""
-    mask = np.zeros(len(pairs.members) * size * size, dtype=bool)
-    mask[[(i * size + a) * size + b
-          for i, members in enumerate(pairs.members)
-          for a, b in members]] = True
-    return mask.reshape(len(pairs.members), size, size)
-
-
 def _image_codes(pair):
     """The image pair (a meet b, a join b) of every label pair as one code
     ``meet * size + join``, [variable, a, b] over the padded size: equal
@@ -160,119 +181,133 @@ def all_label_pairs(size):
     return [(a, b) for a in range(size) for b in range(a + 1, size)]
 
 
-@dataclass(frozen=True)
-class PairSet:
-    """Per-variable sets of unordered label pairs (the commutative side)."""
+class _Held:
+    """The one stored form of an operation object: its domains and one
+    read-only array over the largest domain, padded as ``_pad`` pads it."""
 
-    domains: DomainSpec
-    members: tuple  # per variable: frozenset of (a, b) with a < b
+    __slots__ = ("domains", "_array")
 
-    def __post_init__(self):
-        if len(self.members) != self.domains.variable_count:
+    @classmethod
+    def of(cls, domains, array):
+        """The object holding ``array``, laid out as the class holds it; its
+        entries beyond each variable's domain may hold anything."""
+        out = object.__new__(cls)
+        out.domains = domains
+        out._array = cls._pad(array, domains.sizes)
+        return out
+
+
+class PairSet(_Held):
+    """Per-variable sets of unordered label pairs (the commutative side),
+    held as one bool ``mask`` [variable, a, b], True at the pairs a < b of
+    the set."""
+
+    __slots__ = ()
+
+    def __init__(self, domains, members):
+        if len(members) != domains.variable_count:
             raise VcspError("pair set must cover every variable")
-        norm = []
-        for i, pairs in enumerate(self.members):
-            size = self.domains.sizes[i]
-            clean = set()
+        size = max(domains.sizes, default=0)
+        codes = []
+        for i, (pairs, s) in enumerate(zip(members, domains.sizes)):
             for a, b in pairs:
-                if a == b or not (0 <= a < size and 0 <= b < size):
+                if a == b or not (0 <= a < s and 0 <= b < s):
                     raise VcspError(f"bad pair {(a, b)} for variable {i}")
-                clean.add(_pair_key(a, b))
-            norm.append(frozenset(clean))
-        object.__setattr__(self, "members", tuple(norm))
+                codes.append((i * size + min(a, b)) * size + max(a, b))
+        mask = np.zeros((len(members), size, size), dtype=bool)
+        mask.flat[codes] = True
+        self.domains = domains
+        self._array = self._pad(mask, domains.sizes)
+
+    @staticmethod
+    def _pad(mask, sizes):
+        return _frozen(mask & _pair_grids(mask.shape[-1])[0]
+                       & _live_labels(sizes, 2))[0]
 
     @classmethod
     def full(cls, domains):
-        return cls(domains, tuple(
-            frozenset(all_label_pairs(s)) for s in domains.sizes))
+        return cls.of(domains, ~cls.empty(domains).mask)
 
     @classmethod
     def empty(cls, domains):
-        return cls(domains, tuple(frozenset() for _ in domains.sizes))
+        return cls(domains, [()] * domains.variable_count)
 
-    def universe(self, i):
-        return all_label_pairs(self.domains.sizes[i])
+    @property
+    def mask(self):
+        return self._array
+
+    @property
+    def members(self):
+        """Per variable, the frozenset of its pairs (a, b), a < b."""
+        return tuple(frozenset(map(tuple, np.argwhere(pairs).tolist()))
+                     for pairs in self._array)
+
+    def outside(self):
+        """The mask of the label pairs a < b not in the set."""
+        return self._pad(~self._array, self.domains.sizes)
 
     def complement(self, i):
-        return sorted(set(self.universe(i)) - self.members[i])
+        return [tuple(p) for p in np.argwhere(self.outside()[i]).tolist()]
 
     def is_full(self):
-        return all(
-            len(self.members[i]) == len(self.universe(i))
-            for i in range(self.domains.variable_count))
-
-    def with_added(self, i, pairs):
-        members = list(self.members)
-        members[i] = members[i] | {_pair_key(a, b) for a, b in pairs}
-        return PairSet(self.domains, tuple(members))
+        return not self.outside().any()
 
     def total_size(self):
-        return sum(len(m) for m in self.members)
+        return int(self._array.sum())
 
 
-class BinaryPair:
-    """Per-variable (meet, join) tables, D_i x D_i -> D_i each."""
+class BinaryPair(_Held):
+    """Per-variable (meet, join) tables, D_i x D_i -> D_i each, held as one
+    padded stack [op, variable, a, b] (``index_stacks``)."""
 
-    __slots__ = ("domains", "meet_tables", "join_tables", "_stacks")
+    __slots__ = ()
 
     def __init__(self, domains, meet_tables, join_tables):
         self.domains = domains
-        self._stacks = None
-        self.meet_tables = tuple(tuple(tuple(r) for r in t) for t in meet_tables)
-        self.join_tables = tuple(tuple(tuple(r) for r in t) for t in join_tables)
-        for i, s in enumerate(domains.sizes):
-            for t in (self.meet_tables[i], self.join_tables[i]):
-                if len(t) != s or any(len(r) != s for r in t):
-                    raise VcspError(f"operation table for variable {i} has wrong shape")
-                if any(not 0 <= v < s for r in t for v in r):
-                    raise VcspError(f"operation table for variable {i} has out-of-range label")
+        self._array = _stacked((meet_tables, join_tables), domains.sizes, 2,
+                               "operation table")
+
+    _pad = staticmethod(functools.partial(_padded, depth=2))
 
     @classmethod
     def min_max(cls, domains):
-        tabs_min = []
-        tabs_max = []
-        for s in domains.sizes:
-            tabs_min.append([[min(a, b) for b in range(s)] for a in range(s)])
-            tabs_max.append([[max(a, b) for b in range(s)] for a in range(s)])
-        return cls(domains, tabs_min, tabs_max)
+        grid = np.indices((max(domains.sizes, default=0),) * 2, dtype=np.intp)
+        return cls.of(domains, np.stack((grid.min(axis=0),
+                                         grid.max(axis=0)))[:, None])
 
     def index_stacks(self):
         """Meet and join as one padded ``intp`` array [op, variable, a, b]."""
-        if self._stacks is None:
-            self._stacks = _stacked((self.meet_tables, self.join_tables),
-                                    self.domains.sizes, 2)
-        return self._stacks
+        return self._array
+
+    @property
+    def meet_tables(self):
+        return _nested(self._array[0], self.domains.sizes)
+
+    @property
+    def join_tables(self):
+        return _nested(self._array[1], self.domains.sizes)
 
     def meet(self, i, a, b):
-        return self.meet_tables[i][a][b]
+        return int(self._array[0, i, a, b])
 
     def join(self, i, a, b):
-        return self.join_tables[i][a][b]
-
-    def with_tables(self, i, meet_table, join_table):
-        meets = list(self.meet_tables)
-        joins = list(self.join_tables)
-        meets[i] = meet_table
-        joins[i] = join_table
-        return BinaryPair(self.domains, meets, joins)
+        return int(self._array[1, i, a, b])
 
 
-class TernaryOp:
-    """One per-variable ternary table, D_i^3 -> D_i."""
+class TernaryOp(_Held):
+    """One per-variable ternary table, D_i^3 -> D_i, held as one padded
+    stack [variable, a, b, c] (``index_stack``)."""
 
-    __slots__ = ("domains", "tables", "_stack")
+    __slots__ = ()
     arity = 3
 
     def __init__(self, domains, tables):
         self.domains = domains
-        self._stack = None
-        self.tables = tuple(
-            tuple(tuple(tuple(r) for r in s) for s in t) for t in tables)
-        for i, size in enumerate(domains.sizes):
-            t = self.tables[i]
-            if len(t) != size or any(
-                    len(s) != size or any(len(r) != size for r in s) for s in t):
-                raise VcspError(f"ternary table for variable {i} has wrong shape")
+        self._array = _stacked((tables,), domains.sizes, 3, "ternary table")[0]
+
+    @staticmethod
+    def _pad(stack, sizes):  # as operation 0 of a stack
+        return _padded(stack[None], sizes, 3)[0]
 
     @classmethod
     def from_function(cls, domains, fn):
@@ -282,73 +317,55 @@ class TernaryOp:
                             for b in range(size)] for a in range(size)])
         return cls(domains, tables)
 
-    @classmethod
-    def from_stack(cls, domains, stack):
-        """The operation held by a stack [variable, a, b, c] padded as
-        ``index_stack`` pads it; the stack becomes that ``index_stack``."""
-        out = cls(domains, [stack[i, :s, :s, :s].tolist()
-                            for i, s in enumerate(domains.sizes)])
-        stack.flags.writeable = False
-        out._stack = stack
-        return out
-
     def index_stack(self):
         """The tables as one padded ``intp`` array [variable, a, b, c]."""
-        if self._stack is None:
-            self._stack = _stacked((self.tables,), self.domains.sizes, 3)[0]
-        return self._stack
+        return self._array
+
+    @property
+    def tables(self):
+        return _nested(self._array, self.domains.sizes)
 
     def apply(self, i, a, b, c):
-        return self.tables[i][a][b][c]
+        return int(self._array[i, a, b, c])
 
 
-class MjnTriple:
-    """Per-variable triple of ternary tables (two majority-like, one minority)."""
+class MjnTriple(_Held):
+    """Per-variable triple of ternary operations (two majority-like, one
+    minority), held as one padded stack [component, variable, a, b, c]
+    (``index_stacks``)."""
 
-    __slots__ = ("domains", "ops", "_stacks")
+    __slots__ = ()
 
     def __init__(self, domains, op1, op2, op3):
-        if not isinstance(op1, TernaryOp):
-            op1 = TernaryOp(domains, op1)
-            op2 = TernaryOp(domains, op2)
-            op3 = TernaryOp(domains, op3)
+        """Three ``TernaryOp``s, or the three components' per-variable
+        tables."""
+        ops = (op1, op2, op3)
         self.domains = domains
-        self.ops = (op1, op2, op3)
-        self._stacks = None
+        self._array = (
+            self._pad(np.stack([op.index_stack() for op in ops]), domains.sizes)
+            if isinstance(op1, TernaryOp)
+            else _stacked(ops, domains.sizes, 3, "ternary table"))
+
+    _pad = staticmethod(functools.partial(_padded, depth=3))
 
     @classmethod
     def canonical(cls, domains):
-        """The textbook majority/majority/minority triple."""
+        """The textbook majority/majority/minority triple; on three distinct
+        labels its components return the first, second and third."""
+        g = _triple_grids(max(domains.sizes, default=0))
+        return cls.of(domains, np.where(g.at_most_two, g.contract,
+                                        np.stack((g.a, g.b, g.c))[:, None]))
 
-        def mj1(i, x, y, z):
-            return y if y == z else x
-
-        def mj2(i, x, y, z):
-            return x if x == z else y
-
-        def mn3(i, x, y, z):
-            if y == z and z != x:
-                return x
-            if x == z and z != y:
-                return y
-            return z
-
-        return cls(
-            domains,
-            TernaryOp.from_function(domains, mj1),
-            TernaryOp.from_function(domains, mj2),
-            TernaryOp.from_function(domains, mn3),
-        )
+    @property
+    def ops(self):
+        return tuple(TernaryOp.of(self.domains, comp) for comp in self._array)
 
     def index_stacks(self):
         """The three components as one ``intp`` array [op, variable, a, b, c]."""
-        if self._stacks is None:
-            self._stacks = _stacked([op.tables for op in self.ops],
-                                    self.domains.sizes, 3)
-        return self._stacks
+        return self._array
 
     def apply(self, pos, i, a, b, c):
-        return self.ops[pos].apply(i, a, b, c)
+        return int(self._array[pos, i, a, b, c])
 
 
 def is_stp_on(pair, m=None):
@@ -362,8 +379,7 @@ def is_stp_on(pair, m=None):
     code = _image_codes(pair)
     upper, same, swapped = _pair_grids(code.shape[-1])
     not_conservative = (code != same) & (code != swapped)
-    wanted = (upper & _live_labels(pair.domains.sizes, 2) if m is None
-              else _pair_mask(m, code.shape[-1]))
+    wanted = upper & _live_labels(pair.domains.sizes, 2) if m is None else m.mask
     not_commutative = (code != code.swapaxes(1, 2)) & wanted
     if not (not_conservative.any() or not_commutative.any()):
         return True, None
@@ -389,14 +405,8 @@ def is_mjn_on(triple, target):
     third component's contract.
     """
     stacks = triple.index_stacks()
-    return _mjn_contract(stacks, _pair_mask(target, stacks.shape[-1]))
-
-
-def _mjn_contract(stacks, pairs):
-    """``is_mjn_on`` over a triple's padded stacks [component, variable, a,
-    b, c], with its target pairs as a bool mask [variable, a, b]."""
     g = _triple_grids(stacks.shape[-1])
-    wanted = g.two_valued & pairs[:, g.lo, g.hi]
+    wanted = g.two_valued & target.mask[:, g.lo, g.hi]
     bad = np.concatenate(((stacks != g.a) & (stacks != g.b) & (stacks != g.c),
                           wanted & (stacks != g.contract)))
     if not bad.any():
@@ -418,7 +428,7 @@ def _cost_groups(terms):
     costs and no sum of three overflows.  Otherwise all costs go into an
     object array, INF included: exact tables as their scaled Python ints,
     compared exactly, other tables (floats, any other mix) as their Python
-    values, compared within ``FLOAT_TOL``.
+    values, compared within the ``tolerance`` of the group's costs.
     """
     entries = [term.table.entries for term in terms]
     exact = [True] * len(terms)
@@ -450,7 +460,7 @@ def _cost_groups(terms):
         yield (idxs, shape, values[entries_at].reshape(len(idxs), -1),
                feasible[entries_at].reshape(len(idxs), -1),
                scopes[scopes_at].reshape(len(idxs), len(shape)),
-               tolerance(scale if x else None))
+               tolerance(scale if x else None, values[entries_at]))
 
 
 @functools.lru_cache(maxsize=256)
@@ -610,12 +620,12 @@ def build_majority(pair, triple):
         return meet[var, meet[var, join[var, y, x], join[var, y, z]],
                     join[var, x, z]]
 
-    mu = triple.index_stacks()[0][
-        var, mu_bar(a, b, c), mu_bar(b, c, a), mu_bar(c, a, b)]
-    live = _live_labels(pair.domains.sizes, 3)
-    mu = np.where(live, mu, a)  # the padding of a one-operation stack
-    not_conservative = (mu != a) & (mu != b) & (mu != c)
-    not_majority = g.at_most_two & (mu != g.major) & live
+    mu = TernaryOp.of(pair.domains, triple.index_stacks()[0][
+        var, mu_bar(a, b, c), mu_bar(b, c, a), mu_bar(c, a, b)])
+    stack = mu.index_stack()
+    not_conservative = (stack != a) & (stack != b) & (stack != c)
+    not_majority = (g.at_most_two & (stack != g.major)
+                    & _live_labels(pair.domains.sizes, 3))
     if not_conservative.any() or not_majority.any():
         i, x, y, z, check = _first_true(
             np.stack((not_conservative, not_majority), axis=-1))
@@ -624,7 +634,7 @@ def build_majority(pair, triple):
              "derived operation is not majority on a two-value triple; "
              "the input operation system is invalid")[check],
             witness=(i, (x, y, z)))
-    return TernaryOp.from_stack(pair.domains, mu)
+    return mu
 
 
 def normalize_pairset(pair, m):
@@ -635,14 +645,8 @@ def normalize_pairset(pair, m):
     """
     code = _image_codes(pair)
     upper, _, _ = _pair_grids(code.shape[-1])
-    extra = ((code == code.swapaxes(1, 2)) & upper
-             & ~_pair_mask(m, code.shape[-1]))
-    if not extra.any():
-        return m
-    members = [set(pairs) for pairs in m.members]
-    for i, a, b in np.argwhere(extra).tolist():
-        members[i].add((a, b))
-    return PairSet(m.domains, tuple(members))
+    extra = (code == code.swapaxes(1, 2)) & upper & ~m.mask
+    return PairSet.of(m.domains, m.mask | extra) if extra.any() else m
 
 
 @dataclass(frozen=True)
@@ -665,12 +669,8 @@ class OperationSystem:
                 f"binary pair violates its contract: {witness[2]} "
                 f"at variable {witness[0]}, labels {witness[1]}",
                 witness=witness)
-        # is_mjn_on on the pairs outside M
-        stacks = self.triple.index_stacks()
-        upper, _, _ = _pair_grids(stacks.shape[-1])
-        outside_m = (upper & _live_labels(self.domains.sizes, 2)
-                     & ~_pair_mask(self.m, stacks.shape[-1]))
-        ok, witness = _mjn_contract(stacks, outside_m)
+        ok, witness = is_mjn_on(self.triple,
+                                PairSet.of(self.domains, self.m.outside()))
         if not ok:
             raise ValidationError(
                 f"ternary triple violates its contract: {witness[2]} "

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .consistency import image
 from .errors import StageError
 from .operations import (
+    BinaryPair,
     OperationSystem,
     PairSet,
     check_binary_multimorphism,
@@ -37,11 +40,8 @@ class ReductionState:
 
 def find_seed(m):
     """Smallest (variable, pair) still outside m, or None when m is full."""
-    for i in range(m.domains.variable_count):
-        comp = m.complement(i)
-        if comp:
-            return i, comp[0]
-    return None
+    outside = np.argwhere(m.outside()).tolist()
+    return (outside[0][0], tuple(outside[0][1:])) if outside else None
 
 
 def grow_uab(seed, net):
@@ -111,7 +111,7 @@ def check_region_invariants(state, net, m):
         for a in sorted(state.a_sets[i]):
             for b in sorted(state.b_sets[i]):
                 key = (a, b) if a < b else (b, a)
-                if key in m.members[i]:
+                if m.mask[(i,) + key]:
                     return ("b", (i, key))
     for i in sorted(state.members):
         if i == k:
@@ -140,22 +140,19 @@ def check_region_invariants(state, net, m):
 
 
 def apply_modification(state, ops):
-    """Make every A_i x B_i pair commutative and add it to the pair set."""
-    pair = ops.pair
-    m = ops.m
-    for i in sorted(state.members):
-        size = pair.domains.sizes[i]
-        meet = [list(r) for r in pair.meet_tables[i]]
-        join = [list(r) for r in pair.join_tables[i]]
-        new_pairs = []
-        for a in sorted(state.a_sets[i]):
-            for b in sorted(state.b_sets[i]):
-                meet[a][b] = meet[b][a] = a
-                join[a][b] = join[b][a] = b
-                new_pairs.append((a, b))
-        pair = pair.with_tables(i, meet, join)
-        m = m.with_added(i, new_pairs)
-    return OperationSystem(pair, ops.triple, m)
+    """Make every A_i x B_i pair commutative and add it to the pair set,
+    in one copy of the pair's stacks and of M's mask (A_i and B_i are
+    disjoint, so no two entries written collide)."""
+    i, a, b = np.array([(i, a, b) for i in state.members
+                        for a in state.a_sets[i] for b in state.b_sets[i]],
+                       dtype=np.intp).reshape(-1, 3).T
+    meet, join = stacks = ops.pair.index_stacks().copy()
+    meet[i, a, b] = meet[i, b, a] = a
+    join[i, a, b] = join[i, b, a] = b
+    mask = ops.m.mask.copy()
+    mask[i, np.minimum(a, b), np.maximum(a, b)] = True
+    return OperationSystem(BinaryPair.of(ops.domains, stacks), ops.triple,
+                           PairSet.of(ops.domains, mask))
 
 
 def scan_pair_coupling(net, m):

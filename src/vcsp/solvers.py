@@ -12,10 +12,11 @@ keep their values.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .consistency import restrict_instance, run_stage1
 from .costs import INF, cost_eq, integer_costs, tolerance
@@ -67,7 +68,7 @@ class TournamentOrder:
 
 
 def extract_tournament_order(pair):
-    """Orient every label pair by the meet table and test transitivity.
+    """Orient every label pair by the meet stack and test transitivity.
 
     Label a lies below b when a meet b is a.  A tournament on s labels is
     transitive exactly when the numbers of labels each label lies below are
@@ -79,22 +80,19 @@ def extract_tournament_order(pair):
     if not ok:
         raise VcspError(
             f"pair must be conservative and fully commutative; got {witness}")
-    orders = []
-    cycles = []
-    for table in pair.meet_tables:
-        size = len(table)
-        order = [None] * size
-        for a, row in enumerate(table):
-            order[size - row.count(a)] = a  # row.count(a) counts a meet a too
-        if None in order:
-            orders.append(None)
-            cycles.append(next(
-                (a, b, c) for a, b, c in itertools.product(range(size), repeat=3)
-                if table[a][b] == a != b and table[b][c] == b != c
-                and table[c][a] == c != a))
-        else:
-            orders.append(order)
-            cycles.append(None)
+    meet = pair.index_stacks()[0]
+    sizes = np.array(pair.domains.sizes, dtype=np.intp)
+    label = np.arange(meet.shape[-1])
+    live = label < sizes[:, None]
+    below = (meet == label[:, None]) & live[:, None]  # a == b counts too
+    var, a = np.nonzero(live)
+    order = np.full(live.shape, -1)
+    order[var, sizes[var] - below[var, a].sum(axis=1)] = a
+    orders = [row[:s] if -1 not in row[:s] else None
+              for row, s in zip(order.tolist(), pair.domains.sizes)]
+    cycles = [None if row is not None else tuple(np.argwhere(
+        (label[:, None] != label)[:, :, None] & b[:, :, None] & b[None]
+        & b.T[:, None])[0].tolist()) for row, b in zip(orders, below)]
     return TournamentOrder(orders, cycles)
 
 
@@ -260,7 +258,7 @@ class CutEncoding:
         self.unary_acc = [[0] * s for s in sizes]
         self.scale, tables = integer_costs(
             [term.table.entries for term in instance.terms])
-        self.tol = tolerance(self.scale)
+        self.tol = tolerance(self.scale, (c for t in tables for c in t))
         for first, s in zip(self.first_node, sizes):
             for node in range(first, first + s - 2):
                 self._add(node + 1, node, INF)

@@ -27,6 +27,9 @@ that repeats some other variable its projections may be larger than those
 of the merged term; elsewhere they are the same.
 ``loop_restrict_operation_system`` is ``restrict_operation_system`` with
 the label maps rebuilt for every table, in three loops.
+``loop_apply_modification`` is ``apply_modification`` rebuilding the pair
+and the pair set from nested tuples once per region variable, through
+``with_tables`` and ``with_added``.
 
 ``apply_pair``, ``conservative_violation``, ``classify_pair``,
 ``check_polymorphism`` and ``check_global_multimorphism`` are per-entry
@@ -50,8 +53,26 @@ from vcsp.costs import INF, is_finite
 from vcsp.errors import CapExceeded, StageError, ValidationError, VcspError
 from vcsp.model import DEFAULT_CAP, CostTable, DomainSpec, Instance, Term
 from vcsp.operations import (BinaryPair, MjnTriple, OperationSystem, PairSet,
-                             TernaryOp, _pair_key, all_label_pairs)
+                             TernaryOp, all_label_pairs)
 from vcsp.solvers import MaxFlow, TournamentOrder
+
+
+def _pair_key(a, b):
+    return (a, b) if a < b else (b, a)
+
+
+def with_added(m, i, pairs):
+    """The pair set ``m`` with ``pairs`` added to variable i's."""
+    members = list(m.members)
+    members[i] = members[i] | {_pair_key(a, b) for a, b in pairs}
+    return PairSet(m.domains, tuple(members))
+
+
+def with_tables(pair, i, meet_table, join_table):
+    """The binary pair ``pair`` with variable i's tables replaced."""
+    meets, joins = list(pair.meet_tables), list(pair.join_tables)
+    meets[i], joins[i] = meet_table, join_table
+    return BinaryPair(pair.domains, meets, joins)
 
 
 def cost_le(a, b, tol=0):
@@ -310,7 +331,7 @@ def loop_normalize_pairset(pair, m):
                     and pair.join(i, a, b) == pair.join(i, b, a)):
                 extra.append((a, b))
         if extra:
-            out = out.with_added(i, extra)
+            out = with_added(out, i, extra)
     return out
 
 
@@ -582,3 +603,21 @@ def loop_restrict_operation_system(ops, keep):
         members.append(frozenset(kept))
     m = PairSet(domains, tuple(members))
     return OperationSystem(pair, triple, m)
+
+
+def loop_apply_modification(state, ops):
+    """Make every A_i x B_i pair commutative and add it to the pair set."""
+    pair = ops.pair
+    m = ops.m
+    for i in sorted(state.members):
+        meet = [list(r) for r in pair.meet_tables[i]]
+        join = [list(r) for r in pair.join_tables[i]]
+        new_pairs = []
+        for a in sorted(state.a_sets[i]):
+            for b in sorted(state.b_sets[i]):
+                meet[a][b] = meet[b][a] = a
+                join[a][b] = join[b][a] = b
+                new_pairs.append((a, b))
+        pair = with_tables(pair, i, meet, join)
+        m = with_added(m, i, new_pairs)
+    return OperationSystem(pair, ops.triple, m)

@@ -24,9 +24,9 @@ UNARY_3X3 = ("vcsp 2\ndomains 3 3\nterm 1 1\ndefault 0\nentry 2 1\n"
 
 def pair_not_conservative():
     system = minmax_system(D3)
-    meet = [list(r) for r in system.pair.meet_tables[1]]
-    meet[1][2] = 0
-    pair = system.pair.with_tables(1, meet, system.pair.join_tables[1])
+    meets = [[list(r) for r in t] for t in system.pair.meet_tables]
+    meets[1][1][2] = 0
+    pair = BinaryPair(D3, meets, system.pair.join_tables)
     return UNARY_3X3, OperationSystem(pair, system.triple, system.m)
 
 
@@ -428,8 +428,9 @@ def projection_first():
     """The canonical triple, with min/max on variables 1 and 2 and, on
     variable 0, the projection pair (meet = first, join = second
     argument), which does not commute: stage 2 rewrites it."""
-    pair = BinaryPair.min_max(D2X3).with_tables(
-        0, [[0, 0], [1, 1]], [[0, 1], [0, 1]])
+    minmax = BinaryPair.min_max(D2X3)
+    pair = BinaryPair(D2X3, ([[0, 0], [1, 1]],) + minmax.meet_tables[1:],
+                      ([[0, 1], [0, 1]],) + minmax.join_tables[1:])
     m = PairSet(D2X3, (frozenset(), frozenset({(0, 1)}), frozenset({(0, 1)})))
     return OperationSystem(pair, MjnTriple.canonical(D2X3), m)
 

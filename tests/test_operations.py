@@ -533,7 +533,7 @@ def kernel_cases(seed, count):
             rng, tuple(domains.sizes[i] for i in scope), kind)
         if kind != "float":
             rng.random()  # keeps the seeded sequence of cases
-        tol = tolerance(integer_costs([table.entries])[0])
+        tol = tolerance(integer_costs([table.entries])[0], table.entries)
         yield (table, scope, *random_operations(rng, domains), tol)
 
 
@@ -569,6 +569,23 @@ def test_kernel_row_blocks_match_loops(monkeypatch):
         if len(table.dom()) <= 8:
             assert (ternary_on(table, triple, scope)
                     == loop_ternary_multimorphism(table, triple, scope, tol))
+
+
+def test_float_tolerance_scales_with_cost_magnitude():
+    # modular float tables near 1e17: f(x meet y) + f(x join y) equals
+    # f(x) + f(y) up to rounding, which at that scale is far above 1e-9
+    rng = random.Random(20290)
+    pair = BinaryPair.min_max(DomainSpec((3, 3)))
+    for _ in range(2000):
+        g, h = ([1e17 * (1 + rng.random()) for _ in range(3)]
+                for _ in range(2))
+        t = CostTable((3, 3), [g[a] + h[b] for a in range(3)
+                               for b in range(3)])
+        assert binary_on(t, pair, (0, 1)) == (True, None)
+    # an excess of 1e-6 relative still fails at that scale
+    t = CostTable((2, 2), [1e17, 1e17, 1e17, 1e17 * (1 + 1e-6)])
+    assert binary_on(t, BinaryPair.min_max(DomainSpec((2, 2))), (0, 1)) == (
+        False, ((0, 1), (1, 0)))
 
 
 def test_kernel_paths_on_fixed_tables():
@@ -613,7 +630,8 @@ def loop_over_terms(loop, terms, ops):
     its own costs imply: (True, None) or (False, (index of the first failing
     term, its witness)), the contract of the batched checks."""
     for idx, term in enumerate(terms):
-        tol = tolerance(integer_costs([term.table.entries])[0])
+        tol = tolerance(integer_costs([term.table.entries])[0],
+                        term.table.entries)
         ok, witness = loop(term.table, ops, term.scope, tol)
         if not ok:
             return False, (idx, witness)
@@ -724,7 +742,8 @@ def test_instance_check_matches_term_loop():
             continue
         want = (True, None, None)
         for idx, term in enumerate(terms):
-            tol = tolerance(integer_costs([term.table.entries])[0])
+            tol = tolerance(integer_costs([term.table.entries])[0],
+                            term.table.entries)
             ok, w = loop_binary_multimorphism(term.table, pair, term.scope, tol)
             if not ok:
                 want = (False, idx, ("binary", w))
@@ -760,11 +779,11 @@ def break_system(rng, system, kind):
     i = rng.randrange(d.variable_count)
     size = d.sizes[i]
     if kind == "pair-entry":  # one meet or join entry, often not conservative
-        tables = [[list(r) for r in t]
-                  for t in (pair.meet_tables[i], pair.join_tables[i])]
-        tables[rng.randrange(2)][rng.randrange(size)][rng.randrange(size)] = (
-            rng.randrange(size))
-        pair = pair.with_tables(i, *tables)
+        tables = [[[list(r) for r in t] for t in ts]
+                  for ts in (pair.meet_tables, pair.join_tables)]
+        tables[rng.randrange(2)][i][rng.randrange(size)][
+            rng.randrange(size)] = rng.randrange(size)
+        pair = BinaryPair(d, *tables)
     elif kind == "m":  # M drawn regardless of where the pair commutes
         m = PairSet(d, tuple(
             frozenset(p for p in all_label_pairs(s) if rng.random() < 0.5)
@@ -837,7 +856,7 @@ def test_validation_masks_match_loops_witness_for_witness():
         assert outcome(OperationSystem(pair, triple, m).validate)[1] == want
 
         got = normalize_pairset(pair, m)
-        assert got == loop_normalize_pairset(pair, m)
+        assert got.members == loop_normalize_pairset(pair, m).members
         assert_plain_ints(tuple(p for pairs in got.members for p in pairs))
 
         got = outcome(build_majority, pair, triple)
@@ -861,3 +880,27 @@ def test_validation_masks_match_loops_witness_for_witness():
             ("first", "majority"), ("second", "majority"),
             ("third", "minority"))}
     assert len({key for key in seen if key[0] == "majority"}) == 3
+
+
+def test_only_operations_reads_nested_tables():
+    # the nested tuples are derived from the arrays on every read; the rest
+    # of the package works on the arrays.  ``members`` of a region state
+    # (``state``, ``self`` in reduction.py) is stage 2's variable set U.
+    import ast
+    import pathlib
+
+    import vcsp
+    found = []
+    for path in sorted(pathlib.Path(vcsp.__file__).parent.glob("*.py")):
+        if path.name == "operations.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Attribute) and node.attr in (
+                    "meet_tables", "join_tables", "tables", "members")):
+                continue
+            if (node.attr == "members" and path.name == "reduction.py"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("state", "self")):
+                continue
+            found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert found == []

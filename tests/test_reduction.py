@@ -23,6 +23,7 @@ from vcsp.consistency import (
     restrict_operation_system,
     support_maps,
 )
+from vcsp.io_formats import serialize_ops
 from vcsp.operations import OperationSystem, all_label_pairs, is_stp_on
 from vcsp.reduction import (
     ReductionState,
@@ -34,6 +35,7 @@ from vcsp.reduction import (
 )
 
 from harness import random_boolean_mjn_instance, random_system
+from oracles import loop_apply_modification
 
 
 def make_net(sizes, relations):
@@ -45,6 +47,29 @@ def make_net(sizes, relations):
             mat[a, b] = True
         net.intersect(i, j, mat)
     return net
+
+
+def checked_rewrite(state, ops):
+    """``apply_modification``, checked against the tuple-based oracle."""
+    out = apply_modification(state, ops)
+    assert serialize_ops(out) == serialize_ops(
+        loop_apply_modification(state, ops))
+    return out
+
+
+@pytest.fixture
+def rewrites(monkeypatch):
+    """Route ``run_stage2``'s rewrites through ``checked_rewrite``; yields
+    the list of their region states."""
+    import vcsp.reduction as reduction
+    states = []
+
+    def rewrite(state, ops):
+        states.append(state)
+        return checked_rewrite(state, ops)
+
+    monkeypatch.setattr(reduction, "apply_modification", rewrite)
+    return states
 
 
 def stage1(instance):
@@ -168,7 +193,7 @@ class TestApplyModification:
             net = make_net([3, 3], {(0, 1): [(a, a) for a in range(3)]})
             seed = find_seed(system.m)
             state = grow_uab(seed, net)
-            out = apply_modification(state, system)
+            out = checked_rewrite(state, system)
             for i in range(2):
                 for a in range(3):
                     for b in range(3):
@@ -177,7 +202,7 @@ class TestApplyModification:
 
 
 class TestRunStage2:
-    def test_already_full_stp_is_noop(self):
+    def test_already_full_stp_is_noop(self, rewrites):
         from harness import minmax_system, random_submodular_instance
         rng = random.Random(59)
         inst, system = random_submodular_instance(rng, max_vars=4, max_size=3)
@@ -186,9 +211,9 @@ class TestRunStage2:
         trace = []
         out = run_stage2(inst_r, ops_r, net_r, trace=trace)
         assert out is ops_r
-        assert trace == []
+        assert trace == [] and rewrites == []
 
-    def test_pure_mjn_boolean_reaches_full_stp(self):
+    def test_pure_mjn_boolean_reaches_full_stp(self, rewrites):
         from vcsp.operations import check_binary_multimorphism
         rng = random.Random(61)
         done = 0
@@ -203,7 +228,9 @@ class TestRunStage2:
             net_r = restrict_network(net, keep)
             ops_r = restrict_operation_system(system, keep).normalized()
             trace = []
+            before = len(rewrites)
             out = run_stage2(inst_r, ops_r, net_r, paranoid=True, trace=trace)
+            assert len(rewrites) - before == len(trace)
             assert out.m.is_full()
             ok, _ = is_stp_on(out.pair, PairSet.full(out.domains))
             assert ok
@@ -216,6 +243,7 @@ class TestRunStage2:
                     r"iter \d+ k \d+ seed \d+:\d+ \|U\| \d+ "
                     r"sumA \d+ sumB \d+", line)
             done += 1
+        assert rewrites
 
     def test_m_only_grows_across_iterations(self):
         rng = random.Random(67)
@@ -236,7 +264,7 @@ class TestRunStage2:
                 state = grow_uab(seed, net_r)
                 assert check_region_invariants(state, net_r, ops.m) is None
                 prev = ops.m
-                ops = apply_modification(state, ops)
+                ops = checked_rewrite(state, ops)
                 for i in range(ops.domains.variable_count):
                     assert prev.members[i] <= ops.m.members[i]
                 sizes.append(ops.m.total_size())

@@ -25,7 +25,8 @@ from vcsp import (
     solve_stp,
 )
 from vcsp.consistency import BinaryNetwork
-from vcsp.costs import FLOAT_TOL, integer_costs, is_finite
+from vcsp.costs import (FLOAT_TOL, cost_eq, integer_costs, is_finite,
+                        tolerance)
 from vcsp.operations import OperationSystem, is_stp_on
 from vcsp.solvers import (CutEncoding, MaxFlow, _check_network_closed,
                           _prune_unsupported)
@@ -560,15 +561,37 @@ class TestCutEncodingMatchesLoop:
             n = inst.domains.variable_count
             inst = Instance(DomainSpec(inst.domains.sizes + (2, 2)),
                             terms + [Term(fuzz, (n, n + 1))])
+            # the tolerance is relative to the largest cost
+            tol = tolerance(None, [c for t in inst.terms
+                                   for c in t.table.entries])
+            assert tol >= FLOAT_TOL
             enc = encode(CutEncoding, inst)
-            loop = encode(LoopCutEncoding, inst, FLOAT_TOL)
+            loop = encode(LoopCutEncoding, inst, tol)
             if isinstance(enc, tuple):
                 assert enc == loop
                 continue
-            assert enc.scale is None and enc.tol == FLOAT_TOL
+            assert enc.scale is None and enc.tol == tol
             optimum = assert_same_network(enc, loop)
             solved += optimum is not INF and isinstance(optimum, float)
         assert solved >= 20
+
+
+def test_float_chains_at_large_scale_solve():
+    # solve_stp compares its cut optimum with the cost of its argmin; float
+    # costs near 1e17 round far above 1e-9 in either sum
+    rng = random.Random(20291)
+    for k in range(300):
+        inst, system = submodular_chain(rng, 6)
+        terms = []
+        for t in inst.terms:
+            offset = 1e17 * (1 + rng.random())  # keeps the table submodular
+            terms.append(Term(CostTable(t.table.shape, [
+                float(e) * 1e16 + offset for e in t.table.entries]), t.scope))
+        inst = Instance(inst.domains, terms)
+        res = solve_stp(inst, system.pair)
+        assert res.stats["path"] == "mincut"
+        if k % 10 == 0:
+            assert cost_eq(res.optimum, solve_bruteforce(inst).optimum)
 
 
 def test_integer_costs_one_scale_for_all_tables():
