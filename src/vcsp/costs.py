@@ -68,7 +68,7 @@ def is_finite(c):
     return c is not INF
 
 
-def tolerance(scale, costs=()):
+def tolerance(scale, costs):
     """Exact costs (``integer_costs`` gave them a ``scale``) compare exactly;
     others within ``FLOAT_TOL`` times the largest finite magnitude among
     ``costs``, the costs compared or summed, as float rounding grows with

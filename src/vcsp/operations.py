@@ -28,7 +28,7 @@ all their denominators (int64 below 2**59, Python ints in an object array
 above); INF reads as a value above every sum of finite costs, so that an
 infeasible image is a violation.  Float tables, and any other mix, keep
 their Python values in an object array, and their sums compare within the
-tolerance of the group's costs (``costs.tolerance``).  A check returns the
+tolerance of each table's own costs (``costs.tolerance``).  A check returns the
 first failing term in term order, and as its witness the first violation
 in row-major order over ``table.dom()``.
 """
@@ -418,7 +418,8 @@ def is_mjn_on(triple, target):
 def _cost_groups(terms):
     """The terms grouped by table shape and cost class, each group as
     ``(term indices, shape, costs [term, entry], feasible mask, scopes
-    [term, position], tol)``, in the order of the groups' first terms.
+    [term, position], tol [term])``, in the order of the groups' first
+    terms.
 
     The cost class is whether ``integer_costs`` scales the table.  Exact
     tables share one scale, since scaling every cost by one positive
@@ -428,7 +429,8 @@ def _cost_groups(terms):
     costs and no sum of three overflows.  Otherwise all costs go into an
     object array, INF included: exact tables as their scaled Python ints,
     compared exactly, other tables (floats, any other mix) as their Python
-    values, compared within the ``tolerance`` of the group's costs.
+    values, each table's sums compared within the ``tolerance`` of its own
+    costs, and ``tol`` is None for exact groups.
     """
     entries = [term.table.entries for term in terms]
     exact = [True] * len(terms)
@@ -457,10 +459,11 @@ def _cost_groups(terms):
         entries_at = slice(entry, entry + len(idxs) * math.prod(shape))
         scopes_at = slice(position, position + len(idxs) * len(shape))
         entry, position = entries_at.stop, scopes_at.stop
-        yield (idxs, shape, values[entries_at].reshape(len(idxs), -1),
-               feasible[entries_at].reshape(len(idxs), -1),
+        costs = values[entries_at].reshape(len(idxs), -1)
+        yield (idxs, shape, costs, feasible[entries_at].reshape(len(idxs), -1),
                scopes[scopes_at].reshape(len(idxs), len(shape)),
-               tolerance(scale if x else None, values[entries_at]))
+               None if x else np.array([tolerance(None, row) for row in costs],
+                                       dtype=object))
 
 
 @functools.lru_cache(maxsize=256)
@@ -483,7 +486,7 @@ def _group_violation(shape, costs, feasible, scopes, tol, stacks):
     ``[component, variable, arg_1, ..., arg_k]``.  For every term, every
     ordered k-tuple of its feasible tuples is checked: the summed cost of
     the components' images must be at most the summed cost of the arguments
-    (up to ``tol``), which fails whenever an image is infeasible.  Each
+    (up to the term's ``tol``, if any), which fails whenever an image is infeasible.  Each
     term's feasible tuples are padded to the group's largest count with
     copies of its first one, so a padded k-tuple checks the same as an
     earlier real one and is never the first violation.  Returns None or
@@ -515,6 +518,8 @@ def _group_violation(shape, costs, feasible, scopes, tol, stacks):
         cost = flat.take(dom + base)
         coords = grid[:, dom]  # [position, term, tuple]
     var = scopes.T.reshape((m, count) + (1,) * k)
+    if tol is not None:
+        tol = tol.reshape((count,) + (1,) * k)
     # index that moves a last axis to argument axis a of the k-tuple grid
     along = [(Ellipsis,) + (None,) * a + (slice(None),) + (None,) * (k - 1 - a)
              for a in range(k)]
@@ -537,7 +542,7 @@ def _group_violation(shape, costs, feasible, scopes, tol, stacks):
             left = images[0]
             for more in images[1:]:
                 left = left + more
-            ok = left.reshape(right.shape) <= (right + tol if tol else right)
+            ok = left.reshape(right.shape) <= (right if tol is None else right + tol[tb])
             if not ok.all():
                 bad = ~ok.reshape(held, -1)
                 t = int(bad.any(axis=1).argmax())

@@ -12,11 +12,10 @@ keep their values.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .consistency import restrict_instance, run_stage1
 from .costs import INF, cost_eq, integer_costs, tolerance
@@ -80,19 +79,22 @@ def extract_tournament_order(pair):
     if not ok:
         raise VcspError(
             f"pair must be conservative and fully commutative; got {witness}")
-    meet = pair.index_stacks()[0]
-    sizes = np.array(pair.domains.sizes, dtype=np.intp)
-    label = np.arange(meet.shape[-1])
-    live = label < sizes[:, None]
-    below = (meet == label[:, None]) & live[:, None]  # a == b counts too
-    var, a = np.nonzero(live)
-    order = np.full(live.shape, -1)
-    order[var, sizes[var] - below[var, a].sum(axis=1)] = a
-    orders = [row[:s] if -1 not in row[:s] else None
-              for row, s in zip(order.tolist(), pair.domains.sizes)]
-    cycles = [None if row is not None else tuple(np.argwhere(
-        (label[:, None] != label)[:, :, None] & b[:, :, None] & b[None]
-        & b.T[:, None])[0].tolist()) for row, b in zip(orders, below)]
+    orders = []
+    cycles = []
+    for table, size in zip(pair.index_stacks()[0].tolist(),
+                           pair.domains.sizes):
+        order = [None] * size
+        for a, row in enumerate(table[:size]):
+            order[size - row[:size].count(a)] = a  # counts a meet a too
+        if None in order:
+            orders.append(None)
+            cycles.append(next(
+                (a, b, c) for a, b, c in itertools.product(range(size), repeat=3)
+                if table[a][b] == a != b and table[b][c] == b != c
+                and table[c][a] == c != a))
+        else:
+            orders.append(order)
+            cycles.append(None)
     return TournamentOrder(orders, cycles)
 
 
@@ -239,7 +241,8 @@ class CutEncoding:
     nodes 0 and 1 are the source and the sink.  Exact costs are scaled once
     by ``scale``, the LCM of every denominator in the instance, so every
     capacity is a Python int; with float costs ``scale`` is None and the
-    costs keep their Python values, compared within ``tol`` (``tolerance``).
+    costs keep their Python values, and a term's couplings compare within
+    the ``tolerance`` of its own costs.
     The optimum is (cut + ``offset``) / ``scale``, and ``decode`` maps a
     minimum cut back to an argmin assignment.
     """
@@ -258,7 +261,6 @@ class CutEncoding:
         self.unary_acc = [[0] * s for s in sizes]
         self.scale, tables = integer_costs(
             [term.table.entries for term in instance.terms])
-        self.tol = tolerance(self.scale, (c for t in tables for c in t))
         for first, s in zip(self.first_node, sizes):
             for node in range(first, first + s - 2):
                 self._add(node + 1, node, INF)
@@ -322,6 +324,7 @@ class CutEncoding:
                 "mincut", "row intervals of a pairwise term are not monotone; "
                 "crisp structure is not min/max closed", witness=(i, j))
 
+        tol = tolerance(self.scale, entries)
         node_i = self.first_node[i] - 1  # node of level l is node_i + l
         node_j = self.first_node[j] - 1
         alpha = [[g[l][m] - g[l - 1][m] - g[l][m - 1] + g[l - 1][m - 1]
@@ -329,7 +332,7 @@ class CutEncoding:
         for l in range(1, si):
             for m in range(1, sj):
                 cap = -alpha[l - 1][m - 1]
-                if cap < -self.tol:
+                if cap < -tol:
                     raise StageError(
                         "mincut", "pairwise term is not submodular after "
                         "relabelling", witness=(i, j, l, m))

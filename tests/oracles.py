@@ -17,7 +17,8 @@ replaced: same results, same witnesses and messages.
 ``LoopCutEncoding`` is the min-cut encoding on the instance's own cost
 values (``Fraction`` capacities for exact costs), with one table lookup per
 entry and a dict from (variable, level) to node; ``CutEncoding`` builds the
-same network on costs scaled to integers.  ``loop_prune_unsupported``
+same network on costs scaled to integers.  With ``float_costs`` each
+term's couplings compare within the tolerance of that term's own costs.  ``loop_prune_unsupported``
 rescans every term's table on every sweep.
 
 ``loop_decompose_instance`` is ``decompose_instance`` with one Python pass
@@ -49,7 +50,7 @@ import itertools
 import numpy as np
 
 from vcsp.consistency import BinaryNetwork
-from vcsp.costs import INF, is_finite
+from vcsp.costs import INF, is_finite, tolerance
 from vcsp.errors import CapExceeded, StageError, ValidationError, VcspError
 from vcsp.model import DEFAULT_CAP, CostTable, DomainSpec, Instance, Term
 from vcsp.operations import (BinaryPair, MjnTriple, OperationSystem, PairSet,
@@ -400,9 +401,9 @@ class LoopCutEncoding:
     optimum, and ``decode`` maps a minimum cut back to an argmin assignment.
     """
 
-    def __init__(self, instance, tol=0):
+    def __init__(self, instance, float_costs=False):
         self.instance = instance
-        self.tol = tol
+        self.float_costs = float_costs
         self.offset = 0
         sizes = instance.domains.sizes
         self.node_of = {}
@@ -480,10 +481,11 @@ class LoopCutEncoding:
 
         alpha = [[g(l, m) - g(l - 1, m) - g(l, m - 1) + g(l - 1, m - 1)
                   for m in range(1, sj)] for l in range(1, si)]
+        tol = tolerance(None, table.entries) if self.float_costs else 0
         for l in range(1, si):
             for m in range(1, sj):
                 cap = -alpha[l - 1][m - 1]
-                if cap < -self.tol:
+                if cap < -tol:
                     raise StageError(
                         "mincut", "pairwise term is not submodular after "
                         "relabelling", witness=(i, j, l, m))

@@ -192,6 +192,23 @@ class TestVerify:
         assert main(["verify", "--float", *args]) == 0
         assert capsys.readouterr().out == "ok\n"
 
+    def test_float_tolerance_is_each_terms_own(self, tmp_path, capsys):
+        # term 2 breaks submodularity by 0.5 on costs near 1; term 1, of the
+        # same shape, holds costs near 1e9, so a tolerance taken over both
+        # (about 1) would let term 2 through
+        ipath = tmp_path / "inst.vcsp"
+        ipath.write_text("vcsp 3\ndomains 2 2 2\n"
+                         "term 2 2 3\ndefault 1000000000\n"
+                         "term 2 1 2\ndefault 1\nentry 1 1 1.5\n")
+        opath = tmp_path / "ops.ops"
+        opath.write_text(serialize_ops(minmax_system(DomainSpec((2, 2, 2)))))
+        args = ["--float", str(ipath), str(opath)]
+        assert main(["verify", *args]) == 1
+        assert capsys.readouterr().out == (
+            "violation term 2 binary ((0, 1), (1, 0))\n")
+        assert main(["solve", *args]) == 1
+        assert "term 1 is not submodular" in capsys.readouterr().err
+
     def test_invalid_ops_reported(self, tmp_path, capsys):
         # projection pair with M claiming the pair commutative
         text = ("vcsp 1\ndomains 2\nterm 1 1\ndefault 0\n")

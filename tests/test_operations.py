@@ -720,6 +720,20 @@ def test_batched_checks_match_loops_witness_for_witness():
                 loop_ternary_multimorphism, terms, triple)
             seen["ternary", got[0]] += 1
     assert min(seen.values()) >= 20, seen
+    # each float table compares within its own tolerance: a term that
+    # breaks submodularity by 0.5 on costs near 1 still fails in one group
+    # with a term of the same shape whose costs reach 1e9 or more
+    d = DomainSpec((2, 2))
+    pair = BinaryPair.min_max(d)
+    small = Term(CostTable((2, 2), [1.0, 1.0, 1.0, 1.5]), (0, 1))
+    for big in (1e9, 1e12, 1e17):
+        large = Term(CostTable((2, 2), [big, 2 * big, 3 * big, 4 * big]),
+                     (0, 1))
+        for terms in ([small, large], [large, small], [large, large, small]):
+            got = check_binary_multimorphism(terms, pair)
+            assert got == loop_over_terms(
+                loop_binary_multimorphism, terms, pair)
+            assert got == (False, (terms.index(small), ((0, 1), (1, 0))))
 
 
 def test_batched_checks_in_blocks_match_loops(monkeypatch):

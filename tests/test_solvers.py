@@ -25,8 +25,7 @@ from vcsp import (
     solve_stp,
 )
 from vcsp.consistency import BinaryNetwork
-from vcsp.costs import (FLOAT_TOL, cost_eq, integer_costs, is_finite,
-                        tolerance)
+from vcsp.costs import cost_eq, integer_costs, is_finite
 from vcsp.operations import OperationSystem, is_stp_on
 from vcsp.solvers import (CutEncoding, MaxFlow, _check_network_closed,
                           _prune_unsupported)
@@ -561,19 +560,30 @@ class TestCutEncodingMatchesLoop:
             n = inst.domains.variable_count
             inst = Instance(DomainSpec(inst.domains.sizes + (2, 2)),
                             terms + [Term(fuzz, (n, n + 1))])
-            # the tolerance is relative to the largest cost
-            tol = tolerance(None, [c for t in inst.terms
-                                   for c in t.table.entries])
-            assert tol >= FLOAT_TOL
             enc = encode(CutEncoding, inst)
-            loop = encode(LoopCutEncoding, inst, tol)
+            loop = encode(LoopCutEncoding, inst, True)
             if isinstance(enc, tuple):
                 assert enc == loop
                 continue
-            assert enc.scale is None and enc.tol == tol
+            assert enc.scale is None
             optimum = assert_same_network(enc, loop)
             solved += optimum is not INF and isinstance(optimum, float)
         assert solved >= 20
+
+
+def test_float_tolerance_is_each_terms_own():
+    # the coupling of the 2x2 term on (0, 1) is -0.5 on costs near 1; the
+    # term on (1, 2) reaches 4e9, which would make a tolerance over the
+    # whole instance about 4
+    inst = Instance(DomainSpec((2, 2, 2)), [
+        Term(CostTable((2, 2), [1e9, 2e9, 3e9, 4e9]), (1, 2)),
+        Term(CostTable((2, 2), [1.0, 1.0, 1.0, 1.5]), (0, 1))])
+    assert encode(CutEncoding, inst) == encode(
+        LoopCutEncoding, inst, True) == (
+        StageError, "stage mincut: pairwise term is not submodular after "
+        "relabelling", (0, 1, 1, 1))
+    with pytest.raises(VcspError, match="term 1 is not submodular"):
+        solve_stp(inst, BinaryPair.min_max(inst.domains))
 
 
 def test_float_chains_at_large_scale_solve():
