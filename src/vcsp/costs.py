@@ -70,12 +70,11 @@ def is_finite(c):
 
 def tolerance(scale, costs):
     """Exact costs (``integer_costs`` gave them a ``scale``) compare exactly;
-    others within ``FLOAT_TOL`` times the largest finite magnitude among
-    ``costs``, the costs compared or summed, as float rounding grows with
-    it, or within ``FLOAT_TOL`` below magnitude 1."""
-    if scale is not None:
-        return 0
-    return FLOAT_TOL * max([1] + [abs(c) for c in costs if c is not INF])
+    others within ``FLOAT_TOL`` times the largest finite magnitude (at least
+    1) among ``costs``, the costs compared or summed, as rounding grows with
+    it."""
+    return 0 if scale is not None else FLOAT_TOL * max(
+        [1] + [abs(c) for c in costs if c is not INF])
 
 
 def cost_eq(a, b):

@@ -241,8 +241,7 @@ class CutEncoding:
     nodes 0 and 1 are the source and the sink.  Exact costs are scaled once
     by ``scale``, the LCM of every denominator in the instance, so every
     capacity is a Python int; with float costs ``scale`` is None and the
-    costs keep their Python values, and a term's couplings compare within
-    the ``tolerance`` of its own costs.
+    costs keep their Python values, each term's within its ``tolerance``.
     The optimum is (cut + ``offset``) / ``scale``, and ``decode`` maps a
     minimum cut back to an argmin assignment.
     """
