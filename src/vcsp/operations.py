@@ -27,10 +27,10 @@ group's largest count.  Exact costs are scaled to integers by one LCM of
 all their denominators (int64 below 2**59, Python ints in an object array
 above); INF reads as a value above every sum of finite costs, so that an
 infeasible image is a violation.  Float tables, and any other mix, keep
-their Python values in an object array, and their sums compare within the
-tolerance of each table's own costs (``costs.tolerance``).  A check returns the
-first failing term in term order, and as its witness the first violation
-in row-major order over ``table.dom()``.
+their Python values in an object array, and each table's sums compare
+within the tolerance of its own costs (``costs.tolerance``).  A check
+returns the first failing term in term order, and as its witness the first
+violation in row-major order over ``table.dom()``.
 """
 
 from __future__ import annotations
@@ -418,8 +418,7 @@ def is_mjn_on(triple, target):
 def _cost_groups(terms):
     """The terms grouped by table shape and cost class, each group as
     ``(term indices, shape, costs [term, entry], feasible mask, scopes
-    [term, position], tol [term])``, in the order of the groups' first
-    terms.
+    [term, position], tol [term])``, in the order of the groups' first terms.
 
     The cost class is whether ``integer_costs`` scales the table.  Exact
     tables share one scale, since scaling every cost by one positive
@@ -486,8 +485,8 @@ def _group_violation(shape, costs, feasible, scopes, tol, stacks):
     ``[component, variable, arg_1, ..., arg_k]``.  For every term, every
     ordered k-tuple of its feasible tuples is checked: the summed cost of
     the components' images must be at most the summed cost of the arguments
-    (up to the term's ``tol``, if any), which fails whenever an image is infeasible.  Each
-    term's feasible tuples are padded to the group's largest count with
+    (up to the term's ``tol``), which fails whenever an image is infeasible.
+    Each term's feasible tuples are padded to the group's largest count with
     copies of its first one, so a padded k-tuple checks the same as an
     earlier real one and is never the first violation.  Returns None or
     (position of the first failing term, its witness): the first violation
@@ -542,7 +541,8 @@ def _group_violation(shape, costs, feasible, scopes, tol, stacks):
             left = images[0]
             for more in images[1:]:
                 left = left + more
-            ok = left.reshape(right.shape) <= (right if tol is None else right + tol[tb])
+            ok = left.reshape(right.shape) <= (
+                right if tol is None else right + tol[tb])
             if not ok.all():
                 bad = ~ok.reshape(held, -1)
                 t = int(bad.any(axis=1).argmax())
