@@ -247,10 +247,14 @@ def restrict_instance(instance, keep):
 
     A term whose variables all keep every label, in order, is kept as it is;
     the others gather their new entries with one index into the old ones.
+    When no variable drops or reorders a label, the instance is returned as
+    it is.
     """
-    domains = DomainSpec(tuple(len(k) for k in keep))
     identity = [list(k) == list(range(s))
                 for k, s in zip(keep, instance.domains.sizes)]
+    if len(keep) == len(identity) and all(identity):
+        return instance
+    domains = DomainSpec(tuple(len(k) for k in keep))
     terms = []
     for term in instance.terms:
         if all(identity[i] for i in term.scope):

@@ -77,12 +77,16 @@ def tolerance(scale, costs):
         [1] + [abs(c) for c in costs if c is not INF])
 
 
+#: The types of exact costs, which ``integer_costs`` scales.
+EXACT_TYPES = (int, Fraction)
+
+
 def cost_eq(a, b):
     """a == b, within ``tolerance`` of the two costs; INF equals only INF."""
     if a is INF or b is INF:
         return a is b
-    return a == b or abs(a - b) <= tolerance(integer_costs([[a, b]])[0],
-                                             (a, b))
+    exact = isinstance(a, EXACT_TYPES) and isinstance(b, EXACT_TYPES)
+    return a == b or not exact and abs(a - b) <= tolerance(None, (a, b))
 
 
 def integer_costs(tables):
@@ -90,21 +94,29 @@ def integer_costs(tables):
 
     ``tables`` is a sequence of entry lists.  When every finite entry is an
     int or a Fraction, returns ``(scale, scaled)``: the LCM of all their
-    denominators, and each list with its finite entries multiplied by it as
-    Python ints, INF kept.  Float costs, or any other mix, return
-    ``(None, tables)``: callers then keep the Python values and compare them
-    within ``tolerance``.
+    denominators, and each list scaled by it (``scale_entries``).  Float
+    costs, or any other mix, return ``(None, tables)``: callers then keep
+    the Python values and compare them within ``tolerance``.
     """
     denominators = set()
     for entries in tables:
         for e in entries:
             if e is not INF:
-                if not isinstance(e, (int, Fraction)):
+                if not isinstance(e, EXACT_TYPES):
                     return None, tables
                 denominators.add(e.denominator)
     scale = math.lcm(*denominators)
-    return scale, [[e if e is INF else e.numerator * (scale // e.denominator)
-                    for e in entries] for entries in tables]
+    return scale, [scale_entries(entries, scale) for entries in tables]
+
+
+def scale_entries(entries, scale):
+    """``entries`` with each finite one, an int or a Fraction whose
+    denominator divides ``scale``, multiplied by ``scale`` as a Python int;
+    INF kept."""
+    if scale == 1:
+        return [e if e is INF else e.numerator for e in entries]
+    return [e if e is INF else e.numerator * (scale // e.denominator)
+            for e in entries]
 
 
 #: Largest float cost: a sum of three of them, the most a multimorphism check

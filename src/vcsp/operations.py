@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import INF, integer_costs, tolerance
+from .costs import EXACT_TYPES, INF, integer_costs, tolerance
 from .errors import ValidationError, VcspError
 from .model import DomainSpec
 
@@ -85,6 +85,14 @@ def _live_labels(sizes, depth):
     top = _largest_label(max(sizes, default=0), depth)
     return _frozen(top < np.array(sizes, dtype=np.intp).reshape(
         (-1,) + (1,) * depth))[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _dead_pairs(sizes):
+    """Mask of the entries of a pair-set mask that hold no label pair a < b
+    of the domains, [variable] + [max size] * 2."""
+    return _frozen(~(_pair_grids(max(sizes, default=0))[0]
+                     & _live_labels(sizes, 2)))[0]
 
 
 def _padded(values, sizes, depth):
@@ -245,6 +253,17 @@ class PairSet(_Held):
     def outside(self):
         """The mask of the label pairs a < b not in the set."""
         return self._pad(~self._array, self.domains.sizes)
+
+    def first_outside(self):
+        """The first label pair a < b not in the set, row-major over
+        (variable, a, b), as (variable, (a, b)); None when the set is
+        full."""
+        taken = self._array | _dead_pairs(self.domains.sizes)
+        if taken.all():  # also when there is no pair at all
+            return None
+        size = taken.shape[-1]
+        i, ab = divmod(int(taken.argmin()), size * size)
+        return i, divmod(ab, size)
 
     def complement(self, i):
         return [tuple(p) for p in np.argwhere(self.outside()[i]).tolist()]
@@ -415,54 +434,79 @@ def is_mjn_on(triple, target):
     return False, (first[0], first[1:4], _MJN_FAILURES[first[4]])
 
 
-def _cost_groups(terms):
-    """The terms grouped by table shape and cost class, each group as
-    ``(term indices, shape, costs [term, entry], feasible mask, scopes
-    [term, position], tol [term])``, in the order of the groups' first terms.
+class ScaledCosts:
+    """The cost tables of a list of terms, scaled once for the checks (and
+    the solve) of one call.
 
-    The cost class is whether ``integer_costs`` scales the table.  Exact
-    tables share one scale, since scaling every cost by one positive
-    constant keeps every verdict.  When every table is exact and every
-    scaled cost is below 2**59, the costs are held in int64 with INF read
-    as 2**61, so that a sum holding INF exceeds every sum of three finite
-    costs and no sum of three overflows.  Otherwise all costs go into an
-    object array, INF included: exact tables as their scaled Python ints,
-    compared exactly, other tables (floats, any other mix) as their Python
-    values, each table's sums compared within the ``tolerance`` of its own
-    costs, and ``tol`` is None for exact groups.
+    ``scale`` and ``rows`` are what ``integer_costs`` returns for all the
+    tables: the LCM of every denominator and each table's entries times it,
+    as Python ints, or None and the tables as given when some cost is not
+    exact.  Either way ``rows`` holds INF exactly where the tables do.
+    ``groups`` are the kernel groups of the multimorphism checks, built on
+    first use.  A caller that checks the same terms more than once passes
+    this form instead of the term list, so that no table is scaled twice.
     """
-    entries = [term.table.entries for term in terms]
-    exact = [True] * len(terms)
-    scale, scaled = integer_costs(entries)
-    if scale is None:
-        exact = [integer_costs([e])[0] is not None for e in entries]
-        scale, scaled = integer_costs([e for e, x in zip(entries, exact) if x])
-        scaled = iter(scaled)
-        scaled = [next(scaled) if x else e for e, x in zip(entries, exact)]
-    members = {}
-    for idx, (term, x) in enumerate(zip(terms, exact)):
-        members.setdefault((term.table.shape, x), []).append(idx)
-    flat = [e for idxs in members.values() for i in idxs for e in scaled[i]]
-    if all(exact) and max((e for e in flat if e is not INF),
-                          default=0) < _INT64_LIMIT:
-        values = np.array([_INT64_INF if e is INF else e for e in flat],
-                          dtype=np.int64)
-        feasible = values != _INT64_INF
-    else:
-        values = np.array(flat, dtype=object)
-        feasible = np.array([e is not INF for e in flat], dtype=bool)
-    scopes = np.array([v for idxs in members.values() for i in idxs
-                       for v in terms[i].scope], dtype=np.intp)
-    entry = position = 0
-    for (shape, x), idxs in members.items():
-        entries_at = slice(entry, entry + len(idxs) * math.prod(shape))
-        scopes_at = slice(position, position + len(idxs) * len(shape))
-        entry, position = entries_at.stop, scopes_at.stop
-        costs = values[entries_at].reshape(len(idxs), -1)
-        yield (idxs, shape, costs, feasible[entries_at].reshape(len(idxs), -1),
-               scopes[scopes_at].reshape(len(idxs), len(shape)),
-               None if x else np.array([tolerance(None, row) for row in costs],
-                                       dtype=object))
+
+    def __init__(self, terms):
+        self.terms = terms
+        self.scale, self.rows = integer_costs(
+            [term.table.entries for term in terms])
+
+    @functools.cached_property
+    def groups(self):
+        """The terms grouped by table shape and cost class, each group as
+        ``(term indices, shape, costs [term, entry], feasible mask, scopes
+        [term, position], tol [term])``, in the order of the groups' first
+        terms.
+
+        The cost class is whether the table is exact.  Exact tables share
+        one scale, since scaling every cost by one positive constant keeps
+        every verdict.  When every table is exact and every scaled cost is
+        below 2**59, the costs are held in int64 with INF read as 2**61, so
+        that a sum holding INF exceeds every sum of three finite costs and
+        no sum of three overflows.  Otherwise all costs go into an object
+        array, INF included: exact tables as their scaled Python ints,
+        compared exactly, other tables (floats, any other mix) as their
+        Python values, each table's sums compared within the ``tolerance``
+        of its own costs, and ``tol`` is None for exact groups.
+        """
+        terms, scaled = self.terms, self.rows
+        exact = [True] * len(terms)
+        if self.scale is None:
+            exact = [all(e is INF or isinstance(e, EXACT_TYPES)
+                         for e in entries) for entries in scaled]
+            _, rows = integer_costs([e for e, x in zip(scaled, exact) if x])
+            rows = iter(rows)
+            scaled = [next(rows) if x else e for e, x in zip(scaled, exact)]
+        members = {}
+        for idx, (term, x) in enumerate(zip(terms, exact)):
+            members.setdefault((term.table.shape, x), []).append(idx)
+        flat = [e for idxs in members.values() for i in idxs
+                for e in scaled[i]]
+        if all(exact) and max((e for e in flat if e is not INF),
+                              default=0) < _INT64_LIMIT:
+            values = np.array([_INT64_INF if e is INF else e for e in flat],
+                              dtype=np.int64)
+            feasible = values != _INT64_INF
+        else:
+            values = np.array(flat, dtype=object)
+            feasible = np.array([e is not INF for e in flat], dtype=bool)
+        scopes = np.array([v for idxs in members.values() for i in idxs
+                           for v in terms[i].scope], dtype=np.intp)
+        groups = []
+        entry = position = 0
+        for (shape, x), idxs in members.items():
+            entries_at = slice(entry, entry + len(idxs) * math.prod(shape))
+            scopes_at = slice(position, position + len(idxs) * len(shape))
+            entry, position = entries_at.stop, scopes_at.stop
+            costs = values[entries_at].reshape(len(idxs), -1)
+            tol = None if x else np.array(
+                [tolerance(None, row) for row in costs], dtype=object)
+            groups.append((idxs, shape, costs,
+                           feasible[entries_at].reshape(len(idxs), -1),
+                           scopes[scopes_at].reshape(len(idxs), len(shape)),
+                           tol))
+        return groups
 
 
 @functools.lru_cache(maxsize=256)
@@ -553,24 +597,31 @@ def _group_violation(shape, costs, feasible, scopes, tol, stacks):
     return None
 
 
-def _first_violation(terms, stacks):
-    """The batched multimorphism check of ``terms`` under ``stacks``: (True,
-    None), or (False, (term index, witness)) for the first failing term in
-    term order.  Each group of ``_cost_groups`` is one kernel call; a group
-    whose first term comes after a failing term is not checked."""
+def _first_violation(terms, stacks, limit=None):
+    """The batched multimorphism check of ``terms``, a term list or its
+    ``ScaledCosts``, under ``stacks``: (True, None), or (False, (term index,
+    witness)) for the first failing term in term order.  Each group of
+    ``ScaledCosts.groups`` is one kernel call; a group whose first term
+    comes after a failing term, or at ``limit`` or after, is not checked,
+    and a term from ``limit`` on never fails."""
+    if not isinstance(terms, ScaledCosts):
+        terms = ScaledCosts(terms)
     found = None
-    for idxs, shape, *group in _cost_groups(terms):
-        if found is not None and idxs[0] > found[0]:
+    bound = len(terms.terms) if limit is None else limit
+    for idxs, shape, *group in terms.groups:
+        if idxs[0] >= bound:
             break
         hit = _group_violation(shape, *group, stacks)
-        if hit is not None and (found is None or idxs[hit[0]] < found[0]):
+        if hit is not None and idxs[hit[0]] < bound:
             found = (idxs[hit[0]], hit[1])
+            bound = found[0]
     return (True, None) if found is None else (False, found)
 
 
 def check_binary_multimorphism(terms, pair):
     """Inequality f(x meet y) + f(x join y) <= f(x) + f(y) over feasible
-    pairs of every term of ``terms``, a sequence of ``Term``s.
+    pairs of every term of ``terms``, a sequence of ``Term``s or their
+    ``ScaledCosts``.
 
     Returns (True, None) or (False, (term_index, (x, y))): the first failing
     term in term order, with the lexicographically smallest violating
@@ -580,7 +631,8 @@ def check_binary_multimorphism(terms, pair):
 
 
 def check_ternary_multimorphism(terms, triple):
-    """Three-way inequality over all ordered feasible triples of every term.
+    """Three-way inequality over all ordered feasible triples of every term
+    of ``terms``, as ``check_binary_multimorphism`` takes them.
 
     Returns (True, None) or (False, (term_index, (x, y, z))): the first
     failing term in term order, with the lexicographically smallest
@@ -692,11 +744,12 @@ def check_instance_multimorphism(instance, ops):
 
     The first failing term in term order is reported, its binary failure
     before its ternary one, as a loop over the terms checking both would.
+    The tables are scaled once for both checks.
     """
-    terms = instance.terms
-    ok, hit = check_binary_multimorphism(terms, ops.pair)
-    limit = len(terms) if ok else hit[0]
-    ok3, hit3 = check_ternary_multimorphism(terms[:limit], ops.triple)
+    costs = ScaledCosts(instance.terms)
+    ok, hit = check_binary_multimorphism(costs, ops.pair)
+    ok3, hit3 = _first_violation(costs, ops.triple.index_stacks(),
+                                 None if ok else hit[0])
     if not ok3:
         return False, hit3[0], ("ternary", hit3[1])
     if not ok:

@@ -20,6 +20,7 @@ from .operations import (
     BinaryPair,
     OperationSystem,
     PairSet,
+    ScaledCosts,
     check_binary_multimorphism,
     is_stp_on,
 )
@@ -40,8 +41,7 @@ class ReductionState:
 
 def find_seed(m):
     """Smallest (variable, pair) still outside m, or None when m is full."""
-    outside = np.argwhere(m.outside()).tolist()
-    return (outside[0][0], tuple(outside[0][1:])) if outside else None
+    return m.first_outside()
 
 
 def grow_uab(seed, net):
@@ -215,6 +215,7 @@ def run_stage2(instance, ops, net, paranoid=False, trace=None):
     iteration.
     """
     limit = PairSet.full(ops.domains).total_size() + 1
+    costs = ScaledCosts(instance.terms)
     iteration = 0
     while True:
         seed = find_seed(ops.m)
@@ -243,7 +244,7 @@ def run_stage2(instance, ops, net, paranoid=False, trace=None):
                 raise StageError(
                     "reduce", f"exchange scan failed: {bad[0]}", witness=bad[0])
         ops = apply_modification(state, ops)
-        ok, hit = check_binary_multimorphism(instance.terms, ops.pair)
+        ok, hit = check_binary_multimorphism(costs, ops.pair)
         if not ok:
             raise StageError(
                 "reduce", "rewritten pair is no longer a multimorphism of "

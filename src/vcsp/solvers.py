@@ -4,10 +4,11 @@ submodular instances, and the full three-stage pipeline driver.
 The min-cut encoding uses one boolean "label >= level" indicator node per
 variable per non-bottom label.  Monotonicity between consecutive levels and
 crisp (infinite-cost) structure are enforced with an exact infinite edge
-class, never a large constant.  Exact costs are scaled once per instance to
-integers by the LCM of their denominators, so the network and max-flow
-carry Python ints and the optimum is (cut + offset) / scale; float costs
-keep their values.
+class, never a large constant.  ``solve_stp`` scales the exact costs of its
+instance once, to integers by the LCM of their denominators
+(``ScaledCosts``), and the check, the pruning and the encoding all read that
+one scaling: the network and max-flow carry Python ints and the optimum is
+(cut + offset) / scale.  Float costs keep their values.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .consistency import restrict_instance, run_stage1
-from .costs import INF, cost_eq, integer_costs, tolerance
+from .costs import INF, cost_eq, integer_costs, scale_entries, tolerance
 from .errors import StageError, VcspError
 from .model import DEFAULT_CAP, CostTable, Instance, Term, merge_repeated
 from .operations import (
+    ScaledCosts,
     build_majority,
     check_binary_multimorphism,
     is_stp_on,
@@ -204,31 +206,43 @@ class MaxFlow:
         return {u for u in range(self.n) if seen[u]}
 
 
-def _prune_unsupported(instance):
+def _prune_unsupported(instance, rows):
     """Drop labels with no finite support in some term; fixpoint.
 
-    Returns per-variable sets of kept labels, possibly empty.  Each term's
-    feasible tuples are read once; after a round, only the terms over a
-    variable that lost labels drop their dead tuples and are scanned again.
-    The greatest fixpoint does not depend on that order.
+    ``rows`` holds each term's entries, scaled or not, with INF where the
+    term's table has it.  Returns per-variable sets of kept labels,
+    possibly empty.  The feasible tuples of each term with an INF are read
+    once; a term without one supports every kept label until a variable of
+    it is emptied, so it is looked at only then.  After a round, only the
+    terms over a variable that lost labels drop their dead tuples and are
+    scanned again.  The greatest fixpoint does not depend on that order.
     """
+    terms = instance.terms
     keep = [set(range(s)) for s in instance.domains.sizes]
-    live = [term.table.dom() for term in instance.terms]
-    pending = range(len(live))
+    live = [[t for t, e in zip(term.table.tuples(), row) if e is not INF]
+            if any(e is INF for e in row) else None
+            for term, row in zip(terms, rows)]
+    pending = [k for k, tuples in enumerate(live) if tuples is not None]
     while pending:
         shrunk = set()
         for k in pending:
-            for p, var in enumerate(instance.terms[k].scope):
+            scope = terms[k].scope
+            if live[k] is None:
+                if all(keep[var] for var in scope):
+                    continue
+                live[k] = []
+            for p, var in enumerate(scope):
                 allowed = {t[p] for t in live[k]}
                 if not keep[var] <= allowed:
                     keep[var] &= allowed
                     shrunk.add(var)
-        pending = [k for k, term in enumerate(instance.terms)
+        pending = [k for k, term in enumerate(terms)
                    if not shrunk.isdisjoint(term.scope)]
         for k in pending:
-            scope = instance.terms[k].scope
-            live[k] = [t for t in live[k]
-                       if all(t[p] in keep[var] for p, var in enumerate(scope))]
+            if live[k]:
+                scope = terms[k].scope
+                live[k] = [t for t in live[k] if all(
+                    t[p] in keep[var] for p, var in enumerate(scope))]
     return keep
 
 
@@ -238,15 +252,17 @@ class CutEncoding:
     Built from an instance whose domains are already relabelled so that
     numeric min/max is the pairwise multimorphism of every term.  Variable
     i's indicator "label >= level" is node ``first_node[i] + level - 1``;
-    nodes 0 and 1 are the source and the sink.  Exact costs are scaled once
-    by ``scale``, the LCM of every denominator in the instance, so every
-    capacity is a Python int; with float costs ``scale`` is None and the
+    nodes 0 and 1 are the source and the sink.  Exact costs are multiplied
+    by ``scale`` so that every capacity is a Python int: ``solve_stp`` passes
+    the scale of its whole instance, a multiple of every denominator left
+    after pruning, and without one the LCM of this instance's denominators
+    is taken (``integer_costs``).  With float costs ``scale`` is None and the
     costs keep their Python values, each term's within its ``tolerance``.
     The optimum is (cut + ``offset``) / ``scale``, and ``decode`` maps a
     minimum cut back to an argmin assignment.
     """
 
-    def __init__(self, instance):
+    def __init__(self, instance, scale=None):
         self.instance = instance
         self.offset = 0
         sizes = instance.domains.sizes
@@ -258,8 +274,12 @@ class CutEncoding:
         self.n_nodes = n
         self.edges = {}
         self.unary_acc = [[0] * s for s in sizes]
-        self.scale, tables = integer_costs(
-            [term.table.entries for term in instance.terms])
+        entries = [term.table.entries for term in instance.terms]
+        if scale is None:
+            scale, tables = integer_costs(entries)
+        else:
+            tables = [scale_entries(e, scale) for e in entries]
+        self.scale = scale
         for first, s in zip(self.first_node, sizes):
             for node in range(first, first + s - 2):
                 self._add(node + 1, node, INF)
@@ -392,11 +412,13 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP):
     all terms are binary or unary; otherwise falls back to brute force.  On
     the min-cut path the pair is min/max in the extracted order, so each
     term is checked under the pair itself, and the unsupported labels are
-    dropped and the rest put in that order by one restriction.
+    dropped and the rest put in that order by one restriction.  The costs
+    are scaled once, for the check, the pruning and the encoding.
     """
     order = extract_tournament_order(pair)
-    merged = Instance(instance.domains,
-                      [merge_repeated(t) for t in instance.terms])
+    terms = [merge_repeated(t) for t in instance.terms]
+    merged = (instance if terms == instance.terms
+              else Instance(instance.domains, terms))
     stats = {"path": "mincut"}
     if not order.all_ordered:
         stats["path"] = "bruteforce"
@@ -408,17 +430,19 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP):
         result = solve_bruteforce(instance, cap=cap)
         result.stats.update(stats)
         return result
-    ok, hit = check_binary_multimorphism(merged.terms, pair)
+    costs = ScaledCosts(merged.terms)
+    ok, hit = check_binary_multimorphism(costs, pair)
     if not ok:
         raise VcspError(
             f"term {hit[0]} is not submodular under the extracted order at "
             f"{hit[1]}; the pair was not a multimorphism of every term")
-    survive = _prune_unsupported(merged)
+    survive = _prune_unsupported(merged, costs.rows)
     if any(not k for k in survive):
         return SolveResult(INF, None, stats)
     keep = [[a for a in labels if a in live]
             for labels, live in zip(order.orders, survive)]
-    optimum, argmin = CutEncoding(restrict_instance(merged, keep)).solve()
+    optimum, argmin = CutEncoding(restrict_instance(merged, keep),
+                                  costs.scale).solve()
     if argmin is not None:
         argmin = tuple(keep[i][v] for i, v in enumerate(argmin))
         check = instance.evaluate(argmin)

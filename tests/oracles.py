@@ -18,8 +18,10 @@ replaced: same results, same witnesses and messages.
 values (``Fraction`` capacities for exact costs), with one table lookup per
 entry and a dict from (variable, level) to node; ``CutEncoding`` builds the
 same network on costs scaled to integers.  With ``float_costs`` each
-term's couplings compare within the tolerance of that term's own costs.  ``loop_prune_unsupported``
-rescans every term's table on every sweep.
+term's couplings compare within the tolerance of that term's own costs.
+``loop_prune_unsupported`` rescans every term's table on every sweep.
+``loop_find_seed`` is ``find_seed`` reading the whole outside mask of M
+(``PairSet.outside``) with ``np.argwhere``.
 
 ``loop_decompose_instance`` is ``decompose_instance`` with one Python pass
 over every feasible tuple per variable pair.  It drops a tuple only when
@@ -392,6 +394,12 @@ def loop_prune_unsupported(instance):
                     keep[var] &= allowed
                     changed = True
     return keep
+
+
+def loop_find_seed(m):
+    """Smallest (variable, pair) still outside m, or None when m is full."""
+    outside = np.argwhere(m.outside()).tolist()
+    return (outside[0][0], tuple(outside[0][1:])) if outside else None
 
 
 class LoopCutEncoding:

@@ -748,31 +748,62 @@ def test_batched_checks_in_blocks_match_loops(monkeypatch):
                 loop_ternary_multimorphism, terms, triple)
 
 
+def loop_instance_check(terms, pair, triple):
+    """``check_instance_multimorphism`` as a loop over the terms, checking
+    both inequalities on each in turn, the pair's before the triple's."""
+    for idx, term in enumerate(terms):
+        tol = tolerance(integer_costs([term.table.entries])[0],
+                        term.table.entries)
+        ok, w = loop_binary_multimorphism(term.table, pair, term.scope, tol)
+        if not ok:
+            return False, idx, ("binary", w)
+        ok, w = loop_ternary_multimorphism(term.table, triple, term.scope, tol)
+        if not ok:
+            return False, idx, ("ternary", w)
+    return True, None, None
+
+
 def test_instance_check_matches_term_loop():
-    # both checks on each term in turn, the pair's before the triple's
     seen = Counter()
     for terms, pair, triple in term_lists(20282, 300):
         if not ternary_is_cheap(terms):
             continue
-        want = (True, None, None)
-        for idx, term in enumerate(terms):
-            tol = tolerance(integer_costs([term.table.entries])[0],
-                            term.table.entries)
-            ok, w = loop_binary_multimorphism(term.table, pair, term.scope, tol)
-            if not ok:
-                want = (False, idx, ("binary", w))
-                break
-            ok, w = loop_ternary_multimorphism(
-                term.table, triple, term.scope, tol)
-            if not ok:
-                want = (False, idx, ("ternary", w))
-                break
+        want = loop_instance_check(terms, pair, triple)
         ops = OperationSystem(pair, triple, PairSet.empty(pair.domains))
         assert check_instance_multimorphism(
             Instance(pair.domains, terms), ops) == want
         seen[want[2] and want[2][0]] += 1
     assert set(seen) == {None, "binary", "ternary"}
     assert min(seen.values()) >= 20, seen
+
+
+def test_instance_check_ignores_ternary_failures_after_a_binary_one():
+    # [a, b, t]: b fails the pair's inequality, t only the triple's, and a,
+    # which passes both, shares t's kernel group, so the ternary check runs
+    # over t although the answer is b's binary failure
+    found = 0
+    for terms, pair, triple in term_lists(20298, 800):
+        if not ternary_is_cheap(terms):
+            continue
+        ops = OperationSystem(pair, triple, PairSet.empty(pair.domains))
+        verdicts = [check_instance_multimorphism(
+            Instance(pair.domains, [t]), ops)[2] for t in terms]
+        keys = group_keys(terms)
+        b = next((t for t, v in zip(terms, verdicts)
+                  if v and v[0] == "binary"), None)
+        pick = next(((a, t) for t, v, key in zip(terms, verdicts, keys)
+                     if v and v[0] == "ternary"
+                     for a, w, other in zip(terms, verdicts, keys)
+                     if w is None and other == key), None)
+        if b is None or pick is None:
+            continue
+        arranged = [pick[0], b, pick[1]]
+        got = check_instance_multimorphism(Instance(pair.domains, arranged),
+                                           ops)
+        assert got == loop_instance_check(arranged, pair, triple)
+        assert got[:2] == (False, 1) and got[2][0] == "binary"
+        found += 1
+    assert found >= 20
 
 
 # -- the validation masks against the loop oracles --------------------------

@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from vcsp.reduction import (
 )
 
 from harness import random_boolean_mjn_instance, random_system
-from oracles import loop_apply_modification
+from oracles import loop_apply_modification, loop_find_seed
 
 
 def make_net(sizes, relations):
@@ -96,6 +97,39 @@ class TestFindSeed:
                         frozenset({(0, 1)}),
                         frozenset()))
         assert find_seed(m) == (1, (0, 2))
+
+    def test_matches_outside_mask_oracle(self):
+        rng = random.Random(20297)
+        kinds = Counter()
+        for _ in range(300):
+            d = DomainSpec(tuple(rng.randint(1, 5)
+                                 for _ in range(rng.randint(1, 6))))
+            pairs = [(i, p) for i, s in enumerate(d.sizes)
+                     for p in all_label_pairs(s)]
+            kind = rng.choice(("empty", "full", "one", "all but one",
+                               "random"))
+            if kind == "empty" or not pairs:
+                chosen = []
+            elif kind == "full":
+                chosen = pairs
+            elif kind == "one":
+                chosen = [rng.choice(pairs)]
+            elif kind == "all but one":
+                chosen = rng.sample(pairs, len(pairs) - 1)
+            else:
+                chosen = [p for p in pairs if rng.random() < 0.6]
+            members = [set() for _ in d.sizes]
+            for i, p in chosen:
+                members[i].add(p)
+            m = PairSet(d, members)
+            got = find_seed(m)
+            assert got == loop_find_seed(m)
+            assert got is None or all(type(v) is int
+                                      for v in (got[0],) + got[1])
+            kinds[kind, got is None] += 1
+        assert min(kinds[k, False] for k in ("empty", "one", "all but one",
+                                             "random")) >= 20
+        assert kinds["full", True] >= 20
 
 
 class TestGrowUab:

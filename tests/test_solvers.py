@@ -611,6 +611,114 @@ def test_integer_costs_one_scale_for_all_tables():
     assert integer_costs([[INF]]) == (1, [[INF]])
 
 
+@pytest.fixture
+def encodings(monkeypatch):
+    """Record every ``CutEncoding`` that ``solve_stp`` builds."""
+    import vcsp.solvers as solvers
+    built = []
+
+    class Recorded(CutEncoding):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(solvers, "CutEncoding", Recorded)
+    return built
+
+
+def unsupported_fine_label(rng, n):
+    """A min/max chain whose variable 0 has one more label, the only cost
+    in 1/7ths, unsupported by a crisp link to variable 1: the solve's scale
+    is 7 times the LCM of the tables left after pruning."""
+    inst, _ = submodular_chain(rng, n)
+    d = inst.domains.sizes[0]
+    unary, link = (t.table.entries for t in inst.terms[::n])
+    unary = CostTable((d + 1,), unary + [Fraction(rng.randint(1, 6), 7) + rng.randint(0, 2)])
+    # label d of the link repeats label d - 1, which keeps it submodular
+    link = CostTable((d + 1, d), link + link[-d:])
+    crisp = CostTable.from_function(
+        (d + 1, d), lambda a, b: INF if a == d else 0)
+    domains = DomainSpec((d + 1,) + inst.domains.sizes[1:])
+    terms = [t for k, t in enumerate(inst.terms) if k % n] + [
+        Term(unary, (0,)), Term(link, (0, 1)), Term(crisp, (0, 1))]
+    rng.shuffle(terms)
+    return Instance(domains, terms), BinaryPair.min_max(domains)
+
+
+def test_solve_scale_above_the_restricted_tables_lcm(encodings):
+    rng = random.Random(20294)
+    for _ in range(40):
+        inst, pair = unsupported_fine_label(rng, rng.randint(2, 6))
+        res = solve_stp(inst, pair)
+        want = solve_bruteforce(inst)
+        assert res.stats["path"] == "mincut"
+        assert (res.optimum, res.argmin) == (want.optimum, want.argmin)
+        assert str(res.optimum) == str(want.optimum)
+        enc = encodings[-1]
+        own = integer_costs([t.table.entries for t in enc.instance.terms])[0]
+        assert enc.scale == 7 * own
+        assert type(enc.offset) is int
+        assert all(cap is INF or type(cap) is int for cap in enc.edges.values())
+
+
+@pytest.fixture
+def scale_calls(monkeypatch):
+    """Count ``integer_costs`` calls, wrapped in every module that binds
+    the name."""
+    import sys
+    calls = []
+    original = integer_costs
+
+    def counted(tables):
+        calls.append(len(tables))
+        return original(tables)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "vcsp" and getattr(
+                module, "integer_costs", None) is original:
+            monkeypatch.setattr(module, "integer_costs", counted)
+    return calls
+
+
+def test_one_scaling_per_mincut_solve(scale_calls):
+    rng = random.Random(20295)
+    for k in range(20):
+        if k % 2:
+            inst, pair = unsupported_fine_label(rng, rng.randint(2, 6))
+        else:
+            inst, system = submodular_chain(rng, rng.randint(2, 6))
+            pair = system.pair
+        scale_calls.clear()
+        assert solve_stp(inst, pair).stats["path"] == "mincut"
+        assert scale_calls == [len(inst.terms)]
+
+
+def test_one_scaling_per_stage2_run_and_per_verify(scale_calls):
+    from vcsp.consistency import run_stage1
+    from vcsp.operations import check_instance_multimorphism
+    from vcsp.reduction import run_stage2
+    rng = random.Random(20296)
+    seen = Counter()
+    while min(seen["none"], seen["three or more"], seen["verify"]) < 3:
+        inst, system = random_boolean_mjn_instance(rng)
+        scale_calls.clear()
+        check_instance_multimorphism(inst, system)
+        assert scale_calls == [len(inst.terms)]
+        seen["verify"] += 1
+        stage1 = run_stage1(inst, system.normalized())
+        if stage1 is None:
+            continue
+        _, inst_r, ops_r, net_r = stage1
+        trace = []
+        scale_calls.clear()
+        run_stage2(inst_r, ops_r, net_r, trace=trace)
+        assert scale_calls == [len(inst_r.terms)]
+        if not trace:
+            seen["none"] += 1
+        elif len(trace) >= 3:
+            seen["three or more"] += 1
+
+
 def random_tournament_pair(rng, d, kind):
     """Conservative pair whose meet orients each label pair: by a random
     ranking ("transitive") or at random ("random"); "non-commutative" and
@@ -673,6 +781,12 @@ def test_tournament_order_matches_loop():
                          "not conservative"}
 
 
+def prune(inst):
+    """``_prune_unsupported`` on the instance's own entries, which hold INF
+    where its scaled rows do."""
+    return _prune_unsupported(inst, [t.table.entries for t in inst.terms])
+
+
 def test_prune_unsupported_matches_loop():
     rng = random.Random(20284)
     emptied = pruned = 0
@@ -688,8 +802,73 @@ def test_prune_unsupported_matches_loop():
                 shape, lambda *t: INF if rng.random() < 0.3 else Fraction(1)),
                 scope))
         inst = Instance(DomainSpec(sizes), terms)
-        keep = _prune_unsupported(inst)
+        keep = prune(inst)
         assert keep == loop_prune_unsupported(inst)
         emptied += any(not k for k in keep)
         pruned += sum(map(len, keep)) < sum(sizes)
     assert emptied >= 20 and pruned - emptied >= 20
+
+
+def test_prune_mixes_inf_free_and_crisp_terms():
+    # terms without an INF are never scanned, but carry an emptied domain
+    # on to the rest of their scope
+    rng = random.Random(20292)
+    seen = Counter()
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        sizes = tuple(rng.randint(1, 4) for _ in range(n))
+        terms = []
+        for _ in range(rng.randint(2, 7)):
+            scope = tuple(rng.choice(range(n))
+                          for _ in range(rng.randint(1, 3)))
+            shape = tuple(sizes[i] for i in scope)
+            if rng.random() < 0.5:
+                table = CostTable.from_function(
+                    shape, lambda *t: Fraction(rng.randint(0, 9), 2))
+            else:
+                table = CostTable.from_function(
+                    shape, lambda *t: INF if rng.random() < 0.4 else 0)
+            terms.append(Term(table, scope))
+        inst = Instance(DomainSpec(sizes), terms)
+        keep = prune(inst)
+        assert keep == loop_prune_unsupported(inst)
+        empty = {i for i, k in enumerate(keep) if not k}
+        seen["emptied" if empty else "pruned" if sum(map(len, keep)) < sum(
+            sizes) else "kept"] += 1
+        # an emptied variable reached a term without INF over another one
+        seen["through inf-free"] += any(
+            INF not in t.table.entries and empty & set(t.scope)
+            and len(set(t.scope)) > 1 for t in terms)
+    assert min(seen.values()) >= 20
+
+
+@pytest.mark.parametrize("empty_start", [False, True])
+def test_prune_propagates_along_chains(empty_start):
+    # the links come in reverse chain order, so each round of the fixpoint
+    # carries the removal one link further: the far end of an n-link chain
+    # loses its label in round n + 1, and n >= 3 here
+    rng = random.Random(20293 + empty_start)
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        d = rng.randint(2, 4)
+        terms = []
+        for i in reversed(range(n)):
+            if empty_start and rng.random() < 0.3:
+                # all finite: passes only an emptied domain on
+                table = CostTable.from_function(
+                    (d, d), lambda a, b: Fraction(rng.randint(0, 5), 3))
+            else:
+                # x_{i+1} <= x_i
+                table = CostTable.from_function(
+                    (d, d), lambda a, b: 0 if a <= b else INF)
+            terms.append(Term(table, (i + 1, i)))
+        top = 0 if empty_start else rng.randint(1, d - 1)
+        terms.append(Term(CostTable((d,), [
+            Fraction(a) if a < top else INF for a in range(d)]), (0,)))
+        inst = Instance(DomainSpec((d,) * (n + 1)), terms)
+        keep = prune(inst)
+        assert keep == loop_prune_unsupported(inst)
+        if empty_start:
+            assert keep == [set()] * (n + 1)
+        else:
+            assert keep[n] == set(range(top))

@@ -53,3 +53,21 @@ def test_solves_open_binary_check_spans():
         assert tracer.missing == []
         assert [span for span in tracer.spans
                 if span[0] == "check_binary_multimorphism"]
+
+
+def test_mincut_solve_opens_every_stp_large_span():
+    # stp-large's per-layer values are null, and perfbench/smoke.py fails,
+    # when one of these spans does not open
+    tracer_module = load_perfbench("tracer")
+    instance, system = submodular_chain(random.Random(6), 6)
+    wanted = ["check_binary_multimorphism", "restrict_instance",
+              "CutEncoding.__init__", "MaxFlow.max_flow"]
+    tracer = tracer_module.Tracer()
+    tracer.install([(name, "span", None) for name in wanted])
+    try:
+        result = solve_stp(instance, system.pair)
+    finally:
+        tracer.uninstall()
+    assert result.stats["path"] == "mincut"
+    assert tracer.missing == []
+    assert sorted({span[0] for span in tracer.spans}) == sorted(wanted)
