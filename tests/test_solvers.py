@@ -632,8 +632,10 @@ def unsupported_fine_label(rng, n):
     is 7 times the LCM of the tables left after pruning."""
     inst, _ = submodular_chain(rng, n)
     d = inst.domains.sizes[0]
+    # the chain's terms are n unaries, then the links; term n is (0, 1)
     unary, link = (t.table.entries for t in inst.terms[::n])
-    unary = CostTable((d + 1,), unary + [Fraction(rng.randint(1, 6), 7) + rng.randint(0, 2)])
+    fine = Fraction(rng.randint(1, 6), 7) + rng.randint(0, 2)
+    unary = CostTable((d + 1,), unary + [fine])
     # label d of the link repeats label d - 1, which keeps it submodular
     link = CostTable((d + 1, d), link + link[-d:])
     crisp = CostTable.from_function(
@@ -658,7 +660,8 @@ def test_solve_scale_above_the_restricted_tables_lcm(encodings):
         own = integer_costs([t.table.entries for t in enc.instance.terms])[0]
         assert enc.scale == 7 * own
         assert type(enc.offset) is int
-        assert all(cap is INF or type(cap) is int for cap in enc.edges.values())
+        assert all(cap is INF or type(cap) is int
+                   for cap in enc.edges.values())
 
 
 @pytest.fixture
