@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import EXACT_TYPES, INF, integer_costs, tolerance
+from .costs import EXACT_TYPES, INF, integer_costs, scale_entries, tolerance
 from .errors import ValidationError, VcspError
 from .model import DomainSpec
 
@@ -441,16 +441,25 @@ class ScaledCosts:
     ``scale`` and ``rows`` are what ``integer_costs`` returns for all the
     tables: the LCM of every denominator and each table's entries times it,
     as Python ints, or None and the tables as given when some cost is not
-    exact.  Either way ``rows`` holds INF exactly where the tables do.
-    ``groups`` are the kernel groups of the multimorphism checks, built on
-    first use.  A caller that checks the same terms more than once passes
-    this form instead of the term list, so that no table is scaled twice.
+    exact.  A ``scale`` already known to be a multiple of every denominator
+    (the scale of an instance these terms were cut from) is used as it is,
+    without the LCM pass.  Either way ``rows`` holds INF exactly where the
+    tables do.  ``groups`` are ``rows`` laid out as the kernel groups of
+    the multimorphism checks, built on first use; the min-cut encoding and
+    ``cost`` read them too.  Building them also sets ``largest``, the
+    largest finite scaled cost (0 without one), or None without a scale.
+    A caller that checks the same terms more than once passes this form
+    instead of the term list, so that no table is scaled twice.
     """
 
-    def __init__(self, terms):
+    def __init__(self, terms, scale=None):
         self.terms = terms
-        self.scale, self.rows = integer_costs(
-            [term.table.entries for term in terms])
+        entries = [term.table.entries for term in terms]
+        if scale is None:
+            self.scale, self.rows = integer_costs(entries)
+        else:
+            self.scale = scale
+            self.rows = [scale_entries(e, scale) for e in entries]
 
     @functools.cached_property
     def groups(self):
@@ -459,32 +468,27 @@ class ScaledCosts:
         [term, position], tol [term])``, in the order of the groups' first
         terms.
 
-        The cost class is whether the table is exact.  Exact tables share
-        one scale, since scaling every cost by one positive constant keeps
-        every verdict.  When every table is exact and every scaled cost is
-        below 2**59, the costs are held in int64 with INF read as 2**61, so
-        that a sum holding INF exceeds every sum of three finite costs and
-        no sum of three overflows.  Otherwise all costs go into an object
-        array, INF included: exact tables as their scaled Python ints,
-        compared exactly, other tables (floats, any other mix) as their
-        Python values, each table's sums compared within the ``tolerance``
-        of its own costs, and ``tol`` is None for exact groups.
+        The cost class is whether the table is exact.  When every table is
+        exact (there is a ``scale``) and every scaled cost is below 2**59,
+        the costs are held in int64 with INF read as 2**61, so that a sum
+        holding INF exceeds every sum of three finite costs and no sum of
+        three overflows.  Otherwise the ``rows`` go into an object array as
+        they are, INF included: exact tables compare exactly, other tables
+        (floats, any other mix) within the ``tolerance`` of their own
+        costs, and ``tol`` is None for exact groups.
         """
-        terms, scaled = self.terms, self.rows
-        exact = [True] * len(terms)
-        if self.scale is None:
-            exact = [all(e is INF or isinstance(e, EXACT_TYPES)
-                         for e in entries) for entries in scaled]
-            _, rows = integer_costs([e for e, x in zip(scaled, exact) if x])
-            rows = iter(rows)
-            scaled = [next(rows) if x else e for e, x in zip(scaled, exact)]
+        terms, rows = self.terms, self.rows
+        exact = [self.scale is not None or all(
+            e is INF or isinstance(e, EXACT_TYPES) for e in entries)
+            for entries in rows]
         members = {}
         for idx, (term, x) in enumerate(zip(terms, exact)):
             members.setdefault((term.table.shape, x), []).append(idx)
         flat = [e for idxs in members.values() for i in idxs
-                for e in scaled[i]]
-        if all(exact) and max((e for e in flat if e is not INF),
-                              default=0) < _INT64_LIMIT:
+                for e in rows[i]]
+        self.largest = None if self.scale is None else max(
+            (e for e in flat if e is not INF), default=0)
+        if self.scale is not None and self.largest < _INT64_LIMIT:
             values = np.array([_INT64_INF if e is INF else e for e in flat],
                               dtype=np.int64)
             feasible = values != _INT64_INF
@@ -507,6 +511,19 @@ class ScaledCosts:
                            scopes[scopes_at].reshape(len(idxs), len(shape)),
                            tol))
         return groups
+
+    def cost(self, x):
+        """The sum of every row at assignment ``x``, one gather per group:
+        an exact Python int in scaled units when there is a ``scale``, else
+        the sum of the Python values; INF when some entry there is."""
+        x = np.asarray(x, dtype=np.intp)
+        total = 0
+        for _, shape, costs, feasible, scopes, _ in self.groups:
+            at = np.arange(len(costs)), x[scopes] @ _layout(shape)[1]
+            if not feasible[at].all():
+                return INF
+            total = total + sum(costs[at].tolist())
+        return total
 
 
 @functools.lru_cache(maxsize=256)

@@ -6,20 +6,29 @@ variable per non-bottom label.  Monotonicity between consecutive levels and
 crisp (infinite-cost) structure are enforced with an exact infinite edge
 class, never a large constant.  ``solve_stp`` scales the exact costs of its
 instance once, to integers by the LCM of their denominators
-(``ScaledCosts``), and the check, the pruning and the encoding all read that
-one scaling: the network and max-flow carry Python ints and the optimum is
-(cut + offset) / scale.  Float costs keep their values.
+(``ScaledCosts``), and the check, the pruning, the encoding and the final
+cross-check all read that one scaling.  ``CutEncoding`` is a few numpy
+passes over the scaled arrays, with the pairwise tables padded to one
+shape, not a loop over terms; exact capacities are Python ints and the
+optimum is (cut + offset) / scale.  Float costs keep their values and are
+summed in term order, as a term-by-term encoding sums them.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
+import math
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .consistency import restrict_instance, run_stage1
-from .costs import INF, cost_eq, integer_costs, scale_entries, tolerance
+from .costs import FLOAT_TOL, INF, cost_eq
 from .errors import StageError, VcspError
 from .model import DEFAULT_CAP, CostTable, Instance, Term, merge_repeated
 from .operations import (
@@ -107,23 +116,28 @@ class _InfiniteFlow(Exception):
 class MaxFlow:
     """Dinic's algorithm; ``None`` means infinite.
 
-    Capacities are added and compared as given: ``CutEncoding`` passes
-    Python ints for exact costs, and floats in float mode.
+    ``edges`` lists the network's (u, v, capacity) triples; edge k is arc
+    2k, with its reverse arc 2k + 1 of capacity 0, and each node's arcs are
+    kept in arc order.  Capacities are added and compared as given:
+    ``CutEncoding`` passes Python ints for exact costs, and floats in float
+    mode.
     """
 
-    def __init__(self, n):
+    def __init__(self, n, edges):
         self.n = n
-        self.to = []
-        self.cap = []
+        tails = [0] * (2 * len(edges))
+        self.to = [0] * len(tails)
+        self.cap = [0] * len(tails)
+        if edges:
+            us, vs, caps = zip(*edges)
+            tails[0::2] = self.to[1::2] = us
+            tails[1::2] = self.to[0::2] = vs
+            self.cap[0::2] = caps
         self.adj = [[] for _ in range(n)]
-
-    def add_edge(self, u, v, cap):
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
+        for u, arcs in itertools.groupby(
+                sorted(range(len(tails)), key=tails.__getitem__),
+                key=tails.__getitem__):
+            self.adj[u] = list(arcs)
 
     def _bfs(self, s, t):
         level = [-1] * self.n
@@ -246,146 +260,238 @@ def _prune_unsupported(instance, rows):
     return keep
 
 
+@functools.lru_cache(maxsize=256)
+def _pad_index(shape, top):
+    """Index into the flat entries of a table of ``shape`` that pads it to
+    ``top`` by repeating the last label at every position."""
+    if shape == top:
+        return slice(None)
+    at = np.ravel_multi_index(np.ix_(*(
+        np.minimum(np.arange(t), s - 1) for s, t in zip(shape, top))), shape)
+    at.flags.writeable = False  # shared by callers
+    return at.reshape(-1)
+
+
+def _padded_pairs(groups):
+    """The pairwise terms among ``ScaledCosts.groups``, in term order: (term
+    indices, scopes [term, 2], shapes [term, 2], costs and feasible mask
+    [term, rows, cols]), each table padded to the largest rows and cols
+    among them by repeating its last row and column."""
+    pairs = [g for g in groups if len(g[1]) == 2]
+    top = tuple(map(max, zip((1, 1), *(g[1] for g in pairs))))
+    parts = [(np.array(idxs, dtype=np.intp), scopes,
+              np.array([shape] * len(idxs), dtype=np.intp),
+              costs[:, _pad_index(shape, top)],
+              feasible[:, _pad_index(shape, top)])
+             for idxs, shape, costs, feasible, scopes, _ in pairs]
+    if len(parts) != 1:  # join the groups' terms in term order
+        dtype = groups[0][2].dtype if groups else np.int64
+        columns = [np.concatenate(column) for column in zip(
+            (np.zeros(0, np.intp), np.zeros((0, 2), np.intp),
+             np.zeros((0, 2), np.intp), np.zeros((0, math.prod(top)), dtype),
+             np.zeros((0, math.prod(top)), bool)), *parts)]
+        order = np.argsort(columns[0], kind="stable")
+        parts = [[column[order] for column in columns]]
+    idxs, scopes, shapes, costs, feasible = parts[0]
+    return (idxs, scopes, shapes, costs.reshape((-1,) + top),
+            feasible.reshape((-1,) + top))
+
+
+_Slots = collections.namedtuple(
+    "_Slots", "tail level_u level_i level_j owner reach rows cols levels_j")
+
+
+@functools.lru_cache(maxsize=64)
+def _slots(rows, cols, depth):
+    """The layout of a pairwise term padded to ``rows`` x ``cols``, over
+    domains of at most ``depth`` labels.  Its edge slots, in the order a
+    term adds its edges (a coupling per level pair (l, m), row-major, then
+    an infinite edge per level l of its variable i, then per level m of j):
+    the scope position (0 for i, 1 for j) of the node each edge leaves, that
+    node's level, and the levels of i and of j that must be real.  Its
+    unary shares, one step per level l of i, then per level m of j: the
+    scope position of the step's variable, and the labels a >= l (b >= m)
+    it reaches.  And its row and column indices."""
+    l, m = np.indices((rows - 1, cols - 1)).reshape(2, -1) + 1
+    li, lj = np.arange(1, rows), np.arange(1, cols)
+    label = np.arange(depth)
+    out = _Slots(
+        (np.arange(len(l) + len(li) + len(lj)) >= len(l) + len(li)) * 1,
+        np.concatenate([l, li, lj]), np.concatenate([l, li, 0 * lj]),
+        np.concatenate([m, 0 * li, lj]),
+        (np.arange(len(li) + len(lj)) >= len(li)) * 1,
+        np.concatenate([label >= li[:, None], label >= lj[:, None]]),
+        np.arange(rows)[:, None], np.arange(cols), lj)
+    for array in out:
+        array.flags.writeable = False  # shared by callers
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _levels(sizes):
+    """The nodes of domains of ``sizes``: per variable its first node, the
+    node of each level 1 .. depth - 1 [variable, level - 1] and which of
+    those levels it has, and the infinite edges from each level to the one
+    below, as a tuple of (u, v)."""
+    size = np.array(sizes, dtype=np.intp)[:, None]
+    depth = max(sizes, default=1)
+    first = (size[:, 0] - 1).cumsum() - size[:, 0] + 3
+    node = first[:, None] + np.arange(depth - 1)
+    below = node[:, :-1][np.arange(2, depth) < size]
+    out = first, node, np.arange(1, depth) < size
+    for array in out:
+        array.flags.writeable = False  # shared by callers
+    return out + (tuple(zip((below + 1).tolist(), below.tolist())),)
+
+
 class CutEncoding:
     """Min-cut formulation of an ordered, binary, submodular instance.
 
     Built from an instance whose domains are already relabelled so that
     numeric min/max is the pairwise multimorphism of every term.  Variable
     i's indicator "label >= level" is node ``first_node[i] + level - 1``;
-    nodes 0 and 1 are the source and the sink.  Exact costs are multiplied
-    by ``scale`` so that every capacity is a Python int: ``solve_stp`` passes
-    the scale of its whole instance, a multiple of every denominator left
-    after pruning, and without one the LCM of this instance's denominators
-    is taken (``integer_costs``).  With float costs ``scale`` is None and the
-    costs keep their Python values, each term's within its ``tolerance``.
-    The optimum is (cut + ``offset``) / ``scale``, and ``decode`` maps a
-    minimum cut back to an argmin assignment.
+    nodes 0 and 1 are the source and the sink, and ``edges`` maps (u, v)
+    to a capacity, INF for the exact infinite class, in the order a
+    term-by-term encoding adds them.  ``costs`` is the instance's
+    ``ScaledCosts``, built when not given; ``solve_stp`` passes the one its
+    check read.
+
+    The encoding reads ``costs.groups`` in a few numpy passes, none per
+    term.  The pairwise tables are padded to the largest pairwise shape by
+    repeating their last row and column, and one pass computes every row's
+    feasible interval and its checks, the clamped rows, the couplings and
+    the infinite edges; a padded row or column adds no coupling, and its
+    edges are masked.  The unary costs and every term's shares of them are
+    rows of one step array, added in term order by one ``np.add.at``.  A
+    failing instance raises the error and witness of its first failing
+    term.  Exact costs (there is a ``scale``) stay int64 while no sum of
+    shares can leave it, the term count times the largest cost below 2**61,
+    and are Python ints otherwise; capacities and the ``offset`` are summed
+    as Python ints, so the optimum (cut + ``offset``) / ``scale`` is exact.
+    Float and other inexact costs keep their Python values in object
+    arrays, each term's couplings compared within its own ``tolerance``,
+    and every sum is formed in the order a term-by-term encoding forms it,
+    so the network is the same to the bit.
     """
 
-    def __init__(self, instance, scale=None):
+    def __init__(self, instance, costs=None):
         self.instance = instance
-        self.offset = 0
+        costs = ScaledCosts(instance.terms) if costs is None else costs
+        self.scale = costs.scale
         sizes = instance.domains.sizes
-        self.first_node = []
-        n = 2
-        for s in sizes:
-            self.first_node.append(n)
-            n += s - 1
-        self.n_nodes = n
-        self.edges = {}
-        self.unary_acc = [[0] * s for s in sizes]
-        entries = [term.table.entries for term in instance.terms]
-        if scale is None:
-            scale, tables = integer_costs(entries)
-        else:
-            tables = [scale_entries(e, scale) for e in entries]
-        self.scale = scale
-        for first, s in zip(self.first_node, sizes):
-            for node in range(first, first + s - 2):
-                self._add(node + 1, node, INF)
-        for term, entries in zip(instance.terms, tables):
-            if term.table.arity == 1:
-                self._fold_unary(term.scope[0], entries)
-            elif term.table.arity == 2:
-                self._encode_pairwise(term.scope, term.table.shape, entries)
-            else:
-                raise VcspError("cut encoding requires terms of arity <= 2")
-        for first, vals in zip(self.first_node, self.unary_acc):
-            self.offset = self.offset + vals[0]
-            for level in range(1, len(vals)):
-                w = vals[level] - vals[level - 1]
-                if w >= 0:
-                    self._add(first + level - 1, 1, w)
-                else:
-                    self._add(0, first + level - 1, -w)
-                    self.offset = self.offset + w
+        first, node_at, levels, chain = _levels(sizes)
+        self.first_node = first.tolist()
+        self.n_nodes = 2 + sum(sizes) - len(sizes)
+        groups = costs.groups
+        unary = [g for g in groups if len(g[1]) == 1]
+        pidx, scope, shape, cost, feas = _padded_pairs(groups)
+        T, SI, SJ = cost.shape
+        slot = _slots(SI, SJ, max(sizes, default=1))
+        C = (SI - 1) * (SJ - 1)  # coupling slots
 
-    def _add(self, u, v, cap):
-        if cap is not INF and cap <= 0:
-            return
-        cur = self.edges.get((u, v), 0)
-        if cur is INF or cap is INF:
-            self.edges[(u, v)] = INF
-        else:
-            self.edges[(u, v)] = cur + cap
-
-    def _fold_unary(self, var, entries):
-        acc = self.unary_acc[var]
-        for a, c in enumerate(entries):
-            if c is INF:
+        # each row's feasible interval [lo, hi] and the rows clamped to it
+        count = feas.sum(2)
+        lo = feas.argmax(2)
+        hi = SJ - 1 - feas[:, :, ::-1].argmax(2)
+        cost = np.where(feas, cost, 0)
+        g = cost[np.arange(T)[:, None, None], slot.rows,
+                 np.minimum(np.maximum(slot.cols, lo[:, :, None]),
+                            hi[:, :, None])]
+        alpha = g[:, 1:, 1:] - g[:, :-1, 1:] - g[:, 1:, :-1] + g[:, :-1, :-1]
+        coupling = (-alpha).reshape(T, C)
+        real = (slot.level_i < shape[:, :1]) & (slot.level_j < shape[:, 1:])
+        tol = 0
+        if self.scale is None:
+            tol = -FLOAT_TOL * np.maximum(abs(cost).max(axis=(1, 2)), 1)
+            tol = tol[:, None]
+        # each term's checks in the order a term-by-term encoding makes them:
+        # each row empty or not an interval, the intervals not monotone, each
+        # coupling not submodular, the last label in no row
+        flags = np.concatenate([
+            hi - lo + 1 != count,
+            (lo[:, 1:] < lo[:, :-1]) | (hi[:, 1:] < hi[:, :-1]),
+            real[:, :C] & (coupling < tol), hi[:, -1:] < SJ - 1], axis=1)
+        failing = [idxs[0] for idxs, dims, *_ in groups
+                   if len(dims) not in (1, 2)]
+        failing += [idxs[int(feasible.all(1).argmin())]
+                    for idxs, _, _, feasible, _, _ in unary
+                    if not feasible.all()]
+        if flags.any():
+            failing.append(int(pidx[flags.any(1).argmax()]))
+        if failing:
+            k = min(failing)
+            if k in pidx:
+                t = int(np.searchsorted(pidx, k))
+                _raise_pairwise(scope[t].tolist(), count[t], flags[t], SI, SJ)
+            if any(k in group[0] for group in unary):
                 raise VcspError(
                     "unary infinity should have been pruned before encoding")
-            acc[a] = acc[a] + c
+            raise VcspError("cut encoding requires terms of arity <= 2")
 
-    def _encode_pairwise(self, scope, shape, entries):
-        i, j = scope
-        si, sj = shape
-        lo = []
-        hi = []
-        g = []  # each row's costs, clamped to its feasible interval
-        for a in range(si):
-            row = entries[a * sj:(a + 1) * sj]
-            live = [b for b, c in enumerate(row) if c is not INF]
-            if not live:
-                raise VcspError("empty row should have been pruned before encoding")
-            low, high = live[0], live[-1]
-            if high - low + 1 != len(live):
-                raise StageError(
-                    "mincut", "feasible set of a pairwise term is not an "
-                    "interval per row; crisp structure is not min/max closed",
-                    witness=(i, j, a))
-            lo.append(low)
-            hi.append(high)
-            g.append([row[low]] * low + row[low:high + 1]
-                     + [row[high]] * (sj - 1 - high))
-        if any(lo[a] > lo[a + 1] or hi[a] > hi[a + 1] for a in range(si - 1)):
-            raise StageError(
-                "mincut", "row intervals of a pairwise term are not monotone; "
-                "crisp structure is not min/max closed", witness=(i, j))
+        # the pairwise terms' edges, in term order and each term's slot order;
+        # parallel terms repeat an edge, whose caps are then summed in order
+        node = first[scope] - 1  # a variable's level l is its node + l
+        t_m = (hi[:, :, None] >= slot.levels_j).argmax(1)  # first row >= m
+        level_v = np.concatenate(
+            [slot.level_j[None, :C].repeat(T, 0), lo[:, 1:], t_m], axis=1)
+        kept = real & np.concatenate([coupling > 0, level_v[:, C:] >= 1], 1)
+        u = node[:, slot.tail] + slot.level_u
+        v = node[:, 1 - slot.tail] + level_v
+        caps = np.empty(kept.shape, dtype=object)
+        caps[:, :C], caps[:, C:] = coupling, INF
+        keys = list(zip(u[kept].tolist(), v[kept].tolist()))
+        caps = caps[kept].tolist()
+        pair = dict(zip(keys, caps))
+        if len(pair) < len(caps):
+            pair = dict.fromkeys(pair, 0)
+            for key, cap in zip(keys, caps):
+                pair[key] = pair[key] + cap  # INF absorbs
 
-        tol = tolerance(self.scale, entries)
-        node_i = self.first_node[i] - 1  # node of level l is node_i + l
-        node_j = self.first_node[j] - 1
-        alpha = [[g[l][m] - g[l - 1][m] - g[l][m - 1] + g[l - 1][m - 1]
-                  for m in range(1, sj)] for l in range(1, si)]
-        for l in range(1, si):
-            for m in range(1, sj):
-                cap = -alpha[l - 1][m - 1]
-                if cap < -tol:
-                    raise StageError(
-                        "mincut", "pairwise term is not submodular after "
-                        "relabelling", witness=(i, j, l, m))
-                if cap > 0:
-                    self._add(node_i + l, node_j + m, cap)
-        acc_i = self.unary_acc[i]
-        acc_j = self.unary_acc[j]
-        for l in range(1, si):
-            w = g[l][0] - g[l - 1][0]
-            w = w + sum(alpha[l - 1])
-            for a in range(l, si):
-                acc_i[a] = acc_i[a] + w
-        for m in range(1, sj):
-            w = g[0][m] - g[0][m - 1]
-            for b in range(m, sj):
-                acc_j[b] = acc_j[b] + w
-        self.offset = self.offset + g[0][0]
-        for l in range(1, si):
-            if lo[l] >= 1:
-                self._add(node_i + l, node_j + lo[l], INF)
-        for m in range(1, sj):
-            t_m = next((a for a in range(si) if hi[a] >= m), None)
-            if t_m is None:
-                raise VcspError(
-                    "empty column should have been pruned before encoding")
-            if t_m >= 1:
-                self._add(node_j + m, node_i + t_m, INF)
+        # the shares of the unary costs, one row per step of a term
+        dtype = cost.dtype
+        if dtype != object and len(instance.terms) * costs.largest >= 1 << 61:
+            dtype = object
+        K = SI + SJ - 2
+        w = np.concatenate([g[:, 1:, 0] - g[:, :-1, 0] + np.where(
+            real[:, :C].reshape(alpha.shape), alpha, 0).sum(2),
+            g[:, 0, 1:] - g[:, 0, :-1]], axis=1)
+        steps = np.zeros((len(instance.terms), max(K, 1), slot.reach.shape[1]),
+                         dtype)
+        owner = np.zeros(steps.shape[:2], np.intp)
+        for idxs, (size,), unary_cost, _, unary_scope, _ in unary:
+            steps[idxs, 0, :size] = unary_cost
+            owner[idxs, 0] = unary_scope[:, 0]
+        steps[pidx, :K] = np.where(slot.reach, w[:, :, None], 0)
+        owner[pidx, :K] = scope[:, slot.owner]
+        acc = np.zeros((len(sizes), steps.shape[2]), dtype)
+        np.add.at(acc, owner, steps)
+
+        # per variable: the infinite chain of its levels and an edge per
+        # level whose share is not 0
+        step = acc[:, 1:] - acc[:, :-1]
+        down = levels & (step < 0)
+        nonzero = down | levels & (step > 0)
+        tails, up = node_at[nonzero], ~down[nonzero]  # up: node -> sink
+        self.edges = dict.fromkeys(chain, INF)
+        self.edges.update(pair)
+        self.edges.update(zip(zip((tails * up).tolist(),
+                                  (tails + (1 - tails) * up).tolist()),
+                              abs(step[nonzero]).tolist()))
+        # the offset sums each pairwise term's g[0][0], then per variable
+        # its share at label 0 and its negative steps, in that order
+        acc[:, 1:] = step
+        summed = np.ones(acc.shape, bool)
+        summed[:, 1:] = down
+        self.offset = functools.reduce(
+            operator.add, acc[summed].tolist(),
+            functools.reduce(operator.add, g[:, 0, 0].tolist(), 0))
 
     def solve(self):
         """(optimum, argmin) for the encoded instance; the optimum is
         (cut + offset) / scale, or cut + offset without a scale."""
-        flow = MaxFlow(self.n_nodes)
-        for (u, v), cap in sorted(self.edges.items()):
-            flow.add_edge(u, v, None if cap is INF else cap)
+        flow = MaxFlow(self.n_nodes, [
+            (u, v, None if cap is INF else cap)
+            for (u, v), cap in sorted(self.edges.items())])
         value = flow.max_flow(0, 1)
         if value is INF:
             return INF, None
@@ -395,14 +501,37 @@ class CutEncoding:
         return optimum, self.decode(flow.min_cut_source_side(0))
 
     def decode(self, source_side):
-        x = []
-        for first, s in zip(self.first_node, self.instance.domains.sizes):
-            level = 0
-            for l in range(1, s):
-                if first + l - 1 in source_side:
-                    level = l
-            x.append(level)
-        return tuple(x)
+        """The assignment of a minimum cut: each variable's level is the
+        number of its nodes on the source side, which the infinite chain
+        edges keep closed downwards."""
+        return tuple(sum(node in source_side
+                         for node in range(first, first + s - 1))
+                     for first, s in zip(self.first_node,
+                                         self.instance.domains.sizes))
+
+
+def _raise_pairwise(scope, count, flags, rows, cols):
+    """The error of the first failed check in ``flags``, a pairwise term's
+    checks in the order ``CutEncoding`` lays them out."""
+    i, j = scope
+    at = int(flags.argmax())
+    if at < rows and not count[at]:
+        raise VcspError("empty row should have been pruned before encoding")
+    if at < rows:
+        raise StageError(
+            "mincut", "feasible set of a pairwise term is not an interval "
+            "per row; crisp structure is not min/max closed",
+            witness=(i, j, at))
+    if at < 2 * rows - 1:
+        raise StageError(
+            "mincut", "row intervals of a pairwise term are not monotone; "
+            "crisp structure is not min/max closed", witness=(i, j))
+    if at < 2 * rows - 1 + (rows - 1) * (cols - 1):
+        l, m = divmod(at - 2 * rows + 1, cols - 1)
+        raise StageError(
+            "mincut", "pairwise term is not submodular after relabelling",
+            witness=(i, j, l + 1, m + 1))
+    raise VcspError("empty column should have been pruned before encoding")
 
 
 def solve_stp(instance, pair, cap=DEFAULT_CAP):
@@ -413,7 +542,10 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP):
     the min-cut path the pair is min/max in the extracted order, so each
     term is checked under the pair itself, and the unsupported labels are
     dropped and the rest put in that order by one restriction.  The costs
-    are scaled once, for the check, the pruning and the encoding.
+    are scaled once, for the check, the pruning and the encoding; a
+    restriction that changes the instance rescales its tables with the same
+    scale.  The cut optimum is checked against the cost of the decoded
+    assignment, summed over the same scaled rows.
     """
     order = extract_tournament_order(pair)
     terms = [merge_repeated(t) for t in instance.terms]
@@ -441,15 +573,19 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP):
         return SolveResult(INF, None, stats)
     keep = [[a for a in labels if a in live]
             for labels, live in zip(order.orders, survive)]
-    optimum, argmin = CutEncoding(restrict_instance(merged, keep),
-                                  costs.scale).solve()
+    restricted = restrict_instance(merged, keep)
+    if restricted is not merged:
+        costs = ScaledCosts(restricted.terms, costs.scale)
+    optimum, argmin = CutEncoding(restricted, costs).solve()
     if argmin is not None:
-        argmin = tuple(keep[i][v] for i, v in enumerate(argmin))
-        check = instance.evaluate(argmin)
+        check = costs.cost(argmin)
+        if check is not INF and costs.scale is not None:
+            check = Fraction(check, costs.scale)
         if not cost_eq(check, optimum):
             raise VcspError(
                 f"cut optimum {optimum} disagrees with the decoded assignment "
                 f"cost {check}")
+        argmin = tuple(keep[i][v] for i, v in enumerate(argmin))
     return SolveResult(optimum, argmin, stats)
 
 

@@ -513,15 +513,18 @@ class LoopCutEncoding:
             if lo[l] >= 1:
                 self._add(self.node_of[(i, l)], self.node_of[(j, lo[l])], INF)
         for m in range(1, sj):
-            t_m = next(a for a in range(si) if hi[a] >= m)
+            t_m = next((a for a in range(si) if hi[a] >= m), None)
+            if t_m is None:
+                raise VcspError(
+                    "empty column should have been pruned before encoding")
             if t_m >= 1:
                 self._add(self.node_of[(j, m)], self.node_of[(i, t_m)], INF)
 
     def solve(self):
         """(optimum, argmin) for the encoded instance."""
-        flow = MaxFlow(self.n_nodes)
-        for (u, v), cap in sorted(self.edges.items()):
-            flow.add_edge(u, v, None if cap is INF else cap)
+        flow = MaxFlow(self.n_nodes, [
+            (u, v, None if cap is INF else cap)
+            for (u, v), cap in sorted(self.edges.items())])
         value = flow.max_flow(0, 1)
         if value is INF:
             return INF, None

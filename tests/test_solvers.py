@@ -1,6 +1,7 @@
 """Brute force, tournament orders, the min-cut path and the pipeline."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -25,8 +26,8 @@ from vcsp import (
     solve_stp,
 )
 from vcsp.consistency import BinaryNetwork
-from vcsp.costs import cost_eq, integer_costs, is_finite
-from vcsp.operations import OperationSystem, is_stp_on
+from vcsp.costs import cost_eq, integer_costs, is_finite, scale_entries
+from vcsp.operations import OperationSystem, ScaledCosts, is_stp_on
 from vcsp.solvers import (CutEncoding, MaxFlow, _check_network_closed,
                           _prune_unsupported)
 
@@ -120,25 +121,18 @@ class TestTournamentOrder:
 
 class TestMaxFlow:
     def test_simple_network(self):
-        f = MaxFlow(4)
-        f.add_edge(0, 2, Fraction(3))
-        f.add_edge(0, 3, Fraction(2))
-        f.add_edge(2, 1, Fraction(2))
-        f.add_edge(3, 1, Fraction(3))
-        f.add_edge(2, 3, Fraction(1))
+        f = MaxFlow(4, [(0, 2, Fraction(3)), (0, 3, Fraction(2)),
+                        (2, 1, Fraction(2)), (3, 1, Fraction(3)),
+                        (2, 3, Fraction(1))])
         assert f.max_flow(0, 1) == 5
 
     def test_infinite_path(self):
-        f = MaxFlow(3)
-        f.add_edge(0, 2, None)
-        f.add_edge(2, 1, None)
+        f = MaxFlow(3, [(0, 2, None), (2, 1, None)])
         assert f.max_flow(0, 1) is INF
 
     def test_min_cut_side(self):
-        f = MaxFlow(4)
-        f.add_edge(0, 2, Fraction(1))
-        f.add_edge(2, 3, None)
-        f.add_edge(3, 1, Fraction(5))
+        f = MaxFlow(4, [(0, 2, Fraction(1)), (2, 3, None),
+                        (3, 1, Fraction(5))])
         assert f.max_flow(0, 1) == 1
         assert f.min_cut_source_side(0) == {0}
 
@@ -147,11 +141,9 @@ class TestMaxFlow:
         # far longer than the recursion limit; the path is a chain of
         # finite edges after an infinite one
         n = 3000
-        f = MaxFlow(n)
-        f.add_edge(0, 2, None)
-        for u in range(2, n - 1):
-            f.add_edge(u, u + 1, Fraction(2))
-        f.add_edge(n - 1, 1, Fraction(3))
+        f = MaxFlow(n, [(0, 2, None)]
+                    + [(u, u + 1, Fraction(2)) for u in range(2, n - 1)]
+                    + [(n - 1, 1, Fraction(3))])
         assert f.max_flow(0, 1) == 2
 
 
@@ -604,6 +596,157 @@ def test_float_chains_at_large_scale_solve():
             assert cost_eq(res.optimum, solve_bruteforce(inst).optimum)
 
 
+PAIRWISE_FAILURES = ("empty row", "not an interval", "not monotone",
+                     "not submodular", "empty column")
+
+
+def failing_table(rng, si, sj, kind):
+    """A pairwise table that the encoding rejects, failing ``kind`` first:
+    an empty row, a row that is not an interval (needs sj >= 3), row
+    intervals that are not monotone, a coupling that is not submodular, or
+    a last label that no row reaches."""
+    a = rng.randrange(si)
+
+    def entry(r, c):
+        if kind == "empty row":
+            return INF if r == a else Fraction(0)
+        if kind == "not an interval":
+            return INF if (r, c) == (a, 1) else Fraction(0)
+        if kind == "not monotone":  # row 1 is [0, 0], row 0 reaches sj - 1
+            return INF if r == 1 and c else Fraction(0)
+        if kind == "not submodular":
+            return Fraction(r * c, 2)
+        return INF if c == sj - 1 else Fraction(1, 3)
+    return CostTable.from_function((si, sj), entry)
+
+
+def test_long_mixed_shape_lists_match_loop_witness_for_witness():
+    # 220 or more terms of shapes 2x2, 2x3, 3x2 and 3x3 with crisp rows and
+    # Fraction costs; a failing term of one shape comes after the first
+    # group, of another shape, which passes
+    rng = random.Random(20298)
+    seen = Counter()
+    for trial in range(28):
+        n = 12
+        sizes = tuple(rng.choice((2, 3)) for _ in range(n))
+        terms = [Term(CostTable((s,), [fraction_cost(rng) for _ in range(s)]),
+                      (i,)) for i, s in enumerate(sizes)]
+        while len(terms) < 220:
+            i, j = rng.sample(range(n), 2)
+            make = rng.choice((fraction_submodular_table, interval_rows))
+            terms.append(Term(make(rng, sizes[i], sizes[j]), (i, j)))
+        first_shape = terms[n].table.shape  # its group is laid out first
+        kind = None
+        if trial % 4:
+            kind = PAIRWISE_FAILURES[trial % len(PAIRWISE_FAILURES)]
+            i, j = next((i, j) for i, j in (rng.sample(range(n), 2)
+                                            for _ in itertools.count())
+                        if (sizes[i], sizes[j]) != first_shape
+                        and (sizes[j] >= 3 or kind != "not an interval"))
+            at = rng.randrange(150, len(terms))
+            terms.insert(at, Term(failing_table(
+                rng, sizes[i], sizes[j], kind), (i, j)))
+            # a later failure, in the first group's shape
+            later = rng.randrange(at + 1, len(terms) + 1)
+            terms.insert(later, Term(failing_table(
+                rng, *first_shape, "not submodular"), terms[n].scope))
+            if trial % 4 == 2:  # or a unary infinity first
+                kind = "unary infinity"
+                terms.insert(at, Term(CostTable((sizes[0],), [INF] + [
+                    Fraction(0)] * (sizes[0] - 1)), (0,)))
+            elif trial % 4 == 3:  # or a ternary term first
+                kind = "ternary"
+                terms.insert(at, Term(CostTable(sizes[:3], [0] * math.prod(
+                    sizes[:3])), (0, 1, 2)))
+        inst = Instance(DomainSpec(sizes), terms)
+        got = encode(CutEncoding, inst)
+        loop = encode(LoopCutEncoding, inst)
+        if kind is None:
+            assert_same_network(got, loop)
+        else:
+            assert got == loop
+        seen[kind] += 1
+    assert seen[None] == 7
+    assert seen["unary infinity"] == seen["ternary"] == 7
+    assert all(seen[kind] for kind in PAIRWISE_FAILURES)
+
+
+def test_costs_near_the_int64_limit_stay_exact():
+    # the scaled costs are below 2**59, so the check holds them in int64;
+    # variable 0's shares sum far beyond 2**63, so the encoding must not
+    base = Fraction(2**59 // 6 - 64)
+    rng = random.Random(20299)
+    for _ in range(4):
+        sizes = (3,) * 6
+        terms = []
+        for k in range(40):
+            terms.append(Term(CostTable((3,), [
+                base + fraction_cost(rng) for _ in range(3)]), (0,)))
+            table = fraction_submodular_table(rng, 3, 3)
+            terms.append(Term(CostTable((3, 3), [
+                base + c for c in table.entries]), (0, 1 + k % 5)))
+        inst = Instance(DomainSpec(sizes), terms)
+        costs = ScaledCosts(inst.terms)
+        assert costs.scale == 6
+        assert all(group[2].dtype == np.int64 for group in costs.groups)
+        assert costs.largest < 2**59 and 40 * costs.largest > 2**63
+        enc = CutEncoding(inst, costs)
+        assert_same_network(enc, LoopCutEncoding(inst))
+        assert type(enc.offset) is int
+        assert all(cap is INF or type(cap) is int
+                   for cap in enc.edges.values())
+
+
+def test_float_networks_follow_the_loops_term_order():
+    # float sums depend on their order: each network is the loop's to the
+    # bit, in either term order, and the two orders differ in some networks
+    rng = random.Random(20300)
+    differ = 0
+    for _ in range(30):
+        sizes = (3,) * 4
+        terms = []
+        for _ in range(24):
+            weight = rng.choice((1e16, 1.0, 1e-3, 3.3))
+            unary = [weight * rng.random() for _ in range(3)]
+            terms.append(Term(CostTable((3,), unary), (rng.randrange(4),)))
+            i, j = rng.sample(range(4), 2)
+            table = fraction_submodular_table(rng, 3, 3)
+            terms.append(Term(CostTable((3, 3), [
+                weight * float(c) for c in table.entries]), (i, j)))
+        networks = []
+        for order in (terms, terms[::-1]):
+            inst = Instance(DomainSpec(sizes), order)
+            enc = encode(CutEncoding, inst)
+            loop = encode(LoopCutEncoding, inst, True)
+            if isinstance(enc, tuple):
+                assert enc == loop
+                break
+            assert enc.scale is None
+            assert_same_network(enc, loop)
+            networks.append((loop.offset, sorted(loop.edges.items())))
+        else:
+            differ += networks[0] != networks[1]
+    assert differ >= 10
+
+
+def test_cut_cross_check_catches_a_corrupted_encoding(monkeypatch):
+    # solve_stp compares the cut optimum with the cost of the assignment it
+    # decodes; an encoding whose offset is off by one fails that check
+    import vcsp.solvers as solvers
+
+    class OffByOne(CutEncoding):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.offset += 1
+
+    inst, system = submodular_chain(random.Random(20297), 5)
+    assert solve_stp(inst, system.pair).stats["path"] == "mincut"
+    monkeypatch.setattr(solvers, "CutEncoding", OffByOne)
+    with pytest.raises(VcspError, match=r"^cut optimum \S+ disagrees with "
+                       r"the decoded assignment cost \S+$"):
+        solve_stp(inst, system.pair)
+
+
 def test_integer_costs_one_scale_for_all_tables():
     tables = [[Fraction(1, 2), INF], [Fraction(5, 6), 2]]
     assert integer_costs(tables) == (6, [[3, INF], [5, 12]])
@@ -683,7 +826,35 @@ def scale_calls(monkeypatch):
     return calls
 
 
-def test_one_scaling_per_mincut_solve(scale_calls):
+def test_one_scaling_per_mincut_solve(scale_calls, monkeypatch):
+    # one LCM pass per solve; an encoding of the solved instance itself (the
+    # restriction keeps every label in order) scales no table again
+    import sys
+    import vcsp.solvers as solvers
+    encoding = []
+    encoding_scales = []
+
+    def counted(entries, scale):
+        if encoding:
+            encoding_scales.append(scale)
+        return scale_entries(entries, scale)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "vcsp" and getattr(
+                module, "scale_entries", None) is scale_entries:
+            monkeypatch.setattr(module, "scale_entries", counted)
+
+    class Watched(CutEncoding):
+        def __init__(self, instance, *args):
+            encoding.append(instance)
+            try:
+                super().__init__(instance, *args)
+            finally:
+                encoding.pop()
+            encoded.append(instance)
+
+    encoded = []
+    monkeypatch.setattr(solvers, "CutEncoding", Watched)
     rng = random.Random(20295)
     for k in range(20):
         if k % 2:
@@ -692,8 +863,12 @@ def test_one_scaling_per_mincut_solve(scale_calls):
             inst, system = submodular_chain(rng, rng.randint(2, 6))
             pair = system.pair
         scale_calls.clear()
+        encoding_scales.clear()
         assert solve_stp(inst, pair).stats["path"] == "mincut"
         assert scale_calls == [len(inst.terms)]
+        assert (encoded[-1] is inst) == (k % 2 == 0)
+        if encoded[-1] is inst:
+            assert encoding_scales == []
 
 
 def test_one_scaling_per_stage2_run_and_per_verify(scale_calls):
