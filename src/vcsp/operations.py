@@ -446,10 +446,9 @@ class ScaledCosts:
     without the LCM pass.  Either way ``rows`` holds INF exactly where the
     tables do.  ``groups`` are ``rows`` laid out as the kernel groups of
     the multimorphism checks, built on first use; the min-cut encoding and
-    ``cost`` read them too.  Building them also sets ``largest``, the
-    largest finite scaled cost (0 without one), or None without a scale.
-    A caller that checks the same terms more than once passes this form
-    instead of the term list, so that no table is scaled twice.
+    ``cost`` read them too.  A caller that checks the same terms more than
+    once passes this form instead of the term list, so that no table is
+    scaled twice.
     """
 
     def __init__(self, terms, scale=None):
@@ -486,9 +485,8 @@ class ScaledCosts:
             members.setdefault((term.table.shape, x), []).append(idx)
         flat = [e for idxs in members.values() for i in idxs
                 for e in rows[i]]
-        self.largest = None if self.scale is None else max(
-            (e for e in flat if e is not INF), default=0)
-        if self.scale is not None and self.largest < _INT64_LIMIT:
+        if self.scale is not None and max(
+                (e for e in flat if e is not INF), default=0) < _INT64_LIMIT:
             values = np.array([_INT64_INF if e is INF else e for e in flat],
                               dtype=np.int64)
             feasible = values != _INT64_INF

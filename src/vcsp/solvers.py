@@ -19,7 +19,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import math
 import operator
 import time
 from dataclasses import dataclass, field
@@ -134,10 +133,8 @@ class MaxFlow:
             tails[1::2] = self.to[0::2] = vs
             self.cap[0::2] = caps
         self.adj = [[] for _ in range(n)]
-        for u, arcs in itertools.groupby(
-                sorted(range(len(tails)), key=tails.__getitem__),
-                key=tails.__getitem__):
-            self.adj[u] = list(arcs)
+        for e, u in enumerate(tails):
+            self.adj[u].append(e)
 
     def _bfs(self, s, t):
         level = [-1] * self.n
@@ -273,32 +270,31 @@ def _pad_index(shape, top):
 
 
 def _padded_pairs(groups):
-    """The pairwise terms among ``ScaledCosts.groups``, in term order: (term
-    indices, scopes [term, 2], shapes [term, 2], costs and feasible mask
-    [term, rows, cols]), each table padded to the largest rows and cols
-    among them by repeating its last row and column."""
+    """The pairwise terms among ``ScaledCosts.groups`` in term order: their
+    indices, scopes [term, 2], and costs and feasible masks [term, rows,
+    cols], each table padded to the largest rows and cols among them by
+    repeating its last row and column."""
     pairs = [g for g in groups if len(g[1]) == 2]
     top = tuple(map(max, zip((1, 1), *(g[1] for g in pairs))))
-    parts = [(np.array(idxs, dtype=np.intp), scopes,
-              np.array([shape] * len(idxs), dtype=np.intp),
-              costs[:, _pad_index(shape, top)],
-              feasible[:, _pad_index(shape, top)])
-             for idxs, shape, costs, feasible, scopes, _ in pairs]
-    if len(parts) != 1:  # join the groups' terms in term order
+    idxs = np.array([i for g in pairs for i in g[0]], dtype=np.intp)
+    parts = [(scopes, costs[:, at], feasible[:, at])
+             for _, shape, costs, feasible, scopes, _ in pairs
+             for at in [_pad_index(shape, top)]]
+    if not parts:
         dtype = groups[0][2].dtype if groups else np.int64
-        columns = [np.concatenate(column) for column in zip(
-            (np.zeros(0, np.intp), np.zeros((0, 2), np.intp),
-             np.zeros((0, 2), np.intp), np.zeros((0, math.prod(top)), dtype),
-             np.zeros((0, math.prod(top)), bool)), *parts)]
-        order = np.argsort(columns[0], kind="stable")
-        parts = [[column[order] for column in columns]]
-    idxs, scopes, shapes, costs, feasible = parts[0]
-    return (idxs, scopes, shapes, costs.reshape((-1,) + top),
+        parts = [(np.zeros((0, 2), np.intp), np.zeros((0, 1), dtype),
+                  np.zeros((0, 1), bool))]
+    elif len(parts) > 1:  # join the groups' terms in term order
+        order = idxs.argsort()
+        parts = [[np.concatenate(column)[order] for column in zip(*parts)]]
+        idxs = idxs[order]
+    scopes, costs, feasible = parts[0]
+    return (idxs, scopes, costs.reshape((-1,) + top),
             feasible.reshape((-1,) + top))
 
 
 _Slots = collections.namedtuple(
-    "_Slots", "tail level_u level_i level_j owner reach rows cols levels_j")
+    "_Slots", "tail level_u level_i level_j reach rows cols")
 
 
 @functools.lru_cache(maxsize=64)
@@ -308,40 +304,22 @@ def _slots(rows, cols, depth):
     term adds its edges (a coupling per level pair (l, m), row-major, then
     an infinite edge per level l of its variable i, then per level m of j):
     the scope position (0 for i, 1 for j) of the node each edge leaves, that
-    node's level, and the levels of i and of j that must be real.  Its
-    unary shares, one step per level l of i, then per level m of j: the
-    scope position of the step's variable, and the labels a >= l (b >= m)
-    it reaches.  And its row and column indices."""
+    node's level, and the levels of i and of j that must be real.  The
+    infinite edges' part of ``tail`` and ``level_u`` also lays out the
+    term's unary shares, one step per level, and ``reach`` holds the labels
+    each step reaches.  And the table's row and column indices."""
     l, m = np.indices((rows - 1, cols - 1)).reshape(2, -1) + 1
     li, lj = np.arange(1, rows), np.arange(1, cols)
-    label = np.arange(depth)
+    steps = np.concatenate([li, lj])
     out = _Slots(
-        (np.arange(len(l) + len(li) + len(lj)) >= len(l) + len(li)) * 1,
-        np.concatenate([l, li, lj]), np.concatenate([l, li, 0 * lj]),
+        np.concatenate([0 * l, 0 * li, 0 * lj + 1]),
+        np.concatenate([l, steps]), np.concatenate([l, li, 0 * lj]),
         np.concatenate([m, 0 * li, lj]),
-        (np.arange(len(li) + len(lj)) >= len(li)) * 1,
-        np.concatenate([label >= li[:, None], label >= lj[:, None]]),
-        np.arange(rows)[:, None], np.arange(cols), lj)
+        np.arange(depth) >= steps[:, None],
+        np.arange(rows)[:, None], np.arange(cols))
     for array in out:
         array.flags.writeable = False  # shared by callers
     return out
-
-
-@functools.lru_cache(maxsize=64)
-def _levels(sizes):
-    """The nodes of domains of ``sizes``: per variable its first node, the
-    node of each level 1 .. depth - 1 [variable, level - 1] and which of
-    those levels it has, and the infinite edges from each level to the one
-    below, as a tuple of (u, v)."""
-    size = np.array(sizes, dtype=np.intp)[:, None]
-    depth = max(sizes, default=1)
-    first = (size[:, 0] - 1).cumsum() - size[:, 0] + 3
-    node = first[:, None] + np.arange(depth - 1)
-    below = node[:, :-1][np.arange(2, depth) < size]
-    out = first, node, np.arange(1, depth) < size
-    for array in out:
-        array.flags.writeable = False  # shared by callers
-    return out + (tuple(zip((below + 1).tolist(), below.tolist())),)
 
 
 class CutEncoding:
@@ -379,12 +357,13 @@ class CutEncoding:
         costs = ScaledCosts(instance.terms) if costs is None else costs
         self.scale = costs.scale
         sizes = instance.domains.sizes
-        first, node_at, levels, chain = _levels(sizes)
+        size = np.array(sizes, dtype=np.intp)
+        first = (size - 1).cumsum() - size + 3
         self.first_node = first.tolist()
         self.n_nodes = 2 + sum(sizes) - len(sizes)
         groups = costs.groups
         unary = [g for g in groups if len(g[1]) == 1]
-        pidx, scope, shape, cost, feas = _padded_pairs(groups)
+        pidx, scope, cost, feas = _padded_pairs(groups)
         T, SI, SJ = cost.shape
         slot = _slots(SI, SJ, max(sizes, default=1))
         C = (SI - 1) * (SJ - 1)  # coupling slots
@@ -393,24 +372,24 @@ class CutEncoding:
         count = feas.sum(2)
         lo = feas.argmax(2)
         hi = SJ - 1 - feas[:, :, ::-1].argmax(2)
-        cost = np.where(feas, cost, 0)
-        g = cost[np.arange(T)[:, None, None], slot.rows,
-                 np.minimum(np.maximum(slot.cols, lo[:, :, None]),
-                            hi[:, :, None])]
-        alpha = g[:, 1:, 1:] - g[:, :-1, 1:] - g[:, 1:, :-1] + g[:, :-1, :-1]
-        coupling = (-alpha).reshape(T, C)
+        g = np.where(feas, cost, 0)[
+            np.arange(T)[:, None, None], slot.rows,
+            np.minimum(np.maximum(slot.cols, lo[:, :, None]), hi[:, :, None])]
+        shape = size[scope]
         real = (slot.level_i < shape[:, :1]) & (slot.level_j < shape[:, 1:])
+        alpha = g[:, 1:, 1:] - g[:, :-1, 1:] - g[:, 1:, :-1] + g[:, :-1, :-1]
+        alpha = np.where(real[:, :C].reshape(alpha.shape), alpha, 0)
+        coupling = (-alpha).reshape(T, C)
         tol = 0
         if self.scale is None:
-            tol = -FLOAT_TOL * np.maximum(abs(cost).max(axis=(1, 2)), 1)
-            tol = tol[:, None]
+            tol = -FLOAT_TOL * np.maximum(abs(g).max(axis=(1, 2)), 1)[:, None]
         # each term's checks in the order a term-by-term encoding makes them:
         # each row empty or not an interval, the intervals not monotone, each
         # coupling not submodular, the last label in no row
         flags = np.concatenate([
             hi - lo + 1 != count,
             (lo[:, 1:] < lo[:, :-1]) | (hi[:, 1:] < hi[:, :-1]),
-            real[:, :C] & (coupling < tol), hi[:, -1:] < SJ - 1], axis=1)
+            coupling < tol, hi[:, -1:] < SJ - 1], axis=1)
         failing = [idxs[0] for idxs, dims, *_ in groups
                    if len(dims) not in (1, 2)]
         failing += [idxs[int(feasible.all(1).argmin())]
@@ -431,7 +410,7 @@ class CutEncoding:
         # the pairwise terms' edges, in term order and each term's slot order;
         # parallel terms repeat an edge, whose caps are then summed in order
         node = first[scope] - 1  # a variable's level l is its node + l
-        t_m = (hi[:, :, None] >= slot.levels_j).argmax(1)  # first row >= m
+        t_m = (hi[:, :, None] >= slot.level_j[C + SI - 1:]).argmax(1)
         level_v = np.concatenate(
             [slot.level_j[None, :C].repeat(T, 0), lo[:, 1:], t_m], axis=1)
         kept = real & np.concatenate([coupling > 0, level_v[:, C:] >= 1], 1)
@@ -447,32 +426,37 @@ class CutEncoding:
             for key, cap in zip(keys, caps):
                 pair[key] = pair[key] + cap  # INF absorbs
 
-        # the shares of the unary costs, one row per step of a term
+        # the unary costs and each pairwise term's shares of them, one row
+        # per step of a term, added in term order
         dtype = cost.dtype
-        if dtype != object and len(instance.terms) * costs.largest >= 1 << 61:
-            dtype = object
-        K = SI + SJ - 2
-        w = np.concatenate([g[:, 1:, 0] - g[:, :-1, 0] + np.where(
-            real[:, :C].reshape(alpha.shape), alpha, 0).sum(2),
-            g[:, 0, 1:] - g[:, 0, :-1]], axis=1)
-        steps = np.zeros((len(instance.terms), max(K, 1), slot.reach.shape[1]),
-                         dtype)
+        largest = max([g.max(initial=0)] + [c.max() for _, _, c, *_ in unary])
+        if dtype != object and len(instance.terms) * int(largest) >= 1 << 61:
+            dtype = object  # a sum of shares could leave int64
+        steps = np.zeros(
+            (len(instance.terms), max(SI + SJ - 2, 1), slot.reach.shape[1]),
+            dtype)
         owner = np.zeros(steps.shape[:2], np.intp)
-        for idxs, (size,), unary_cost, _, unary_scope, _ in unary:
-            steps[idxs, 0, :size] = unary_cost
+        for idxs, (s,), unary_cost, _, unary_scope, _ in unary:
+            steps[idxs, 0, :s] = unary_cost
             owner[idxs, 0] = unary_scope[:, 0]
-        steps[pidx, :K] = np.where(slot.reach, w[:, :, None], 0)
-        owner[pidx, :K] = scope[:, slot.owner]
+        w = np.concatenate([g[:, 1:, 0] - g[:, :-1, 0] + alpha.sum(2),
+                            g[:, 0, 1:] - g[:, 0, :-1]], axis=1)
+        steps[pidx, :SI + SJ - 2] = np.where(slot.reach, w[:, :, None], 0)
+        owner[pidx, :SI + SJ - 2] = scope[:, slot.tail[C:]]
         acc = np.zeros((len(sizes), steps.shape[2]), dtype)
         np.add.at(acc, owner, steps)
 
-        # per variable: the infinite chain of its levels and an edge per
+        # per variable: the infinite chain of its levels, then an edge per
         # level whose share is not 0
+        node_at = first[:, None] + np.arange(acc.shape[1] - 1)
+        levels = np.arange(1, acc.shape[1]) < size[:, None]
+        chain = node_at[:, 1:][levels[:, 1:]]
         step = acc[:, 1:] - acc[:, :-1]
         down = levels & (step < 0)
         nonzero = down | levels & (step > 0)
         tails, up = node_at[nonzero], ~down[nonzero]  # up: node -> sink
-        self.edges = dict.fromkeys(chain, INF)
+        self.edges = dict.fromkeys(zip(chain.tolist(), (chain - 1).tolist()),
+                                   INF)
         self.edges.update(pair)
         self.edges.update(zip(zip((tails * up).tolist(),
                                   (tails + (1 - tails) * up).tolist()),
@@ -504,8 +488,7 @@ class CutEncoding:
         """The assignment of a minimum cut: each variable's level is the
         number of its nodes on the source side, which the infinite chain
         edges keep closed downwards."""
-        return tuple(sum(node in source_side
-                         for node in range(first, first + s - 1))
+        return tuple(len(source_side.intersection(range(first, first + s - 1)))
                      for first, s in zip(self.first_node,
                                          self.instance.domains.sizes))
 
@@ -545,7 +528,9 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP):
     are scaled once, for the check, the pruning and the encoding; a
     restriction that changes the instance rescales its tables with the same
     scale.  The cut optimum is checked against the cost of the decoded
-    assignment, summed over the same scaled rows.
+    assignment, mapped back to the caller's labels and summed over the
+    scaled rows of the unrestricted terms, so the check covers the
+    restriction and the label mapping as well as the encoding.
     """
     order = extract_tournament_order(pair)
     terms = [merge_repeated(t) for t in instance.terms]
@@ -574,10 +559,11 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP):
     keep = [[a for a in labels if a in live]
             for labels, live in zip(order.orders, survive)]
     restricted = restrict_instance(merged, keep)
-    if restricted is not merged:
-        costs = ScaledCosts(restricted.terms, costs.scale)
-    optimum, argmin = CutEncoding(restricted, costs).solve()
+    cut_costs = (costs if restricted is merged
+                 else ScaledCosts(restricted.terms, costs.scale))
+    optimum, argmin = CutEncoding(restricted, cut_costs).solve()
     if argmin is not None:
+        argmin = tuple(keep[i][v] for i, v in enumerate(argmin))
         check = costs.cost(argmin)
         if check is not INF and costs.scale is not None:
             check = Fraction(check, costs.scale)
@@ -585,7 +571,6 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP):
             raise VcspError(
                 f"cut optimum {optimum} disagrees with the decoded assignment "
                 f"cost {check}")
-        argmin = tuple(keep[i][v] for i, v in enumerate(argmin))
     return SolveResult(optimum, argmin, stats)
 
 

@@ -689,7 +689,8 @@ def test_costs_near_the_int64_limit_stay_exact():
         costs = ScaledCosts(inst.terms)
         assert costs.scale == 6
         assert all(group[2].dtype == np.int64 for group in costs.groups)
-        assert costs.largest < 2**59 and 40 * costs.largest > 2**63
+        largest = max(e for row in costs.rows for e in row)
+        assert largest < 2**59 and 40 * largest > 2**63
         enc = CutEncoding(inst, costs)
         assert_same_network(enc, LoopCutEncoding(inst))
         assert type(enc.offset) is int
@@ -729,19 +730,33 @@ def test_float_networks_follow_the_loops_term_order():
     assert differ >= 10
 
 
-def test_cut_cross_check_catches_a_corrupted_encoding(monkeypatch):
+@pytest.mark.parametrize("corrupt", ["offset", "restriction"])
+def test_cut_cross_check_catches_a_corrupted_encoding(corrupt, monkeypatch):
     # solve_stp compares the cut optimum with the cost of the assignment it
-    # decodes; an encoding whose offset is off by one fails that check
+    # decodes, read in the caller's labels on the unrestricted terms; an
+    # encoding whose offset is off by one fails that check, and so does a
+    # restriction that loses a term
     import vcsp.solvers as solvers
 
-    class OffByOne(CutEncoding):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.offset += 1
-
     inst, system = submodular_chain(random.Random(20297), 5)
+    inst = Instance(inst.domains, inst.terms + [
+        Term(CostTable((3,), [1, 1, 1]), (0,))])
     assert solve_stp(inst, system.pair).stats["path"] == "mincut"
-    monkeypatch.setattr(solvers, "CutEncoding", OffByOne)
+    if corrupt == "offset":
+        class OffByOne(CutEncoding):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.offset += 1
+
+        monkeypatch.setattr(solvers, "CutEncoding", OffByOne)
+    else:
+        restrict = solvers.restrict_instance
+
+        def lossy(instance, keep):
+            restricted = restrict(instance, keep)
+            return Instance(restricted.domains, restricted.terms[:-1])
+
+        monkeypatch.setattr(solvers, "restrict_instance", lossy)
     with pytest.raises(VcspError, match=r"^cut optimum \S+ disagrees with "
                        r"the decoded assignment cost \S+$"):
         solve_stp(inst, system.pair)
