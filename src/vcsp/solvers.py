@@ -11,7 +11,11 @@ cross-check all read that one scaling.  ``CutEncoding`` is a few numpy
 passes over the scaled arrays, with the pairwise tables padded to one
 shape, not a loop over terms; exact capacities are Python ints and the
 optimum is (cut + offset) / scale.  Float costs keep their values and are
-summed in term order, as a term-by-term encoding sums them.
+summed in term order, as a term-by-term encoding sums them.  The check and
+the pruning of ``solve_stp`` leave the encoding binary, finite, min/max
+closed and fully supported, so it checks none of that again; it extends
+each clamped table that is not submodular by a penalty that is 0 on the
+feasible set, and checks only that the result is submodular.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .consistency import restrict_instance, run_stage1
-from .costs import FLOAT_TOL, INF, cost_eq
+from .costs import INF, cost_eq
 from .errors import StageError, VcspError
 from .model import DEFAULT_CAP, CostTable, Instance, Term, merge_repeated
 from .operations import (
@@ -136,7 +140,7 @@ class MaxFlow:
         for e, u in enumerate(tails):
             self.adj[u].append(e)
 
-    def _bfs(self, s, t):
+    def _bfs(self, s):
         level = [-1] * self.n
         level[s] = 0
         queue = [s]
@@ -146,7 +150,7 @@ class MaxFlow:
                 if (cap is None or cap > 0) and level[self.to[e]] < 0:
                     level[self.to[e]] = level[u] + 1
                     queue.append(self.to[e])
-        return level if level[t] >= 0 else None
+        return level
 
     def _dfs(self, s, t, level, it):
         """Push flow along one s-t path of the level graph; 0 when none.
@@ -187,11 +191,14 @@ class MaxFlow:
         return f
 
     def max_flow(self, s, t):
-        """Total flow value, or INF when an infinite augmenting path exists."""
+        """Total flow value, or INF when an infinite augmenting path exists.
+        A finite flow leaves ``source_side``, the residual reach of s that
+        the last search found: the source side of a minimum cut."""
         total = 0
         while True:
-            level = self._bfs(s, t)
-            if level is None:
+            level = self._bfs(s)
+            if level[t] < 0:
+                self.source_side = {u for u in range(self.n) if level[u] >= 0}
                 return total
             it = [0] * self.n
             while True:
@@ -202,19 +209,6 @@ class MaxFlow:
                 if not d:
                     break
                 total += d
-
-    def min_cut_source_side(self, s):
-        """Nodes reachable from s in the residual graph after max_flow."""
-        seen = [False] * self.n
-        seen[s] = True
-        queue = [s]
-        for u in queue:
-            for e in self.adj[u]:
-                cap = self.cap[e]
-                if (cap is None or cap > 0) and not seen[self.to[e]]:
-                    seen[self.to[e]] = True
-                    queue.append(self.to[e])
-        return {u for u in range(self.n) if seen[u]}
 
 
 def _prune_unsupported(instance, rows):
@@ -271,26 +265,27 @@ def _pad_index(shape, top):
 
 def _padded_pairs(groups):
     """The pairwise terms among ``ScaledCosts.groups`` in term order: their
-    indices, scopes [term, 2], and costs and feasible masks [term, rows,
-    cols], each table padded to the largest rows and cols among them by
-    repeating its last row and column."""
+    indices, scopes [term, 2], costs and feasible masks [term, rows, cols],
+    each table padded to the largest rows and cols among them by repeating
+    its last row and column, and tolerances [term], 0 for exact tables."""
     pairs = [g for g in groups if len(g[1]) == 2]
     top = tuple(map(max, zip((1, 1), *(g[1] for g in pairs))))
     idxs = np.array([i for g in pairs for i in g[0]], dtype=np.intp)
-    parts = [(scopes, costs[:, at], feasible[:, at])
-             for _, shape, costs, feasible, scopes, _ in pairs
+    parts = [(scopes, costs[:, at], feasible[:, at],
+              np.zeros(len(costs), costs.dtype) if tol is None else tol)
+             for _, shape, costs, feasible, scopes, tol in pairs
              for at in [_pad_index(shape, top)]]
     if not parts:
         dtype = groups[0][2].dtype if groups else np.int64
         parts = [(np.zeros((0, 2), np.intp), np.zeros((0, 1), dtype),
-                  np.zeros((0, 1), bool))]
+                  np.zeros((0, 1), bool), np.zeros(0, dtype))]
     elif len(parts) > 1:  # join the groups' terms in term order
         order = idxs.argsort()
         parts = [[np.concatenate(column)[order] for column in zip(*parts)]]
         idxs = idxs[order]
-    scopes, costs, feasible = parts[0]
+    scopes, costs, feasible, tol = parts[0]
     return (idxs, scopes, costs.reshape((-1,) + top),
-            feasible.reshape((-1,) + top))
+            feasible.reshape((-1,) + top), tol)
 
 
 _Slots = collections.namedtuple(
@@ -322,11 +317,22 @@ def _slots(rows, cols, depth):
     return out
 
 
+def _second_differences(g, real):
+    """alpha[l, m] = g[l, m] - g[l - 1, m] - g[l, m - 1] + g[l - 1, m - 1]
+    of each padded table g [term, rows, cols]; 0 where ``real`` (the
+    coupling slots of ``_slots``) marks a padded level."""
+    alpha = g[:, 1:, 1:] - g[:, :-1, 1:] - g[:, 1:, :-1] + g[:, :-1, :-1]
+    return np.where(real.reshape(alpha.shape), alpha, 0)
+
+
 class CutEncoding:
     """Min-cut formulation of an ordered, binary, submodular instance.
 
-    Built from an instance whose domains are already relabelled so that
-    numeric min/max is the pairwise multimorphism of every term.  Variable
+    Built from an instance as ``solve_stp`` hands it over, and not checked
+    for it again: numeric min/max is the pairwise multimorphism of every
+    term, every term has arity at most 2, no unary term holds INF, and the
+    rows of each pairwise term are non-empty intervals [lo, hi] of labels,
+    with lo and hi non-decreasing and every label in some row.  Variable
     i's indicator "label >= level" is node ``first_node[i] + level - 1``;
     nodes 0 and 1 are the source and the sink, and ``edges`` maps (u, v)
     to a capacity, INF for the exact infinite class, in the order a
@@ -337,19 +343,23 @@ class CutEncoding:
     The encoding reads ``costs.groups`` in a few numpy passes, none per
     term.  The pairwise tables are padded to the largest pairwise shape by
     repeating their last row and column, and one pass computes every row's
-    feasible interval and its checks, the clamped rows, the couplings and
-    the infinite edges; a padded row or column adds no coupling, and its
-    edges are masked.  The unary costs and every term's shares of them are
-    rows of one step array, added in term order by one ``np.add.at``.  A
-    failing instance raises the error and witness of its first failing
-    term.  Exact costs (there is a ``scale``) stay int64 while no sum of
-    shares can leave it, the term count times the largest cost below 2**61,
-    and are Python ints otherwise; capacities and the ``offset`` are summed
-    as Python ints, so the optimum (cut + ``offset``) / ``scale`` is exact.
-    Float and other inexact costs keep their Python values in object
-    arrays, each term's couplings compared within its own ``tolerance``,
-    and every sum is formed in the order a term-by-term encoding forms it,
-    so the network is the same to the bit.
+    feasible interval, the rows clamped to it, the couplings and the
+    infinite edges; a padded row or column adds no coupling, and its edges
+    are masked.  A clamped table need not be submodular: a term whose
+    largest alpha K exceeds its tolerance (0 for exact tables) gets
+    K * (max(0, lo[a] - b) + max(0, b - hi[a])) added, which is 0 on the
+    feasible set and has an alpha of at most -1 across each step of lo or
+    hi.  The one check is on the result: an alpha above the tolerance
+    raises for the first such term, at its first level pair in row-major
+    order.  The unary costs and every term's shares of them are rows of
+    one step array, added in term order by one ``np.add.at``.  Exact costs
+    (there is a ``scale``) stay int64 while every table is below 2**59 and
+    the term count times the largest cost below 2**61, and are Python ints
+    otherwise; capacities and the ``offset`` are summed as Python ints, so
+    the optimum (cut + ``offset``) / ``scale`` is exact.  Float and other
+    inexact costs keep their Python values in object arrays, and every sum
+    is formed in the order a term-by-term encoding forms it, so the network
+    is the same to the bit.
     """
 
     def __init__(self, instance, costs=None):
@@ -363,13 +373,12 @@ class CutEncoding:
         self.n_nodes = 2 + sum(sizes) - len(sizes)
         groups = costs.groups
         unary = [g for g in groups if len(g[1]) == 1]
-        pidx, scope, cost, feas = _padded_pairs(groups)
+        pidx, scope, cost, feas, tol = _padded_pairs(groups)
         T, SI, SJ = cost.shape
         slot = _slots(SI, SJ, max(sizes, default=1))
         C = (SI - 1) * (SJ - 1)  # coupling slots
 
         # each row's feasible interval [lo, hi] and the rows clamped to it
-        count = feas.sum(2)
         lo = feas.argmax(2)
         hi = SJ - 1 - feas[:, :, ::-1].argmax(2)
         g = np.where(feas, cost, 0)[
@@ -377,35 +386,28 @@ class CutEncoding:
             np.minimum(np.maximum(slot.cols, lo[:, :, None]), hi[:, :, None])]
         shape = size[scope]
         real = (slot.level_i < shape[:, :1]) & (slot.level_j < shape[:, 1:])
-        alpha = g[:, 1:, 1:] - g[:, :-1, 1:] - g[:, 1:, :-1] + g[:, :-1, :-1]
-        alpha = np.where(real[:, :C].reshape(alpha.shape), alpha, 0)
+        alpha = _second_differences(g, real[:, :C])
+        # extend the clamped tables that are not submodular
+        K = alpha.max((1, 2), initial=0)
+        over = K > tol
+        if over.any():
+            K = K[over][:, None, None]
+            far = (np.maximum(lo[over][:, :, None] - slot.cols, 0)
+                   + np.maximum(slot.cols - hi[over][:, :, None], 0))
+            # an extended cost at 2**59 or above leaves the int64 bound
+            if g.dtype != object and (
+                    int(K.max()) * SJ + int(g.max()) >= 1 << 59):
+                g, K = g.astype(object), K.astype(object)
+            g[over] += K * far
+            alpha = _second_differences(g, real[:, :C])
         coupling = (-alpha).reshape(T, C)
-        tol = 0
-        if self.scale is None:
-            tol = -FLOAT_TOL * np.maximum(abs(g).max(axis=(1, 2)), 1)[:, None]
-        # each term's checks in the order a term-by-term encoding makes them:
-        # each row empty or not an interval, the intervals not monotone, each
-        # coupling not submodular, the last label in no row
-        flags = np.concatenate([
-            hi - lo + 1 != count,
-            (lo[:, 1:] < lo[:, :-1]) | (hi[:, 1:] < hi[:, :-1]),
-            coupling < tol, hi[:, -1:] < SJ - 1], axis=1)
-        failing = [idxs[0] for idxs, dims, *_ in groups
-                   if len(dims) not in (1, 2)]
-        failing += [idxs[int(feasible.all(1).argmin())]
-                    for idxs, _, _, feasible, _, _ in unary
-                    if not feasible.all()]
-        if flags.any():
-            failing.append(int(pidx[flags.any(1).argmax()]))
-        if failing:
-            k = min(failing)
-            if k in pidx:
-                t = int(np.searchsorted(pidx, k))
-                _raise_pairwise(scope[t].tolist(), count[t], flags[t], SI, SJ)
-            if any(k in group[0] for group in unary):
-                raise VcspError(
-                    "unary infinity should have been pruned before encoding")
-            raise VcspError("cut encoding requires terms of arity <= 2")
+        bad = coupling < -tol[:, None]
+        if bad.any():
+            t = int(bad.any(1).argmax())
+            l, m = divmod(int(bad[t].argmax()), SJ - 1)
+            raise StageError(
+                "mincut", "pairwise term is not submodular after relabelling",
+                witness=(*scope[t].tolist(), l + 1, m + 1))
 
         # the pairwise terms' edges, in term order and each term's slot order;
         # parallel terms repeat an edge, whose caps are then summed in order
@@ -428,7 +430,7 @@ class CutEncoding:
 
         # the unary costs and each pairwise term's shares of them, one row
         # per step of a term, added in term order
-        dtype = cost.dtype
+        dtype = g.dtype
         largest = max([g.max(initial=0)] + [c.max() for _, _, c, *_ in unary])
         if dtype != object and len(instance.terms) * int(largest) >= 1 << 61:
             dtype = object  # a sum of shares could leave int64
@@ -482,7 +484,7 @@ class CutEncoding:
         optimum = value + self.offset
         if self.scale is not None:
             optimum = Fraction(optimum, self.scale)
-        return optimum, self.decode(flow.min_cut_source_side(0))
+        return optimum, self.decode(flow.source_side)
 
     def decode(self, source_side):
         """The assignment of a minimum cut: each variable's level is the
@@ -491,30 +493,6 @@ class CutEncoding:
         return tuple(len(source_side.intersection(range(first, first + s - 1)))
                      for first, s in zip(self.first_node,
                                          self.instance.domains.sizes))
-
-
-def _raise_pairwise(scope, count, flags, rows, cols):
-    """The error of the first failed check in ``flags``, a pairwise term's
-    checks in the order ``CutEncoding`` lays them out."""
-    i, j = scope
-    at = int(flags.argmax())
-    if at < rows and not count[at]:
-        raise VcspError("empty row should have been pruned before encoding")
-    if at < rows:
-        raise StageError(
-            "mincut", "feasible set of a pairwise term is not an interval "
-            "per row; crisp structure is not min/max closed",
-            witness=(i, j, at))
-    if at < 2 * rows - 1:
-        raise StageError(
-            "mincut", "row intervals of a pairwise term are not monotone; "
-            "crisp structure is not min/max closed", witness=(i, j))
-    if at < 2 * rows - 1 + (rows - 1) * (cols - 1):
-        l, m = divmod(at - 2 * rows + 1, cols - 1)
-        raise StageError(
-            "mincut", "pairwise term is not submodular after relabelling",
-            witness=(i, j, l + 1, m + 1))
-    raise VcspError("empty column should have been pruned before encoding")
 
 
 def solve_stp(instance, pair, cap=DEFAULT_CAP):

@@ -17,8 +17,8 @@ replaced: same results, same witnesses and messages.
 ``LoopCutEncoding`` is the min-cut encoding on the instance's own cost
 values (``Fraction`` capacities for exact costs), with one table lookup per
 entry and a dict from (variable, level) to node; ``CutEncoding`` builds the
-same network on costs scaled to integers.  With ``float_costs`` each
-term's couplings compare within the tolerance of that term's own costs.
+same network on costs scaled to integers.  Each table that is not exact
+compares its couplings within the tolerance of its own costs.
 ``loop_prune_unsupported`` rescans every term's table on every sweep.
 ``loop_find_seed`` is ``find_seed`` reading the whole outside mask of M
 (``PairSet.outside``) with ``np.argwhere``.
@@ -52,7 +52,7 @@ import itertools
 import numpy as np
 
 from vcsp.consistency import BinaryNetwork
-from vcsp.costs import INF, is_finite, tolerance
+from vcsp.costs import EXACT_TYPES, INF, is_finite, tolerance
 from vcsp.errors import CapExceeded, StageError, ValidationError, VcspError
 from vcsp.model import DEFAULT_CAP, CostTable, DomainSpec, Instance, Term
 from vcsp.operations import (BinaryPair, MjnTriple, OperationSystem, PairSet,
@@ -407,12 +407,14 @@ class LoopCutEncoding:
 
     The cut value of the network plus ``offset`` equals the instance
     optimum, and ``decode`` maps a minimum cut back to an argmin assignment.
+    ``extended`` counts the pairwise terms whose clamped table was not
+    submodular and got the distance penalty.
     """
 
-    def __init__(self, instance, float_costs=False):
+    def __init__(self, instance):
         self.instance = instance
-        self.float_costs = float_costs
         self.offset = 0
+        self.extended = 0
         sizes = instance.domains.sizes
         self.node_of = {}
         n = 2
@@ -484,12 +486,25 @@ class LoopCutEncoding:
                 "mincut", "row intervals of a pairwise term are not monotone; "
                 "crisp structure is not min/max closed", witness=(i, j))
 
-        def g(a, b):
-            return table[(a, min(max(b, lo[a]), hi[a]))]
+        g = [[table[(a, min(max(b, lo[a]), hi[a]))] for b in range(sj)]
+             for a in range(si)]
 
-        alpha = [[g(l, m) - g(l - 1, m) - g(l, m - 1) + g(l - 1, m - 1)
-                  for m in range(1, sj)] for l in range(1, si)]
-        tol = tolerance(None, table.entries) if self.float_costs else 0
+        def second_differences():
+            return [[g[l][m] - g[l - 1][m] - g[l][m - 1] + g[l - 1][m - 1]
+                     for m in range(1, sj)] for l in range(1, si)]
+
+        alpha = second_differences()
+        exact = all(isinstance(e, EXACT_TYPES) for e in table.entries
+                    if e is not INF)
+        tol = 0 if exact else tolerance(None, table.entries)
+        top = max((x for row in alpha for x in row), default=0)
+        if top > tol:
+            # the clamped table is not submodular: add top times the
+            # distance of each column from its row's interval
+            self.extended += 1
+            g = [[g[a][b] + top * (max(0, lo[a] - b) + max(0, b - hi[a]))
+                  for b in range(sj)] for a in range(si)]
+            alpha = second_differences()
         for l in range(1, si):
             for m in range(1, sj):
                 cap = -alpha[l - 1][m - 1]
@@ -500,15 +515,15 @@ class LoopCutEncoding:
                 if cap > 0:
                     self._add(self.node_of[(i, l)], self.node_of[(j, m)], cap)
         for l in range(1, si):
-            w = g(l, 0) - g(l - 1, 0)
+            w = g[l][0] - g[l - 1][0]
             w = w + sum(alpha[l - 1])
             for a in range(l, si):
                 self.unary_acc[i][a] = self.unary_acc[i][a] + w
         for m in range(1, sj):
-            w = g(0, m) - g(0, m - 1)
+            w = g[0][m] - g[0][m - 1]
             for b in range(m, sj):
                 self.unary_acc[j][b] = self.unary_acc[j][b] + w
-        self.offset = self.offset + g(0, 0)
+        self.offset = self.offset + g[0][0]
         for l in range(1, si):
             if lo[l] >= 1:
                 self._add(self.node_of[(i, l)], self.node_of[(j, lo[l])], INF)
@@ -528,8 +543,7 @@ class LoopCutEncoding:
         value = flow.max_flow(0, 1)
         if value is INF:
             return INF, None
-        source_side = flow.min_cut_source_side(0)
-        return value + self.offset, self.decode(source_side)
+        return value + self.offset, self.decode(flow.source_side)
 
     def decode(self, source_side):
         x = []

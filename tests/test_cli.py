@@ -66,6 +66,12 @@ def fixed_instance(seed=131):
             return inst, system
 
 
+# Submodular on its feasible set, but not once each row is clamped to its
+# feasible interval; the min-cut encoder used to reject it (exit 1).
+CLAMPED = ("vcsp 2\ndomains 3 2\nterm 2 1 2\ndefault inf\n"
+           "entry 0 0 6\nentry 0 1 1\nentry 1 1 4\nentry 2 1 6\n")
+
+
 class TestSolve:
     def test_solve_prints_optimum_and_argmin(self, tmp_path, capsys):
         inst, system = fixed_instance()
@@ -126,6 +132,26 @@ class TestSolve:
         capsys.readouterr()
         for line in tpath.read_text().splitlines():
             assert line.startswith("iter ")
+
+    @pytest.mark.parametrize("flags, out", [
+        ([], "optimum 1\nargmin 0 1\nstat path mincut\n"
+             "stat reduce_iterations 0\n"),
+        (["--json"], '{"argmin": [0, 1], "optimum": "1", "stats": '
+                     '{"path": "mincut", "reduce_iterations": 0}}\n'),
+        (["--float"], "optimum 1.0\nargmin 0 1\nstat path mincut\n"
+                      "stat reduce_iterations 0\n"),
+    ])
+    def test_clamped_table_not_submodular_solves(self, tmp_path, capsys,
+                                                 flags, out):
+        ipath, opath = tmp_path / "inst.vcsp", tmp_path / "ops.ops"
+        ipath.write_text(CLAMPED)
+        d = DomainSpec((3, 2))
+        opath.write_text(serialize_ops(OperationSystem(
+            BinaryPair.min_max(d), MjnTriple.canonical(d), PairSet.full(d))))
+        assert main(["oracle", str(ipath)]) == 0
+        assert capsys.readouterr().out.startswith("optimum 1\nargmin 0 1\n")
+        assert main(["solve", str(ipath), str(opath), *flags]) == 0
+        assert capsys.readouterr() == (out, "")
 
 
 class TestVerify:

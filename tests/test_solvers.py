@@ -1,7 +1,6 @@
 """Brute force, tournament orders, the min-cut path and the pipeline."""
 
 import itertools
-import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -32,7 +31,6 @@ from vcsp.solvers import (CutEncoding, MaxFlow, _check_network_closed,
                           _prune_unsupported)
 
 from harness import (
-    minmax_system,
     random_boolean_mjn_instance,
     random_instance,
     random_submodular_instance,
@@ -134,7 +132,7 @@ class TestMaxFlow:
         f = MaxFlow(4, [(0, 2, Fraction(1)), (2, 3, None),
                         (3, 1, Fraction(5))])
         assert f.max_flow(0, 1) == 1
-        assert f.min_cut_source_side(0) == {0}
+        assert f.source_side == {0}
 
 
     def test_long_augmenting_path(self):
@@ -193,10 +191,13 @@ class TestMincut:
         assert inst.evaluate(res.argmin) == res.optimum
 
     def test_non_interval_crisp_rejected(self):
+        # row 0 is {0, 2}: min of (0, 2) and (1, 1) is (0, 1), not in the
+        # relation, so the solve's own check rejects it before encoding
         rel = CostTable.relation((2, 3), [(0, 0), (0, 2), (1, 0), (1, 1), (1, 2)])
         inst = Instance(DomainSpec((2, 3)), [Term(rel, (0, 1))])
-        with pytest.raises(StageError):
-            CutEncoding(inst)
+        with pytest.raises(VcspError, match="term 0 is not submodular under "
+                                            "the extracted order"):
+            solve_stp(inst, BinaryPair.min_max(inst.domains))
 
     def test_non_submodular_rejected(self):
         t = CostTable.from_function((2, 2), lambda a, b: Fraction(a * b))
@@ -204,12 +205,17 @@ class TestMincut:
         with pytest.raises(StageError):
             CutEncoding(inst)
 
-    def test_empty_column_rejected(self):
-        # both rows are the interval [0, 1]: no row reaches label 2
+    def test_empty_column_pruned(self):
+        # both rows are the interval [0, 1]: no row reaches label 2, which
+        # the solve prunes before encoding, though it is the cheapest
         t = CostTable((2, 3), [0, 0, INF, 0, 0, INF])
-        inst = Instance(DomainSpec((2, 3)), [Term(t, (0, 1))])
-        with pytest.raises(VcspError, match="empty column"):
-            CutEncoding(inst)
+        inst = Instance(DomainSpec((2, 3)), [
+            Term(t, (0, 1)), Term(CostTable((3,), [3, 2, 0]), (1,))])
+        res = solve_stp(inst, BinaryPair.min_max(inst.domains))
+        assert res.stats["path"] == "mincut"
+        assert (res.optimum, res.argmin) == (2, (0, 1))
+        ref = solve_bruteforce(inst)
+        assert (res.optimum, res.argmin) == (ref.optimum, ref.argmin)
 
     def test_minimum_cut_decodes_consistent_levels(self):
         # every decoded assignment respects level monotonicity by design;
@@ -458,9 +464,9 @@ def random_encoding_instance(rng):
     return Instance(DomainSpec(sizes), terms)
 
 
-def encode(cls, instance, *tol):
+def encode(cls, instance):
     try:
-        return cls(instance, *tol)
+        return cls(instance)
     except VcspError as exc:
         return type(exc), str(exc), getattr(exc, "witness", None)
 
@@ -489,42 +495,28 @@ def assert_same_network(enc, loop):
 
 class TestCutEncodingMatchesLoop:
     def test_random_instances(self):
+        # every draw meets the encoder's preconditions; in some of them a
+        # combined term's clamped table is not submodular and is extended
         rng = random.Random(20281)
         seen = Counter()
         for _ in range(400):
             inst = random_encoding_instance(rng)
-            enc = encode(CutEncoding, inst)
-            loop = encode(LoopCutEncoding, inst)
-            if isinstance(enc, tuple):
-                assert enc == loop
-                seen["error", enc[0].__name__] += 1
-                continue
+            enc = CutEncoding(inst)
+            loop = LoopCutEncoding(inst)
             optimum = assert_same_network(enc, loop)
             seen["solved", optimum is INF, enc.scale > 1] += 1
-        # solves with a scale above 1 and rejected combined terms both occur
+            seen["extended"] += loop.extended > 0
         assert seen["solved", False, True] >= 100
-        assert seen["error", "StageError"] >= 10
+        assert seen["extended"] >= 50
 
     @pytest.mark.parametrize("terms, error, witness", [
-        # a row without a finite entry
-        ([((2, 2), [INF, INF, 0, 0], (0, 1))], VcspError, None),
-        # row 1 is {0, 2}, not an interval
-        ([((2, 3), [0, INF, INF, 0, INF, 0], (1, 0))], StageError, (1, 0, 1)),
-        # row intervals [0, 1] then [0, 0]
-        ([((2, 2), [0, 0, 0, INF], (0, 1))], StageError, (0, 1)),
         # alpha is positive at (1, 2) and (2, 1); the first in row-major
         # order is reported
         ([((3, 3), [0, 0, 0, 0, 0, 1, 0, 1, 3], (1, 0))], StageError,
          (1, 0, 1, 2)),
-        # infinity in a unary term
-        ([((2,), [0, INF], (0,))], VcspError, None),
-        # a ternary term
-        ([((2, 2, 2), [0] * 8, (0, 1, 2))], VcspError, None),
-        # the first failing term wins, either way round
+        # a failing pairwise term is reported before a later ternary one
         ([((2, 2), [0, 0, 0, 1], (0, 1)), ((2, 2, 2), [0] * 8, (0, 1, 2))],
          StageError, (0, 1, 1, 1)),
-        ([((2, 2, 2), [0] * 8, (0, 1, 2)), ((2, 2), [0, 0, 0, 1], (0, 1))],
-         VcspError, None),
     ])
     def test_errors_witness_for_witness(self, terms, error, witness):
         sizes = [1, 1, 1]
@@ -541,26 +533,28 @@ class TestCutEncodingMatchesLoop:
 
     def test_float_costs_with_tolerance(self):
         rng = random.Random(20282)
-        solved = 0
+        solved = extended = 0
         for _ in range(60):
             inst = random_encoding_instance(rng)
             terms = [Term(CostTable(t.table.shape, [
                 e if e is INF else float(e) for e in t.table.entries]),
                 t.scope) for t in inst.terms]
-            # a coupling 1e-12 above submodular passes under the tolerance
+            # a coupling 1e-12 above submodular passes under the tolerance,
+            # and a crisp term's clamped table 1e-12 above it is not extended
             fuzz = CostTable((2, 2), [0.0, 0.0, 0.0, 1e-12])
+            crisp_fuzz = CostTable((2, 3), [0.0, 0.0, INF, INF, 0.0, 1e-12])
             n = inst.domains.variable_count
-            inst = Instance(DomainSpec(inst.domains.sizes + (2, 2)),
-                            terms + [Term(fuzz, (n, n + 1))])
-            enc = encode(CutEncoding, inst)
-            loop = encode(LoopCutEncoding, inst, True)
-            if isinstance(enc, tuple):
-                assert enc == loop
-                continue
+            inst = Instance(DomainSpec(inst.domains.sizes + (2, 2, 3)),
+                            terms + [Term(fuzz, (n, n + 1)),
+                                     Term(crisp_fuzz, (n, n + 2))])
+            enc = CutEncoding(inst)
+            loop = LoopCutEncoding(inst)
             assert enc.scale is None
             optimum = assert_same_network(enc, loop)
             solved += optimum is not INF and isinstance(optimum, float)
+            extended += loop.extended > 0
         assert solved >= 20
+        assert extended >= 10
 
 
 def test_float_tolerance_is_each_terms_own():
@@ -570,8 +564,20 @@ def test_float_tolerance_is_each_terms_own():
     inst = Instance(DomainSpec((2, 2, 2)), [
         Term(CostTable((2, 2), [1e9, 2e9, 3e9, 4e9]), (1, 2)),
         Term(CostTable((2, 2), [1.0, 1.0, 1.0, 1.5]), (0, 1))])
-    assert encode(CutEncoding, inst) == encode(
-        LoopCutEncoding, inst, True) == (
+    assert encode(CutEncoding, inst) == encode(LoopCutEncoding, inst) == (
+        StageError, "stage mincut: pairwise term is not submodular after "
+        "relabelling", (0, 1, 1, 1))
+    with pytest.raises(VcspError, match="term 1 is not submodular"):
+        solve_stp(inst, BinaryPair.min_max(inst.domains))
+
+
+def test_exact_table_in_a_float_instance_compares_exactly():
+    # each table's tolerance follows its own cost class, in the encoder as
+    # in the check: an exact alpha of 1e-12 fails beside a float term
+    inst = Instance(DomainSpec((2, 2)), [
+        Term(CostTable((2,), [0.5, 0.25]), (0,)),
+        Term(CostTable((2, 2), [0, 0, 0, Fraction(1, 10**12)]), (0, 1))])
+    assert encode(CutEncoding, inst) == encode(LoopCutEncoding, inst) == (
         StageError, "stage mincut: pairwise term is not submodular after "
         "relabelling", (0, 1, 1, 1))
     with pytest.raises(VcspError, match="term 1 is not submodular"):
@@ -596,28 +602,9 @@ def test_float_chains_at_large_scale_solve():
             assert cost_eq(res.optimum, solve_bruteforce(inst).optimum)
 
 
-PAIRWISE_FAILURES = ("empty row", "not an interval", "not monotone",
-                     "not submodular", "empty column")
-
-
-def failing_table(rng, si, sj, kind):
-    """A pairwise table that the encoding rejects, failing ``kind`` first:
-    an empty row, a row that is not an interval (needs sj >= 3), row
-    intervals that are not monotone, a coupling that is not submodular, or
-    a last label that no row reaches."""
-    a = rng.randrange(si)
-
-    def entry(r, c):
-        if kind == "empty row":
-            return INF if r == a else Fraction(0)
-        if kind == "not an interval":
-            return INF if (r, c) == (a, 1) else Fraction(0)
-        if kind == "not monotone":  # row 1 is [0, 0], row 0 reaches sj - 1
-            return INF if r == 1 and c else Fraction(0)
-        if kind == "not submodular":
-            return Fraction(r * c, 2)
-        return INF if c == sj - 1 else Fraction(1, 3)
-    return CostTable.from_function((si, sj), entry)
+def not_submodular(si, sj):
+    """A finite pairwise table whose alpha is 1/2 at every level pair."""
+    return CostTable.from_function((si, sj), lambda r, c: Fraction(r * c, 2))
 
 
 def test_long_mixed_shape_lists_match_loop_witness_for_witness():
@@ -636,39 +623,27 @@ def test_long_mixed_shape_lists_match_loop_witness_for_witness():
             make = rng.choice((fraction_submodular_table, interval_rows))
             terms.append(Term(make(rng, sizes[i], sizes[j]), (i, j)))
         first_shape = terms[n].table.shape  # its group is laid out first
-        kind = None
-        if trial % 4:
-            kind = PAIRWISE_FAILURES[trial % len(PAIRWISE_FAILURES)]
+        failing = trial % 4 != 0
+        if failing:
             i, j = next((i, j) for i, j in (rng.sample(range(n), 2)
                                             for _ in itertools.count())
-                        if (sizes[i], sizes[j]) != first_shape
-                        and (sizes[j] >= 3 or kind != "not an interval"))
+                        if (sizes[i], sizes[j]) != first_shape)
             at = rng.randrange(150, len(terms))
-            terms.insert(at, Term(failing_table(
-                rng, sizes[i], sizes[j], kind), (i, j)))
+            terms.insert(at, Term(not_submodular(sizes[i], sizes[j]), (i, j)))
             # a later failure, in the first group's shape
             later = rng.randrange(at + 1, len(terms) + 1)
-            terms.insert(later, Term(failing_table(
-                rng, *first_shape, "not submodular"), terms[n].scope))
-            if trial % 4 == 2:  # or a unary infinity first
-                kind = "unary infinity"
-                terms.insert(at, Term(CostTable((sizes[0],), [INF] + [
-                    Fraction(0)] * (sizes[0] - 1)), (0,)))
-            elif trial % 4 == 3:  # or a ternary term first
-                kind = "ternary"
-                terms.insert(at, Term(CostTable(sizes[:3], [0] * math.prod(
-                    sizes[:3])), (0, 1, 2)))
+            terms.insert(later, Term(not_submodular(*first_shape),
+                                     terms[n].scope))
         inst = Instance(DomainSpec(sizes), terms)
         got = encode(CutEncoding, inst)
         loop = encode(LoopCutEncoding, inst)
-        if kind is None:
-            assert_same_network(got, loop)
-        else:
+        if failing:
             assert got == loop
-        seen[kind] += 1
-    assert seen[None] == 7
-    assert seen["unary infinity"] == seen["ternary"] == 7
-    assert all(seen[kind] for kind in PAIRWISE_FAILURES)
+            assert got[2] == (i, j, 1, 1)
+        else:
+            assert_same_network(got, loop)
+        seen[failing] += 1
+    assert seen[False] == 7 and seen[True] == 21
 
 
 def test_costs_near_the_int64_limit_stay_exact():
@@ -698,6 +673,150 @@ def test_costs_near_the_int64_limit_stay_exact():
                    for cap in enc.edges.values())
 
 
+# A 3x2 term whose rows are [0, 1], [1, 1] and [1, 1]: submodular on its
+# feasible set, but its clamped table's alpha at (1, 1) is 6 - 1 - 4 + 4 = 5.
+CLAMPED_NOT_SUBMODULAR = {(0, 0): 6, (0, 1): 1, (1, 1): 4, (2, 1): 6}
+
+
+def clamped_not_submodular(base=0, weight=1):
+    return CostTable.from_function((3, 2), lambda a, b: INF if (
+        a, b) not in CLAMPED_NOT_SUBMODULAR else base + weight * Fraction(
+        CLAMPED_NOT_SUBMODULAR[a, b]))
+
+
+@pytest.mark.parametrize("float_costs", [False, True])
+def test_clamped_table_not_submodular_is_extended(float_costs):
+    # the min/max check passes and brute force finds 1 at (0, 1); the
+    # encoder rejected the clamped table before it added the distance
+    # penalty, and solve_stp raised
+    table = clamped_not_submodular()
+    if float_costs:
+        table = CostTable((3, 2), [
+            e if e is INF else float(e) for e in table.entries])
+    inst = Instance(DomainSpec((3, 2)), [Term(table, (0, 1))])
+    res = solve_stp(inst, BinaryPair.min_max(inst.domains))
+    assert res.stats["path"] == "mincut"
+    assert (res.optimum, res.argmin) == (1, (0, 1))
+    assert type(res.optimum) is (float if float_costs else Fraction)
+    loop = LoopCutEncoding(inst)
+    assert loop.extended == 1
+    assert_same_network(CutEncoding(inst), loop)
+
+
+def test_seed_draws_match_bruteforce():
+    # the draws of test_random_instances through solve_stp, and every
+    # fourth again with float costs; the parent rejected 60 of the 400
+    rng = random.Random(20281)
+    for k in range(400):
+        inst = random_encoding_instance(rng)
+        variants = [inst]
+        if k % 4 == 0:
+            variants.append(Instance(inst.domains, [Term(CostTable(
+                t.table.shape, [e if e is INF else float(e)
+                                for e in t.table.entries]), t.scope)
+                for t in inst.terms]))
+        for inst in variants:
+            res = solve_stp(inst, BinaryPair.min_max(inst.domains))
+            ref = solve_bruteforce(inst)
+            assert cost_eq(res.optimum, ref.optimum)
+            if res.argmin is not None:
+                assert cost_eq(inst.evaluate(res.argmin), ref.optimum)
+
+
+def test_extended_costs_near_the_int64_limit_stay_exact():
+    # every scaled cost is below 2**59, so the check holds them in int64;
+    # the crisp term on (0, 1) has rows [0, 0] and [0, 19], and its row 1
+    # rises by about 2**59 from label 0 to 1, which the extension adds to
+    # row 0 up to 19 times: a share of it is far beyond 2**63, so the
+    # encoder must move the term to Python ints
+    big = Fraction(2**59 - 13, 6)
+    crisp = CostTable.from_function((2, 20), lambda a, b: (
+        big if b else 0) if a else INF if b else Fraction(1, 3))
+    inst = Instance(DomainSpec((2, 20, 3)), [
+        Term(crisp, (0, 1)),
+        Term(CostTable((20,), [big - b for b in range(20)]), (1,)),
+        Term(fraction_submodular_table(random.Random(20301), 3, 2), (2, 0))])
+    costs = ScaledCosts(inst.terms)
+    assert costs.scale == 6
+    assert all(group[2].dtype == np.int64 for group in costs.groups)
+    enc = CutEncoding(inst, costs)
+    loop = LoopCutEncoding(inst)
+    assert loop.extended == 1
+    assert_same_network(enc, loop)
+    assert type(enc.offset) is int
+    assert all(cap is INF or type(cap) is int for cap in enc.edges.values())
+    assert max(c for c in enc.edges.values() if c is not INF) > 2**63
+    res = solve_stp(inst, BinaryPair.min_max(inst.domains))
+    ref = solve_bruteforce(inst)
+    assert (res.optimum, res.argmin) == (ref.optimum, ref.argmin)
+
+
+def relabelled(inst, perms):
+    """``inst`` with label a of variable i renamed ``perms[i][a]``, and the
+    pair that is min/max in the old labels."""
+    inverse = [sorted(range(len(p)), key=p.__getitem__) for p in perms]
+    terms = [Term(CostTable.from_function(
+        t.table.shape, lambda *x, t=t: t.table[
+            tuple(inverse[v][a] for v, a in zip(t.scope, x))]), t.scope)
+        for t in inst.terms]
+    tables = [[[p[op(q[x], q[y])] for y in range(len(p))]
+               for x in range(len(p))] for p, q in zip(perms, inverse)
+              for op in (min, max)]
+    return (Instance(inst.domains, terms),
+            BinaryPair(inst.domains, tables[0::2], tables[1::2]))
+
+
+def assert_encodable(instance):
+    """What CutEncoding takes on trust: arity at most 2, no unary INF, and
+    each pairwise term's rows non-empty intervals [lo, hi], lo and hi
+    non-decreasing, and every label of its second variable in some row."""
+    for term in instance.terms:
+        table = term.table
+        assert table.arity <= 2
+        if table.arity < 2:
+            assert INF not in table.entries
+            continue
+        si, sj = table.shape
+        rows = [[b for b in range(sj) if table[(a, b)] is not INF]
+                for a in range(si)]
+        assert all(row == list(range(row[0], row[-1] + 1)) for row in rows)
+        lo, hi = [row[0] for row in rows], [row[-1] for row in rows]
+        assert lo == sorted(lo) and hi == sorted(hi)
+        assert {b for row in rows for b in row} == set(range(table.shape[1]))
+
+
+def test_solve_hands_the_encoder_its_preconditions(monkeypatch):
+    # the seed draws, with every variable's labels permuted (so that the
+    # extracted orders are reversed or shuffled) and with terms that
+    # repeat a variable; every instance solve_stp encodes is checked
+    import vcsp.solvers as solvers
+
+    encoded = []
+
+    class Checked(CutEncoding):
+        def __init__(self, instance, *args):
+            assert_encodable(instance)
+            encoded.append(instance)
+            super().__init__(instance, *args)
+
+    monkeypatch.setattr(solvers, "CutEncoding", Checked)
+    rng = random.Random(20281)
+    for _ in range(200):
+        inst = random_encoding_instance(rng)
+        sizes = inst.domains.sizes
+        make = (fraction_submodular_table, interval_rows)
+        repeated = [Term(rng.choice(make)(rng, s, s), (i, i))
+                    for i, s in enumerate(sizes) if rng.random() < 0.5]
+        inst, pair = relabelled(
+            Instance(inst.domains, inst.terms + repeated),
+            [rng.sample(range(s), s) for s in sizes])
+        res = solve_stp(inst, pair)
+        assert res.optimum == solve_bruteforce(inst).optimum
+    assert len(encoded) >= 150
+    assert sum(any(t.table.arity == 2 and INF in t.table.entries
+                   for t in e.terms) for e in encoded) >= 50
+
+
 def test_float_networks_follow_the_loops_term_order():
     # float sums depend on their order: each network is the loop's to the
     # bit, in either term order, and the two orders differ in some networks
@@ -718,7 +837,7 @@ def test_float_networks_follow_the_loops_term_order():
         for order in (terms, terms[::-1]):
             inst = Instance(DomainSpec(sizes), order)
             enc = encode(CutEncoding, inst)
-            loop = encode(LoopCutEncoding, inst, True)
+            loop = encode(LoopCutEncoding, inst)
             if isinstance(enc, tuple):
                 assert enc == loop
                 break
