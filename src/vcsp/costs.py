@@ -1,7 +1,8 @@
 """Extended costs: non-negative rationals (or floats) plus an absorbing infinity.
 
-Costs are plain ``Fraction`` (default, exact) or ``float`` values, with the
-singleton ``INF`` as the unique infinite element.  ``INF`` absorbs addition
+Costs are exact ``int`` or ``Fraction`` values (the default; the parser
+reads a whole number as an ``int``) or ``float`` values, with the singleton
+``INF`` as the unique infinite element.  ``INF`` absorbs addition
 and compares strictly above every finite cost, so ordinary ``+``, ``<`` and
 ``sum`` work on mixed values.  Costs set their own comparison (``tolerance``).
 """
@@ -127,14 +128,16 @@ FLOAT_COST_MAX = sys.float_info.max / 3
 def parse_cost(token, float_mode=False, line=None):
     """Parse a cost token: ``inf``, an integer, a decimal, or ``p/q``.
 
-    In float mode a cost above ``FLOAT_COST_MAX`` is a bad cost, like one
-    too large for a float."""
+    A token of ASCII digits alone is an ``int``, any other a ``Fraction``.
+    In float mode every cost is a ``float``, and a cost above
+    ``FLOAT_COST_MAX`` is a bad cost, like one too large for a float."""
     from .errors import FormatError
 
     if token == "inf":
         return INF
     try:
-        value = Fraction(token)
+        value = (int(token) if token.isascii() and token.isdigit()
+                 else Fraction(token))
         if float_mode and value >= 0:
             value = float(value)
     except (ValueError, ZeroDivisionError, OverflowError):

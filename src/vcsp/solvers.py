@@ -69,11 +69,17 @@ class TournamentOrder:
 
     ``orders[i]`` lists the labels of variable i from bottom to top, or is
     None when the pair's orientation on that variable contains a 3-cycle;
-    ``cycles[i]`` then holds a witness cycle.
+    ``cycles[i]`` then holds a witness cycle.  ``ranks`` [variable, label]
+    holds each label's position from the bottom, over the largest domain
+    (a label beyond a variable's domain at its own index); on an ordered
+    variable it is the inverse of ``orders[i]``.  The pair maps each label
+    pair {a, b} to itself, so join is max wherever meet is min: when
+    ``all_ordered``, the pair is min/max in these orders.
     """
 
     orders: list
     cycles: list
+    ranks: np.ndarray
 
     @property
     def all_ordered(self):
@@ -84,32 +90,38 @@ def extract_tournament_order(pair):
     """Orient every label pair by the meet stack and test transitivity.
 
     Label a lies below b when a meet b is a.  A tournament on s labels is
-    transitive exactly when the numbers of labels each label lies below are
-    s - 1, ..., 0, all distinct; the label with count s - 1 - p is then
-    p-th from the bottom.  Otherwise the tournament holds a 3-cycle, and the
-    first one (a, b, c) in row-major order is recorded.
+    transitive exactly when the numbers of labels each label lies below or
+    at are s, ..., 1, all distinct; the label with count s - p is then p-th
+    from the bottom.  So ``ranks`` is s minus that count, one masked sum
+    over the stack, and a variable is ordered when its ranks are a
+    permutation.  Otherwise its tournament holds a 3-cycle, and the first
+    one (a, b, c) in row-major order is recorded.
     """
     ok, witness = is_stp_on(pair)
     if not ok:
         raise VcspError(
             f"pair must be conservative and fully commutative; got {witness}")
-    orders = []
-    cycles = []
-    for table, size in zip(pair.index_stacks()[0].tolist(),
-                           pair.domains.sizes):
-        order = [None] * size
-        for a, row in enumerate(table[:size]):
-            order[size - row[:size].count(a)] = a  # counts a meet a too
-        if None in order:
-            orders.append(None)
-            cycles.append(next(
-                (a, b, c) for a, b, c in itertools.product(range(size), repeat=3)
-                if table[a][b] == a != b and table[b][c] == b != c
-                and table[c][a] == c != a))
-        else:
-            orders.append(order)
+    meet = pair.index_stacks()[0]
+    labels = np.arange(meet.shape[-1])
+    sizes = np.array(pair.domains.sizes, dtype=np.intp)[:, None]
+    live = labels < sizes
+    count = ((meet == labels[:, None]) & live[:, None, :]).sum(2)
+    ranks = np.where(live, sizes - count, labels)
+    ordered = (np.sort(ranks, 1) == labels).all(1).tolist()
+    bottom_up = np.argsort(ranks, 1).tolist()
+    orders, cycles = [], []
+    for i, size in enumerate(pair.domains.sizes):
+        if ordered[i]:
+            orders.append(bottom_up[i][:size])
             cycles.append(None)
-    return TournamentOrder(orders, cycles)
+            continue
+        table = meet[i].tolist()
+        orders.append(None)
+        cycles.append(next(
+            (a, b, c) for a, b, c in itertools.product(range(size), repeat=3)
+            if table[a][b] == a != b and table[b][c] == b != c
+            and table[c][a] == c != a))
+    return TournamentOrder(orders, cycles, ranks)
 
 
 class _InfiniteFlow(Exception):
@@ -117,13 +129,16 @@ class _InfiniteFlow(Exception):
 
 
 class MaxFlow:
-    """Dinic's algorithm; ``None`` means infinite.
+    """Dinic's algorithm, after one sweep that saturates the direct paths
+    s -> u -> v -> t; ``None`` means infinite.
 
     ``edges`` lists the network's (u, v, capacity) triples; edge k is arc
     2k, with its reverse arc 2k + 1 of capacity 0, and each node's arcs are
     kept in arc order.  Capacities are added and compared as given:
     ``CutEncoding`` passes Python ints for exact costs, and floats in float
-    mode.
+    mode.  In a cut network most flow runs on such direct paths, one
+    coupling between a source edge and a sink edge, and the sweep pushes
+    them without a search; Dinic's phases push the rest.
     """
 
     def __init__(self, n, edges):
@@ -152,6 +167,47 @@ class MaxFlow:
                     queue.append(self.to[e])
         return level
 
+    def _augment(self, path):
+        """Push the bottleneck of ``path``, arcs that all have residual
+        capacity, along it and return it; raise ``_InfiniteFlow`` when
+        every arc is infinite."""
+        caps = self.cap
+        finite = [caps[e] for e in path if caps[e] is not None]
+        if not finite:
+            raise _InfiniteFlow()
+        f = min(finite)
+        for e in path:
+            if caps[e] is not None:
+                caps[e] -= f
+            if caps[e ^ 1] is not None:
+                caps[e ^ 1] += f
+        return f
+
+    def _push_direct(self, s, t):
+        """Augment along every path s -> u -> v -> t of residual arcs, in
+        arc order, each until one of its arcs is saturated; returns the
+        flow pushed."""
+        caps, to = self.cap, self.to
+        into_t = [()] * self.n  # per node v, its arcs v -> t
+        for e in self.adj[t]:
+            if to[e] not in (s, t):
+                into_t[to[e]] += (e ^ 1,)
+        total = 0
+        for first in self.adj[s]:
+            if to[first] in (s, t) or caps[first] == 0:
+                continue
+            for second in self.adj[to[first]]:
+                if caps[second] == 0:
+                    continue
+                for last in into_t[to[second]]:
+                    if caps[last] != 0:
+                        total += self._augment((first, second, last))
+                        if caps[first] == 0 or caps[second] == 0:
+                            break
+                if caps[first] == 0:
+                    break
+        return total
+
     def _dfs(self, s, t, level, it):
         """Push flow along one s-t path of the level graph; 0 when none.
 
@@ -179,22 +235,17 @@ class MaxFlow:
                 continue
             path.append(e)
             u = to[e]
-        finite = [caps[e] for e in path if caps[e] is not None]
-        if not finite:
-            raise _InfiniteFlow()
-        f = min(finite)
-        for e in path:
-            if caps[e] is not None:
-                caps[e] -= f
-            if caps[e ^ 1] is not None:
-                caps[e ^ 1] += f
-        return f
+        return self._augment(path)
 
     def max_flow(self, s, t):
         """Total flow value, or INF when an infinite augmenting path exists.
         A finite flow leaves ``source_side``, the residual reach of s that
-        the last search found: the source side of a minimum cut."""
-        total = 0
+        the last search found: the source side of a minimum cut, the same
+        for every maximum flow."""
+        try:
+            total = self._push_direct(s, t)
+        except _InfiniteFlow:
+            return INF
         while True:
             level = self._bfs(s)
             if level[t] < 0:
@@ -211,22 +262,27 @@ class MaxFlow:
                 total += d
 
 
-def _prune_unsupported(instance, rows):
+def _prune_unsupported(instance, costs):
     """Drop labels with no finite support in some term; fixpoint.
 
-    ``rows`` holds each term's entries, scaled or not, with INF where the
-    term's table has it.  Returns per-variable sets of kept labels,
-    possibly empty.  The feasible tuples of each term with an INF are read
-    once; a term without one supports every kept label until a variable of
-    it is emptied, so it is looked at only then.  After a round, only the
-    terms over a variable that lost labels drop their dead tuples and are
-    scanned again.  The greatest fixpoint does not depend on that order.
+    ``costs`` is the instance's ``ScaledCosts``: the feasible masks of its
+    groups name the terms with an INF, and its ``rows`` hold INF where the
+    tables do.  Returns per-variable sets of kept labels, possibly empty.
+    The feasible tuples of each term with an INF are read once; a term
+    without one supports every kept label until a variable of it is
+    emptied, so it is looked at only then.  After a round, only the terms
+    over a variable that lost labels drop their dead tuples and are scanned
+    again.  The greatest fixpoint does not depend on that order.
     """
     terms = instance.terms
     keep = [set(range(s)) for s in instance.domains.sizes]
-    live = [[t for t, e in zip(term.table.tuples(), row) if e is not INF]
-            if any(e is INF for e in row) else None
-            for term, row in zip(terms, rows)]
+    has_inf = np.zeros(len(terms), dtype=bool)
+    for idxs, _, _, feasible, _, _ in costs.groups:
+        has_inf[idxs] = ~feasible.all(1)
+    live = [None] * len(terms)
+    for k in np.flatnonzero(has_inf).tolist():
+        live[k] = [t for t, e in zip(terms[k].table.tuples(), costs.rows[k])
+                   if e is not INF]
     pending = [k for k, tuples in enumerate(live) if tuples is not None]
     while pending:
         shrunk = set()
@@ -501,19 +557,21 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP):
     Takes the min-cut path when every variable's tournament is transitive and
     all terms are binary or unary; otherwise falls back to brute force.  On
     the min-cut path the pair is min/max in the extracted order, so each
-    term is checked under the pair itself, and the unsupported labels are
-    dropped and the rest put in that order by one restriction.  The costs
-    are scaled once, for the check, the pruning and the encoding; a
-    restriction that changes the instance rescales its tables with the same
-    scale.  The cut optimum is checked against the cost of the decoded
+    term is checked under the pair itself, given the order's ranks: exact
+    finite tables are read by their adjacent 2x2 minors.  The unsupported
+    labels are then dropped and the rest put in that order by one
+    restriction.  The costs are scaled once, for the check, the pruning and
+    the encoding; a restriction that changes the instance rescales its
+    tables with the same scale.  The cut optimum is checked against the cost of the decoded
     assignment, mapped back to the caller's labels and summed over the
     scaled rows of the unrestricted terms, so the check covers the
     restriction and the label mapping as well as the encoding.
     """
     order = extract_tournament_order(pair)
-    terms = [merge_repeated(t) for t in instance.terms]
-    merged = (instance if terms == instance.terms
-              else Instance(instance.domains, terms))
+    merged = instance
+    if any(len(set(t.scope)) < len(t.scope) for t in instance.terms):
+        merged = Instance(instance.domains,
+                          [merge_repeated(t) for t in instance.terms])
     stats = {"path": "mincut"}
     if not order.all_ordered:
         stats["path"] = "bruteforce"
@@ -526,12 +584,12 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP):
         result.stats.update(stats)
         return result
     costs = ScaledCosts(merged.terms)
-    ok, hit = check_binary_multimorphism(costs, pair)
+    ok, hit = check_binary_multimorphism(costs, pair, order.ranks)
     if not ok:
         raise VcspError(
             f"term {hit[0]} is not submodular under the extracted order at "
             f"{hit[1]}; the pair was not a multimorphism of every term")
-    survive = _prune_unsupported(merged, costs.rows)
+    survive = _prune_unsupported(merged, costs)
     if any(not k for k in survive):
         return SolveResult(INF, None, stats)
     keep = [[a for a in labels if a in live]

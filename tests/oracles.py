@@ -20,6 +20,8 @@ entry and a dict from (variable, level) to node; ``CutEncoding`` builds the
 same network on costs scaled to integers.  Each table that is not exact
 compares its couplings within the tolerance of its own costs.
 ``loop_prune_unsupported`` rescans every term's table on every sweep.
+``DinicMaxFlow`` is ``MaxFlow`` without its first sweep over the paths
+s -> u -> v -> t.
 ``loop_find_seed`` is ``find_seed`` reading the whole outside mask of M
 (``PairSet.outside``) with ``np.argwhere``.
 
@@ -57,7 +59,7 @@ from vcsp.errors import CapExceeded, StageError, ValidationError, VcspError
 from vcsp.model import DEFAULT_CAP, CostTable, DomainSpec, Instance, Term
 from vcsp.operations import (BinaryPair, MjnTriple, OperationSystem, PairSet,
                              TernaryOp, all_label_pairs)
-from vcsp.solvers import MaxFlow, TournamentOrder
+from vcsp.solvers import MaxFlow, TournamentOrder, _InfiniteFlow
 
 
 def _pair_key(a, b):
@@ -346,11 +348,15 @@ def loop_extract_tournament_order(pair):
             f"pair must be conservative and fully commutative; got {witness}")
     orders = []
     cycles = []
+    top = max(pair.domains.sizes, default=0)
+    ranks = np.zeros((pair.domains.variable_count, top), dtype=np.intp)
     for i in range(pair.domains.variable_count):
         size = pair.domains.sizes[i]
         below = [sum(1 for b in range(size)
                      if b != a and pair.meet(i, a, b) == a)
                  for a in range(size)]
+        ranks[i] = [size - 1 - below[a] if a < size else a
+                    for a in range(top)]
         order = sorted(range(size), key=lambda a: (-below[a], a))
         transitive = True
         for p in range(size):
@@ -363,7 +369,7 @@ def loop_extract_tournament_order(pair):
         else:
             orders.append(None)
             cycles.append(_find_three_cycle(pair, i))
-    return TournamentOrder(orders, cycles)
+    return TournamentOrder(orders, cycles, ranks)
 
 
 def _find_three_cycle(pair, i):
@@ -554,6 +560,28 @@ class LoopCutEncoding:
                     level = l
             x.append(level)
         return tuple(x)
+
+
+class DinicMaxFlow(MaxFlow):
+    """``MaxFlow`` without the sweep over direct paths: Dinic's phases
+    alone push every unit of flow."""
+
+    def max_flow(self, s, t):
+        total = 0
+        while True:
+            level = self._bfs(s)
+            if level[t] < 0:
+                self.source_side = {u for u in range(self.n) if level[u] >= 0}
+                return total
+            it = [0] * self.n
+            while True:
+                try:
+                    d = self._dfs(s, t, level, it)
+                except _InfiniteFlow:
+                    return INF
+                if not d:
+                    break
+                total += d
 
 
 def loop_decompose_instance(instance, cap=DEFAULT_CAP):

@@ -153,6 +153,32 @@ class TestSolve:
         assert main(["solve", str(ipath), str(opath), *flags]) == 0
         assert capsys.readouterr() == (out, "")
 
+    # whole costs parse to int, p/q and decimals to Fraction; the printed
+    # optimum is the same either way
+    @pytest.mark.parametrize("costs, optimum, argmin", [
+        (("1", "3", "1", "0"), "2", "2 2"),
+        (("1/2", "3/4", "1/3", "0.5"), "19/12", "1 1"),
+    ])
+    def test_whole_and_fraction_costs_print_alike(self, tmp_path, capsys,
+                                                  costs, optimum, argmin):
+        ipath, opath = tmp_path / "inst.vcsp", tmp_path / "ops.ops"
+        ipath.write_text(
+            f"vcsp 2\ndomains 3 3\nterm 1 1\ndefault 2\nentry 1 {costs[0]}\n"
+            f"term 1 2\ndefault {costs[1]}\nentry 2 0\nterm 2 1 2\n"
+            f"default 2\nentry 0 0 0\nentry 0 2 4\nentry 1 1 {costs[2]}\n"
+            f"entry 2 0 4\nentry 2 2 {costs[3]}\n")
+        opath.write_text(serialize_ops(minmax_system(D3)))
+        for args, stats in (
+                (["solve", str(ipath), str(opath)],
+                 "stat path mincut\nstat reduce_iterations 0\n"),
+                (["oracle", str(ipath)], "stat path bruteforce\n")):
+            assert main(args) == 0
+            assert capsys.readouterr() == (
+                f"optimum {optimum}\nargmin {argmin}\n{stats}", "")
+            assert main(args + ["--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["optimum"] == optimum
+
 
 class TestVerify:
     def test_valid_system_ok(self, tmp_path, capsys):

@@ -56,6 +56,12 @@ class TestExtCost:
         assert parse_cost("3/2") == Fraction(3, 2)
         assert parse_cost("0.25") == Fraction(1, 4)
         assert isinstance(parse_cost("2", float_mode=True), float)
+        # ASCII digits alone give an int; every other token parses as before
+        assert type(parse_cost("7")) is int and parse_cost("7") == 7
+        for token, value in (("7/1", 7), ("2.0", 2), ("+3", 3), ("0.25", 0.25)):
+            assert type(parse_cost(token)) is Fraction
+            assert parse_cost(token) == value
+        assert format_cost(7) == format_cost(Fraction(7)) == "7"
         with pytest.raises(FormatError):
             parse_cost("-1")
         with pytest.raises(FormatError):

@@ -25,6 +25,7 @@ from vcsp import (
     build_majority,
     check_binary_multimorphism,
     check_ternary_multimorphism,
+    extract_tournament_order,
     is_mjn_on,
     is_stp_on,
 )
@@ -32,6 +33,7 @@ from vcsp.costs import FLOAT_TOL, integer_costs, is_finite, tolerance
 from vcsp.model import merge_repeated
 from vcsp.operations import (
     OperationSystem,
+    ScaledCosts,
     all_label_pairs,
     check_instance_multimorphism,
     normalize_pairset,
@@ -746,6 +748,68 @@ def test_batched_checks_in_blocks_match_loops(monkeypatch):
             assert check_ternary_multimorphism(
                 terms, triple) == loop_over_terms(
                 loop_ternary_multimorphism, terms, triple)
+
+
+def min_max_case(rng):
+    """(terms, pair, ranks): a pair that is min/max in a random order per
+    variable, its ranks, and 1-12 terms of arity 1 or 2 over it.  Most
+    pairwise tables are a convex function of the rank difference plus
+    per-argument costs, submodular in that order (modular when the
+    function is 0), some with one entry raised by 1; the rest are random.
+    Their costs are ints, Fractions, above 2**59 (object arrays), floats,
+    or hold INF."""
+    domains = DomainSpec(tuple(
+        rng.randint(1, 4) for _ in range(rng.randint(2, 4))))
+    ranks = [rng.sample(range(s), s) for s in domains.sizes]
+    meets = [[[a if r[a] <= r[b] else b for b in range(len(r))]
+              for a in range(len(r))] for r in ranks]
+    joins = [[[a + b - meet[a][b] for b in range(len(r))]
+              for a in range(len(r))] for r, meet in zip(ranks, meets)]
+    pair = BinaryPair(domains, meets, joins)
+    kind = rng.choice(("int", "fraction", "big", "float", "mixed"))
+
+    def cost():
+        return rng.randint(0, 9) if kind == "int" else random_cost(rng, kind)
+
+    terms = []
+    for _ in range(rng.randint(1, 12)):
+        scope = tuple(rng.sample(range(domains.variable_count),
+                                 rng.randint(1, 2)))
+        shape = tuple(domains.sizes[i] for i in scope)
+        if len(scope) == 1 or rng.random() < 0.2:
+            entries = [cost() for _ in range(math.prod(shape))]
+        else:
+            (i, j), steep = scope, rng.choice((0, cost()))
+            row, col = [cost() for _ in ranks[i]], [cost() for _ in ranks[j]]
+            entries = [row[a] + col[b] + steep * (ranks[i][a] - ranks[j][b]) ** 2
+                       for a, b in itertools.product(*map(range, shape))]
+            if rng.random() < 0.3:
+                entries[rng.randrange(len(entries))] += 1
+        if rng.random() < 0.15:
+            entries[rng.randrange(len(entries))] = INF
+        terms.append(Term(CostTable(shape, entries), scope))
+    return terms, pair, extract_tournament_order(pair).ranks
+
+
+def test_min_max_fast_path_matches_kernel():
+    # given the ranks of a min/max order, the check skips unary groups and
+    # reads exact finite pairwise groups by their adjacent minors; verdict,
+    # term and witness are the kernel's
+    rng = random.Random(20316)
+    seen = Counter()
+    for _ in range(800):
+        terms, pair, ranks = min_max_case(rng)
+        costs = ScaledCosts(terms)
+        got = check_binary_multimorphism(costs, pair, ranks)
+        assert got == check_binary_multimorphism(costs, pair)
+        if got[0]:
+            seen["pass"] += 1
+            continue
+        table = terms[got[1][0]].table
+        seen["fail, exact finite pairwise" if table.arity == 2
+             and integer_costs([table.entries])[0] is not None
+             and INF not in table.entries else "fail, other"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def loop_instance_check(terms, pair, triple):

@@ -19,6 +19,7 @@ from vcsp import (
     StageError,
     Term,
     VcspError,
+    check_binary_multimorphism,
     extract_tournament_order,
     solve_bruteforce,
     solve_pipeline,
@@ -38,8 +39,9 @@ from harness import (
     random_unary,
     submodular_chain,
 )
-from oracles import (LoopCutEncoding, loop_extract_tournament_order,
-                     loop_is_stp_on, loop_prune_unsupported)
+from oracles import (DinicMaxFlow, LoopCutEncoding,
+                     loop_extract_tournament_order, loop_is_stp_on,
+                     loop_prune_unsupported)
 
 
 def cyclic_pair():
@@ -116,6 +118,17 @@ class TestTournamentOrder:
         with pytest.raises(VcspError):
             extract_tournament_order(pair)
 
+    def test_join_equal_to_meet_never_reaches_the_check(self):
+        # meet orders the labels, but join equals it on (0, 1), so the pair
+        # is not min/max; it is refused before the check, which therefore
+        # never reads a unary term as passing under it
+        d = DomainSpec((2,))
+        pair = BinaryPair(d, [[[0, 0], [0, 1]]], [[[0, 0], [0, 1]]])
+        inst = Instance(d, [Term(CostTable((2,), [1, 0]), (0,))])
+        assert not check_binary_multimorphism(inst.terms, pair)[0]
+        with pytest.raises(VcspError, match="not conservative"):
+            solve_stp(inst, pair)
+
 
 class TestMaxFlow:
     def test_simple_network(self):
@@ -143,6 +156,37 @@ class TestMaxFlow:
                     + [(u, u + 1, Fraction(2)) for u in range(2, n - 1)]
                     + [(n - 1, 1, Fraction(3))])
         assert f.max_flow(0, 1) == 2
+
+    def test_infinite_direct_path(self):
+        f = MaxFlow(4, [(0, 2, Fraction(1)), (0, 3, None), (3, 2, None),
+                        (2, 1, None)])
+        assert f.max_flow(0, 1) is INF
+
+    def test_matches_plain_dinic(self):
+        # value and minimum cut as Dinic's phases alone find them, on random
+        # networks with parallel arcs, self-loops and arcs into s or out of t
+        rng = random.Random(20311)
+        seen = Counter()
+        for _ in range(600):
+            n = rng.randint(2, 8)
+            edges = [(rng.randrange(n), rng.randrange(n),
+                      None if rng.random() < 0.2
+                      else rng.choice((rng.randint(0, 9),
+                                       Fraction(rng.randint(0, 9), 3))))
+                     for _ in range(rng.randint(0, 4 * n))]
+            got, want = MaxFlow(n, edges), DinicMaxFlow(n, edges)
+            value = got.max_flow(0, 1)
+            assert value == want.max_flow(0, 1)
+            if value is INF:
+                seen["infinite"] += 1
+                continue
+            assert got.source_side == want.source_side
+            seen["positive" if value else "zero"] += 1
+            arcs = {(u, v) for u, v, _ in edges}
+            seen["direct path"] += any(
+                (0, u) in arcs and (v, 1) in arcs
+                for u, v in arcs if {u, v}.isdisjoint((0, 1)))
+        assert min(seen.values()) >= 30
 
 
 class TestMincut:
@@ -1034,7 +1078,8 @@ def test_one_scaling_per_stage2_run_and_per_verify(scale_calls):
 def random_tournament_pair(rng, d, kind):
     """Conservative pair whose meet orients each label pair: by a random
     ranking ("transitive") or at random ("random"); "non-commutative" and
-    "non-conservative" then break one entry."""
+    "non-conservative" then break one entry ("join-is-meet": join's image
+    of one pair of distinct labels is meet's)."""
     meets, joins = [], []
     for s in d.sizes:
         rank = rng.sample(range(s), s)
@@ -1050,10 +1095,12 @@ def random_tournament_pair(rng, d, kind):
         joins.append([[a + b - meet[a][b] for b in range(s)]
                       for a in range(s)])
     big = [i for i, s in enumerate(d.sizes) if s >= 2]
-    if kind in ("non-commutative", "non-conservative") and big:
+    if kind in ("non-commutative", "non-conservative", "join-is-meet") and big:
         i = rng.choice(big)
         a, b = rng.sample(range(d.sizes[i]), 2)
-        if kind == "non-commutative":
+        if kind == "join-is-meet":
+            joins[i][a][b] = joins[i][b][a] = meets[i][a][b]
+        elif kind == "non-commutative":
             meets[i][a][b], joins[i][a][b] = a, b
             meets[i][b][a], joins[i][b][a] = b, a
         else:
@@ -1068,13 +1115,14 @@ def order_outcome(fn, pair):
         order = fn(pair)
     except VcspError as exc:
         return type(exc), str(exc)
-    return order.orders, order.cycles
+    return order.orders, order.cycles, order.ranks.tolist()
 
 
 def test_tournament_order_matches_loop():
     rng = random.Random(20283)
     seen = Counter()
-    kinds = ("transitive", "random", "non-commutative", "non-conservative")
+    kinds = ("transitive", "random", "non-commutative", "non-conservative",
+             "join-is-meet")
     for _ in range(500):
         d = DomainSpec(tuple(rng.randint(1, 5)
                              for _ in range(rng.randint(1, 5))))
@@ -1084,19 +1132,20 @@ def test_tournament_order_matches_loop():
         if got[0] is VcspError:
             seen[got[1].split("; got ")[1].split("'")[1]] += 1
             continue
-        orders, cycles = got
-        for order, cycle in zip(orders, cycles):
+        orders, cycles, ranks = got
+        for i, (order, cycle) in enumerate(zip(orders, cycles)):
             assert all(type(v) is int for v in (order or cycle))
             seen["cycle" if cycle else "ordered"] += 1
+            if order:  # the ranks invert the order
+                assert [ranks[i][a] for a in order] == list(range(len(order)))
         assert is_stp_on(pair) == loop_is_stp_on(pair, PairSet.full(d))
     assert set(seen) == {"ordered", "cycle", "not commutative",
                          "not conservative"}
 
 
 def prune(inst):
-    """``_prune_unsupported`` on the instance's own entries, which hold INF
-    where its scaled rows do."""
-    return _prune_unsupported(inst, [t.table.entries for t in inst.terms])
+    """``_prune_unsupported`` on the instance's ``ScaledCosts``."""
+    return _prune_unsupported(inst, ScaledCosts(inst.terms))
 
 
 def test_prune_unsupported_matches_loop():
