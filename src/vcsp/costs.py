@@ -9,6 +9,7 @@ and compares strictly above every finite cost, so ordinary ``+``, ``<`` and
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -95,10 +96,13 @@ def integer_costs(tables):
 
     ``tables`` is a sequence of entry lists.  When every finite entry is an
     int or a Fraction, returns ``(scale, scaled)``: the LCM of all their
-    denominators, and each list scaled by it (``scale_entries``).  Float
-    costs, or any other mix, return ``(None, tables)``: callers then keep
-    the Python values and compare them within ``tolerance``.
+    denominators, and each list scaled by it (``scale_entries``), or
+    ``(1, tables)`` when they hold only ints and INF.  Float costs, or any
+    other mix, return ``(None, tables)``: callers then keep the Python
+    values and compare them within ``tolerance``.
     """
+    if set(map(type, itertools.chain(*tables))) <= {int, _Infinity}:
+        return 1, tables
     denominators = set()
     for entries in tables:
         for e in entries:

@@ -490,8 +490,8 @@ class ScaledCosts:
                 for e in rows[i]]
         if self.scale is not None and max(
                 (e for e in flat if e is not INF), default=0) < _INT64_LIMIT:
-            values = np.array([_INT64_INF if e is INF else e for e in flat],
-                              dtype=np.int64)
+            values = np.fromiter(map({INF: _INT64_INF}.get, flat, flat),
+                                 np.int64, len(flat))
             feasible = values != _INT64_INF
         else:
             values = np.array(flat, dtype=object)

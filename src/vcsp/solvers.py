@@ -7,15 +7,10 @@ crisp (infinite-cost) structure are enforced with an exact infinite edge
 class, never a large constant.  ``solve_stp`` scales the exact costs of its
 instance once, to integers by the LCM of their denominators
 (``ScaledCosts``), and the check, the pruning, the encoding and the final
-cross-check all read that one scaling.  ``CutEncoding`` is a few numpy
-passes over the scaled arrays, with the pairwise tables padded to one
-shape, not a loop over terms; exact capacities are Python ints and the
-optimum is (cut + offset) / scale.  Float costs keep their values and are
-summed in term order, as a term-by-term encoding sums them.  The check and
-the pruning of ``solve_stp`` leave the encoding binary, finite, min/max
-closed and fully supported, so it checks none of that again; it extends
-each clamped table that is not submodular by a penalty that is 0 on the
-feasible set, and checks only that the result is submodular.
+cross-check all read that one scaling.  ``CutEncoding`` builds the network
+in a few numpy passes over the scaled arrays, as three arc arrays that
+``MaxFlow`` takes as they are; exact capacities are Python ints, float
+costs keep their values and are summed in term order.
 """
 
 from __future__ import annotations
@@ -23,6 +18,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 import operator
 import time
 from dataclasses import dataclass, field
@@ -124,79 +120,74 @@ def extract_tournament_order(pair):
     return TournamentOrder(orders, cycles, ranks)
 
 
-class _InfiniteFlow(Exception):
-    pass
-
-
 class MaxFlow:
     """Dinic's algorithm, after one sweep that saturates the direct paths
-    s -> u -> v -> t; ``None`` means infinite.
+    s -> u -> v -> t, on arcs ``tail[k]`` -> ``head[k]`` of capacity
+    ``cap[k]``, INF for infinite.
 
-    ``edges`` lists the network's (u, v, capacity) triples; edge k is arc
-    2k, with its reverse arc 2k + 1 of capacity 0, and each node's arcs are
-    kept in arc order.  Capacities are added and compared as given:
-    ``CutEncoding`` passes Python ints for exact costs, and floats in float
-    mode.  In a cut network most flow runs on such direct paths, one
-    coupling between a source edge and a sink edge, and the sweep pushes
-    them without a search; Dinic's phases push the rest.
+    Position p of the flat residual lists is an arc to ``to[p]`` with
+    residual ``cap[p]`` and reverse ``rev[p]``; node u's arcs are
+    ``start[u]`` to ``start[u + 1]``, each k before its reverse, in k order.
+    Here INF is ``math.inf``, which no push changes; other capacities are
+    added and compared as given: Python ints for exact costs, floats in
+    float mode.  In a cut network most flow runs on the direct paths, one
+    coupling between a source edge and a sink edge; Dinic's phases push
+    the rest.
     """
 
-    def __init__(self, n, edges):
+    def __init__(self, n, tail, head, cap):
         self.n = n
-        tails = [0] * (2 * len(edges))
-        self.to = [0] * len(tails)
-        self.cap = [0] * len(tails)
-        if edges:
-            us, vs, caps = zip(*edges)
-            tails[0::2] = self.to[1::2] = us
-            tails[1::2] = self.to[0::2] = vs
-            self.cap[0::2] = caps
-        self.adj = [[] for _ in range(n)]
-        for e, u in enumerate(tails):
-            self.adj[u].append(e)
+        ends = np.array([tail, head], dtype=np.intp).reshape(2, -1)
+        tails = ends.T.reshape(-1)  # arc k is 2k, its reverse 2k + 1
+        order = np.argsort(tails, kind="stable")
+        at = np.empty_like(order)
+        at[order] = np.arange(len(order))
+        caps = np.zeros(len(order), dtype=object)
+        caps[0::2] = cap
+        self.cap = [math.inf if c is INF else c for c in caps[order].tolist()]
+        self.to = ends[::-1].T.reshape(-1)[order].tolist()
+        self.rev = at[order ^ 1].tolist()
+        self.start = np.searchsorted(tails[order], np.arange(n + 1)).tolist()
 
     def _bfs(self, s):
+        caps, to, start = self.cap, self.to, self.start
         level = [-1] * self.n
         level[s] = 0
         queue = [s]
         for u in queue:
-            for e in self.adj[u]:
-                cap = self.cap[e]
-                if (cap is None or cap > 0) and level[self.to[e]] < 0:
-                    level[self.to[e]] = level[u] + 1
-                    queue.append(self.to[e])
+            for e in range(start[u], start[u + 1]):
+                if caps[e] > 0 and level[to[e]] < 0:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
         return level
 
     def _augment(self, path):
         """Push the bottleneck of ``path``, arcs that all have residual
-        capacity, along it and return it; raise ``_InfiniteFlow`` when
-        every arc is infinite."""
-        caps = self.cap
-        finite = [caps[e] for e in path if caps[e] is not None]
-        if not finite:
-            raise _InfiniteFlow()
-        f = min(finite)
-        for e in path:
-            if caps[e] is not None:
+        capacity, along it and return it; when every arc is infinite,
+        return ``math.inf`` and push nothing."""
+        caps, rev = self.cap, self.rev
+        f = min(map(caps.__getitem__, path))
+        if f < math.inf:
+            for e in path:
                 caps[e] -= f
-            if caps[e ^ 1] is not None:
-                caps[e ^ 1] += f
+                caps[rev[e]] += f
         return f
 
     def _push_direct(self, s, t):
         """Augment along every path s -> u -> v -> t of residual arcs, in
         arc order, each until one of its arcs is saturated; returns the
         flow pushed."""
-        caps, to = self.cap, self.to
+        caps, to, start = self.cap, self.to, self.start
         into_t = [()] * self.n  # per node v, its arcs v -> t
-        for e in self.adj[t]:
+        for e in range(start[t], start[t + 1]):
             if to[e] not in (s, t):
-                into_t[to[e]] += (e ^ 1,)
+                into_t[to[e]] += (self.rev[e],)
         total = 0
-        for first in self.adj[s]:
-            if to[first] in (s, t) or caps[first] == 0:
+        for first in range(start[s], start[s + 1]):
+            u = to[first]
+            if u in (s, t) or caps[first] == 0:
                 continue
-            for second in self.adj[to[first]]:
+            for second in range(start[u], start[u + 1]):
                 if caps[second] == 0:
                     continue
                 for last in into_t[to[second]]:
@@ -216,25 +207,22 @@ class MaxFlow:
         current arc; an arc is skipped for the rest of the phase once no
         path to t continues through it.
         """
-        caps, to = self.cap, self.to
+        caps, to, start = self.cap, self.to, self.start
         path = []
         u = s
         while u != t:
-            adj = self.adj[u]
-            while it[u] < len(adj):
-                e = adj[it[u]]
-                cap = caps[e]
-                if (cap is None or cap > 0) and level[to[e]] == level[u] + 1:
-                    break
+            e, end, below = it[u], start[u + 1], level[u] + 1
+            while e < end and not (caps[e] > 0 and level[to[e]] == below):
+                e += 1
+            it[u] = e
+            if e < end:
+                path.append(e)
+                u = to[e]
+            elif path:
+                u = to[self.rev[path.pop()]]
                 it[u] += 1
             else:
-                if not path:
-                    return 0
-                u = to[path.pop() ^ 1]
-                it[u] += 1
-                continue
-            path.append(e)
-            u = to[e]
+                return 0
         return self._augment(path)
 
     def max_flow(self, s, t):
@@ -242,24 +230,16 @@ class MaxFlow:
         A finite flow leaves ``source_side``, the residual reach of s that
         the last search found: the source side of a minimum cut, the same
         for every maximum flow."""
-        try:
-            total = self._push_direct(s, t)
-        except _InfiniteFlow:
-            return INF
-        while True:
+        total = self._push_direct(s, t)
+        while total < math.inf:
             level = self._bfs(s)
             if level[t] < 0:
                 self.source_side = {u for u in range(self.n) if level[u] >= 0}
                 return total
-            it = [0] * self.n
-            while True:
-                try:
-                    d = self._dfs(s, t, level, it)
-                except _InfiniteFlow:
-                    return INF
-                if not d:
-                    break
+            it = self.start[:-1]
+            while total < math.inf and (d := self._dfs(s, t, level, it)):
                 total += d
+        return INF
 
 
 def _prune_unsupported(instance, costs):
@@ -390,11 +370,11 @@ class CutEncoding:
     rows of each pairwise term are non-empty intervals [lo, hi] of labels,
     with lo and hi non-decreasing and every label in some row.  Variable
     i's indicator "label >= level" is node ``first_node[i] + level - 1``;
-    nodes 0 and 1 are the source and the sink, and ``edges`` maps (u, v)
-    to a capacity, INF for the exact infinite class, in the order a
-    term-by-term encoding adds them.  ``costs`` is the instance's
-    ``ScaledCosts``, built when not given; ``solve_stp`` passes the one its
-    check read.
+    nodes 0 and 1 are the source and the sink.  Arc k runs from ``tail[k]``
+    to ``head[k]`` with capacity ``cap[k]``, INF for the exact infinite
+    class, sorted by (tail, head); ``edges`` is the same as a dict.
+    ``costs`` is the instance's ``ScaledCosts``, built when not given;
+    ``solve_stp`` passes the one its check read.
 
     The encoding reads ``costs.groups`` in a few numpy passes, none per
     term.  The pairwise tables are padded to the largest pairwise shape by
@@ -408,14 +388,15 @@ class CutEncoding:
     hi.  The one check is on the result: an alpha above the tolerance
     raises for the first such term, at its first level pair in row-major
     order.  The unary costs and every term's shares of them are rows of
-    one step array, added in term order by one ``np.add.at``.  Exact costs
-    (there is a ``scale``) stay int64 while every table is below 2**59 and
-    the term count times the largest cost below 2**61, and are Python ints
-    otherwise; capacities and the ``offset`` are summed as Python ints, so
-    the optimum (cut + ``offset``) / ``scale`` is exact.  Float and other
-    inexact costs keep their Python values in object arrays, and every sum
-    is formed in the order a term-by-term encoding forms it, so the network
-    is the same to the bit.
+    one step array, added in term order by one ``np.add.at``.  One stable
+    sort orders every arc, and parallel arcs are summed in term order.
+    Exact costs (there is a ``scale``) stay int64 while every table is
+    below 2**59 and the term count times the largest cost below 2**61, and
+    are Python ints otherwise; capacities and the ``offset`` are summed as
+    Python ints, so the optimum (cut + ``offset``) / ``scale`` is exact.
+    Float and other inexact costs keep their Python values in object
+    arrays, and every sum is formed in the order a term-by-term encoding
+    forms it, so the network is the same to the bit.
     """
 
     def __init__(self, instance, costs=None):
@@ -476,13 +457,6 @@ class CutEncoding:
         v = node[:, 1 - slot.tail] + level_v
         caps = np.empty(kept.shape, dtype=object)
         caps[:, :C], caps[:, C:] = coupling, INF
-        keys = list(zip(u[kept].tolist(), v[kept].tolist()))
-        caps = caps[kept].tolist()
-        pair = dict(zip(keys, caps))
-        if len(pair) < len(caps):
-            pair = dict.fromkeys(pair, 0)
-            for key, cap in zip(keys, caps):
-                pair[key] = pair[key] + cap  # INF absorbs
 
         # the unary costs and each pairwise term's shares of them, one row
         # per step of a term, added in term order
@@ -513,12 +487,21 @@ class CutEncoding:
         down = levels & (step < 0)
         nonzero = down | levels & (step > 0)
         tails, up = node_at[nonzero], ~down[nonzero]  # up: node -> sink
-        self.edges = dict.fromkeys(zip(chain.tolist(), (chain - 1).tolist()),
-                                   INF)
-        self.edges.update(pair)
-        self.edges.update(zip(zip((tails * up).tolist(),
-                                  (tails + (1 - tails) * up).tolist()),
-                              abs(step[nonzero]).tolist()))
+        tail = np.concatenate([chain, u[kept], tails * up])
+        head = np.concatenate([chain - 1, v[kept], tails + (1 - tails) * up])
+        cap = np.concatenate([np.full(len(chain), INF, dtype=object),
+                              caps[kept], abs(step[nonzero])])
+        # sorted by (tail, head); parallel pairwise arcs, kept in term order
+        # by the stable sort, are summed in that order, and INF absorbs
+        key = tail * self.n_nodes + head
+        first = key.argsort(kind="stable")
+        key, tail, head, cap = key[first], tail[first], head[first], cap[first]
+        new = key[1:] != key[:-1]
+        if not new.all():
+            at = np.flatnonzero(np.concatenate([[True], new]))
+            tail, head, first = tail[at], head[at], first[at]
+            cap = np.add.reduceat(cap, at)
+        self.tail, self.head, self.cap, self._first = tail, head, cap, first
         # the offset sums each pairwise term's g[0][0], then per variable
         # its share at label 0 and its negative steps, in that order
         acc[:, 1:] = step
@@ -528,12 +511,18 @@ class CutEncoding:
             operator.add, acc[summed].tolist(),
             functools.reduce(operator.add, g[:, 0, 0].tolist(), 0))
 
+    @functools.cached_property
+    def edges(self):
+        """The arcs as a dict (tail, head) -> capacity, in the order a
+        term-by-term encoding adds them: chains, pairwise terms, unaries."""
+        at = self._first.argsort()
+        return dict(zip(zip(self.tail[at].tolist(), self.head[at].tolist()),
+                        self.cap[at].tolist()))
+
     def solve(self):
         """(optimum, argmin) for the encoded instance; the optimum is
         (cut + offset) / scale, or cut + offset without a scale."""
-        flow = MaxFlow(self.n_nodes, [
-            (u, v, None if cap is INF else cap)
-            for (u, v), cap in sorted(self.edges.items())])
+        flow = MaxFlow(self.n_nodes, self.tail, self.head, self.cap)
         value = flow.max_flow(0, 1)
         if value is INF:
             return INF, None
@@ -562,10 +551,12 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP):
     labels are then dropped and the rest put in that order by one
     restriction.  The costs are scaled once, for the check, the pruning and
     the encoding; a restriction that changes the instance rescales its
-    tables with the same scale.  The cut optimum is checked against the cost of the decoded
-    assignment, mapped back to the caller's labels and summed over the
-    scaled rows of the unrestricted terms, so the check covers the
-    restriction and the label mapping as well as the encoding.
+    tables with the same scale.  The cut optimum is checked against the
+    cost of the decoded assignment, mapped back to the caller's labels and
+    summed over the scaled rows of the unrestricted terms, so the check
+    covers the restriction and the label mapping as well as the encoding.
+    When the pruning leaves one label per variable, there is no network:
+    that assignment is the argmin, and its cost the optimum.
     """
     order = extract_tournament_order(pair)
     merged = instance
@@ -594,19 +585,24 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP):
         return SolveResult(INF, None, stats)
     keep = [[a for a in labels if a in live]
             for labels, live in zip(order.orders, survive)]
-    restricted = restrict_instance(merged, keep)
-    cut_costs = (costs if restricted is merged
-                 else ScaledCosts(restricted.terms, costs.scale))
-    optimum, argmin = CutEncoding(restricted, cut_costs).solve()
-    if argmin is not None:
+    optimum, argmin = None, tuple(labels[0] for labels in keep)
+    if any(len(labels) > 1 for labels in keep):
+        restricted = restrict_instance(merged, keep)
+        cut_costs = (costs if restricted is merged
+                     else ScaledCosts(restricted.terms, costs.scale))
+        optimum, argmin = CutEncoding(restricted, cut_costs).solve()
+        if argmin is None:
+            return SolveResult(optimum, None, stats)
         argmin = tuple(keep[i][v] for i, v in enumerate(argmin))
-        check = costs.cost(argmin)
-        if check is not INF and costs.scale is not None:
-            check = Fraction(check, costs.scale)
-        if not cost_eq(check, optimum):
-            raise VcspError(
-                f"cut optimum {optimum} disagrees with the decoded assignment "
-                f"cost {check}")
+    check = costs.cost(argmin)
+    if check is not INF and costs.scale is not None:
+        check = Fraction(check, costs.scale)
+    if optimum is None:  # one label per variable
+        optimum = check
+    elif not cost_eq(check, optimum):
+        raise VcspError(
+            f"cut optimum {optimum} disagrees with the decoded assignment "
+            f"cost {check}")
     return SolveResult(optimum, argmin, stats)
 
 

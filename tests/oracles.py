@@ -59,7 +59,7 @@ from vcsp.errors import CapExceeded, StageError, ValidationError, VcspError
 from vcsp.model import DEFAULT_CAP, CostTable, DomainSpec, Instance, Term
 from vcsp.operations import (BinaryPair, MjnTriple, OperationSystem, PairSet,
                              TernaryOp, all_label_pairs)
-from vcsp.solvers import MaxFlow, TournamentOrder, _InfiniteFlow
+from vcsp.solvers import MaxFlow, TournamentOrder
 
 
 def _pair_key(a, b):
@@ -543,9 +543,9 @@ class LoopCutEncoding:
 
     def solve(self):
         """(optimum, argmin) for the encoded instance."""
-        flow = MaxFlow(self.n_nodes, [
-            (u, v, None if cap is INF else cap)
-            for (u, v), cap in sorted(self.edges.items())])
+        keys = sorted(self.edges)
+        flow = MaxFlow(self.n_nodes, [u for u, _ in keys],
+                       [v for _, v in keys], [self.edges[k] for k in keys])
         value = flow.max_flow(0, 1)
         if value is INF:
             return INF, None
@@ -566,22 +566,8 @@ class DinicMaxFlow(MaxFlow):
     """``MaxFlow`` without the sweep over direct paths: Dinic's phases
     alone push every unit of flow."""
 
-    def max_flow(self, s, t):
-        total = 0
-        while True:
-            level = self._bfs(s)
-            if level[t] < 0:
-                self.source_side = {u for u in range(self.n) if level[u] >= 0}
-                return total
-            it = [0] * self.n
-            while True:
-                try:
-                    d = self._dfs(s, t, level, it)
-                except _InfiniteFlow:
-                    return INF
-                if not d:
-                    break
-                total += d
+    def _push_direct(self, s, t):
+        return 0
 
 
 def loop_decompose_instance(instance, cap=DEFAULT_CAP):

@@ -72,6 +72,13 @@ CLAMPED = ("vcsp 2\ndomains 3 2\nterm 2 1 2\ndefault inf\n"
            "entry 0 0 6\nentry 0 1 1\nentry 1 1 4\nentry 2 1 6\n")
 
 
+# Stage 1 leaves each variable one label; the optimum is that assignment's
+# cost, 5/2 + 1/3 + 1/4.
+ONE_LABEL = ("vcsp 2\ndomains 2 3\nterm 1 1\ndefault inf\nentry 1 5/2\n"
+             "term 1 2\ndefault inf\nentry 2 1/3\n"
+             "term 2 1 2\ndefault 1\nentry 1 2 1/4\n")
+
+
 class TestSolve:
     def test_solve_prints_optimum_and_argmin(self, tmp_path, capsys):
         inst, system = fixed_instance()
@@ -178,6 +185,29 @@ class TestSolve:
             assert main(args + ["--json"]) == 0
             payload = json.loads(capsys.readouterr().out)
             assert payload["optimum"] == optimum
+
+
+    @pytest.mark.parametrize("flags, optimum", [
+        ([], "37/12"), (["--json"], "37/12"), (["--paranoid"], "37/12"),
+        (["--float"], "3.0833333333333335"),
+        (["--float", "--json"], "3.0833333333333335"),
+    ])
+    def test_one_label_per_variable(self, tmp_path, capsys, flags, optimum):
+        ipath, opath = tmp_path / "inst.vcsp", tmp_path / "ops.ops"
+        ipath.write_text(ONE_LABEL)
+        opath.write_text(serialize_ops(minmax_system(DomainSpec((2, 3)))))
+        float_mode = "--float" in flags
+        want = solve_bruteforce(parse_instance_text(ONE_LABEL, float_mode))
+        assert (str(want.optimum), want.argmin) == (optimum, (1, 2))
+        assert main(["solve", str(ipath), str(opath), *flags]) == 0
+        if "--json" in flags:
+            assert capsys.readouterr() == (
+                f'{{"argmin": [1, 2], "optimum": "{optimum}", "stats": '
+                f'{{"path": "mincut", "reduce_iterations": 0}}}}\n', "")
+        else:
+            assert capsys.readouterr() == (
+                f"optimum {optimum}\nargmin 1 2\nstat path mincut\n"
+                "stat reduce_iterations 0\n", "")
 
 
 class TestVerify:

@@ -1,6 +1,7 @@
 """Brute force, tournament orders, the min-cut path and the pipeline."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -130,19 +131,25 @@ class TestTournamentOrder:
             solve_stp(inst, pair)
 
 
+def network(n, edges, flow=MaxFlow):
+    """A max-flow over (tail, head, capacity) triples, INF for infinite."""
+    return flow(n, [u for u, _, _ in edges], [v for _, v, _ in edges],
+                [cap for _, _, cap in edges])
+
+
 class TestMaxFlow:
     def test_simple_network(self):
-        f = MaxFlow(4, [(0, 2, Fraction(3)), (0, 3, Fraction(2)),
+        f = network(4, [(0, 2, Fraction(3)), (0, 3, Fraction(2)),
                         (2, 1, Fraction(2)), (3, 1, Fraction(3)),
                         (2, 3, Fraction(1))])
         assert f.max_flow(0, 1) == 5
 
     def test_infinite_path(self):
-        f = MaxFlow(3, [(0, 2, None), (2, 1, None)])
+        f = network(3, [(0, 2, INF), (2, 1, INF)])
         assert f.max_flow(0, 1) is INF
 
     def test_min_cut_side(self):
-        f = MaxFlow(4, [(0, 2, Fraction(1)), (2, 3, None),
+        f = network(4, [(0, 2, Fraction(1)), (2, 3, INF),
                         (3, 1, Fraction(5))])
         assert f.max_flow(0, 1) == 1
         assert f.source_side == {0}
@@ -152,15 +159,29 @@ class TestMaxFlow:
         # far longer than the recursion limit; the path is a chain of
         # finite edges after an infinite one
         n = 3000
-        f = MaxFlow(n, [(0, 2, None)]
+        f = network(n, [(0, 2, INF)]
                     + [(u, u + 1, Fraction(2)) for u in range(2, n - 1)]
                     + [(n - 1, 1, Fraction(3))])
         assert f.max_flow(0, 1) == 2
 
     def test_infinite_direct_path(self):
-        f = MaxFlow(4, [(0, 2, Fraction(1)), (0, 3, None), (3, 2, None),
-                        (2, 1, None)])
+        f = network(4, [(0, 2, Fraction(1)), (0, 3, INF), (3, 2, INF),
+                        (2, 1, INF)])
         assert f.max_flow(0, 1) is INF
+
+    def test_mixed_capacities_and_parallel_arcs(self):
+        # Fraction, int and infinite arcs, some of them parallel: the
+        # flow stays exact, and the infinite arcs absorb what they carry
+        edges = [(0, 2, Fraction(5, 2)), (0, 2, 1), (0, 3, INF),
+                 (2, 3, 2), (2, 3, INF), (3, 2, Fraction(1, 3)),
+                 (2, 4, Fraction(7, 3)), (3, 4, 4), (3, 4, Fraction(1, 6)),
+                 (4, 1, 6), (2, 1, Fraction(1, 2)), (3, 1, 1), (3, 1, 2),
+                 (4, 4, INF), (1, 0, INF)]
+        got, want = network(5, edges), network(5, edges, DinicMaxFlow)
+        value = got.max_flow(0, 1)
+        assert value == want.max_flow(0, 1) == Fraction(19, 2)
+        assert type(value) is Fraction
+        assert got.source_side == want.source_side == {0, 2, 3, 4}
 
     def test_matches_plain_dinic(self):
         # value and minimum cut as Dinic's phases alone find them, on random
@@ -170,11 +191,11 @@ class TestMaxFlow:
         for _ in range(600):
             n = rng.randint(2, 8)
             edges = [(rng.randrange(n), rng.randrange(n),
-                      None if rng.random() < 0.2
+                      INF if rng.random() < 0.2
                       else rng.choice((rng.randint(0, 9),
                                        Fraction(rng.randint(0, 9), 3))))
                      for _ in range(rng.randint(0, 4 * n))]
-            got, want = MaxFlow(n, edges), DinicMaxFlow(n, edges)
+            got, want = network(n, edges), network(n, edges, DinicMaxFlow)
             value = got.max_flow(0, 1)
             assert value == want.max_flow(0, 1)
             if value is INF:
@@ -930,6 +951,81 @@ def test_integer_costs_one_scale_for_all_tables():
     assert integer_costs(tables) == (6, [[3, INF], [5, 12]])
     assert integer_costs([[0.5, INF]]) == (None, [[0.5, INF]])
     assert integer_costs([[INF]]) == (1, [[INF]])
+
+
+def test_integer_costs_whole_ints_match_the_lcm_pass():
+    # tables of ints and INF alone skip the LCM pass; True, Fraction(n, 1)
+    # and any p/q take it; both give the same scale, rows and groups, and
+    # ints at 2**63 or above stay Python ints in an object array
+    from vcsp.operations import _INT64_LIMIT
+    rng = random.Random(20312)
+    seen = Counter()
+    for _ in range(300):
+        kind = rng.choice(("int", "bool", "fraction", "big"))
+        terms = []
+        for _ in range(rng.randint(1, 5)):
+            shape = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 2)))
+            entries = [INF if rng.random() < 0.2 else rng.randint(0, 9)
+                       for _ in range(math.prod(shape))]
+            if kind != "int" and entries:
+                k = rng.randrange(len(entries))
+                entries[k] = {"bool": True, "fraction": Fraction(5),
+                              "big": 2**63 + rng.randint(0, 9)}[kind]
+            terms.append(Term(CostTable(shape, entries),
+                              tuple(range(len(shape)))))
+        tables = [t.table.entries for t in terms]
+        # the general path, as the LCM pass computes it
+        scale = math.lcm(*(e.denominator for t in tables for e in t
+                           if e is not INF))
+        rows = [scale_entries(t, scale) for t in tables]
+        assert integer_costs(tables) == (scale, rows) == (1, rows)
+        got = ScaledCosts(terms)
+        assert all(type(e) in (int, type(INF)) for r in got.rows for e in r)
+        want = ScaledCosts([Term(CostTable(t.table.shape, [
+            e if e is INF else Fraction(e) for e in t.table.entries]),
+            t.scope) for t in terms])
+        for g, w in zip(got.groups, want.groups, strict=True):
+            assert g[:2] == w[:2] and g[5] is w[5] is None
+            for a, b in zip(g[2:5], w[2:5]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        big = max((e for r in rows for e in r if e is not INF), default=0)
+        assert (got.groups[0][2].dtype == object) == (big >= _INT64_LIMIT)
+        seen[kind] += 1
+    assert min(seen.values()) >= 50
+
+
+@pytest.mark.parametrize("float_costs", [False, True])
+def test_one_label_per_variable_needs_no_network(encodings, float_costs):
+    # when pruning leaves one label per variable, that assignment is the
+    # argmin and its cost the optimum, with no cut network built
+    rng = random.Random(20313)
+    solved = 0
+    for _ in range(60):
+        inst, system = random_submodular_instance(rng, max_vars=5)
+        sizes = inst.domains.sizes
+        # pin each variable to one label by a crisp unary term
+        pins = [rng.randrange(s) for s in sizes]
+        terms = inst.terms + [Term(CostTable((s,), [
+            0 if a == pin else INF for a in range(s)]), (i,))
+            for i, (s, pin) in enumerate(zip(sizes, pins))]
+        if float_costs:
+            terms = [Term(CostTable(t.table.shape, [
+                e if e is INF else float(e) for e in t.table.entries]),
+                t.scope) for t in terms]
+        inst = Instance(inst.domains, terms)
+        encodings.clear()
+        res = solve_stp(inst, system.pair)
+        want = solve_bruteforce(inst)
+        assert res.stats == {"path": "mincut"} and encodings == []
+        assert res.argmin == want.argmin
+        if float_costs:
+            assert cost_eq(res.optimum, want.optimum)
+            assert res.optimum is INF or type(res.optimum) is float
+        else:
+            assert res.optimum == want.optimum
+            assert res.optimum is INF or type(res.optimum) is Fraction
+        solved += res.argmin is not None
+    assert solved >= 20
 
 
 @pytest.fixture
