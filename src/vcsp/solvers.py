@@ -128,11 +128,12 @@ class MaxFlow:
     Position p of the flat residual lists is an arc to ``to[p]`` with
     residual ``cap[p]`` and reverse ``rev[p]``; node u's arcs are
     ``start[u]`` to ``start[u + 1]``, each k before its reverse, in k order.
-    Here INF is ``math.inf``, which no push changes; other capacities are
-    added and compared as given: Python ints for exact costs, floats in
-    float mode.  In a cut network most flow runs on the direct paths, one
-    coupling between a source edge and a sink edge; Dinic's phases push
-    the rest.
+    Here INF is ``math.inf``; no push touches it, and an s-t path of
+    infinite arcs alone is looked for first, so no sum meets it.  Other
+    capacities are added and compared as given: Python ints for exact
+    costs, floats in float mode.  In a cut network most flow runs on the
+    direct paths, one coupling between a source edge and a sink edge;
+    Dinic's phases push the rest.
     """
 
     def __init__(self, n, tail, head, cap):
@@ -163,13 +164,13 @@ class MaxFlow:
 
     def _augment(self, path):
         """Push the bottleneck of ``path``, arcs that all have residual
-        capacity, along it and return it; when every arc is infinite,
-        return ``math.inf`` and push nothing."""
+        capacity and not all infinite, along it and return it."""
         caps, rev = self.cap, self.rev
         f = min(map(caps.__getitem__, path))
-        if f < math.inf:
-            for e in path:
+        for e in path:
+            if caps[e] < math.inf:
                 caps[e] -= f
+            if caps[rev[e]] < math.inf:
                 caps[rev[e]] += f
         return f
 
@@ -230,16 +231,22 @@ class MaxFlow:
         A finite flow leaves ``source_side``, the residual reach of s that
         the last search found: the source side of a minimum cut, the same
         for every maximum flow."""
+        caps, to, start = self.cap, self.to, self.start
+        reach, seen = [s], {s}  # over the infinite arcs alone
+        for u in reach:
+            for e in range(start[u], start[u + 1]):
+                if caps[e] == math.inf and to[e] not in seen:
+                    seen.add(to[e])
+                    reach.append(to[e])
+        if t in seen:
+            return INF
         total = self._push_direct(s, t)
-        while total < math.inf:
-            level = self._bfs(s)
-            if level[t] < 0:
-                self.source_side = {u for u in range(self.n) if level[u] >= 0}
-                return total
-            it = self.start[:-1]
-            while total < math.inf and (d := self._dfs(s, t, level, it)):
+        while (level := self._bfs(s))[t] >= 0:
+            it = start[:-1]
+            while d := self._dfs(s, t, level, it):
                 total += d
-        return INF
+        self.source_side = {u for u in range(self.n) if level[u] >= 0}
+        return total
 
 
 def _prune_unsupported(instance, costs):
@@ -494,14 +501,14 @@ class CutEncoding:
         # sorted by (tail, head); parallel pairwise arcs, kept in term order
         # by the stable sort, are summed in that order, and INF absorbs
         key = tail * self.n_nodes + head
-        first = key.argsort(kind="stable")
-        key, tail, head, cap = key[first], tail[first], head[first], cap[first]
+        order = key.argsort(kind="stable")
+        key, tail, head, cap = key[order], tail[order], head[order], cap[order]
         new = key[1:] != key[:-1]
         if not new.all():
             at = np.flatnonzero(np.concatenate([[True], new]))
-            tail, head, first = tail[at], head[at], first[at]
+            tail, head, order = tail[at], head[at], order[at]
             cap = np.add.reduceat(cap, at)
-        self.tail, self.head, self.cap, self._first = tail, head, cap, first
+        self.tail, self.head, self.cap, self._order = tail, head, cap, order
         # the offset sums each pairwise term's g[0][0], then per variable
         # its share at label 0 and its negative steps, in that order
         acc[:, 1:] = step
@@ -515,7 +522,7 @@ class CutEncoding:
     def edges(self):
         """The arcs as a dict (tail, head) -> capacity, in the order a
         term-by-term encoding adds them: chains, pairwise terms, unaries."""
-        at = self._first.argsort()
+        at = self._order.argsort()
         return dict(zip(zip(self.tail[at].tolist(), self.head[at].tolist()),
                         self.cap[at].tolist()))
 

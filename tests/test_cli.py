@@ -3,11 +3,12 @@
 import json
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
-from vcsp import (BinaryPair, DomainSpec, MjnTriple, PairSet, VcspError,
-                  solve_pipeline)
+from vcsp import (INF, BinaryPair, CostTable, DomainSpec, Instance,
+                  MjnTriple, PairSet, Term, VcspError, solve_pipeline)
 from vcsp.cli import main
 from vcsp.io_formats import (parse_instance_text, parse_ops_text,
                              serialize_instance, serialize_ops)
@@ -208,6 +209,25 @@ class TestSolve:
             assert capsys.readouterr() == (
                 f"optimum {optimum}\nargmin 1 2\nstat path mincut\n"
                 "stat reduce_iterations 0\n", "")
+
+
+    @pytest.mark.parametrize("flags", [[], ["--paranoid"]])
+    def test_costs_past_the_float_range(self, tmp_path, capsys, flags):
+        # scaled costs and scales above the largest float solve exactly
+        rng = random.Random(20321)
+        for factor in (10**400, Fraction(1, 3**700)):
+            inst, system = submodular_chain(rng, 6)
+            inst = Instance(inst.domains, [Term(CostTable(t.table.shape, [
+                e if e is INF else e * factor for e in t.table.entries]),
+                t.scope) for t in inst.terms])
+            ipath, opath = write_pair(tmp_path, inst, system)
+            want = solve_bruteforce(parse_instance_text(
+                serialize_instance(inst)))
+            assert main(["solve", ipath, opath, *flags]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert out[:2] == [
+                f"optimum {want.optimum}",
+                "argmin " + " ".join(map(str, want.argmin))]
 
 
 class TestVerify:

@@ -183,6 +183,38 @@ class TestMaxFlow:
         assert type(value) is Fraction
         assert got.source_side == want.source_side == {0, 2, 3, 4}
 
+    def test_capacities_past_the_float_range(self):
+        # no push touches an infinite arc, so an exact bottleneck above the
+        # largest float passes through one, and an infinite path found after
+        # such a flow still reads INF
+        big = 10**400
+        for flow in (MaxFlow, DinicMaxFlow):
+            f = network(3, [(0, 2, INF), (2, 1, big)], flow)
+            assert f.max_flow(0, 1) == big
+            assert f.source_side == {0, 2}
+            f = network(5, [(0, 2, big), (2, 3, INF), (3, 1, big + 1),
+                            (0, 4, Fraction(big, 3)), (4, 1, INF)], flow)
+            assert f.max_flow(0, 1) == Fraction(4 * big, 3)
+            f = network(5, [(0, 2, big), (2, 3, INF), (3, 1, big),
+                            (0, 4, INF), (4, 2, INF), (2, 1, INF)], flow)
+            assert f.max_flow(0, 1) is INF
+        rng = random.Random(20317)
+        for _ in range(200):
+            n = rng.randint(2, 6)
+            edges = [(rng.randrange(n), rng.randrange(n),
+                      INF if rng.random() < 0.3 else rng.randint(0, 9) * big)
+                     for _ in range(rng.randint(0, 3 * n))]
+            got, want = network(n, edges), network(n, edges, DinicMaxFlow)
+            value = got.max_flow(0, 1)
+            cuts = [sum(INF if c is INF else c for u, v, c in edges
+                        if u in side and v not in side)
+                    for r in range(n - 1)
+                    for rest in itertools.combinations(range(2, n), r)
+                    for side in [{0, *rest}]]
+            assert value == want.max_flow(0, 1) == min(cuts)
+            if value is not INF:
+                assert got.source_side == want.source_side
+
     def test_matches_plain_dinic(self):
         # value and minimum cut as Dinic's phases alone find them, on random
         # networks with parallel arcs, self-loops and arcs into s or out of t
@@ -736,6 +768,29 @@ def test_costs_near_the_int64_limit_stay_exact():
         assert type(enc.offset) is int
         assert all(cap is INF or type(cap) is int
                    for cap in enc.edges.values())
+
+
+def test_costs_past_the_float_range_stay_exact():
+    # scaled costs, and the scale, above the largest float: flow pushed
+    # through the infinite chain arcs must not meet them in a float sum
+    rng = random.Random(20319)
+    seen = Counter()
+    for _ in range(40):
+        inst, _ = random_submodular_instance(rng, max_vars=4, max_size=4)
+        wide = rng.random() < 0.5  # some denominators past the float range
+        factors = [rng.choice((10**400, Fraction(1, 3**700),
+                               Fraction(1, 7**400)) if wide else (10**400,))
+                   for _ in inst.terms]
+        inst = Instance(inst.domains, [Term(CostTable(t.table.shape, [
+            e if e is INF else e * k for e in t.table.entries]), t.scope)
+            for t, k in zip(inst.terms, factors)])
+        got = solve_stp(inst, BinaryPair.min_max(inst.domains))
+        want = solve_bruteforce(inst)
+        assert got.optimum == want.optimum
+        if want.optimum is not INF:
+            assert inst.evaluate(got.argmin) == want.optimum
+            seen[ScaledCosts(inst.terms).scale > 10**308] += 1
+    assert min(seen.values()) >= 5 and len(seen) == 2
 
 
 # A 3x2 term whose rows are [0, 1], [1, 1] and [1, 1]: submodular on its
