@@ -17,7 +17,7 @@ import numpy as np
 from .costs import is_finite
 from .errors import CapExceeded, StageError, VcspError
 from .model import (DEFAULT_CAP, CostTable, DomainSpec, Instance, Term,
-                    merge_repeated)
+                    feasible_masks, merge_repeated)
 
 
 def image(rel, labels):
@@ -56,11 +56,6 @@ class BinaryNetwork:
         return [self.R[i, i, :s, :s].diagonal()
                 for i, s in enumerate(self.domains.sizes)]
 
-    def intersect(self, i, j, mat):
-        """Narrow ``rel(i, j)`` to ``mat``; with i == j, mat is a diagonal."""
-        self.R[i, j, :mat.shape[0], :mat.shape[1]] &= mat
-        self.R[j, i, :mat.shape[1], :mat.shape[0]] &= mat.T
-
     def copy(self):
         out = BinaryNetwork.__new__(BinaryNetwork)
         out.domains = self.domains
@@ -85,22 +80,10 @@ class BinaryNetwork:
                for i in range(n) for j in range(i + 1, n)])
 
 
-def _term_projections(term):
-    """A term after ``merge_repeated``: its distinct scope, its feasibility
-    mask, and the mask's projection onto every axis pair p <= q (``any``
-    over the other axes, ``keepdims``), keyed by (p, q)."""
-    term = merge_repeated(term)
-    entries = term.table.entries
-    feasible = np.fromiter(map(is_finite, entries), dtype=bool,
-                           count=len(entries)).reshape(term.table.shape)
-    arity = feasible.ndim
-    projections = {}
-    for p in range(arity):
-        for q in range(p, arity):
-            others = tuple(r for r in range(arity) if r not in (p, q))
-            projections[p, q] = (feasible.any(axis=others, keepdims=True)
-                                 if others else feasible)
-    return term.scope, feasible, projections
+def _projections(masks, p, q):
+    """``masks`` [term, ...] projected onto axes p <= q, ``keepdims``."""
+    return masks.any(axis=tuple(1 + r for r in range(masks.ndim - 1)
+                                if r not in (p, q)), keepdims=True)
 
 
 def decompose_instance(instance, cap=DEFAULT_CAP):
@@ -108,22 +91,26 @@ def decompose_instance(instance, cap=DEFAULT_CAP):
 
     Terms are projected after ``merge_repeated``, so a tuple giving one
     variable two labels never counts.  Pairs never jointly constrained start
-    as full products.  A variable's projection narrows the diagonal of its
-    block ``R[i, i]`` in place, a pair's goes through ``intersect``.
+    as full products.  Per arity group of ``feasible_masks`` and axis pair
+    p <= q, one unbuffered AND-reduction narrows the blocks ``R[i, j]`` and
+    one their transposes ``R[j, i]``; for p = q, the diagonal of ``R[i, i]``.
     """
-    net = BinaryNetwork(instance.domains)
-    for term in instance.terms:
-        size = len(term.table.entries)
+    for size in (len(t.table.entries) for t in instance.terms):
         if size > cap:
             raise CapExceeded(size, cap)
-        scope, feasible, projections = _term_projections(term)
-        for (p, q), proj in projections.items():
-            if p == q:
-                labels = np.arange(feasible.shape[p])
-                net.R[scope[p], scope[p], labels, labels] &= proj.ravel()
-            else:
-                net.intersect(scope[p], scope[q], proj.reshape(
-                    feasible.shape[p], feasible.shape[q]))
+    net = BinaryNetwork(instance.domains)
+    for _, scopes, masks in feasible_masks(
+            [merge_repeated(t) for t in instance.terms]):
+        shape = masks.shape[1:]
+        for p in range(len(shape)):
+            diag = np.arange(shape[p])
+            np.logical_and.at(net.R, (scopes[:, p, None],) * 2 + (diag,) * 2,
+                              _projections(masks, p, p).reshape(-1, shape[p]))
+            for q in range(p + 1, len(shape)):
+                proj = _projections(masks, p, q).reshape(-1, shape[p], shape[q])
+                for a, b, rel in ((p, q, proj), (q, p, proj.swapaxes(1, 2))):
+                    np.logical_and.at(net.R[:, :, :shape[a], :shape[b]],
+                                      (scopes[:, a], scopes[:, b]), rel)
     return net
 
 
@@ -163,15 +150,14 @@ def certify_decomposition(instance):
     polymorphism always passes (Baker-Pixley).  The cost is exponential in
     term arity only.
     """
-    for term in instance.terms:
-        if 0 < len(set(term.scope)) <= 2:
-            continue
-        _, feasible, projections = _term_projections(term)
-        joined = np.ones(feasible.shape, dtype=bool)
-        for (p, q), proj in projections.items():
-            if p < q:
-                joined &= proj
-        if not np.array_equal(joined, feasible):
+    for _, _, masks in feasible_masks(
+            [merge_repeated(t) for t in instance.terms
+             if not 0 < len(set(t.scope)) <= 2]):
+        joined = np.ones_like(masks)
+        for p in range(masks.ndim - 1):
+            for q in range(p + 1, masks.ndim - 1):
+                joined &= _projections(masks, p, q)
+        if not np.array_equal(joined, masks):
             return False
     return True
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .costs import INF, is_finite
 from .errors import CapExceeded, VcspError
 
@@ -126,21 +128,42 @@ class Term:
 
 def merge_repeated(term):
     """Rewrite a term so no variable repeats in its scope."""
-    scope = term.scope
-    distinct = sorted(set(scope))
-    if len(distinct) == len(scope):
+    distinct = sorted(set(term.scope))
+    if len(distinct) == len(term.scope):
         return term
-    positions = {v: [p for p, w in enumerate(scope) if w == v] for v in distinct}
-    shape = tuple(term.table.shape[positions[v][0]] for v in distinct)
+    labels = np.indices([term.table.shape[term.scope.index(v)]
+                         for v in distinct])
+    flat = np.arange(len(term.table.entries)).reshape(term.table.shape)[
+        tuple(labels[distinct.index(v)] for v in term.scope)]
+    return Term(CostTable(flat.shape, [term.table.entries[i]
+                                       for i in flat.ravel().tolist()]),
+                tuple(distinct))
 
-    def entry(*vals):
-        full = [None] * len(scope)
-        for v, val in zip(distinct, vals):
-            for p in positions[v]:
-                full[p] = val
-        return term.table[tuple(full)]
 
-    return Term(CostTable.from_function(shape, entry), tuple(distinct))
+def feasible_masks(terms):
+    """The feasible sets of ``terms`` per arity k, as ``(term indices in
+    term order, scopes [T, k], masks [T, D_1, ..., D_k])``, padded with
+    False to the group's largest table extents; one pass per table shape."""
+    by_shape, by_arity = {}, {}
+    for idx, term in enumerate(terms):
+        by_shape.setdefault(term.table.shape, []).append(idx)
+        by_arity.setdefault(len(term.scope), []).append(idx)
+    groups = []
+    for k, idxs in by_arity.items():
+        blocks = [(by_shape[shape], np.array(
+            [e is not INF for i in by_shape[shape]
+             for e in terms[i].table.entries], dtype=bool).reshape(
+                 (-1,) + shape)) for shape in by_shape if len(shape) == k]
+        masks = blocks[0][1]
+        if len(blocks) > 1:
+            masks = np.zeros((len(idxs),) + tuple(map(
+                max, *(block.shape[1:] for _, block in blocks))), dtype=bool)
+            for members, block in blocks:
+                masks[(np.searchsorted(idxs, members),)
+                      + tuple(map(slice, block.shape[1:]))] = block
+        scopes = np.array([terms[i].scope for i in idxs], dtype=np.intp)
+        groups.append((idxs, scopes.reshape(len(idxs), k), masks))
+    return groups
 
 
 class Instance:

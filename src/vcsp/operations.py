@@ -48,7 +48,7 @@ import numpy as np
 
 from .costs import EXACT_TYPES, INF, integer_costs, scale_entries, tolerance
 from .errors import ValidationError, VcspError
-from .model import DomainSpec
+from .model import DomainSpec, feasible_masks
 
 #: Scaled exact costs below _INT64_LIMIT are summed in int64, where INF
 #: reads as _INT64_INF: above any sum of three finite costs, and a sum of
@@ -696,23 +696,52 @@ def check_ternary_multimorphism(terms, triple):
     return _first_violation(terms, triple.index_stacks())
 
 
-def ternary_polymorphism_closed(op, tuples, scope):
-    """Vectorized closure check of a tuple set under a ternary operation.
+def _first_unclosed(stack, scopes, masks):
+    """Position of the first term of an arity group of ``feasible_masks``
+    not closed under the ternary operation ``stack``, or None.  Tuples are
+    padded and blocked as in ``_group_violation``, no temporary above about
+    max(``_BLOCK_ELEMENTS``, k * n**2) elements; position p of an image
+    reads its own scope variable, so a repeated variable stays exact."""
+    count, k = scopes.shape
+    flat = masks.reshape(count, -1)
+    counts = np.count_nonzero(flat, axis=1)
+    n = max(counts.tolist())
+    if k == 0 or n == 0:
+        return None
+    dom = np.argsort(~flat, axis=1, kind="stable")[:, :n]
+    if min(counts.tolist()) < n:
+        dom = np.where(np.arange(n) < counts[:, None], dom, dom[:, :1])
+    # labels [position, term, tuple]; stack offsets of the three arguments
+    x = np.array(np.unravel_index(dom, masks.shape[1:]))
+    size = stack.shape[-1]
+    first_arg = (scopes.T[:, :, None] * size + x) * (size * size)
+    more_args = (x[..., None] * size + x[..., None, :]).reshape(k, count, -1)
+    rows = min(n, max(1, _BLOCK_ELEMENTS // (k * n ** 2)))
+    batch = max(1, _BLOCK_ELEMENTS // (k * n ** 3)) if rows == n else 1
+    for first in range(0, count, batch):
+        tb = slice(first, first + batch)
+        for start in range(0, n, rows):
+            images = stack.take(first_arg[:, tb, start:start + rows, None]
+                                + more_args[:, tb, None, :])
+            code = np.arange(count)[tb, None, None]
+            for p in range(k):
+                code = code * masks.shape[p + 1] + images[p]
+            ok = masks.take(code)
+            if not ok.all():  # a term without feasible tuples passes
+                bad = ~ok.reshape(len(ok), -1).all(axis=1) & (counts[tb] > 0)
+                if bad.any():
+                    return first + int(bad.argmax())
+    return None
 
-    True when the componentwise image of every ordered triple of tuples is
-    in the set.  The images are gathered from ``op.index_stack()`` and
-    looked up in a membership mask of the term's shape.
-    """
-    tuples = list(tuples)
-    if not tuples:
-        return True
-    cols = np.array(tuples, dtype=np.intp).reshape(len(tuples), len(scope)).T
-    member = np.zeros(tuple(op.domains.sizes[i] for i in scope), dtype=bool)
-    member[tuple(cols)] = True
-    var = np.array(scope, dtype=np.intp).reshape(-1, 1, 1, 1)
-    images = op.index_stack()[var, cols[:, :, None, None],
-                              cols[:, None, :, None], cols[:, None, None, :]]
-    return bool(member[tuple(images)].all())
+
+def ternary_polymorphism_closed(op, terms):
+    """(True, None) when the componentwise image under ``op`` of every
+    ordered triple of each term's feasible tuples is feasible, else (False,
+    the first term in term order where one is not); one kernel per arity."""
+    hits = [idxs[hit] for idxs, scopes, masks in feasible_masks(terms)
+            if (hit := _first_unclosed(op.index_stack(), scopes, masks))
+            is not None]
+    return (False, min(hits)) if hits else (True, None)
 
 
 def build_majority(pair, triple):

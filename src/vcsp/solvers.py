@@ -566,15 +566,15 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP):
     that assignment is the argmin, and its cost the optimum.
     """
     order = extract_tournament_order(pair)
-    merged = instance
-    if any(len(set(t.scope)) < len(t.scope) for t in instance.terms):
-        merged = Instance(instance.domains,
-                          [merge_repeated(t) for t in instance.terms])
+    scopes = [t.scope for t in instance.terms]
+    distinct = list(map(len, map(set, scopes)))  # each merged term's arity
+    merged = (instance if distinct == list(map(len, scopes)) else Instance(
+        instance.domains, [merge_repeated(t) for t in instance.terms]))
     stats = {"path": "mincut"}
     if not order.all_ordered:
         stats["path"] = "bruteforce"
         stats["cycles"] = [c for c in order.cycles if c is not None]
-    elif any(t.table.arity > 2 for t in merged.terms):
+    elif max(distinct, default=0) > 2:
         stats["path"] = "bruteforce"
         stats["reason"] = "term arity above 2"
     if stats["path"] == "bruteforce":
@@ -647,13 +647,15 @@ def run_validate(instance, ops):
     ops.validate()
     ops = ops.normalized()
     mu = build_majority(ops.pair, ops.triple)
-    for idx, term in enumerate(instance.terms):
-        if not ternary_polymorphism_closed(mu, term.table.dom(), term.scope):
-            raise StageError(
-                "validate",
-                f"derived majority operation is not a polymorphism of term "
-                f"{idx}; the required operation structure is missing",
-                witness=idx)
+    # mu is conservative, so every term over one position is closed under it
+    wide = [i for i, t in enumerate(instance.terms) if len(t.scope) > 1]
+    ok, idx = ternary_polymorphism_closed(mu, [instance.terms[i] for i in wide])
+    if not ok:
+        raise StageError(
+            "validate",
+            f"derived majority operation is not a polymorphism of term "
+            f"{wide[idx]}; the required operation structure is missing",
+            witness=wide[idx])
     return ops
 
 

@@ -30,12 +30,16 @@ over every feasible tuple per variable pair.  It drops a tuple only when
 one of the two projected variables reads two labels in it, so on a term
 that repeats some other variable its projections may be larger than those
 of the merged term; elsewhere they are the same.
+``loop_certify_decomposition`` is ``certify_decomposition`` with one pass
+per term: merge its repeated variables, read its feasibility mask entry by
+entry and compare it with the join of its pairwise projections.
 ``loop_restrict_operation_system`` is ``restrict_operation_system`` with
 the label maps rebuilt for every table, in three loops.
 ``loop_apply_modification`` is ``apply_modification`` rebuilding the pair
 and the pair set from nested tuples once per region variable, through
 ``with_tables`` and ``with_added``.
 
+``intersect`` narrows one relation of a network and its transpose.
 ``apply_pair``, ``conservative_violation``, ``classify_pair``,
 ``check_polymorphism`` and ``check_global_multimorphism`` are per-entry
 helpers the tests check the operations with; ``feasible_assignments`` and
@@ -56,7 +60,8 @@ import numpy as np
 from vcsp.consistency import BinaryNetwork
 from vcsp.costs import EXACT_TYPES, INF, is_finite, tolerance
 from vcsp.errors import CapExceeded, StageError, ValidationError, VcspError
-from vcsp.model import DEFAULT_CAP, CostTable, DomainSpec, Instance, Term
+from vcsp.model import (DEFAULT_CAP, CostTable, DomainSpec, Instance, Term,
+                        merge_repeated)
 from vcsp.operations import (BinaryPair, MjnTriple, OperationSystem, PairSet,
                              TernaryOp, all_label_pairs)
 from vcsp.solvers import MaxFlow, TournamentOrder
@@ -570,6 +575,13 @@ class DinicMaxFlow(MaxFlow):
         return 0
 
 
+def intersect(net, i, j, mat):
+    """Narrow ``net.rel(i, j)`` to ``mat`` and ``net.rel(j, i)`` to its
+    transpose; with i == j, ``mat`` is a diagonal."""
+    net.R[i, j, :mat.shape[0], :mat.shape[1]] &= mat
+    net.R[j, i, :mat.shape[1], :mat.shape[0]] &= mat.T
+
+
 def loop_decompose_instance(instance, cap=DEFAULT_CAP):
     """Project every term's feasible set onto its variables and variable pairs,
     one feasible tuple at a time.
@@ -602,8 +614,27 @@ def loop_decompose_instance(instance, cap=DEFAULT_CAP):
                     vj = {t[p] for p in positions[j]}
                     if len(vi) == 1 and len(vj) == 1:
                         mat[t[positions[i][0]], t[positions[j][0]]] = True
-                net.intersect(i, j, mat)
+                intersect(net, i, j, mat)
     return net
+
+
+def loop_certify_decomposition(instance):
+    """Per-term certificate: each term over no or at least three distinct
+    variables, after ``merge_repeated``, equals the join of its projections
+    onto its variable pairs."""
+    for term in instance.terms:
+        if 0 < len(set(term.scope)) <= 2:
+            continue
+        table = merge_repeated(term).table
+        feasible = np.array([is_finite(e) for e in table.entries],
+                            dtype=bool).reshape(table.shape)
+        joined = np.ones(feasible.shape, dtype=bool)
+        for p, q in itertools.combinations(range(feasible.ndim), 2):
+            others = tuple(r for r in range(feasible.ndim) if r not in (p, q))
+            joined &= feasible.any(axis=others, keepdims=True)
+        if not np.array_equal(joined, feasible):
+            return False
+    return True
 
 
 def loop_restrict_operation_system(ops, keep):

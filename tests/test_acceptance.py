@@ -145,8 +145,7 @@ def test_local_certificate_stricter_never_looser(corpus):
     for inst, system in cases:
         system.validate()
         mu = build_majority(system.pair, system.triple)
-        assert all(ternary_polymorphism_closed(mu, t.table.dom(), t.scope)
-                   for t in inst.terms)
+        assert ternary_polymorphism_closed(mu, inst.terms) == (True, None)
         net, _ = enforce_strong_3_consistency(decompose_instance(inst))
         local = certify_decomposition(inst)
         exhaustive = certify_decomposition_exhaustive(net, inst)
@@ -227,8 +226,7 @@ def test_criterion_7_majority_construction(corpus):
     for inst, system, _, _ in runs:
         mu = build_majority(system.pair, system.triple)
         for term in inst.terms:
-            if not ternary_polymorphism_closed(
-                    mu, term.table.dom(), term.scope):
+            if not ternary_polymorphism_closed(mu, [term])[0]:
                 not_polymorphism += 1
     ok = bad_majority == 0 and not_polymorphism == 0
     report(7, ok,

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vcsp import INF, CostTable, DomainSpec, Instance, Term, VcspError
+from vcsp import (INF, CapExceeded, CostTable, DomainSpec, Instance, Term,
+                  VcspError)
 from vcsp.consistency import (
     BinaryNetwork,
     certify_decomposition,
@@ -27,10 +28,12 @@ from vcsp.consistency import (
     support_maps,
 )
 from vcsp.io_formats import serialize_ops
+from vcsp.model import merge_repeated
 from vcsp.operations import MjnTriple, OperationSystem, TernaryOp
 
 from harness import random_majority_closed_instance, random_system
-from oracles import (feasible_assignments, loop_decompose_instance,
+from oracles import (feasible_assignments, intersect,
+                     loop_certify_decomposition, loop_decompose_instance,
                      loop_restrict_operation_system)
 
 
@@ -199,6 +202,82 @@ class TestDecomposeMatchesLoop:
                         else:
                             want = {(x[i], x[j]) for x in feas}
                         assert got == want
+
+
+def stage1_instance(rng):
+    """Crisp terms of arity 2-4 over 2-5 variables with unequal domains:
+    parity relations, conjunctions of binary median-closed constraints
+    (majority-closed, so decomposable), and random relations; a third of
+    the scopes are drawn with replacement and may repeat a variable."""
+    n = rng.randint(2, 5)
+    sizes = tuple(rng.randint(2, 3) for _ in range(n))
+    binary = (lambda a, b: a <= b, lambda a, b: a >= b, lambda a, b: a == b,
+              lambda a, b: a >= 1 or b == 0, lambda a, b: a + b >= 1)
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        arity = rng.randint(2, 4)
+        if arity <= n and rng.random() < 2 / 3:
+            scope = tuple(rng.sample(range(n), arity))
+        else:
+            scope = tuple(rng.randrange(n) for _ in range(arity))
+        kind = rng.choice(("parity", "majority", "random"))
+        if kind == "parity":
+            want = rng.randrange(2)
+            keep = lambda t, want=want: sum(t) % 2 == want  # noqa: E731
+        elif kind == "majority":
+            pairs = [(p, q, rng.choice(binary)) for p, q in
+                     itertools.combinations(range(arity), 2)
+                     if rng.random() < 0.6]
+            keep = lambda t, pairs=pairs: all(  # noqa: E731
+                c(t[p], t[q]) for p, q, c in pairs)
+        else:
+            density = rng.choice((0.3, 0.7))
+            keep = lambda t, d=density: rng.random() < d  # noqa: E731
+        shape = tuple(sizes[v] for v in scope)
+        terms.append(Term(CostTable.from_function(
+            shape, lambda *t, keep=keep: 0 if keep(t) else INF), scope))
+    return Instance(DomainSpec(sizes), terms)
+
+
+class TestBatchedStage1:
+    def test_decompose_and_certify_match_per_term_loops(self):
+        rng = random.Random(20318)
+        seen = Counter()
+        for _ in range(300):
+            inst = stage1_instance(rng)
+            merged = Instance(inst.domains,
+                              [merge_repeated(t) for t in inst.terms])
+            net = decompose_instance(inst)
+            assert net.equal(loop_decompose_instance(merged))
+            repeats = any(len(set(t.scope)) < len(t.scope)
+                          for t in inst.terms)
+            if not repeats:
+                assert net.equal(loop_decompose_instance(inst))
+            certified = certify_decomposition(inst)
+            assert certified == loop_certify_decomposition(inst)
+            seen["repeats"] += repeats
+            seen["certified", certified] += 1
+            seen["arities"] += len({len(set(t.scope))
+                                    for t in inst.terms}) >= 2
+        assert seen["repeats"] >= 30 and seen["arities"] >= 30
+        assert min(seen["certified", True], seen["certified", False]) >= 30
+
+    def test_first_oversized_term_raises(self):
+        domains = DomainSpec((2, 3, 3, 2))
+        # tables of 4, 18, 36 and 9 entries
+        scopes = [(0, 3), (1, 2, 3), (1, 2, 0, 3), (1, 2)]
+        inst = Instance(domains, [Term(CostTable.from_function(
+            tuple(domains.sizes[v] for v in scope), lambda *t: 0), scope)
+            for scope in scopes])
+        for cap in (5, 17, 30):
+            with pytest.raises(CapExceeded) as got:
+                decompose_instance(inst, cap=cap)
+            with pytest.raises(CapExceeded) as want:
+                loop_decompose_instance(inst, cap=cap)
+            assert ((got.value.required, got.value.cap)
+                    == (want.value.required, want.value.cap))
+        assert decompose_instance(inst, cap=36).equal(
+            loop_decompose_instance(inst, cap=36))
 
 
 class TestEnforce:
@@ -409,7 +488,7 @@ class TestRestrict:
 
     def test_network_dump_format(self):
         net = BinaryNetwork(DomainSpec((2, 2)))
-        net.intersect(0, 0, np.diag([True, False]))
+        intersect(net, 0, 0, np.diag([True, False]))
         lines = net.dump().splitlines()
         assert lines[0] == "unary 1 10"
         assert lines[1] == "unary 2 11"

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from vcsp import (
     Instance,
     MjnTriple,
     PairSet,
+    StageError,
     Term,
     TernaryOp,
     ValidationError,
@@ -39,9 +41,10 @@ from vcsp.operations import (
     normalize_pairset,
     ternary_polymorphism_closed,
 )
+from vcsp.solvers import run_validate
 
-from harness import (binary_on, pair_tables_for_split, random_system,
-                     sorting_triple, ternary_on)
+from harness import (binary_on, minmax_system, pair_tables_for_split,
+                     random_system, sorting_triple, ternary_on)
 from oracles import (apply_pair, check_global_multimorphism,
                      check_polymorphism, classify_pair, cost_le,
                      loop_binary_multimorphism, loop_build_majority,
@@ -280,10 +283,81 @@ class TestCheckPolymorphism:
             tuples = rng.sample(space, rng.randint(1, min(6, len(space))))
             if rng.random() < 0.25:
                 tuples = closure(op, tuples, scope)
-            got = ternary_polymorphism_closed(op, tuples, scope)
+            term = relation_term(d, scope, tuples)
+            got, hit = ternary_polymorphism_closed(op, [term])
             assert got == check_polymorphism(op, tuples, scope)
+            assert hit == (None if got else 0)
             seen[got] += 1
         assert min(seen.values()) >= 20
+
+    def test_term_lists_match_per_term_oracle(self):
+        # lists of 1-6 terms of arity 1-3 over unequal domains, scopes that
+        # may repeat a variable, some tables without a feasible tuple, and
+        # most tuple sets closed first, so that lists pass and fail at
+        # every position; the operation is the derived majority or one of
+        # the triple's components (two majority-like, one minority)
+        rng = random.Random(20318)
+        seen = Counter()
+        for _ in range(400):
+            d = DomainSpec(tuple(
+                rng.randint(1, 4) for _ in range(rng.randint(1, 4))))
+            system = random_system(rng, d)
+            ops = system.triple.ops + (build_majority(system.pair,
+                                                      system.triple),)
+            which = rng.randrange(len(ops))
+            op = ops[which]
+            terms = []
+            for _ in range(rng.randint(1, 6)):
+                scope = tuple(rng.randrange(d.variable_count)
+                              for _ in range(rng.randint(1, 3)))
+                space = list(itertools.product(*(range(d.sizes[i])
+                                                 for i in scope)))
+                tuples = ([] if rng.random() < 0.1 else rng.sample(
+                    space, rng.randint(1, min(4, len(space)))))
+                if rng.random() < 0.5:
+                    tuples = closure(op, tuples, scope)
+                terms.append(relation_term(d, scope, tuples))
+            want = next((idx for idx, t in enumerate(terms)
+                         if not check_polymorphism(op, t.table.dom(),
+                                                   t.scope)), None)
+            got = ternary_polymorphism_closed(op, terms)
+            assert got == ((True, None) if want is None else (False, want))
+            seen[got[0]] += 1
+            seen["fails after 0"] += bool(want)
+            seen["repeats"] += any(len(set(t.scope)) < len(t.scope)
+                                   for t in terms)
+            seen["empty"] += any(not t.table.dom() for t in terms)
+            seen["arities"] += len({len(t.scope) for t in terms}) == 3
+            seen["op", which] += 1
+        assert seen[True] >= 20 and seen[False] >= 20
+        assert min(seen["fails after 0"], seen["repeats"], seen["empty"],
+                   seen["arities"]) >= 20
+        assert min(seen["op", which] for which in range(4)) >= 20
+
+    def test_blocks_bound_memory(self):
+        # one ternary term over d=8 with every tuple but (0, 0, 0) feasible
+        # (n = 511): all ordered triples at once would need about 3 GB, one
+        # block over the first argument a few MB
+        d = DomainSpec((8, 8, 8))
+        system = minmax_system(d)
+        table = CostTable.from_function(
+            (8, 8, 8), lambda *t: INF if t == (0, 0, 0) else 0)
+        instance = Instance(d, [Term(table, (0, 1, 2))])
+        tracemalloc.start()
+        try:
+            with pytest.raises(StageError) as err:
+                run_validate(instance, system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.witness == 0
+        assert peak <= 64 * 2 ** 20
+
+
+def relation_term(domains, scope, tuples):
+    """A crisp term over ``scope``: 0 on ``tuples``, INF elsewhere."""
+    return Term(CostTable.relation(tuple(domains.sizes[i] for i in scope),
+                                   tuples), scope)
 
 
 def closure(op, tuples, scope):

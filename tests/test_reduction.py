@@ -36,7 +36,7 @@ from vcsp.reduction import (
 )
 
 from harness import random_boolean_mjn_instance, random_system
-from oracles import loop_apply_modification, loop_find_seed
+from oracles import intersect, loop_apply_modification, loop_find_seed
 
 
 def make_net(sizes, relations):
@@ -46,7 +46,7 @@ def make_net(sizes, relations):
         mat = np.zeros((sizes[i], sizes[j]), dtype=bool)
         for a, b in pairs:
             mat[a, b] = True
-        net.intersect(i, j, mat)
+        intersect(net, i, j, mat)
     return net
 
 

@@ -30,9 +30,10 @@ from vcsp.consistency import BinaryNetwork
 from vcsp.costs import cost_eq, integer_costs, is_finite, scale_entries
 from vcsp.operations import OperationSystem, ScaledCosts, is_stp_on
 from vcsp.solvers import (CutEncoding, MaxFlow, _check_network_closed,
-                          _prune_unsupported)
+                          _prune_unsupported, run_validate)
 
 from harness import (
+    minmax_system,
     random_boolean_mjn_instance,
     random_instance,
     random_submodular_instance,
@@ -40,7 +41,7 @@ from harness import (
     random_unary,
     submodular_chain,
 )
-from oracles import (DinicMaxFlow, LoopCutEncoding,
+from oracles import (DinicMaxFlow, LoopCutEncoding, intersect,
                      loop_extract_tournament_order, loop_is_stp_on,
                      loop_prune_unsupported)
 
@@ -446,7 +447,7 @@ class TestPipeline:
         # the "differ" relation is not closed under min/max
         d = DomainSpec((2, 2))
         net = BinaryNetwork(d)
-        net.intersect(0, 1, np.array([[False, True], [True, False]]))
+        intersect(net, 0, 1, np.array([[False, True], [True, False]]))
         with pytest.raises(StageError) as exc:
             _check_network_closed(net, BinaryPair.min_max(d))
         assert exc.value.stage == "solve"
@@ -492,6 +493,32 @@ class TestPipeline:
         with pytest.raises(StageError) as exc:
             solve_pipeline(inst, system)
         assert exc.value.stage == "validate"
+
+    def test_first_unclosed_term_in_term_order(self):
+        # the binary group (terms 0 and 3) fails at term 3 and the unary
+        # group passes; the ternary parity term 2 is the first that fails
+        d = DomainSpec((2, 2, 2, 3, 3))
+        even = [t for t in itertools.product(range(2), repeat=3)
+                if sum(t) % 2 == 0]
+        inst = Instance(d, [
+            Term(CostTable.from_function(
+                (3, 3), lambda a, b: 0 if a <= b else INF), (3, 4)),
+            Term(CostTable((2,), [1, 0]), (0,)),
+            Term(CostTable.relation((2, 2, 2), even), (0, 1, 2)),
+            Term(CostTable.from_function(
+                (3, 3), lambda a, b: 0 if a != b else INF), (3, 4))])
+        system = minmax_system(d)
+        with pytest.raises(StageError) as exc:
+            run_validate(inst, system)
+        assert exc.value.witness == 2
+        assert str(exc.value) == (
+            "stage validate: derived majority operation is not a "
+            "polymorphism of term 2; the required operation structure is "
+            "missing")
+        without_parity = Instance(d, inst.terms[:2] + inst.terms[3:])
+        with pytest.raises(StageError) as exc:
+            run_validate(without_parity, system)
+        assert exc.value.witness == 2  # the disequality, now third
 
     def test_float_mode_tolerant(self):
         rng = random.Random(109)

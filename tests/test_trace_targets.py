@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 import pkgutil
 import random
+from collections import Counter
 from pathlib import Path
 
 import vcsp
@@ -53,6 +54,25 @@ def test_solves_open_binary_check_spans():
         assert tracer.missing == []
         assert [span for span in tracer.spans
                 if span[0] == "check_binary_multimorphism"]
+
+
+def test_pipeline_opens_majority_and_decompose_spans():
+    # operations.majority_s and consistency.decompose_s read null without
+    # these spans; the closure check is one call per solve
+    tracer_module = load_perfbench("tracer")
+    instance, system = submodular_chain(random.Random(7), 6)
+    wanted = ["build_majority", "ternary_polymorphism_closed",
+              "decompose_instance"]
+    tracer = tracer_module.Tracer()
+    tracer.install([(name, "span", None) for name in wanted])
+    try:
+        solve_pipeline(instance, system)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    opened = Counter(span[0] for span in tracer.spans)
+    assert sorted(opened) == sorted(wanted)
+    assert opened["ternary_polymorphism_closed"] == 1
 
 
 def test_mincut_solve_opens_every_stp_large_span():
