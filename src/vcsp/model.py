@@ -8,6 +8,7 @@ simplest exact representation.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,10 +151,11 @@ def feasible_masks(terms):
         by_arity.setdefault(len(term.scope), []).append(idx)
     groups = []
     for k, idxs in by_arity.items():
-        blocks = [(by_shape[shape], np.array(
-            [e is not INF for i in by_shape[shape]
-             for e in terms[i].table.entries], dtype=bool).reshape(
-                 (-1,) + shape)) for shape in by_shape if len(shape) == k]
+        blocks = [(by_shape[shape], np.fromiter(map(
+            operator.is_not, itertools.chain.from_iterable(
+                terms[i].table.entries for i in by_shape[shape]),
+            itertools.repeat(INF)), bool).reshape((-1,) + shape))
+            for shape in by_shape if len(shape) == k]
         masks = blocks[0][1]
         if len(blocks) > 1:
             masks = np.zeros((len(idxs),) + tuple(map(

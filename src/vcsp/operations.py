@@ -15,25 +15,25 @@ its pairs a < b.  Labels are padded to the largest domain: a stack holds a
 projection beyond a variable's domain, the mask False.  ``meet_tables``,
 ``join_tables``, ``TernaryOp.tables`` and ``PairSet.members`` are nested
 tuples derived from the arrays on each read.  The contract checks
-(``is_stp_on``, ``is_mjn_on``), ``normalize_pairset``, ``build_majority`` and
-``ternary_polymorphism_closed`` are exact boolean masks over these arrays
-and over per-size label grids.  Each returns or raises the witness a scan
+(``is_stp_on``, ``is_mjn_on``), ``normalize_pairset`` and
+``build_majority`` are exact boolean masks over these arrays and over
+per-size label grids.  Each returns or raises the witness a scan
 entry by entry would find first, in the order its docstring states.
 
-The multimorphism checks take a list of terms and share one numpy kernel
-that is exact.  The terms are grouped by table shape and cost class, and
-each group is one kernel call, its tables' feasible tuples padded to the
-group's largest count.  Exact costs are scaled to integers by one LCM of
-all their denominators (int64 below 2**59, Python ints in an object array
-above); INF reads as a value above every sum of finite costs, so that an
-infeasible image is a violation.  Float tables, and any other mix, keep
-their Python values in an object array, and each table's sums compare
-within the tolerance of its own costs (``costs.tolerance``).  A check
-returns the first failing term in term order, and as its witness the first
-violation in row-major order over ``table.dom()``.  Given the ranks of
-orders in which the pair is min/max, the binary check passes unary tables
-and reads exact finite pairwise tables by their adjacent 2x2 minors, and
-runs the kernel only where that test fails or does not apply.
+The multimorphism checks take a list of terms and share one numpy kernel that
+is exact.  The terms are grouped by table shape and cost class, and each group
+is one kernel call, in batches of terms of falling count of feasible tuples.
+Exact costs are scaled to integers by one LCM of all their denominators (int64
+below 2**59, Python ints in an object array above); INF reads as a value above
+every sum of finite costs, so that an infeasible image is a violation.  Float
+tables, and any other mix, keep their Python values in an object array, and
+each table's sums compare within the tolerance of its own costs
+(``costs.tolerance``).  A check returns the first failing term in term order,
+and as its witness the first violation in row-major order over ``table.dom()``.
+Given the ranks of orders in which the pair is min/max, the binary check passes
+unary tables and reads exact finite pairwise tables by their adjacent 2x2
+minors, and runs the kernel only where that test fails or does not apply.
+``ternary_polymorphism_closed`` runs the kernel on crisp costs.
 """
 
 from __future__ import annotations
@@ -539,80 +539,106 @@ def _layout(shape):
     return grid, weights
 
 
+def _outer_sum(parts):
+    """Every sum of one entry from each of ``parts`` [..., n] along their
+    last axis, as [..., n**len(parts)], the last part fastest."""
+    total = parts[0]
+    for part in parts[1:]:
+        total = (total[..., :, None] + part[..., None, :]).reshape(
+            total.shape[:-1] + (total.shape[-1] * part.shape[-1],))
+    return total
+
+
 def _group_violation(shape, costs, feasible, scopes, tol, stacks):
     """Exact kernel of the multimorphism checks on one group of same-shape
     tables, ``costs`` [term, entry] with ``scopes`` [term, position].
 
     ``stacks`` holds the operation tuple as one padded ``intp`` array indexed
     ``[component, variable, arg_1, ..., arg_k]``.  For every term, every
-    ordered k-tuple of its feasible tuples is checked: the summed cost of
-    the components' images must be at most the summed cost of the arguments
-    (up to the term's ``tol``), which fails whenever an image is infeasible.
-    Each term's feasible tuples are padded to the group's largest count with
-    copies of its first one, so a padded k-tuple checks the same as an
-    earlier real one and is never the first violation.  Returns None or
-    (position of the first failing term, its witness): the first violation
-    in row-major order over ``table.dom()``, as tuples of Python ints.
-    Blocks run over terms, then over the first argument's rows, so that a
-    temporary holds at most about max(``_BLOCK_ELEMENTS``,
-    comps * m * n**(k-1)) elements: a block is never smaller than one row,
-    the checks of one first argument.
+    ordered k-tuple of its feasible tuples is checked: the summed cost of the
+    components' images must be at most the summed cost of the arguments (up to
+    the term's ``tol``), which fails whenever an image is infeasible.  Terms go
+    by falling count of feasible tuples, in batches padded to the count of
+    their first term with copies of each term's first tuple, so a padded
+    k-tuple checks the same as an earlier real one and is never the first
+    violation, and a dense term pads only the terms of its batch.  Returns None
+    or (position of the first failing term, its witness): the first violation
+    in row-major order over ``table.dom()``, as tuples of Python ints.  A batch
+    blocks over the first argument's rows, so that a temporary holds at most
+    about max(``_BLOCK_ELEMENTS``, comps * m * n**(k-1)) elements: a block is
+    never smaller than one row, the checks of one first argument.
     """
     comps, k = len(stacks), stacks.ndim - 2
-    grid, weights = _layout(shape)
+    grid, _ = _layout(shape)
     m, size = grid.shape
     count = len(costs)
-    base = np.arange(0, count * size, size).reshape(count, 1)
     flat = costs.reshape(-1)
     if feasible.all():  # no padding
-        n, cost = size, costs
-        coords = grid[:, None].repeat(count, axis=1)
+        counts, order, infeasible = [size] * count, np.arange(count), None
     else:
         counts = feasible.sum(axis=1)
-        n = int(counts.max())
-        if n == 0:
-            return None
-        # a term without feasible tuples reads k INF costs on the right of
-        # every check, which no left side exceeds
-        dom = np.argsort(~feasible, axis=1, kind="stable")[:, :n]
-        dom = np.where(np.arange(n) < counts[:, None], dom, dom[:, :1])
-        cost = flat.take(dom + base)
-        coords = grid[:, dom]  # [position, term, tuple]
-    var = scopes.T.reshape((m, count) + (1,) * k)
-    if tol is not None:
-        tol = tol.reshape((count,) + (1,) * k)
-    # index that moves a last axis to argument axis a of the k-tuple grid
-    along = [(Ellipsis,) + (None,) * a + (slice(None),) + (None,) * (k - 1 - a)
-             for a in range(k)]
-    row = comps * max(m, 1) * n ** (k - 1)  # elements per first argument
-    rows = min(n, max(1, _BLOCK_ELEMENTS // row))
-    batch = max(1, _BLOCK_ELEMENTS // (row * n)) if rows == n else 1
-    for first in range(0, count, batch):
-        tb = slice(first, first + batch)
-        held = min(batch, count - first)
+        order = (-counts).argsort(kind="stable")
+        infeasible = ~feasible
+    width = stacks.shape[-1]
+    stack = stacks.reshape(comps, -1)  # a row per component
+    found, first = None, 0
+    # terms without feasible tuples come last; one in a batch reads k INF
+    # costs on the right of every check, which no left side exceeds
+    while first < count and (n := int(counts[order[first]])):
+        row = comps * max(m, 1) * n ** (k - 1)  # elements per first argument
+        rows = min(n, max(1, _BLOCK_ELEMENTS // row))
+        batch = max(1, _BLOCK_ELEMENTS // (row * n)) if rows == n else 1
+        ts = order[first:first + batch]
+        first += len(ts)
+        if found is not None and ts.min() > found[0]:
+            continue
+        if infeasible is None:  # every term reads the whole grid
+            cost, coords = costs[ts], grid[:, None]
+        else:
+            dom = infeasible[ts].argsort(axis=1, kind="stable")[:, :n]
+            if counts[ts[-1]] < n:
+                dom = np.where(np.arange(n) < counts[ts, None], dom,
+                               dom[:, :1])
+            cost = flat.take(dom + ts[:, None] * size)
+            coords = grid.take(dom, axis=1)  # [position, term, tuple]
+        # offsets in a row of ``stack``: the first argument's, at its
+        # position's variable, and the later arguments' summed, last fastest
+        first_at = (coords * width ** (k - 1)
+                    + scopes[ts].T[:, :, None] * width ** k)
+        rest_at = _outer_sum([coords * width ** (k - 1 - a)
+                              for a in range(1, k - 1)] + [coords])
+        rest_cost = _outer_sum([cost] * (k - 1))
+        # an image's entry in ``flat``, by Horner from its term's index
+        term = ts.reshape(1, -1, 1, 1)
+        if not m:  # the one entry, once per component
+            term = term.repeat(comps, axis=0)
+        margin = None if tol is None else tol[ts].reshape(-1, 1, 1)
         for start in range(0, n, rows):
             rb = slice(start, start + rows)
-            right = cost[tb, rb][along[0]]
-            for a in range(1, k):
-                right = right + cost[tb][along[a]]
-            labels = stacks[(slice(None), var[:, tb],
-                             coords[:, tb, rb][along[0]],
-                             *(coords[:, tb][along[a]] for a in range(1, k)))]
-            images = flat.take(base[tb] + weights @ labels.reshape(
-                comps, m, held, right.size // held).swapaxes(1, 2))
+            right = cost[:, rb, None] + rest_cost[:, None]
+            labels = stack.take(first_at[:, :, rb, None] + rest_at[:, :, None],
+                                axis=1)
+            code = term
+            for p in range(m):
+                code = code * shape[p] + labels[:, p]
+            images = flat.take(code)
             left = images[0]
             for more in images[1:]:
                 left = left + more
-            ok = left.reshape(right.shape) <= (
-                right if tol is None else right + tol[tb])
+            ok = left <= (right if margin is None else right + margin)
             if not ok.all():
-                bad = ~ok.reshape(held, -1)
-                t = int(bad.any(axis=1).argmax())
-                at = np.unravel_index(int(bad[t].argmax()), right.shape[1:])
-                picks = (start + at[0],) + at[1:]
-                return first + t, tuple(
-                    tuple(coords[:, first + t, j].tolist()) for j in picks)
-    return None
+                bad = ~ok.reshape(len(ts), -1)
+                t = int(np.where(bad.any(axis=1), ts, count).argmin())
+                if found is None or ts[t] < found[0]:
+                    hit = np.unravel_index(int(bad[t].argmax()),
+                                           right.shape[1:2] + (n,) * (k - 1))
+                    picks = (start + hit[0],) + hit[1:]
+                    # a whole-grid batch holds one row of coordinates
+                    at = coords[:, min(t, coords.shape[1] - 1)]
+                    found = int(ts[t]), tuple(
+                        tuple(at[:, j].tolist()) for j in picks)
+                break  # later rows of a one-term batch come after
+    return found
 
 
 def _passes_min_max(shape, costs, feasible, scopes, tol, ranks):
@@ -696,51 +722,23 @@ def check_ternary_multimorphism(terms, triple):
     return _first_violation(terms, triple.index_stacks())
 
 
-def _first_unclosed(stack, scopes, masks):
-    """Position of the first term of an arity group of ``feasible_masks``
-    not closed under the ternary operation ``stack``, or None.  Tuples are
-    padded and blocked as in ``_group_violation``, no temporary above about
-    max(``_BLOCK_ELEMENTS``, k * n**2) elements; position p of an image
-    reads its own scope variable, so a repeated variable stays exact."""
-    count, k = scopes.shape
-    flat = masks.reshape(count, -1)
-    counts = np.count_nonzero(flat, axis=1)
-    n = max(counts.tolist())
-    if k == 0 or n == 0:
-        return None
-    dom = np.argsort(~flat, axis=1, kind="stable")[:, :n]
-    if min(counts.tolist()) < n:
-        dom = np.where(np.arange(n) < counts[:, None], dom, dom[:, :1])
-    # labels [position, term, tuple]; stack offsets of the three arguments
-    x = np.array(np.unravel_index(dom, masks.shape[1:]))
-    size = stack.shape[-1]
-    first_arg = (scopes.T[:, :, None] * size + x) * (size * size)
-    more_args = (x[..., None] * size + x[..., None, :]).reshape(k, count, -1)
-    rows = min(n, max(1, _BLOCK_ELEMENTS // (k * n ** 2)))
-    batch = max(1, _BLOCK_ELEMENTS // (k * n ** 3)) if rows == n else 1
-    for first in range(0, count, batch):
-        tb = slice(first, first + batch)
-        for start in range(0, n, rows):
-            images = stack.take(first_arg[:, tb, start:start + rows, None]
-                                + more_args[:, tb, None, :])
-            code = np.arange(count)[tb, None, None]
-            for p in range(k):
-                code = code * masks.shape[p + 1] + images[p]
-            ok = masks.take(code)
-            if not ok.all():  # a term without feasible tuples passes
-                bad = ~ok.reshape(len(ok), -1).all(axis=1) & (counts[tb] > 0)
-                if bad.any():
-                    return first + int(bad.argmax())
-    return None
-
-
 def ternary_polymorphism_closed(op, terms):
     """(True, None) when the componentwise image under ``op`` of every
     ordered triple of each term's feasible tuples is feasible, else (False,
-    the first term in term order where one is not); one kernel per arity."""
-    hits = [idxs[hit] for idxs, scopes, masks in feasible_masks(terms)
-            if (hit := _first_unclosed(op.index_stack(), scopes, masks))
-            is not None]
+    the first term in term order where one is not): per arity group of
+    ``feasible_masks``, the multimorphism kernel with the one component
+    ``op`` on the crisp costs 0 (feasible) and 1 (infeasible).  A group
+    in which every tuple is feasible is closed as it stands."""
+    stack = op.index_stack()[None]
+    hits = []
+    for idxs, scopes, masks in feasible_masks(terms):
+        feasible = masks.reshape(len(idxs), -1)
+        if feasible.all():
+            continue
+        hit = _group_violation(masks.shape[1:], (~feasible).view(np.uint8),
+                               feasible, scopes, None, stack)
+        if hit is not None:
+            hits.append(idxs[hit[0]])
     return (False, min(hits)) if hits else (True, None)
 
 

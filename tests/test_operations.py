@@ -353,6 +353,58 @@ class TestCheckPolymorphism:
         assert err.value.witness == 0
         assert peak <= 64 * 2 ** 20
 
+    @staticmethod
+    def closure_peak(terms, d):
+        """(result, tracemalloc peak) of the derived min/max majority's
+        closure check of ``terms`` over three variables of size ``d``."""
+        system = minmax_system(DomainSpec((d, d, d)))
+        mu = build_majority(system.pair, system.triple)
+        tracemalloc.start()
+        try:
+            got = ternary_polymorphism_closed(mu, terms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return got, peak
+
+    def test_dense_term_pads_no_sparse_term(self):
+        # one arity group: a <= b over d=20 (210 tuples) and 300 equalities
+        # (20 tuples each); padding every term to 210 tuples would check
+        # 301 * 210**3 triples and hold 2 * 301 * 210**2 intp (212 MB)
+        d = 20
+        le = Term(CostTable.from_function(
+            (d, d), lambda a, b: 0 if a <= b else INF), (0, 1))
+        eq = Term(CostTable.from_function(
+            (d, d), lambda a, b: 0 if a == b else INF), (1, 2))
+        neq = Term(CostTable.from_function(
+            (d, d), lambda a, b: 0 if a != b else INF), (0, 2))
+        got, peak = self.closure_peak([eq] * 150 + [le] + [eq] * 150, d)
+        assert got == (True, None) and peak <= 8 * 2 ** 20
+        # the first unclosed term in term order, wherever the batches of
+        # falling counts put it: the dense a != b goes first, and the
+        # three-tuple cycle and diagonal share a later batch
+        def three(pairs):
+            return Term(CostTable.from_function(
+                (d, d), lambda a, b: 0 if (a, b) in pairs else INF), (0, 1))
+        cycle = three({(0, 1), (1, 2), (2, 0)})
+        diagonal = three({(0, 0), (1, 1), (2, 2)})
+        for terms, want in (([le, eq, neq, eq, neq], 2), ([cycle, neq], 0),
+                            ([diagonal, neq, cycle], 1)):
+            assert self.closure_peak(terms, d)[0] == (False, want)
+
+    def test_peak_grows_with_tables_only(self):
+        # identical equalities over d=20: the check holds the masks, a few
+        # bytes per table entry, and blocks that do not grow with the term
+        # count; a temporary of n**2 intp per term (3,200 bytes here)
+        # would add 4.8 MB from 500 to 2,000 terms
+        d = 20
+        eq = Term(CostTable.from_function(
+            (d, d), lambda a, b: 0 if a == b else INF), (1, 2))
+        (few, low), (many, high) = (self.closure_peak([eq] * count, d)
+                                    for count in (500, 2000))
+        assert few == many == (True, None)
+        assert high - low <= 1500 * d * d * 8
+
 
 def relation_term(domains, scope, tuples):
     """A crisp term over ``scope``: 0 on ``tuples``, INF elsewhere."""
