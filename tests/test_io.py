@@ -145,6 +145,199 @@ class TestParseOps:
             parse_ops_text(text, d)
 
 
+D1 = DomainSpec((2,))
+#: The min/max system on one variable of two labels: ``meet 1`` on line 1,
+#: ``join 1`` on 4, ``mj1 1`` on 7, ``mj2 1`` on 12, ``mn3 1`` on 17 and
+#: ``M 1 0:1`` on 22.
+OPS2 = serialize_ops(minmax_system(D1))
+HEAD = "vcsp 1\ndomains 2\n"  # lines 1 and 2 of the instance cases
+
+
+def _parse(kind, text, float_mode):
+    if kind == "ops":
+        return parse_ops_text(text, D1)
+    return parse_instance_text(text, float_mode=float_mode)
+
+
+# one case per ``raise FormatError`` site of the two parsers and of
+# ``parse_cost``, then cases on the order in which errors are found: each
+# error names the first offending line in file order
+FORMAT_ERRORS = [
+    ("inst", "", "file must start with a 'vcsp <V>' line", 1),
+    ("inst", "# empty\n\n", "file must start with a 'vcsp <V>' line", 1),
+    ("inst", "\n\ndomains 2\n", "file must start with a 'vcsp <V>' line", 3),
+    ("inst", "vcsp 1 2\n", "'vcsp' line needs exactly one count", 1),
+    ("inst", "vcsp x\n", "expected variable count, got 'x'", 1),
+    ("inst", "vcsp 1\n", "second line must be 'domains <sizes>'", 1),
+    ("inst", "vcsp 1\n\nterm 1 1\n", "second line must be 'domains <sizes>'",
+     1),
+    ("inst", "vcsp 2\ndomains 2\n", "'domains' line needs 2 sizes", 2),
+    ("inst", "vcsp 1\ndomains two\n", "expected domain size, got 'two'", 2),
+    ("inst", "vcsp 2\ndomains 2 0\n", "every domain size must be at least 1",
+     2),
+    ("inst", HEAD + "default 0\n", "expected 'term', got 'default'", 3),
+    ("inst", HEAD + "term\n", "'term' line needs an arity", 3),
+    ("inst", HEAD + "term one 1\n", "expected arity, got 'one'", 3),
+    ("inst", HEAD + "term 2 1\n", "'term' line needs 2 variable indices", 3),
+    ("inst", HEAD + "term -1 1\n", "'term' line needs -1 variable indices",
+     3),
+    ("inst", HEAD + "term 1 v\n", "expected variable index, got 'v'", 3),
+    ("inst", HEAD + "term 1 2\n", "variable index 2 out of range 1..1", 3),
+    ("inst", HEAD + "term 1 0\n", "variable index 0 out of range 1..1", 3),
+    ("inst", HEAD + "term 1 1\ndefault 0\ndefault 1\n",
+     "duplicate 'default' line", 5),
+    ("inst", HEAD + "term 1 1\ndefault 0 1\n", "'default' needs one cost", 4),
+    ("inst", HEAD + "term 1 1\ndefault\n", "'default' needs one cost", 4),
+    ("inst", HEAD + "term 1 1\ndefault x\n", "bad cost 'x'", 4),
+    ("inst", HEAD + "term 1 1\ndefault -1\n", "negative cost '-1'", 4),
+    ("inst", HEAD + "term 1 1\ndefault 0\nentry 0\n",
+     "'entry' needs 1 labels and a cost", 5),
+    ("inst", HEAD + "term 1 1\ndefault 0\nentry 0 1 2\n",
+     "'entry' needs 1 labels and a cost", 5),
+    ("inst", HEAD + "term 1 1\ndefault 0\nentry z 1\n",
+     "expected label, got 'z'", 5),
+    ("inst", HEAD + "term 1 1\ndefault 0\nentry 2 1\n",
+     "label 2 out of range 0..1", 5),
+    ("inst", HEAD + "term 1 1\ndefault 0\nentry -1 1\n",
+     "label -1 out of range 0..1", 5),
+    ("inst", HEAD + "term 1 1\nentry 1 0\ndefault 0\nentry 1 2\n",
+     "duplicate entry for (1,)", 6),
+    ("inst", HEAD + "term 1 1\ndefault 0\nentry 1 1/0\n",
+     "bad cost '1/0'", 5),
+    ("inst", HEAD + "term 1 1\ndefault 0\nentry 1 -1/2\n",
+     "negative cost '-1/2'", 5),
+    ("inst", HEAD + "term 1 1\nterm 1 1\ndefault 0\n",
+     "term is missing its 'default' line", 3),
+    ("inst", HEAD + "term 1 1\ndefault 0\nterm 1 1\nentry 0 1\n\n",
+     "term is missing its 'default' line", 6),
+    ("inst", HEAD + "term 1 1\ndefault nan\n", "bad cost 'nan'", 4),
+    ("float", HEAD + "term 1 1\ndefault 1e400\n", "bad cost '1e400'", 4),
+    ("float", HEAD + "term 1 1\ndefault 0\nentry 0 -2.5\n",
+     "negative cost '-2.5'", 5),
+    # order within a term: labels by position, int before range, then the
+    # duplicate, then the cost; lines in file order whatever their kind
+    ("inst", "vcsp 2\ndomains 2 2\nterm 2 1 2\ndefault 0\nentry 5 x 0\n",
+     "label 5 out of range 0..1", 5),
+    ("inst", "vcsp 2\ndomains 2 2\nterm 2 1 2\ndefault 0\nentry x 5 0\n",
+     "expected label, got 'x'", 5),
+    ("inst", "vcsp 2\ndomains 2 2\nterm 2 1 2\ndefault 0\nentry 0 0 1\n"
+     "entry 0 0 bad\n", "duplicate entry for (0, 0)", 6),
+    ("inst", HEAD + "term 1 1\nentry 0 bad\ndefault 0\ndefault 0\n",
+     "bad cost 'bad'", 4),
+    ("inst", HEAD + "term 1 1\ndefault 0\nentry 0 1\nentry 0 bad\n"
+     "entry 2 1\n", "duplicate entry for (0,)", 6),
+    ("inst", HEAD + "term 1 1\ndefault 0\nentry 0 1\nentry 1 bad\n"
+     "entry 0 1\n", "bad cost 'bad'", 6),
+    ("inst", HEAD + "term 1 1\ndefault 0\nentry 1 1\nterm 1 2\n",
+     "variable index 2 out of range 1..1", 6),
+    ("inst", HEAD + "term 1 1\n# note\n\ndefault 0\nentry 3 1\n",
+     "label 3 out of range 0..1", 7),
+    ("inst", "vcsp 1\r\ndomains 2\r\nterm 1 1\r\ndefault 0\r\nentry 1 x\r\n",
+     "bad cost 'x'", 5),
+    ("inst", HEAD + "term 1 +1\ndefault 0\nentry 1_0 1\n",
+     "label 10 out of range 0..1", 5),
+    ("inst", HEAD + "term 0\ndefault 0\nentry 1\nentry 2\n",
+     "duplicate entry for ()", 6),
+
+    ("ops", "foo 1\n", "unknown block 'foo'", 1),
+    ("ops", "\nmeet\n", "'meet' needs a variable index", 2),
+    ("ops", "M\n", "'M' needs a variable index", 1),
+    ("ops", "join one\n", "expected variable index, got 'one'", 1),
+    ("ops", "mj1 2\n", "variable index 2 out of range", 1),
+    ("ops", "M 0\n", "variable index 0 out of range", 1),
+    ("ops", OPS2 + "M 1\n", "duplicate 'M' block for variable 1", 23),
+    ("ops", OPS2.replace("M 1 0:1", "M 1 0-1"),
+     "bad pair '0-1', expected a:b", 22),
+    ("ops", OPS2.replace("M 1 0:1", "M 1 0:1:1"),
+     "bad pair '0:1:1', expected a:b", 22),
+    ("ops", OPS2.replace("M 1 0:1", "M 1 a:1"), "expected label, got 'a'", 22),
+    ("ops", OPS2.replace("M 1 0:1", "M 1 0:b"), "expected label, got 'b'", 22),
+    ("ops", OPS2.replace("M 1 0:1", "M 1 1:1"),
+     "bad pair '1:1' for domain size 2", 22),
+    ("ops", OPS2.replace("M 1 0:1", "M 1 0:2"),
+     "bad pair '0:2' for domain size 2", 22),
+    ("ops", OPS2 + "meet 1\n0 0\n0 1\n",
+     "duplicate 'meet' block for variable 1", 23),
+    ("ops", OPS2 + "mn3 1\n0 0\n", "duplicate 'mn3' block for variable 1",
+     23),
+    ("ops", "M 1 0:1\n" + OPS2[:OPS2.index("M 1") - len("0 1\n")],
+     "'mn3' table for variable 1 is truncated", 18),
+    ("ops", OPS2.replace("meet 1\n0 0", "meet 1\n0"),
+     "table row needs 2 labels", 2),
+    ("ops", OPS2.replace("join 1\n0 1\n1 1", "join 1\n0 1\n1 1 1"),
+     "table row needs 2 labels", 6),
+    ("ops", OPS2.replace("mj1 1\n0 0", "mj1 1\n0 q"),
+     "expected label, got 'q'", 8),
+    ("ops", OPS2.replace("mj2 1\n0 1", "mj2 1\n0 2"), "label 2 out of range",
+     13),
+    ("ops", OPS2.replace("mj2 1\n0 1", "mj2 1\n-1 1"),
+     "label -1 out of range", 13),
+    ("ops", OPS2[:OPS2.index("mn3")], "missing 'mn3' table for variables [1]",
+     None),
+    ("ops", OPS2[:OPS2.index("mj1")] + "M 1\n",
+     "missing 'mj1' table for variables [1]", None),
+    ("ops", OPS2.replace("M 1 0:1\n", ""),
+     "missing 'M' line for variables [1]", None),
+    # order within a block: rows in file order, each row's width before its
+    # labels; a block takes its rows whatever they hold
+    ("ops", OPS2.replace("meet 1\n0 0\n0 1", "meet 1\n0 q\n0"),
+     "expected label, got 'q'", 2),
+    ("ops", OPS2.replace("meet 1\n0 0\n0 1", "meet 1\n0\n0 q"),
+     "table row needs 2 labels", 2),
+    ("ops", OPS2.replace("meet 1\n0 0\n0 1", "meet 1\n3 q\n0 1"),
+     "label 3 out of range", 2),
+    ("ops", OPS2.replace("meet 1\n0 0\n0 1", "meet 1\n0 0"),
+     "expected label, got 'join'", 3),
+    ("ops", OPS2.replace("mj1 1\n0 0\n0 1\n0 1\n1 1", "mj1 1\n0 0"),
+     "expected label, got 'mj2'", 9),
+    ("ops", OPS2.replace("0 1\njoin 1", "join 1 x y"),
+     "table row needs 2 labels", 3),
+    ("ops", OPS2.replace("M 1 0:1\n", "") + "meet 1\n0 0\n",
+     "duplicate 'meet' block for variable 1", 22),
+    ("ops", "M 1 0:1\n" + OPS2.replace("M 1 0:1\n", "").replace(
+        "mn3 1\n0 0\n0 0\n0 0\n0 1", "mn3 1\n0 0\n0 0\n0 9"),
+     "label 9 out of range", 21),
+    ("ops", OPS2.replace("mj1 1\n0 0\n", "mj1 1\n# row 0\n\n0 x\n"),
+     "expected label, got 'x'", 10),
+    ("ops", OPS2.replace("\n", "\r\n").replace("mj2 1\r\n0 1",
+                                                "mj2 1\r\n0 2"),
+     "label 2 out of range", 13),
+    ("ops", OPS2.replace("mj2 1\n0 1", "mj2 1\n+1 1_0"),
+     "label 10 out of range", 13),
+]
+
+
+class TestFormatErrors:
+    @pytest.mark.parametrize("kind, text, message, line", FORMAT_ERRORS)
+    def test_message_and_line(self, kind, text, message, line):
+        with pytest.raises(FormatError) as exc:
+            _parse(kind, text, kind == "float")
+        assert exc.value.line == line
+        assert str(exc.value) == (message if line is None
+                                  else f"line {line}: {message}")
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace("0 1\n", "0 1  # a row\n\n   \n# more\n"),
+        lambda t: "\n".join("+" + row.replace(" ", " 0_")
+                            if row[:1].isdigit() else row
+                            for row in t.split("\n")),
+    ])
+    def test_ops_layout_does_not_matter(self, edit):
+        back = parse_ops_text(edit(OPS2), D1)
+        assert serialize_ops(back) == OPS2
+
+    def test_instance_layout_does_not_matter(self):
+        text = "vcsp 2\ndomains 2 3\nterm 2 1 2\ndefault 1\nentry 1 2 3/2\n"
+        plain = serialize_instance(parse_instance_text(text))
+        crlf = text.replace("\n", "\r\n").replace(
+            "entry", "# comment\r\n\r\n  entry")
+        signed = text.replace("term 2 1 2", "term +2 +1 0_2").replace(
+            "entry 1 2", "entry +1 0_2")
+        for variant in (crlf, signed):
+            assert serialize_instance(parse_instance_text(variant)) == plain
+
+
 class TestPathsAndText:
     # relative file names that look like the start of a file's text
     def test_instance_path_named_like_a_header(self, tmp_path, monkeypatch):
