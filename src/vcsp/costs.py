@@ -14,6 +14,8 @@ import math
 import sys
 from fractions import Fraction
 
+from .errors import FormatError
+
 
 class _Infinity:
     """The unique infinite cost.  Never instantiate; use ``INF``."""
@@ -135,8 +137,6 @@ def parse_cost(token, float_mode=False, line=None):
     A token of ASCII digits alone is an ``int``, any other a ``Fraction``.
     In float mode every cost is a ``float``, and a cost above
     ``FLOAT_COST_MAX`` is a bad cost, like one too large for a float."""
-    from .errors import FormatError
-
     if token == "inf":
         return INF
     try:

@@ -19,24 +19,31 @@ per first argument), cubic ``mj1``/``mj2``/``mn3`` tables (d*d rows of d
 labels, first two arguments slice-major), and an ``M`` line listing the
 commutative label pairs as ``a:b``.
 
-``#`` starts a comment; blank lines are ignored.
+``#`` starts a comment; blank lines are ignored.  A table block takes the
+next d (or d*d) lines that are neither blank nor comments, whatever they
+hold.  An error names the first offending line in file order.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import Counter
 
+import numpy as np
+
 from .costs import format_cost, parse_cost
-from .errors import FormatError, VcspError
+from .errors import FormatError
 from .model import CostTable, DomainSpec, Instance, Term
-from .operations import BinaryPair, MjnTriple, OperationSystem, PairSet
+from .operations import (BinaryPair, MjnTriple, OperationSystem, PairSet,
+                         _live_labels)
 
 
 def _logical_lines(text):
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield num, line.split()
+    """The lines of ``text`` that hold tokens once comments are cut, as
+    (line number, tokens)."""
+    return [(num, toks) for num, raw in enumerate(text.splitlines(), start=1)
+            if (toks := raw.split("#", 1)[0].split())]
 
 
 def _read(path):
@@ -58,7 +65,7 @@ def parse_instance(path, float_mode=False):
 
 def parse_instance_text(text, float_mode=False):
     """Parse the text of an instance file."""
-    lines = list(_logical_lines(text))
+    lines = _logical_lines(text)
     if not lines or lines[0][1][0] != "vcsp":
         raise FormatError("file must start with a 'vcsp <V>' line",
                           line=lines[0][0] if lines else 1)
@@ -76,7 +83,13 @@ def parse_instance_text(text, float_mode=False):
         raise FormatError("every domain size must be at least 1", line=num)
     domains = DomainSpec(tuple(sizes))
 
-    terms = []
+    terms, costs = [], {}
+
+    def cost(tok, num):  # parse_cost, once per token
+        if tok not in costs:
+            costs[tok] = parse_cost(tok, float_mode, line=num)
+        return costs[tok]
+
     idx = 2
     while idx < len(lines):
         num, toks = lines[idx]
@@ -96,8 +109,7 @@ def parse_instance_text(text, float_mode=False):
                                   line=num)
             scope.append(v - 1)
         shape = tuple(sizes[i] for i in scope)
-        default = None
-        entries = {}
+        default, entries = None, {}
         idx += 1
         while idx < len(lines) and lines[idx][1][0] in ("default", "entry"):
             num, toks = lines[idx]
@@ -106,29 +118,29 @@ def parse_instance_text(text, float_mode=False):
                     raise FormatError("duplicate 'default' line", line=num)
                 if len(toks) != 2:
                     raise FormatError("'default' needs one cost", line=num)
-                default = parse_cost(toks[1], float_mode, line=num)
+                default = cost(toks[1], num)
             else:
                 if len(toks) != arity + 2:
                     raise FormatError(
                         f"'entry' needs {arity} labels and a cost", line=num)
-                key = []
-                for pos, t in enumerate(toks[1:-1]):
+                flat = 0  # the entry's row-major index
+                for size, t in zip(shape, toks[1:-1]):
                     a = _int(t, num, "label")
-                    if not 0 <= a < shape[pos]:
+                    if not 0 <= a < size:
                         raise FormatError(
-                            f"label {a} out of range 0..{shape[pos] - 1}",
-                            line=num)
-                    key.append(a)
-                key = tuple(key)
-                if key in entries:
-                    raise FormatError(f"duplicate entry for {key}", line=num)
-                entries[key] = parse_cost(toks[-1], float_mode, line=num)
+                            f"label {a} out of range 0..{size - 1}", line=num)
+                    flat = flat * size + a
+                if flat in entries:
+                    raise FormatError("duplicate entry for "
+                                      f"{tuple(map(int, toks[1:-1]))}", line=num)
+                entries[flat] = cost(toks[-1], num)
             idx += 1
         if default is None:
             raise FormatError("term is missing its 'default' line", line=num)
-        table = CostTable.from_function(
-            shape, lambda *t: entries.get(t, default))
-        terms.append(Term(table, tuple(scope)))
+        table = [default] * math.prod(shape)
+        for flat, c in entries.items():
+            table[flat] = c
+        terms.append(Term(CostTable(shape, table), tuple(scope)))
     return Instance(domains, terms)
 
 
@@ -159,15 +171,15 @@ def parse_ops(path, domains, validate=True):
 
 def parse_ops_text(text, domains, validate=True):
     """Parse the text of an operation-system file against known domain sizes."""
-    lines = list(_logical_lines(text))
+    lines = _logical_lines(text)
+    rows = [toks for _, toks in lines]
     nvars = domains.variable_count
-    tables = {kind: {} for kind in _TABLE_KINDS}
-    pairs = {}
+    blocks = {kind: {} for kind in _TABLE_KINDS + ("M",)}  # var -> content
     idx = 0
     while idx < len(lines):
         num, toks = lines[idx]
         kind = toks[0]
-        if kind not in _TABLE_KINDS + ("M",):
+        if kind not in blocks:
             raise FormatError(f"unknown block {kind!r}", line=num)
         if len(toks) < 2:
             raise FormatError(f"{kind!r} needs a variable index", line=num)
@@ -176,75 +188,71 @@ def parse_ops_text(text, domains, validate=True):
             raise FormatError(f"variable index {var} out of range", line=num)
         var -= 1
         size = domains.sizes[var]
+        if var in blocks[kind]:
+            raise FormatError(f"duplicate {kind!r} block for variable {var + 1}",
+                              line=num)
         if kind == "M":
-            if var in pairs:
-                raise FormatError(f"duplicate 'M' block for variable {var + 1}",
-                                  line=num)
             chosen = set()
             for tok in toks[2:]:
                 parts = tok.split(":")
                 if len(parts) != 2:
                     raise FormatError(f"bad pair {tok!r}, expected a:b", line=num)
-                a = _int(parts[0], num, "label")
-                b = _int(parts[1], num, "label")
+                a, b = (_int(part, num, "label") for part in parts)
                 if a == b or not (0 <= a < size and 0 <= b < size):
                     raise FormatError(f"bad pair {tok!r} for domain size {size}",
                                       line=num)
                 chosen.add((min(a, b), max(a, b)))
-            pairs[var] = frozenset(chosen)
+            blocks["M"][var] = frozenset(chosen)
             idx += 1
             continue
-        if var in tables[kind]:
-            raise FormatError(f"duplicate {kind!r} block for variable {var + 1}",
-                              line=num)
-        rows_needed = size if kind in ("meet", "join") else size * size
-        rows = []
-        idx += 1
-        for _ in range(rows_needed):
-            if idx >= len(lines):
-                raise FormatError(
-                    f"{kind!r} table for variable {var + 1} is truncated",
-                    line=num)
-            rnum, rtoks = lines[idx]
-            if len(rtoks) != size:
-                raise FormatError(f"table row needs {size} labels", line=rnum)
-            row = []
-            for t in rtoks:
-                v = _int(t, rnum, "label")
-                if not 0 <= v < size:
-                    raise FormatError(f"label {v} out of range", line=rnum)
-                row.append(v)
-            rows.append(row)
-            idx += 1
-        tables[kind][var] = rows
+        end = idx + 1 + (size if kind in ("meet", "join") else size * size)
+        block = rows[idx + 1:end]
+        try:  # the block takes the next rows, whatever they hold
+            flat = (len(block) == end - idx - 1
+                    and set(map(len, block)) == {size}
+                    and list(map(int, itertools.chain.from_iterable(block))))
+        except ValueError:
+            flat = None
+        if not flat or min(flat) < 0 or max(flat) >= size:
+            _bad_block(lines[idx:end], size, f"{kind!r} table for variable "
+                       f"{var + 1} is truncated")
+        blocks[kind][var] = flat
+        idx = end
 
-    for kind in _TABLE_KINDS:
-        missing = [v + 1 for v in range(nvars) if v not in tables[kind]]
+    for kind, found in blocks.items():
+        missing = [v + 1 for v in range(nvars) if v not in found]
         if missing:
-            raise FormatError(
-                f"missing {kind!r} table for variables {missing}")
-    missing = [v + 1 for v in range(nvars) if v not in pairs]
-    if missing:
-        raise FormatError(f"missing 'M' line for variables {missing}")
+            raise FormatError(f"missing {kind!r} "
+                              f"{'line' if kind == 'M' else 'table'} "
+                              f"for variables {missing}")
 
-    pair = BinaryPair(domains,
-                      [tables["meet"][v] for v in range(nvars)],
-                      [tables["join"][v] for v in range(nvars)])
-    terns = []
-    for kind in ("mj1", "mj2", "mn3"):
-        cubes = []
-        for v in range(nvars):
-            size = domains.sizes[v]
-            rows = tables[kind][v]
-            cubes.append([[rows[a * size + b] for b in range(size)]
-                          for a in range(size)])
-        terns.append(cubes)
-    triple = MjnTriple(domains, *terns)
-    m = PairSet(domains, tuple(pairs[v] for v in range(nvars)))
-    system = OperationSystem(pair, triple, m)
+    def stack(kinds, depth):  # the labels at their places in a padded stack
+        live = _live_labels(domains.sizes, depth)
+        out = np.zeros((len(kinds),) + live.shape, dtype=np.intp)
+        out[:, live] = [list(itertools.chain.from_iterable(
+            blocks[kind][v] for v in range(nvars))) for kind in kinds]
+        return out
+
+    system = OperationSystem(
+        BinaryPair.of(domains, stack(_TABLE_KINDS[:2], 2)),
+        MjnTriple.of(domains, stack(_TABLE_KINDS[2:], 3)),
+        PairSet(domains, tuple(blocks["M"][v] for v in range(nvars))))
     if validate:
         system.validate()
     return system
+
+
+def _bad_block(lines, size, truncated):
+    """Raise the first error of a table block, its header line and the rows
+    after it, walked in file order; ``truncated`` when all are sound."""
+    for num, toks in lines[1:]:
+        if len(toks) != size:
+            raise FormatError(f"table row needs {size} labels", line=num)
+        for t in toks:
+            v = _int(t, num, "label")
+            if not 0 <= v < size:
+                raise FormatError(f"label {v} out of range", line=num)
+    raise FormatError(truncated, line=lines[0][0])
 
 
 def serialize_ops(ops):

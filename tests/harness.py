@@ -307,10 +307,22 @@ def submodular_chain(rng, n, d=3):
     """Path of ``n`` variables over d labels: random unaries and submodular
     links, with the min/max system.  Its assignment space exceeds the
     default cap from n = 15 at d = 3."""
-    domains = DomainSpec((d,) * n)
-    terms = [Term(random_unary(rng, d), (v,)) for v in range(n)]
-    terms += [Term(random_submodular_table(rng, d, d), (v, v + 1))
-              for v in range(n - 1)]
+    return submodular_ladder(rng, 1, n, d)
+
+
+def submodular_ladder(rng, width, columns, d=3):
+    """Grid of ``columns`` x ``width`` variables over d labels, variable
+    ``c * width + r`` in column c and row r: random unaries, and submodular
+    links between vertical and horizontal neighbours, with the min/max
+    system.  Width 1 is ``submodular_chain``."""
+    domains = DomainSpec((d,) * (width * columns))
+    terms = [Term(random_unary(rng, d), (v,)) for v in range(width * columns)]
+    for v in range(width * columns):
+        if v % width + 1 < width:
+            terms.append(Term(random_submodular_table(rng, d, d), (v, v + 1)))
+        if v + width < width * columns:
+            terms.append(Term(random_submodular_table(rng, d, d),
+                              (v, v + width)))
     return Instance(domains, terms), minmax_system(domains)
 
 

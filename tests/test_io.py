@@ -1,8 +1,10 @@
 """Instance and operation-system file formats."""
 
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from vcsp import CostTable, DomainSpec, INF, Instance, Term, ValidationError
@@ -16,7 +18,9 @@ from vcsp.io_formats import (
     serialize_ops,
 )
 
-from harness import minmax_system, random_instance
+from harness import (minmax_system, random_instance, random_system,
+                     submodular_ladder)
+from oracles import loop_parse_instance_text, loop_parse_ops_text
 
 MINIMAL = """
 vcsp 1
@@ -364,3 +368,126 @@ class TestPathsAndText:
         join = text[text.index("join"):text.index("mj1")]
         back = parse_ops_text(join + meet + text[text.index("mj1"):], d)
         assert serialize_ops(back) == text
+
+
+def same_instance(a, b):
+    """Equal domains and scopes, and equal table entries of equal types."""
+    return a.domains == b.domains and len(a.terms) == len(b.terms) and all(
+        s.scope == t.scope and s.table.shape == t.table.shape
+        and list(map(type, s.table.entries)) == list(map(type, t.table.entries))
+        and s.table.entries == t.table.entries
+        for s, t in zip(a.terms, b.terms))
+
+
+def same_system(a, b):
+    """Equal domains, operation stacks and M masks, of equal dtypes."""
+    def arrays(ops):
+        return ops.pair.index_stacks(), ops.triple.index_stacks(), ops.m.mask
+    return a.domains == b.domains and all(
+        x.dtype == y.dtype and np.array_equal(x, y)
+        for x, y in zip(arrays(a), arrays(b)))
+
+
+def outcome(parse, *args, **kwargs):
+    """What ``parse`` returns, or the class, message and line it raises."""
+    try:
+        return parse(*args, **kwargs)
+    except Exception as exc:  # compared whatever it is
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """The criterion-1 corpus (the same seed and draws), serialized."""
+    rng = random.Random(20240)
+    out = []
+    for _ in range(250):
+        inst, system = random_instance(rng, max_vars=6, max_size=4)
+        out.append((serialize_instance(inst), serialize_ops(system),
+                    inst.domains))
+    return out
+
+
+def mutant(rng, text):
+    """``text`` with one token replaced, deleted or repeated, or a line
+    broken after it."""
+    lines = text.split("\n")
+    num = rng.choice([i for i, line in enumerate(lines) if line.split()])
+    toks = lines[num].split()
+    pos = rng.randrange(len(toks))
+    edit = rng.choice(["replace"] * 4 + ["delete", "repeat", "break"])
+    if edit == "replace":
+        toks[pos] = rng.choice([
+            "x", "-1", "0", "1", "2", "3", "9", "+1", "1_0", "01", "1/0",
+            "-1/2", "3/2", "2.5", "inf", "nan", "1e400", "0:1", "1:0", "1:1",
+            "a:b", "0:1:2", "default", "entry", "term", "meet", "join", "mj1",
+            "M", "#", "\u0663"])
+    elif edit == "delete":
+        del toks[pos]
+    elif edit == "repeat":
+        toks.insert(pos, toks[pos])
+    else:
+        toks.insert(pos + 1, "\n")
+    lines[num] = " ".join(toks)
+    return "\n".join(lines)
+
+
+class TestReferenceParsers:
+    # the parsers read in bulk; the reference reads one token at a time
+
+    def test_corpus(self, corpus):
+        for inst_text, ops_text, domains in corpus:
+            for float_mode in (False, True):
+                assert same_instance(
+                    parse_instance_text(inst_text, float_mode=float_mode),
+                    loop_parse_instance_text(inst_text, float_mode=float_mode))
+            assert same_system(parse_ops_text(ops_text, domains),
+                               loop_parse_ops_text(ops_text, domains))
+
+    @pytest.mark.parametrize("width, columns", [(1, 1000), (4, 100), (10, 30)])
+    def test_ladders(self, width, columns):
+        inst, system = submodular_ladder(random.Random(width), width, columns)
+        inst_text, ops_text = serialize_instance(inst), serialize_ops(system)
+        for float_mode in (False, True):
+            assert same_instance(
+                parse_instance_text(inst_text, float_mode=float_mode),
+                loop_parse_instance_text(inst_text, float_mode=float_mode))
+        assert same_system(parse_ops_text(ops_text, inst.domains),
+                           loop_parse_ops_text(ops_text, inst.domains))
+
+    def test_mixed_domains_and_no_variables(self):
+        rng = random.Random(131)
+        for sizes in [(), (1,), (1, 4), (5, 2, 3), (2, 1, 4, 3)]:
+            d = DomainSpec(sizes)
+            text = serialize_ops(random_system(rng, d))
+            assert same_system(parse_ops_text(text, d),
+                               loop_parse_ops_text(text, d))
+        text = "vcsp 0\ndomains\nterm 0\ndefault 3/4\n"
+        assert same_instance(parse_instance_text(text),
+                             loop_parse_instance_text(text))
+
+    def test_single_token_mutants(self, corpus):
+        rng = random.Random(137)
+        texts = corpus[:40]
+        raised = set()
+        for k in range(240):
+            inst_text, ops_text, domains = texts[k % len(texts)]
+            if k % 2:
+                text = mutant(rng, ops_text)
+                got = outcome(parse_ops_text, text, domains)
+                want = outcome(loop_parse_ops_text, text, domains)
+                same = same_system
+            else:
+                float_mode = k % 4 == 0
+                text = mutant(rng, inst_text)
+                got = outcome(parse_instance_text, text, float_mode=float_mode)
+                want = outcome(loop_parse_instance_text, text,
+                               float_mode=float_mode)
+                same = same_instance
+            if isinstance(want, tuple):
+                assert got == want, text
+                raised.add(re.sub(r"'[^']*'|\(.*\)|-?\d+", "_", want[1]))
+            else:
+                assert same(got, want), text
+        assert len(raised) >= 20, sorted(raised)  # the mutants reach far
+
