@@ -109,7 +109,8 @@ def parse_instance_text(text, float_mode=False):
                                   line=num)
             scope.append(v - 1)
         shape = tuple(sizes[i] for i in scope)
-        default, entries = None, {}
+        default = None
+        entries = {}
         idx += 1
         while idx < len(lines) and lines[idx][1][0] in ("default", "entry"):
             num, toks = lines[idx]
@@ -197,7 +198,8 @@ def parse_ops_text(text, domains, validate=True):
                 parts = tok.split(":")
                 if len(parts) != 2:
                     raise FormatError(f"bad pair {tok!r}, expected a:b", line=num)
-                a, b = (_int(part, num, "label") for part in parts)
+                a = _int(parts[0], num, "label")
+                b = _int(parts[1], num, "label")
                 if a == b or not (0 <= a < size and 0 <= b < size):
                     raise FormatError(f"bad pair {tok!r} for domain size {size}",
                                       line=num)
@@ -206,8 +208,8 @@ def parse_ops_text(text, domains, validate=True):
             idx += 1
             continue
         end = idx + 1 + (size if kind in ("meet", "join") else size * size)
-        block = rows[idx + 1:end]
-        try:  # the block takes the next rows, whatever they hold
+        block = rows[idx + 1:end]  # the next rows, whatever they hold
+        try:
             flat = (len(block) == end - idx - 1
                     and set(map(len, block)) == {size}
                     and list(map(int, itertools.chain.from_iterable(block))))

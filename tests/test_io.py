@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vcsp import CostTable, DomainSpec, INF, Instance, Term, ValidationError
+from vcsp import (CostTable, DomainSpec, INF, Instance, Term, ValidationError,
+                  VcspError)
 from vcsp.errors import FormatError
 from vcsp.io_formats import (
     parse_instance,
@@ -392,7 +393,7 @@ def outcome(parse, *args, **kwargs):
     """What ``parse`` returns, or the class, message and line it raises."""
     try:
         return parse(*args, **kwargs)
-    except Exception as exc:  # compared whatever it is
+    except VcspError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
