@@ -592,3 +592,30 @@ def test_multimorphism_check_errors(tmp_path, capsys, text, system, command,
                        paranoid="--paranoid" in command)
     assert f"error: {exc.value}\n" == error
     assert getattr(exc.value, "witness", None) == witness
+
+
+REWRITTEN_FAILS = ("error: stage reduce: rewritten pair is no longer a "
+                   "multimorphism of term 1 at ((0, 1), (1, 0))\n")
+SOLVE_STP_FAILS = ("error: term 1 is not submodular under the extracted "
+                   "order at ((0, 1), (1, 0)); the pair was not a "
+                   "multimorphism of every term\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["--paranoid"]])
+@pytest.mark.parametrize("system, command, code, error", [
+    (projection_first(), "solve", 1, REWRITTEN_FAILS),
+    (projection_first(), "reduce", 1, REWRITTEN_FAILS),
+    (minmax_system(D2X3), "solve", 1, SOLVE_STP_FAILS),
+    (minmax_system(D2X3), "reduce", 0, ""),
+])
+def test_input_pair_already_fails_a_term(tmp_path, capsys, flags, system,
+                                         command, code, error):
+    # No step before stage 2 checks the pairwise inequality.  With a stage-2
+    # iteration, the check after the first rewrite reports the failure; with
+    # none, solve_stp reports it, and reduce prints the operations unchanged.
+    ipath, opath = tmp_path / "inst.vcsp", tmp_path / "ops.ops"
+    ipath.write_text(SUPERMODULAR_SECOND)
+    opath.write_text(serialize_ops(system))
+    assert main([command, str(ipath), str(opath), *flags]) == code
+    out = serialize_ops(system) if code == 0 else ""
+    assert capsys.readouterr() == (out, error)

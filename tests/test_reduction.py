@@ -33,6 +33,8 @@ from vcsp.reduction import (
     find_seed,
     grow_uab,
     run_stage2,
+    scan_boundary_exchange,
+    scan_pair_coupling,
 )
 
 from harness import random_boolean_mjn_instance, random_system
@@ -189,6 +191,73 @@ class TestRegionInvariants:
         m = PairSet(DomainSpec((2, 2)),
                     (frozenset(), frozenset({(0, 1)})))
         assert check_region_invariants(state, net, m) == ("b", (1, (0, 1)))
+
+    def test_boundary_clause_witness(self):
+        # label 1 of outside variable 2 sees A_0 = {2} but not B_0 = {0};
+        # the witness names the first boundary label it misses
+        net = make_net([3, 2, 3], {
+            (0, 1): [(a, b) for a in range(3) for b in range(2)],
+            (0, 2): [(0, 0), (2, 0), (0, 1), (1, 1), (2, 2)],
+        })
+        state = ReductionState(0, (0,), {0: {2}}, {0: {0}})
+        m = PairSet.empty(DomainSpec((3, 2, 3)))
+        assert check_region_invariants(state, net, m) == ("d", (0, 2, 1, 2))
+
+    def test_image_clause_witness(self):
+        # A_1 = {0} is the image of A_0 = {0}, but its image back is {0, 2}
+        net = make_net([3, 2, 2], {
+            (0, 1): [(0, 0), (1, 1), (2, 0)],
+            (0, 2): [(0, 0), (1, 1), (2, 1)],
+        })
+        state = ReductionState(0, (0, 1, 2), {0: {0}, 1: {0}, 2: {0}},
+                               {0: {1}, 1: {1}, 2: {1}})
+        m = PairSet.empty(DomainSpec((3, 2, 2)))
+        assert check_region_invariants(state, net, m) == ("c", (1, [0, 2], [0]))
+
+
+class TestDiagnosticScans:
+    def test_pair_coupling_violations_in_order(self):
+        net = make_net([3, 2, 3], {
+            (0, 2): [(0, 0), (0, 1), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)],
+            (1, 2): [(0, 0), (0, 1), (1, 0), (1, 1)],
+        })
+        m = PairSet(DomainSpec((3, 2, 3)), (frozenset({(0, 2), (1, 2)}),
+                                            frozenset(),
+                                            frozenset({(0, 2), (1, 2)})))
+        assert scan_pair_coupling(net, m) == [
+            (0, 2, (0, 1), (0, 2)), (0, 2, (0, 1), (1, 0)),
+            (0, 2, (0, 1), (1, 2)), (2, 0, (0, 1), (1, 0)),
+            (2, 0, (0, 1), (1, 2))]
+
+    def test_pair_coupling_quiet_on_products(self):
+        net = BinaryNetwork(DomainSpec((3, 2, 3)))
+        assert scan_pair_coupling(net, PairSet.empty(net.domains)) == []
+
+    def test_boundary_exchange_b_label_below_a_label(self):
+        # the third label runs over A_0 = [2] and then B_0 = [0]
+        net = make_net([3, 3, 2], {
+            (0, 1): [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1),
+                     (2, 2)],
+            (0, 2): [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)],
+        })
+        state = ReductionState(0, (0,), {0: {2}}, {0: {0}})
+        assert scan_boundary_exchange(state, net) == [
+            (0, 1, (2, 0, 2), (1, 0)), (0, 1, (2, 0, 2), (2, 0)),
+            (0, 2, (2, 0, 0), (0, 1))]
+
+    def test_boundary_exchange_two_members(self):
+        # member 2 has A = [2], B = [0, 1]: its third label runs 2, 0, 1
+        net = make_net([2, 3, 3, 2], {
+            (0, 1): [(0, 1), (1, 1), (1, 2)],
+            (0, 3): [(0, 0), (0, 1), (1, 0), (1, 1)],
+            (1, 2): [(0, 0), (1, 1), (2, 0), (2, 1)],
+            (2, 3): [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)],
+        })
+        state = ReductionState(0, (0, 2), {0: {0}, 2: {2}},
+                               {0: {1}, 2: {0, 1}})
+        assert scan_boundary_exchange(state, net) == [
+            (0, 1, (0, 1, 1), (1, 2)), (2, 3, (2, 0, 2), (0, 1)),
+            (2, 3, (2, 0, 1), (0, 1)), (2, 3, (2, 1, 0), (1, 0))]
 
 
 class TestApplyModification:
