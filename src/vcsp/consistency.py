@@ -213,16 +213,33 @@ def support_maps(net):
     return [np.flatnonzero(u).tolist() for u in net.unary]
 
 
+def _kept_labels(keep, sizes):
+    """The shrunken domains and every variable's kept labels as one array,
+    padded with label 0 to the largest new domain; the labels are None when
+    every variable keeps all its labels, in order."""
+    domains = DomainSpec(tuple(len(k) for k in keep))
+    if len(keep) == len(sizes) and all(
+            list(k) == list(range(s)) for k, s in zip(keep, sizes)):
+        return domains, None
+    dmax = max(domains.sizes, default=0)
+    return domains, np.array([list(k) + [0] * (dmax - len(k)) for k in keep],
+                             dtype=np.intp)
+
+
 def restrict_network(net, keep):
-    """Re-index the network to the shrunken domains given by ``keep``."""
+    """Re-index the network to the shrunken domains given by ``keep``.
+
+    When every variable keeps all its labels, in order, the network is
+    returned as it is.
+    """
     if any(not k for k in keep):
         raise VcspError("cannot restrict to an empty domain")
-    out = BinaryNetwork(DomainSpec(tuple(len(k) for k in keep)))
-    n, dmax = out.R.shape[1:3]
+    domains, labels = _kept_labels(keep, net.domains.sizes)
+    if labels is None:
+        return net
+    out = BinaryNetwork(domains)
+    var = np.arange(len(keep))
     # padded positions read label 0 and are masked off by out.R
-    labels = np.array([list(k) + [0] * (dmax - len(k)) for k in keep],
-                      dtype=np.int64)
-    var = np.arange(n)
     out.R &= net.R[var[:, None, None, None], var[None, :, None, None],
                    labels[:, None, :, None], labels[None, :, None, :]]
     return out
@@ -263,14 +280,11 @@ def restrict_operation_system(ops, keep):
     """
     from .operations import BinaryPair, MjnTriple, OperationSystem, PairSet
 
-    if len(keep) == ops.domains.variable_count and all(
-            list(k) == list(range(s)) for k, s in zip(keep, ops.domains.sizes)):
+    domains, labels = _kept_labels(keep, ops.domains.sizes)
+    if labels is None:
         return ops
-    domains = DomainSpec(tuple(len(k) for k in keep))
-    n, dmax = len(keep), max(domains.sizes, default=0)
     # padded positions read label 0; the new objects re-pad them
-    labels = np.array([list(k) + [0] * (dmax - len(k)) for k in keep],
-                      dtype=np.intp)
+    n, dmax = labels.shape
     rows, cols = np.nonzero(np.arange(dmax) < np.array(domains.sizes)[:, None])
     new = np.zeros(ops.pair.index_stacks().shape[1:3], dtype=np.intp)
     new[rows, labels[rows, cols]] = cols

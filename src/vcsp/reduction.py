@@ -45,53 +45,40 @@ def find_seed(m):
 
 
 def grow_uab(seed, net):
-    """Grow U and the A/B label families from a seed pair on the pivot."""
+    """Grow U and the A/B label families from a seed pair on the pivot.
+
+    A_k and B_k are two rows over the labels of ``net.R``.  The first outside
+    variable where their images are disjoint joins U, and each row is then
+    closed under the union over U of ``R[k, i] o R[i, k]``.  That closure is
+    monotone, so its fixed point is the set that adding one label at a time
+    reaches.  A_i and B_i are the images of the final rows.
+    """
     k, (a, b) = seed
-    n = net.domains.variable_count
-    a_sets = {k: {a}}
-    b_sets = {k: {b}}
-    members = [k]
-
-    def refresh(sets):
-        for j in members:
-            if j != k:
-                sets[j] = image(net.rel(k, j), sets[k])
-
-    def close(sets):
-        size = net.domains.sizes[k]
-        while True:
-            extended = False
-            for cand in range(size):
-                if cand in sets[k]:
-                    continue
-                if any(cand in image(net.rel(i, k), sets[i])
-                       for i in members if i != k):
-                    sets[k].add(cand)
-                    refresh(sets)
-                    extended = True
-                    break
-            if not extended:
-                return
-
+    rel = net.R[k]
+    sides = np.zeros((2, rel.shape[1]), dtype=bool)
+    sides[0, a] = sides[1, b] = True
+    inside = np.zeros(len(rel), dtype=bool)
+    inside[k] = True
+    back = np.zeros((rel.shape[1],) * 2, dtype=bool)
     while True:
-        pick = None
-        for i in range(n):
-            if i in members:
-                continue
-            img_a = image(net.rel(k, i), a_sets[k])
-            img_b = image(net.rel(k, i), b_sets[k])
-            if not (img_a & img_b):
-                pick = (i, img_a, img_b)
-                break
-        if pick is None:
+        images = sides @ rel
+        joins = ~(inside | (images[:, 0] & images[:, 1]).any(1))
+        if not joins.any():
             break
-        i, img_a, img_b = pick
-        members.append(i)
-        a_sets[i] = img_a
-        b_sets[i] = img_b
-        close(a_sets)
-        close(b_sets)
-    return ReductionState(k, tuple(sorted(members)), a_sets, b_sets)
+        i = joins.argmax()
+        inside[i] = True
+        back |= rel[i] @ net.R[i, k]
+        while True:
+            grown = sides | sides @ back
+            if (grown == sides).all():
+                break
+            sides = grown
+    images[k] = sides
+    members = np.flatnonzero(inside).tolist()
+    sets = ({i: set() for i in members}, {i: set() for i in members})
+    for r, side, label in np.argwhere(images[inside]).tolist():
+        sets[side][members[r]].add(label)
+    return ReductionState(k, tuple(members), *sets)
 
 
 def check_region_invariants(state, net, m):
@@ -129,13 +116,12 @@ def check_region_invariants(state, net, m):
     outside = [j for j in range(n) if j not in state.members]
     for i in sorted(state.members):
         boundary = sorted(state.a_sets[i] | state.b_sets[i])
-        for j in outside:
-            rel = net.rel(i, j)
-            for x in range(net.domains.sizes[j]):
-                hits = [c for c in boundary if rel[c, x]]
-                if hits and len(hits) != len(boundary):
-                    missing = next(c for c in boundary if not rel[c, x])
-                    return ("d", (i, j, x, missing))
+        rows = net.R[i, outside][:, boundary]
+        partial = rows.any(1) != rows.all(1)
+        if partial.any():
+            j, x = np.unravel_index(partial.argmax(), partial.shape)
+            return ("d", (i, outside[j], int(x),
+                          boundary[rows[j, :, x].argmin()]))
     return None
 
 
@@ -156,52 +142,50 @@ def apply_modification(state, ops):
 
 
 def scan_pair_coupling(net, m):
-    """Network-wide coupling of non-commutative pairs across a relation."""
+    """Network-wide coupling of non-commutative pairs across a relation.
+
+    A pair (a, b) of i outside M and labels a' != b' of j with ``R_ij``
+    holding (a, a') and (b, b') violate when the cross entries (a, b') and
+    (b, a') are neither both in ``R_ij`` nor both out of it with
+    (a', b') outside M.  One block of masks per variable i.
+    """
+    outside = m.outside()
+    mbar = outside | outside.swapaxes(1, 2)
+    distinct = ~np.eye(net.R.shape[-1], dtype=bool)
     violations = []
-    n = net.domains.variable_count
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            rel = net.rel(i, j)
-            comp_i = m.complement(i)
-            mbar_j = set(m.complement(j))
-            for a, b in comp_i:
-                for ap in range(net.domains.sizes[j]):
-                    for bp in range(net.domains.sizes[j]):
-                        if ap == bp:
-                            continue
-                        if not (rel[a, ap] and rel[b, bp]):
-                            continue
-                        cross = (bool(rel[a, bp]), bool(rel[b, ap]))
-                        key = (ap, bp) if ap < bp else (bp, ap)
-                        case_i = cross == (True, True)
-                        case_ii = cross == (False, False) and key in mbar_j
-                        if case_i == case_ii:
-                            violations.append((i, j, (a, b), (ap, bp)))
+    for i in range(net.domains.variable_count):
+        pairs = np.argwhere(outside[i])
+        ra, rb = net.R[i][:, pairs[:, 0]], net.R[i][:, pairs[:, 1]]
+        cross_a, cross_b = ra[..., None, :], rb[..., :, None]
+        bad = ra[..., :, None] & rb[..., None, :] & distinct
+        bad &= (cross_a & cross_b) == (~(cross_a | cross_b) & mbar[:, None])
+        bad[i] = False
+        violations += [(i, j, tuple(pairs[p].tolist()), (x, y))
+                       for j, p, x, y in np.argwhere(bad).tolist()]
     return violations
 
 
 def scan_boundary_exchange(state, net):
-    """Cross-boundary exchange property between U and its complement."""
-    violations = []
+    """Cross-boundary exchange property between U and its complement.
+
+    For a member i, an outside j, a in A_i, b in B_i and c in A_i then B_i,
+    labels x, y of j violate when ``R_ij`` holds (a, x), (b, x) and (c, y)
+    but not all of (a, y), (b, y) and (c, x).  One block per member.
+    """
     n = net.domains.variable_count
     outside = [j for j in range(n) if j not in state.members]
+    violations = []
     for i in sorted(state.members):
         a_side = sorted(state.a_sets[i])
         b_side = sorted(state.b_sets[i])
         both = a_side + b_side
-        for j in outside:
-            rel = net.rel(i, j)
-            for a in a_side:
-                for b in b_side:
-                    for c in both:
-                        for x in range(net.domains.sizes[j]):
-                            for y in range(net.domains.sizes[j]):
-                                if rel[a, x] and rel[b, x] and rel[c, y]:
-                                    if not (rel[a, y] and rel[b, y] and rel[c, x]):
-                                        violations.append(
-                                            (i, j, (a, b, c), (x, y)))
+        rows = net.R[i][outside]
+        ab = rows[:, a_side, None, None] & rows[:, None, b_side, None]
+        c = rows[:, None, None, both]
+        bad = ab[..., :, None] & c[..., None, :]
+        bad &= ~(ab[..., None, :] & c[..., :, None])
+        violations += [(i, outside[j], (a_side[p], b_side[q], both[r]), (x, y))
+                       for j, p, q, r, x, y in np.argwhere(bad).tolist()]
     return violations
 
 

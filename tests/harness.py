@@ -238,6 +238,22 @@ def random_instance(rng, max_vars=6, max_size=4, ternary=True):
     return instance, system
 
 
+
+def mixed_chain(rng, n, d=3):
+    """Path of ``n`` variables over d labels with a random commutative split
+    (``random_system``): random unaries, and a crisp link between each pair
+    of neighbours, closed under the system from 4-6 random seed tuples.
+    Stage 2 rewrites its pair over regions that run along the path."""
+    domains = DomainSpec((d,) * n)
+    system = random_system(rng, domains)
+    space = list(itertools.product(range(d), repeat=2))
+    terms = [Term(random_unary(rng, d), (v,)) for v in range(n)]
+    for v in range(n - 1):
+        seeds = rng.sample(space, rng.randint(4, 6))
+        closed = close_under_system(seeds, system, (v, v + 1))
+        terms.append(Term(CostTable.relation((d, d), closed), (v, v + 1)))
+    return Instance(domains, terms), system
+
 def random_boolean_mjn_instance(rng, max_vars=5):
     """Boolean instance valid for the canonical triple with no commutative pairs."""
     n = rng.randint(2, max_vars)

@@ -38,6 +38,12 @@ the label maps rebuilt for every table, in three loops.
 ``loop_apply_modification`` is ``apply_modification`` rebuilding the pair
 and the pair set from nested tuples once per region variable, through
 ``with_tables`` and ``with_added``.
+``loop_grow_uab``, ``loop_check_region_invariants``,
+``loop_scan_pair_coupling`` and ``loop_scan_boundary_exchange`` are the
+stage-2 region growth, invariant check and paranoid scans walking
+``net.rel`` slices label by label, with Python sets and ``image``, where
+the library reads masks of ``net.R``: same states, verdicts, witnesses and
+lists in the same order.
 
 ``intersect`` narrows one relation of a network and its transpose.
 ``apply_pair``, ``conservative_violation``, ``classify_pair``,
@@ -63,7 +69,7 @@ import itertools
 
 import numpy as np
 
-from vcsp.consistency import BinaryNetwork
+from vcsp.consistency import BinaryNetwork, image
 from vcsp.costs import EXACT_TYPES, INF, is_finite, parse_cost, tolerance
 from vcsp.errors import (CapExceeded, FormatError, StageError, ValidationError,
                          VcspError)
@@ -71,6 +77,7 @@ from vcsp.model import (DEFAULT_CAP, CostTable, DomainSpec, Instance, Term,
                         merge_repeated)
 from vcsp.operations import (BinaryPair, MjnTriple, OperationSystem, PairSet,
                              TernaryOp, all_label_pairs)
+from vcsp.reduction import ReductionState
 from vcsp.solvers import MaxFlow, TournamentOrder
 
 
@@ -700,6 +707,151 @@ def loop_apply_modification(state, ops):
         pair = with_tables(pair, i, meet, join)
         m = with_added(m, i, new_pairs)
     return OperationSystem(pair, ops.triple, m)
+
+
+def loop_grow_uab(seed, net):
+    """Grow U and the A/B label families from a seed pair on the pivot."""
+    k, (a, b) = seed
+    n = net.domains.variable_count
+    a_sets = {k: {a}}
+    b_sets = {k: {b}}
+    members = [k]
+
+    def refresh(sets):
+        for j in members:
+            if j != k:
+                sets[j] = image(net.rel(k, j), sets[k])
+
+    def close(sets):
+        size = net.domains.sizes[k]
+        while True:
+            extended = False
+            for cand in range(size):
+                if cand in sets[k]:
+                    continue
+                if any(cand in image(net.rel(i, k), sets[i])
+                       for i in members if i != k):
+                    sets[k].add(cand)
+                    refresh(sets)
+                    extended = True
+                    break
+            if not extended:
+                return
+
+    while True:
+        pick = None
+        for i in range(n):
+            if i in members:
+                continue
+            img_a = image(net.rel(k, i), a_sets[k])
+            img_b = image(net.rel(k, i), b_sets[k])
+            if not (img_a & img_b):
+                pick = (i, img_a, img_b)
+                break
+        if pick is None:
+            break
+        i, img_a, img_b = pick
+        members.append(i)
+        a_sets[i] = img_a
+        b_sets[i] = img_b
+        close(a_sets)
+        close(b_sets)
+    return ReductionState(k, tuple(sorted(members)), a_sets, b_sets)
+
+
+def loop_check_region_invariants(state, net, m):
+    """Check the four structural invariants; None if all hold.
+
+    On failure returns (clause, witness) for the first violated clause.
+    """
+    k = state.k
+    n = net.domains.variable_count
+    for i in sorted(state.members):
+        ai, bi = state.a_sets[i], state.b_sets[i]
+        if not ai or not bi:
+            return ("a", (i, "empty side"))
+        if ai & bi:
+            return ("a", (i, sorted(ai & bi)[0]))
+    for i in sorted(state.members):
+        for a in sorted(state.a_sets[i]):
+            for b in sorted(state.b_sets[i]):
+                key = (a, b) if a < b else (b, a)
+                if m.mask[(i,) + key]:
+                    return ("b", (i, key))
+    for i in sorted(state.members):
+        if i == k:
+            continue
+        rel, back = net.rel(k, i), net.rel(i, k)
+        checks = (
+            (image(rel, state.a_sets[k]), state.a_sets[i]),
+            (image(rel, state.b_sets[k]), state.b_sets[i]),
+            (image(back, state.a_sets[i]), state.a_sets[k]),
+            (image(back, state.b_sets[i]), state.b_sets[k]),
+        )
+        for got, want in checks:
+            if got != want:
+                return ("c", (i, sorted(got), sorted(want)))
+    outside = [j for j in range(n) if j not in state.members]
+    for i in sorted(state.members):
+        boundary = sorted(state.a_sets[i] | state.b_sets[i])
+        for j in outside:
+            rel = net.rel(i, j)
+            for x in range(net.domains.sizes[j]):
+                hits = [c for c in boundary if rel[c, x]]
+                if hits and len(hits) != len(boundary):
+                    missing = next(c for c in boundary if not rel[c, x])
+                    return ("d", (i, j, x, missing))
+    return None
+
+
+def loop_scan_pair_coupling(net, m):
+    """Network-wide coupling of non-commutative pairs across a relation."""
+    violations = []
+    n = net.domains.variable_count
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            rel = net.rel(i, j)
+            comp_i = m.complement(i)
+            mbar_j = set(m.complement(j))
+            for a, b in comp_i:
+                for ap in range(net.domains.sizes[j]):
+                    for bp in range(net.domains.sizes[j]):
+                        if ap == bp:
+                            continue
+                        if not (rel[a, ap] and rel[b, bp]):
+                            continue
+                        cross = (bool(rel[a, bp]), bool(rel[b, ap]))
+                        key = (ap, bp) if ap < bp else (bp, ap)
+                        case_i = cross == (True, True)
+                        case_ii = cross == (False, False) and key in mbar_j
+                        if case_i == case_ii:
+                            violations.append((i, j, (a, b), (ap, bp)))
+    return violations
+
+
+def loop_scan_boundary_exchange(state, net):
+    """Cross-boundary exchange property between U and its complement."""
+    violations = []
+    n = net.domains.variable_count
+    outside = [j for j in range(n) if j not in state.members]
+    for i in sorted(state.members):
+        a_side = sorted(state.a_sets[i])
+        b_side = sorted(state.b_sets[i])
+        both = a_side + b_side
+        for j in outside:
+            rel = net.rel(i, j)
+            for a in a_side:
+                for b in b_side:
+                    for c in both:
+                        for x in range(net.domains.sizes[j]):
+                            for y in range(net.domains.sizes[j]):
+                                if rel[a, x] and rel[b, x] and rel[c, y]:
+                                    if not (rel[a, y] and rel[b, y] and rel[c, x]):
+                                        violations.append(
+                                            (i, j, (a, b, c), (x, y)))
+    return violations
 
 
 def _logical_lines(text):

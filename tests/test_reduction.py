@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -22,10 +23,12 @@ from vcsp.consistency import (
     restrict_instance,
     restrict_network,
     restrict_operation_system,
+    run_stage1,
     support_maps,
 )
 from vcsp.io_formats import serialize_ops
 from vcsp.operations import OperationSystem, all_label_pairs, is_stp_on
+from vcsp.solvers import run_validate
 from vcsp.reduction import (
     ReductionState,
     apply_modification,
@@ -37,8 +40,12 @@ from vcsp.reduction import (
     scan_pair_coupling,
 )
 
-from harness import random_boolean_mjn_instance, random_system
-from oracles import intersect, loop_apply_modification, loop_find_seed
+from harness import (mixed_chain, random_boolean_mjn_instance,
+                     random_instance, random_system)
+from oracles import (intersect, loop_apply_modification,
+                     loop_check_region_invariants, loop_find_seed,
+                     loop_grow_uab, loop_scan_boundary_exchange,
+                     loop_scan_pair_coupling)
 
 
 def make_net(sizes, relations):
@@ -103,7 +110,7 @@ class TestFindSeed:
     def test_matches_outside_mask_oracle(self):
         rng = random.Random(20297)
         kinds = Counter()
-        for _ in range(300):
+        for _ in range(200):
             d = DomainSpec(tuple(rng.randint(1, 5)
                                  for _ in range(rng.randint(1, 6))))
             pairs = [(i, p) for i, s in enumerate(d.sizes)
@@ -162,6 +169,15 @@ class TestGrowUab:
         assert state.a_sets == {0: {0, 2}, 1: {0}}
         assert state.b_sets == {0: {1}, 1: {1}}
 
+
+    def test_pivot_keeps_a_seed_label_outside_its_unary(self):
+        # label 1 of the pivot is dead: its image is empty everywhere
+        net = make_net([2, 2], {(0, 1): [(0, 0), (0, 1)]})
+        net.R[0, 0, 1, 1] = False
+        state = grow_uab((0, (0, 1)), net)
+        assert state == loop_grow_uab((0, (0, 1)), net)
+        assert state.a_sets == {0: {0}, 1: {0, 1}}
+        assert state.b_sets == {0: {1}, 1: set()}
 
 class TestRegionInvariants:
     def test_equality_state_passes(self):
@@ -373,3 +389,159 @@ class TestRunStage2:
                 sizes.append(ops.m.total_size())
             assert all(x < y for x, y in zip(sizes, sizes[1:]))
             done += 1
+
+
+def stage2_inputs(instance, system):
+    """Stage 1's restricted instance, operations and network, or None."""
+    stage1 = run_stage1(instance, run_validate(instance, system))
+    return None if stage1 is None else stage1[1:]
+
+
+def region_mutants(rng, state, sizes):
+    """States one step from ``state`` whose sides stay disjoint and
+    nonempty: an outside variable joins, a member other than the pivot
+    leaves, or a label is added, dropped or moved from A_i to B_i."""
+    out = []
+    outside = [j for j in range(len(sizes))
+               if j not in state.members and sizes[j] > 1]
+    for kind in ("join", "leave", "add", "drop", "move"):
+        members = list(state.members)
+        a_sets = {i: set(v) for i, v in state.a_sets.items()}
+        b_sets = {i: set(v) for i, v in state.b_sets.items()}
+        i = rng.choice(members)
+        free = set(range(sizes[i])) - a_sets[i] - b_sets[i]
+        if kind == "join" and outside:
+            j = rng.choice(outside)
+            labels = rng.sample(range(sizes[j]), sizes[j])
+            cut = rng.randint(1, sizes[j] - 1)
+            members.append(j)
+            a_sets[j] = set(labels[:cut])
+            b_sets[j] = set(rng.sample(labels[cut:],
+                                       rng.randint(1, len(labels) - cut)))
+        elif kind == "leave" and len(members) > 1:
+            j = rng.choice([j for j in members if j != state.k])
+            members.remove(j)
+            del a_sets[j], b_sets[j]
+        elif kind == "add" and free:
+            rng.choice((a_sets, b_sets))[i].add(rng.choice(sorted(free)))
+        elif kind == "drop" and len(a_sets[i]) > 1:
+            a_sets[i].remove(rng.choice(sorted(a_sets[i])))
+        elif kind == "move" and len(a_sets[i]) > 1:
+            label = rng.choice(sorted(a_sets[i]))
+            a_sets[i].remove(label)
+            b_sets[i].add(label)
+        else:
+            continue
+        out.append(ReductionState(state.k, tuple(sorted(members)), a_sets,
+                                  b_sets))
+    return out
+
+
+class TestMatchesLoopOracles:
+    """The mask forms of region growth, the invariant check and the two
+    paranoid scans return what the label-by-label loops return, on every
+    stage-2 iteration of the criterion-1 corpus and of seeded mixed chains,
+    and on states and pair sets mutated from them."""
+
+    def drive(self, rng, ops, net, tally, coupling_every=1):
+        sizes = net.domains.sizes
+        empty = PairSet.empty(net.domains)
+        step = 0
+        while (seed := find_seed(ops.m)) is not None:
+            state = grow_uab(seed, net)
+            assert state == loop_grow_uab(seed, net)
+            assert all(type(v) is int for v in state.members)
+            for probe, m in [(state, ops.m)] + [
+                    (mutant, empty)
+                    for mutant in region_mutants(rng, state, sizes)]:
+                got = check_region_invariants(probe, net, m)
+                assert got == loop_check_region_invariants(probe, net, m)
+                tally[got and got[0]] += 1
+                bad = scan_boundary_exchange(probe, net)
+                assert bad == loop_scan_boundary_exchange(probe, net)
+                tally["exchange", bool(bad)] += 1
+            if step % coupling_every == 0:
+                shuffled = PairSet(net.domains, [
+                    {p for p in all_label_pairs(s) if rng.random() < 0.5}
+                    for s in sizes])
+                for m in (ops.m, shuffled):
+                    bad = scan_pair_coupling(net, m)
+                    assert bad == loop_scan_pair_coupling(net, m)
+                    tally["coupling", bool(bad)] += 1
+            ops = apply_modification(state, ops)
+            step += 1
+        return step
+
+    def test_criterion_1_corpus(self):
+        rng = random.Random(20240)
+        check_rng = random.Random(7)
+        tally = Counter()
+        iterations = 0
+        for _ in range(250):
+            inputs = stage2_inputs(*random_instance(rng, max_vars=6,
+                                                    max_size=4))
+            if inputs is not None:
+                iterations += self.drive(check_rng, *inputs[1:], tally)
+        assert iterations >= 100
+        assert tally[None] >= 100 and tally["c"] >= 50 and tally["d"], tally
+        assert tally["coupling", True], tally
+
+    def test_random_networks(self):
+        # relations drawn at random, not closed under any consistency, so
+        # every clause and both scans fire
+        rng = random.Random(29)
+        tally = Counter()
+        for _ in range(200):
+            sizes = [rng.randint(2, 4) for _ in range(rng.randint(2, 6))]
+            density = rng.choice((0.5, 0.7, 0.9))
+            net = make_net(sizes, {
+                (i, j): [(a, b) for a in range(sizes[i])
+                         for b in range(sizes[j]) if rng.random() < density]
+                for i in range(len(sizes)) for j in range(i + 1, len(sizes))})
+            self.drive(rng, random_system(rng, net.domains), net, tally,
+                       coupling_every=3)
+        assert min(tally[c] for c in (None, "a", "b", "c", "d")) >= 20, tally
+        assert min(tally[kind, hit] for kind in ("exchange", "coupling")
+                   for hit in (False, True)) >= 20, tally
+
+    def test_mixed_chains(self):
+        # every region here is the pivot alone; the joined mutants fail (c)
+        check_rng = random.Random(11)
+        tally = Counter()
+        iterations = 0
+        for seed, n in ((0, 24), (1, 24), (2, 40)):
+            inputs = stage2_inputs(*mixed_chain(random.Random(seed), n))
+            iterations += self.drive(check_rng, *inputs[1:], tally,
+                                     coupling_every=8)
+        assert iterations >= 40
+        assert tally[None] >= 40 and tally["c"] >= 40, tally
+
+    def test_paranoid_chain_trace_matches_loop_run(self, monkeypatch):
+        import vcsp.reduction as reduction
+        inst_r, ops, net = stage2_inputs(*mixed_chain(random.Random(3), 24))
+        trace = []
+        final = run_stage2(inst_r, ops, net, paranoid=True, trace=trace)
+        for name in ("grow_uab", "check_region_invariants",
+                     "scan_pair_coupling", "scan_boundary_exchange"):
+            monkeypatch.setattr(reduction, name, globals()[f"loop_{name}"])
+        loop_trace = []
+        loop_final = run_stage2(inst_r, ops, net, paranoid=True,
+                                trace=loop_trace)
+        assert len(trace) >= 10
+        assert trace == loop_trace
+        assert serialize_ops(final) == serialize_ops(loop_final)
+
+
+def test_pair_coupling_scan_memory_is_per_variable():
+    # one block over all n^2 variable pairs holds n^2 * 3 pairs * 9 label
+    # pairs = 2.4 MB per boolean temporary at n = 300 (11 MB peak measured);
+    # one block per variable holds 8 KB
+    net = BinaryNetwork(DomainSpec((3,) * 300))
+    m = PairSet.empty(net.domains)
+    tracemalloc.start()
+    try:
+        assert scan_pair_coupling(net, m) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
