@@ -8,8 +8,9 @@ Exit codes: 0 success (an infeasible instance is a successful answer), 1 for
 failed verification or violated solver hypotheses, 2 for malformed input, an
 input file that cannot be read, bad usage, or an exceeded ``--cap``.  The
 cap bounds each term table, the oracle, the stage-3 brute-force fallback and
-the ``--paranoid`` scans, not the assignment space of an instance that stage
-3 solves by min-cut.  Input arguments are always file paths.
+the exhaustive stage-1 certificate of ``--paranoid``, not its other checks
+nor the assignment space of an instance that stage 3 solves by min-cut.
+Input arguments are always file paths.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ def _add_common(parser):
                         help="use floating-point costs (tolerant comparisons)")
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help="cap in tuples on each term table, on the "
-                             "oracle and the stage-3 brute-force fallback, "
-                             "and on the --paranoid scans; min-cut solves "
-                             "are not bounded by it")
+                             "oracle, the stage-3 brute-force fallback and "
+                             "the exhaustive stage-1 certificate of "
+                             "--paranoid; min-cut solves and the stage-2 "
+                             "scans are not bounded by it")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
     parser.add_argument("--paranoid", action="store_true",

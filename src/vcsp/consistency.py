@@ -20,14 +20,6 @@ from .model import (DEFAULT_CAP, CostTable, DomainSpec, Instance, Term,
                     feasible_masks, merge_repeated)
 
 
-def image(rel, labels):
-    """Image of a set of row labels under a relation matrix."""
-    out = set()
-    for x in labels:
-        out.update(int(y) for y in np.flatnonzero(rel[x]))
-    return out
-
-
 def compose(rel_a, rel_b):
     """Relational composition of matrices or broadcast stacks of them."""
     if rel_a.shape[-1] != rel_b.shape[-2]:
@@ -227,11 +219,8 @@ def _kept_labels(keep, sizes):
 
 
 def restrict_network(net, keep):
-    """Re-index the network to the shrunken domains given by ``keep``.
-
-    When every variable keeps all its labels, in order, the network is
-    returned as it is.
-    """
+    """Re-index the network to the shrunken domains given by ``keep``; when
+    no label is dropped or moved, the network is returned as it is."""
     if any(not k for k in keep):
         raise VcspError("cannot restrict to an empty domain")
     domains, labels = _kept_labels(keep, net.domains.sizes)

@@ -41,9 +41,10 @@ and the pair set from nested tuples once per region variable, through
 ``loop_grow_uab``, ``loop_check_region_invariants``,
 ``loop_scan_pair_coupling`` and ``loop_scan_boundary_exchange`` are the
 stage-2 region growth, invariant check and paranoid scans walking
-``net.rel`` slices label by label, with Python sets and ``image``, where
-the library reads masks of ``net.R``: same states, verdicts, witnesses and
-lists in the same order.
+``net.rel`` slices label by label, with Python sets and ``image`` (the
+image of a label set under a relation matrix), where the library reads
+masks of ``net.R``: same states, verdicts, witnesses and lists in the same
+order.
 
 ``intersect`` narrows one relation of a network and its transpose.
 ``apply_pair``, ``conservative_violation``, ``classify_pair``,
@@ -69,7 +70,7 @@ import itertools
 
 import numpy as np
 
-from vcsp.consistency import BinaryNetwork, image
+from vcsp.consistency import BinaryNetwork
 from vcsp.costs import EXACT_TYPES, INF, is_finite, parse_cost, tolerance
 from vcsp.errors import (CapExceeded, FormatError, StageError, ValidationError,
                          VcspError)
@@ -707,6 +708,14 @@ def loop_apply_modification(state, ops):
         pair = with_tables(pair, i, meet, join)
         m = with_added(m, i, new_pairs)
     return OperationSystem(pair, ops.triple, m)
+
+
+def image(rel, labels):
+    """Image of a set of row labels under a relation matrix."""
+    out = set()
+    for x in labels:
+        out.update(int(y) for y in np.flatnonzero(rel[x]))
+    return out
 
 
 def loop_grow_uab(seed, net):

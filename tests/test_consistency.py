@@ -21,7 +21,6 @@ from vcsp.consistency import (
     compose,
     decompose_instance,
     enforce_strong_3_consistency,
-    image,
     restrict_instance,
     restrict_network,
     restrict_operation_system,
@@ -32,7 +31,7 @@ from vcsp.model import merge_repeated
 from vcsp.operations import MjnTriple, OperationSystem, TernaryOp
 
 from harness import random_majority_closed_instance, random_system
-from oracles import (feasible_assignments, intersect,
+from oracles import (feasible_assignments, image, intersect,
                      loop_certify_decomposition, loop_decompose_instance,
                      loop_restrict_operation_system)
 
@@ -452,8 +451,10 @@ class TestRestrict:
             d = DomainSpec(tuple(rng.randint(1, 4)
                                  for _ in range(rng.randint(1, 4))))
             system = random_system(rng, d)
+            net = BinaryNetwork(d)
             full = [list(range(s)) for s in d.sizes]
             assert restrict_operation_system(system, full) is system
+            assert restrict_network(net, full) is net
             # dropping the last label of the largest domain re-indexes
             i = max(range(len(full)), key=lambda v: d.sizes[v])
             if d.sizes[i] > 1:
@@ -462,6 +463,7 @@ class TestRestrict:
                 assert small.domains.sizes[i] == d.sizes[i] - 1
                 assert small.pair.meet_tables[i] == tuple(
                     row[:-1] for row in system.pair.meet_tables[i][:-1])
+                assert restrict_network(net, full).domains == small.domains
 
     def test_one_label_map_matches_loop(self):
         rng = random.Random(20293)
