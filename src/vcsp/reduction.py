@@ -112,6 +112,7 @@ def check_region_invariants(state, net, m):
     for i in sorted(state.members):
         boundary = sorted(state.a_sets[i] | state.b_sets[i])
         rows = net.R[i, outside][:, boundary]
+        # labels x of j that some, but not every, boundary label reaches
         partial = rows.any(1) != rows.all(1)
         if partial.any():
             j, x = np.unravel_index(partial.argmax(), partial.shape)
@@ -174,7 +175,7 @@ def scan_boundary_exchange(state, net):
         a_side = sorted(state.a_sets[i])
         b_side = sorted(state.b_sets[i])
         both = a_side + b_side
-        rows = net.R[i][outside]
+        rows = net.R[i, outside]
         ab = rows[:, a_side, None, None] & rows[:, None, b_side, None]
         c = rows[:, None, None, both]
         bad = ab[..., :, None] & c[..., None, :]
