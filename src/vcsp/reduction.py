@@ -168,9 +168,9 @@ def scan_boundary_exchange(state, net):
     labels x, y of j violate when ``R_ij`` holds (a, x), (b, x) and (c, y)
     but not all of (a, y), (b, y) and (c, x).  One block per member.
     """
+    violations = []
     n = net.domains.variable_count
     outside = [j for j in range(n) if j not in state.members]
-    violations = []
     for i in sorted(state.members):
         a_side = sorted(state.a_sets[i])
         b_side = sorted(state.b_sets[i])
