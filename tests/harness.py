@@ -238,7 +238,6 @@ def random_instance(rng, max_vars=6, max_size=4, ternary=True):
     return instance, system
 
 
-
 def mixed_chain(rng, n, d=3):
     """Path of ``n`` variables over d labels with a random commutative split
     (``random_system``): random unaries, and a crisp link between each pair
@@ -253,6 +252,7 @@ def mixed_chain(rng, n, d=3):
         closed = close_under_system(seeds, system, (v, v + 1))
         terms.append(Term(CostTable.relation((d, d), closed), (v, v + 1)))
     return Instance(domains, terms), system
+
 
 def random_boolean_mjn_instance(rng, max_vars=5):
     """Boolean instance valid for the canonical triple with no commutative pairs."""

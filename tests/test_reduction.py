@@ -110,7 +110,7 @@ class TestFindSeed:
     def test_matches_outside_mask_oracle(self):
         rng = random.Random(20297)
         kinds = Counter()
-        for _ in range(200):
+        for _ in range(300):
             d = DomainSpec(tuple(rng.randint(1, 5)
                                  for _ in range(rng.randint(1, 6))))
             pairs = [(i, p) for i, s in enumerate(d.sizes)
@@ -178,6 +178,7 @@ class TestGrowUab:
         assert state == loop_grow_uab((0, (0, 1)), net)
         assert state.a_sets == {0: {0}, 1: {0, 1}}
         assert state.b_sets == {0: {1}, 1: set()}
+
 
 class TestRegionInvariants:
     def test_equality_state_passes(self):
