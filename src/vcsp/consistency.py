@@ -17,7 +17,7 @@ import numpy as np
 from .costs import is_finite
 from .errors import CapExceeded, StageError, VcspError
 from .model import (DEFAULT_CAP, CostTable, DomainSpec, Instance, Term,
-                    feasible_masks, merge_repeated)
+                    arity_masks)
 
 
 def compose(rel_a, rel_b):
@@ -81,18 +81,18 @@ def _projections(masks, p, q):
 def decompose_instance(instance, cap=DEFAULT_CAP):
     """Project every term's feasible set onto its variables and variable pairs.
 
-    Terms are projected after ``merge_repeated``, so a tuple giving one
-    variable two labels never counts.  Pairs never jointly constrained start
-    as full products.  Per arity group of ``feasible_masks`` and axis pair
-    p <= q, one unbuffered AND-reduction narrows the blocks ``R[i, j]`` and
-    one their transposes ``R[j, i]``; for p = q, the diagonal of ``R[i, i]``.
+    Terms are projected as ``instance.merged`` holds them, so a tuple giving
+    one variable two labels never counts.  Pairs never jointly constrained
+    start as full products.  Per arity group of the merged instance's
+    ``arity_masks`` and axis pair p <= q, one unbuffered AND-reduction
+    narrows the blocks ``R[i, j]`` and one their transposes ``R[j, i]``; for
+    p = q, the diagonal of ``R[i, i]``.
     """
     for size in (len(t.table.entries) for t in instance.terms):
         if size > cap:
             raise CapExceeded(size, cap)
     net = BinaryNetwork(instance.domains)
-    for _, scopes, masks in feasible_masks(
-            [merge_repeated(t) for t in instance.terms]):
+    for _, scopes, masks in arity_masks(instance.merged.costs.groups):
         shape = masks.shape[1:]
         for p in range(len(shape)):
             diag = np.arange(shape[p])
@@ -133,18 +133,18 @@ def enforce_strong_3_consistency(net, rng=None):
 def certify_decomposition(instance):
     """Per-term certificate that binary networks capture the feasible set.
 
-    After merging repeated scope variables, each term's feasible set must
-    equal the join of its own unary and binary projections; terms over one
-    or two variables pass trivially.  When every term passes, the network of
-    ``decompose_instance`` has exactly the globally feasible assignments as
-    solutions, and strong 3-consistency keeps that solution set, so this
-    implies ``certify_decomposition_exhaustive``.  A relation with a majority
+    After merging repeated scope variables (``instance.merged``), each
+    term's feasible set must equal the join of its own unary and binary
+    projections; terms over one or two variables pass trivially.  When
+    every term passes, the network of ``decompose_instance`` has exactly
+    the globally feasible assignments as solutions, and strong
+    3-consistency keeps that solution set, so this implies
+    ``certify_decomposition_exhaustive``.  A relation with a majority
     polymorphism always passes (Baker-Pixley).  The cost is exponential in
     term arity only.
     """
-    for _, _, masks in feasible_masks(
-            [merge_repeated(t) for t in instance.terms
-             if not 0 < len(set(t.scope)) <= 2]):
+    for _, _, masks in arity_masks([g for g in instance.merged.costs.groups
+                                    if not 0 < len(g[1]) <= 2]):
         joined = np.ones_like(masks)
         for p in range(masks.ndim - 1):
             for q in range(p + 1, masks.ndim - 1):
@@ -172,16 +172,16 @@ def certify_decomposition_exhaustive(net, instance, cap=DEFAULT_CAP):
 def run_stage1(instance, ops, cap=DEFAULT_CAP, paranoid=False):
     """Stage 1: decompose, enforce strong 3-consistency, certify, restrict.
 
-    Returns ``None`` when consistency empties a domain (the instance is
-    infeasible).  Otherwise returns ``(keep, instance_r, ops_r, net_r)``:
-    the surviving labels per variable and the instance, normalized
-    operation system and network re-indexed to them.  ``cap`` bounds the
-    size of each term table and, under ``paranoid``, the exhaustive scan
-    that cross-checks the per-term certificate.
+    Returns ``None`` when consistency empties a domain or a constant term
+    is INF (the instance is infeasible).  Otherwise returns ``(keep,
+    instance_r, ops_r, net_r)``: the surviving labels per variable and the
+    instance, normalized operation system and network re-indexed to them.
+    ``cap`` bounds the size of each term table and, under ``paranoid``, the
+    exhaustive scan that cross-checks the per-term certificate.
     """
     net = decompose_instance(instance, cap=cap)
     net, empty = enforce_strong_3_consistency(net)
-    if empty:
+    if empty or instance.costs.infeasible_constant():
         return None
     if not certify_decomposition(instance):
         raise StageError(

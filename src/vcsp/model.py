@@ -3,17 +3,25 @@
 Variables are indexed 0..V-1 and labels 0..|D_i|-1.  Domains may differ per
 variable.  Tables are dense; desk-scale arities and domain sizes make that the
 simplest exact representation.
+
+An ``Instance`` builds its term store once, when it is constructed: its
+``costs`` (``ScaledCosts``) hold the terms grouped by table shape and cost
+class, with the exact costs scaled to integers by one LCM and a feasible mask
+per group, and ``merged`` is the instance with no repeated scope variable.
+Every stage reads these; none groups, scales or masks the entries again.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import INF, is_finite
+from .costs import EXACT_TYPES, INF, integer_costs, is_finite, tolerance
 from .errors import CapExceeded, VcspError
 
 #: Default cap on the number of tuples any single enumeration may visit.
@@ -141,35 +149,128 @@ def merge_repeated(term):
                 tuple(distinct))
 
 
-def feasible_masks(terms):
-    """The feasible sets of ``terms`` per arity k, as ``(term indices in
-    term order, scopes [T, k], masks [T, D_1, ..., D_k])``, padded with
-    False to the group's largest table extents; one pass per table shape."""
-    by_shape, by_arity = {}, {}
-    for idx, term in enumerate(terms):
-        by_shape.setdefault(term.table.shape, []).append(idx)
-        by_arity.setdefault(len(term.scope), []).append(idx)
-    groups = []
-    for k, idxs in by_arity.items():
-        blocks = [(by_shape[shape], np.fromiter(map(
-            operator.is_not, itertools.chain.from_iterable(
-                terms[i].table.entries for i in by_shape[shape]),
-            itertools.repeat(INF)), bool).reshape((-1,) + shape))
-            for shape in by_shape if len(shape) == k]
-        masks = blocks[0][1]
-        if len(blocks) > 1:
-            masks = np.zeros((len(idxs),) + tuple(map(
-                max, *(block.shape[1:] for _, block in blocks))), dtype=bool)
-            for members, block in blocks:
-                masks[(np.searchsorted(idxs, members),)
-                      + tuple(map(slice, block.shape[1:]))] = block
-        scopes = np.array([terms[i].scope for i in idxs], dtype=np.intp)
-        groups.append((idxs, scopes.reshape(len(idxs), k), masks))
-    return groups
+#: Scaled exact costs below _INT64_LIMIT are held in int64, where INF reads
+#: as _INT64_INF: above any sum of three finite costs, and a sum of three of
+#: it stays below 2**63.
+_INT64_LIMIT = 1 << 59
+_INT64_INF = 1 << 61
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(shape):
+    """Coordinates of every entry of a table shape, as an (m, size) array,
+    and its row-major weights."""
+    m = len(shape)
+    grid = np.indices(shape, dtype=np.intp).reshape(m, math.prod(shape))
+    weights = np.array([math.prod(shape[p + 1:]) for p in range(m)],
+                       dtype=np.intp)
+    grid.flags.writeable = weights.flags.writeable = False  # shared by callers
+    return grid, weights
+
+
+class ScaledCosts:
+    """The cost tables of a list of terms, scaled and grouped once; each
+    ``Instance`` holds its own as ``costs``, and every stage reads it.
+
+    ``scale`` is the LCM of every denominator (``integer_costs``), or None
+    when some cost is not exact.  ``groups`` hold the terms by table shape
+    and cost class (exact or not), in the order of their first terms, each
+    as ``(term indices, shape, costs [term, entry], feasible [term, entry],
+    scopes [term, position], tol [term])``.  With a ``scale`` and every
+    scaled cost below 2**59, the costs are int64 with INF read as 2**61, so
+    that a sum holding INF exceeds every sum of three finite costs and no
+    sum of three overflows.  Otherwise the scaled costs, or without a
+    ``scale`` the tables' own values, go into an object array, INF
+    included; an inexact table (floats, any other mix) compares within the
+    ``tolerance`` of its own costs, ``tol``, None for exact groups.
+    """
+
+    def __init__(self, terms):
+        def grouped(key):
+            members = {}
+            for idx, term in enumerate(terms):
+                members.setdefault(key(term), []).append(idx)
+            return members, list(itertools.chain.from_iterable(
+                terms[i].table.entries for idxs in members.values()
+                for i in idxs))
+
+        members, flat = grouped(lambda term: (term.table.shape, True))
+        self.scale, (scaled,) = integer_costs([flat])
+        if self.scale is None:  # the cost class splits the groups
+            members, flat = grouped(lambda term: (term.table.shape, all(
+                e is INF or isinstance(e, EXACT_TYPES)
+                for e in term.table.entries)))
+            scaled = flat
+        feasible = np.fromiter(map(operator.is_not, flat, itertools.repeat(
+            INF)), bool, len(flat))
+        values = np.array(scaled, dtype=object)
+        if self.scale is not None and values[feasible].max(
+                initial=0) < _INT64_LIMIT:
+            values = np.where(feasible, values, _INT64_INF).astype(np.int64)
+        scopes = np.fromiter(itertools.chain.from_iterable(
+            terms[i].scope for idxs in members.values() for i in idxs),
+            np.intp)
+        self.groups = []
+        entry = position = 0
+        for (shape, exact), idxs in members.items():
+            entries_at = slice(entry, entry + len(idxs) * math.prod(shape))
+            scopes_at = slice(position, position + len(idxs) * len(shape))
+            entry, position = entries_at.stop, scopes_at.stop
+            costs = values[entries_at].reshape(len(idxs), -1)
+            tol = None if exact else np.array(
+                [tolerance(None, row) for row in costs], dtype=object)
+            self.groups.append((
+                idxs, shape, costs, feasible[entries_at].reshape(len(idxs), -1),
+                scopes[scopes_at].reshape(len(idxs), len(shape)), tol))
+
+    def infeasible_constant(self):
+        """True when a constant term (one over no variable) is INF."""
+        return any(not shape and not feasible.all()
+                   for _, shape, _, feasible, _, _ in self.groups)
+
+    def cost(self, x):
+        """The sum of every table at assignment ``x``, one gather per group:
+        an exact Python int in scaled units when there is a ``scale``, else
+        the sum of the Python values; INF when some entry there is."""
+        x = np.asarray(x, dtype=np.intp)
+        total = 0
+        for _, shape, costs, feasible, scopes, _ in self.groups:
+            at = np.arange(len(costs)), x[scopes] @ _layout(shape)[1]
+            if not feasible[at].all():
+                return INF
+            total = total + sum(costs[at].tolist())
+        return total
+
+
+def arity_masks(groups):
+    """The feasible sets of the terms of ``groups`` (``ScaledCosts.groups``)
+    per arity k, as ``(term indices in term order, scopes [T, k], masks [T,
+    D_1, ..., D_k])``, padded with False to the largest table extents of
+    the arity; the masks of an arity held by one group are its own."""
+    by_arity = {}
+    for idxs, shape, _, feasible, scopes, _ in groups:
+        by_arity.setdefault(len(shape), []).append(
+            (idxs, shape, feasible.reshape((-1,) + shape), scopes))
+    out = []
+    for k, parts in by_arity.items():
+        idxs, _, masks, scopes = parts[0]
+        if len(parts) > 1:
+            idxs = sorted(i for part in parts for i in part[0])
+            masks = np.zeros((len(idxs),) + tuple(map(max, zip(*(
+                part[1] for part in parts)))), dtype=bool)
+            scopes = np.zeros((len(idxs), k), dtype=np.intp)
+            for members, shape, part, part_scopes in parts:
+                at = np.searchsorted(idxs, members)
+                masks[(at,) + tuple(map(slice, shape))] = part
+                scopes[at] = part_scopes
+        out.append((idxs, scopes, masks))
+    return out
 
 
 class Instance:
-    """A sum of cost-function terms over finite-domain variables."""
+    """A sum of cost-function terms over finite-domain variables, with its
+    term store ``costs`` and ``merged``, the instance of its terms after
+    ``merge_repeated`` (itself when no scope repeats a variable)."""
 
     def __init__(self, domains, terms):
         self.domains = domains
@@ -186,6 +287,10 @@ class Instance:
                         f"variable {i} has domain size {domains.sizes[i]}"
                     )
             self.terms.append(t)
+        self.costs = ScaledCosts(self.terms)
+        self.merged = self if all(
+            len(set(t.scope)) == len(t.scope) for t in self.terms
+        ) else Instance(domains, [merge_repeated(t) for t in self.terms])
 
     def evaluate(self, x):
         """Total cost of assignment ``x``; INF absorbs."""

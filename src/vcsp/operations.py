@@ -20,20 +20,22 @@ tuples derived from the arrays on each read.  The contract checks
 per-size label grids.  Each returns or raises the witness a scan
 entry by entry would find first, in the order its docstring states.
 
-The multimorphism checks take a list of terms and share one numpy kernel that
-is exact.  The terms are grouped by table shape and cost class, and each group
-is one kernel call, in batches of terms of falling count of feasible tuples.
-Exact costs are scaled to integers by one LCM of all their denominators (int64
-below 2**59, Python ints in an object array above); INF reads as a value above
-every sum of finite costs, so that an infeasible image is a violation.  Float
-tables, and any other mix, keep their Python values in an object array, and
-each table's sums compare within the tolerance of its own costs
-(``costs.tolerance``).  A check returns the first failing term in term order,
-and as its witness the first violation in row-major order over ``table.dom()``.
-Given the ranks of orders in which the pair is min/max, the binary check passes
-unary tables and reads exact finite pairwise tables by their adjacent 2x2
-minors, and runs the kernel only where that test fails or does not apply.
-``ternary_polymorphism_closed`` runs the kernel on crisp costs.
+The multimorphism checks share one numpy kernel that is exact.  They read the
+term store of ``model.ScaledCosts`` (an instance's ``costs``, or one built for
+a list of terms): the terms grouped by table shape and cost class, exact costs
+scaled to integers by one LCM of all their denominators (int64 below 2**59,
+Python ints in an object array above), float tables and any other mix as their
+Python values.  Each group is one kernel call, in batches of terms of falling
+count of feasible tuples.  INF reads as a value above every sum of finite
+costs, so that an infeasible image is a violation, and each inexact table's
+sums compare within the tolerance of its own costs (``costs.tolerance``).  A
+check returns the first failing term in term order, and as its witness the
+first violation in row-major order over ``table.dom()``.  Given the ranks of
+orders in which the pair is min/max, the binary check passes unary tables and
+reads exact finite pairwise tables by their adjacent 2x2 minors, and runs the
+kernel only where that test fails or does not apply.
+``ternary_polymorphism_closed`` runs the kernel on the crisp costs of an
+instance's feasible masks.
 """
 
 from __future__ import annotations
@@ -46,15 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import EXACT_TYPES, INF, integer_costs, scale_entries, tolerance
 from .errors import ValidationError, VcspError
-from .model import DomainSpec, feasible_masks
+from .model import DomainSpec, ScaledCosts, _layout, arity_masks
 
-#: Scaled exact costs below _INT64_LIMIT are summed in int64, where INF
-#: reads as _INT64_INF: above any sum of three finite costs, and a sum of
-#: three of it stays below 2**63.
-_INT64_LIMIT = 1 << 59
-_INT64_INF = 1 << 61
 #: Largest temporary array of the multimorphism kernel, in elements; small
 #: enough that a group of thousands of terms adds little to peak memory.
 _BLOCK_ELEMENTS = 1 << 14
@@ -437,108 +433,6 @@ def is_mjn_on(triple, target):
     return False, (first[0], first[1:4], _MJN_FAILURES[first[4]])
 
 
-class ScaledCosts:
-    """The cost tables of a list of terms, scaled once for the checks (and
-    the solve) of one call.
-
-    ``scale`` and ``rows`` are what ``integer_costs`` returns for all the
-    tables: the LCM of every denominator and each table's entries times it,
-    as Python ints, or None and the tables as given when some cost is not
-    exact.  A ``scale`` already known to be a multiple of every denominator
-    (the scale of an instance these terms were cut from) is used as it is,
-    without the LCM pass.  Either way ``rows`` holds INF exactly where the
-    tables do.  ``groups`` are ``rows`` laid out as the kernel groups of
-    the multimorphism checks, built on first use; the min-cut encoding and
-    ``cost`` read them too.  A caller that checks the same terms more than
-    once passes this form instead of the term list, so that no table is
-    scaled twice.
-    """
-
-    def __init__(self, terms, scale=None):
-        self.terms = terms
-        entries = [term.table.entries for term in terms]
-        if scale is None:
-            self.scale, self.rows = integer_costs(entries)
-        else:
-            self.scale = scale
-            self.rows = [scale_entries(e, scale) for e in entries]
-
-    @functools.cached_property
-    def groups(self):
-        """The terms grouped by table shape and cost class, each group as
-        ``(term indices, shape, costs [term, entry], feasible mask, scopes
-        [term, position], tol [term])``, in the order of the groups' first
-        terms.
-
-        The cost class is whether the table is exact.  When every table is
-        exact (there is a ``scale``) and every scaled cost is below 2**59,
-        the costs are held in int64 with INF read as 2**61, so that a sum
-        holding INF exceeds every sum of three finite costs and no sum of
-        three overflows.  Otherwise the ``rows`` go into an object array as
-        they are, INF included: exact tables compare exactly, other tables
-        (floats, any other mix) within the ``tolerance`` of their own
-        costs, and ``tol`` is None for exact groups.
-        """
-        terms, rows = self.terms, self.rows
-        exact = [self.scale is not None or all(
-            e is INF or isinstance(e, EXACT_TYPES) for e in entries)
-            for entries in rows]
-        members = {}
-        for idx, (term, x) in enumerate(zip(terms, exact)):
-            members.setdefault((term.table.shape, x), []).append(idx)
-        flat = [e for idxs in members.values() for i in idxs
-                for e in rows[i]]
-        if self.scale is not None and max(
-                (e for e in flat if e is not INF), default=0) < _INT64_LIMIT:
-            values = np.fromiter(map({INF: _INT64_INF}.get, flat, flat),
-                                 np.int64, len(flat))
-            feasible = values != _INT64_INF
-        else:
-            values = np.array(flat, dtype=object)
-            feasible = np.array([e is not INF for e in flat], dtype=bool)
-        scopes = np.array([v for idxs in members.values() for i in idxs
-                           for v in terms[i].scope], dtype=np.intp)
-        groups = []
-        entry = position = 0
-        for (shape, x), idxs in members.items():
-            entries_at = slice(entry, entry + len(idxs) * math.prod(shape))
-            scopes_at = slice(position, position + len(idxs) * len(shape))
-            entry, position = entries_at.stop, scopes_at.stop
-            costs = values[entries_at].reshape(len(idxs), -1)
-            tol = None if x else np.array(
-                [tolerance(None, row) for row in costs], dtype=object)
-            groups.append((idxs, shape, costs,
-                           feasible[entries_at].reshape(len(idxs), -1),
-                           scopes[scopes_at].reshape(len(idxs), len(shape)),
-                           tol))
-        return groups
-
-    def cost(self, x):
-        """The sum of every row at assignment ``x``, one gather per group:
-        an exact Python int in scaled units when there is a ``scale``, else
-        the sum of the Python values; INF when some entry there is."""
-        x = np.asarray(x, dtype=np.intp)
-        total = 0
-        for _, shape, costs, feasible, scopes, _ in self.groups:
-            at = np.arange(len(costs)), x[scopes] @ _layout(shape)[1]
-            if not feasible[at].all():
-                return INF
-            total = total + sum(costs[at].tolist())
-        return total
-
-
-@functools.lru_cache(maxsize=256)
-def _layout(shape):
-    """Coordinates of every entry of a table shape, as an (m, size) array,
-    and its row-major weights."""
-    m = len(shape)
-    grid = np.indices(shape, dtype=np.intp).reshape(m, math.prod(shape))
-    weights = np.array([math.prod(shape[p + 1:]) for p in range(m)],
-                       dtype=np.intp)
-    grid.flags.writeable = weights.flags.writeable = False  # shared by callers
-    return grid, weights
-
-
 def _outer_sum(parts):
     """Every sum of one entry from each of ``parts`` [..., n] along their
     last axis, as [..., n**len(parts)], the last part fastest."""
@@ -678,7 +572,7 @@ def _first_violation(terms, stacks, limit=None, ranks=None):
     if not isinstance(terms, ScaledCosts):
         terms = ScaledCosts(terms)
     found = None
-    bound = len(terms.terms) if limit is None else limit
+    bound = math.inf if limit is None else limit
     for idxs, shape, *group in terms.groups:
         if idxs[0] >= bound:
             break
@@ -722,16 +616,19 @@ def check_ternary_multimorphism(terms, triple):
     return _first_violation(terms, triple.index_stacks())
 
 
-def ternary_polymorphism_closed(op, terms):
-    """(True, None) when the componentwise image under ``op`` of every
-    ordered triple of each term's feasible tuples is feasible, else (False,
-    the first term in term order where one is not): per arity group of
-    ``feasible_masks``, the multimorphism kernel with the one component
-    ``op`` on the crisp costs 0 (feasible) and 1 (infeasible).  A group
-    in which every tuple is feasible is closed as it stands."""
+def ternary_polymorphism_closed(op, instance):
+    """(True, None) when the componentwise image under the conservative
+    ``op`` of every ordered triple of each term's feasible tuples is
+    feasible, else (False, the first term in term order where one is not):
+    per arity group of ``arity_masks`` of its costs, the multimorphism kernel
+    with the one component ``op`` on the crisp costs 0 (feasible) and 1
+    (infeasible).  The image of three tuples over fewer than two positions
+    is one of them, and a group in which every tuple is feasible is closed
+    as it stands, so neither is checked."""
     stack = op.index_stack()[None]
     hits = []
-    for idxs, scopes, masks in feasible_masks(terms):
+    for idxs, scopes, masks in arity_masks(
+            [g for g in instance.costs.groups if len(g[1]) > 1]):
         feasible = masks.reshape(len(idxs), -1)
         if feasible.all():
             continue
@@ -826,9 +723,9 @@ def check_instance_multimorphism(instance, ops):
 
     The first failing term in term order is reported, its binary failure
     before its ternary one, as a loop over the terms checking both would.
-    The tables are scaled once for both checks.
+    Both checks read the instance's ``costs``.
     """
-    costs = ScaledCosts(instance.terms)
+    costs = instance.costs
     ok, hit = check_binary_multimorphism(costs, ops.pair)
     ok3, hit3 = _first_violation(costs, ops.triple.index_stacks(),
                                  None if ok else hit[0])

@@ -19,7 +19,6 @@ from .operations import (
     BinaryPair,
     OperationSystem,
     PairSet,
-    ScaledCosts,
     check_binary_multimorphism,
     is_stp_on,
 )
@@ -192,10 +191,9 @@ def run_stage2(instance, ops, net, paranoid=False, trace=None):
     described by ``net``.  Returns the final operation system; its pair is a
     fully commutative conservative pair and still satisfies the pairwise
     multimorphism inequality on every term, which is re-verified each
-    iteration.
+    iteration on the instance's ``costs``.
     """
     limit = PairSet.full(ops.domains).total_size() + 1
-    costs = ScaledCosts(instance.terms)
     iteration = 0
     while True:
         seed = find_seed(ops.m)
@@ -224,7 +222,7 @@ def run_stage2(instance, ops, net, paranoid=False, trace=None):
                 raise StageError(
                     "reduce", f"exchange scan failed: {bad[0]}", witness=bad[0])
         ops = apply_modification(state, ops)
-        ok, hit = check_binary_multimorphism(costs, ops.pair)
+        ok, hit = check_binary_multimorphism(instance.costs, ops.pair)
         if not ok:
             raise StageError(
                 "reduce", "rewritten pair is no longer a multimorphism of "

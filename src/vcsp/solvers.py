@@ -4,13 +4,14 @@ submodular instances, and the full three-stage pipeline driver.
 The min-cut encoding uses one boolean "label >= level" indicator node per
 variable per non-bottom label.  Monotonicity between consecutive levels and
 crisp (infinite-cost) structure are enforced with an exact infinite edge
-class, never a large constant.  ``solve_stp`` scales the exact costs of its
-instance once, to integers by the LCM of their denominators
-(``ScaledCosts``), and the check, the pruning, the encoding and the final
-cross-check all read that one scaling.  ``CutEncoding`` builds the network
-in a few numpy passes over the scaled arrays, as three arc arrays that
-``MaxFlow`` takes as they are; exact capacities are Python ints, float
-costs keep their values and are summed in term order.
+class, never a large constant.  Nothing here scales or groups a cost table:
+the check, the pruning, the encoding and the final cross-check of
+``solve_stp`` read the term store each instance built when it was
+constructed (``Instance.costs``), with its exact costs scaled to integers by
+the LCM of their denominators.  ``CutEncoding`` builds the network in a few
+numpy passes over those arrays, as three arc arrays that ``MaxFlow`` takes
+as they are; exact capacities are Python ints, float costs keep their values
+and are summed in term order.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ import numpy as np
 from .consistency import restrict_instance, run_stage1
 from .costs import INF, cost_eq
 from .errors import StageError, VcspError
-from .model import DEFAULT_CAP, CostTable, Instance, Term, merge_repeated
+from .model import DEFAULT_CAP, CostTable, Term
 from .operations import (
-    ScaledCosts,
     build_majority,
     check_binary_multimorphism,
     is_stp_on,
@@ -249,26 +249,26 @@ class MaxFlow:
         return total
 
 
-def _prune_unsupported(instance, costs):
+def _prune_unsupported(instance):
     """Drop labels with no finite support in some term; fixpoint.
 
-    ``costs`` is the instance's ``ScaledCosts``: the feasible masks of its
-    groups name the terms with an INF, and its ``rows`` hold INF where the
-    tables do.  Returns per-variable sets of kept labels, possibly empty.
-    The feasible tuples of each term with an INF are read once; a term
-    without one supports every kept label until a variable of it is
-    emptied, so it is looked at only then.  After a round, only the terms
-    over a variable that lost labels drop their dead tuples and are scanned
-    again.  The greatest fixpoint does not depend on that order.
+    Returns per-variable sets of kept labels, possibly empty.  The feasible
+    masks of the instance's ``costs`` name the terms with an INF, whose
+    feasible tuples are read once; a term without one supports every kept
+    label until a variable of it is emptied, so it is looked at only then.
+    After a round, only the terms over a variable that lost labels drop
+    their dead tuples and are scanned again.  The greatest fixpoint does
+    not depend on that order.
     """
     terms = instance.terms
     keep = [set(range(s)) for s in instance.domains.sizes]
     has_inf = np.zeros(len(terms), dtype=bool)
-    for idxs, _, _, feasible, _, _ in costs.groups:
+    for idxs, _, _, feasible, _, _ in instance.costs.groups:
         has_inf[idxs] = ~feasible.all(1)
     live = [None] * len(terms)
     for k in np.flatnonzero(has_inf).tolist():
-        live[k] = [t for t, e in zip(terms[k].table.tuples(), costs.rows[k])
+        table = terms[k].table
+        live[k] = [t for t, e in zip(table.tuples(), table.entries)
                    if e is not INF]
     pending = [k for k, tuples in enumerate(live) if tuples is not None]
     while pending:
@@ -373,15 +373,15 @@ class CutEncoding:
 
     Built from an instance as ``solve_stp`` hands it over, and not checked
     for it again: numeric min/max is the pairwise multimorphism of every
-    term, every term has arity at most 2, no unary term holds INF, and the
-    rows of each pairwise term are non-empty intervals [lo, hi] of labels,
-    with lo and hi non-decreasing and every label in some row.  Variable
+    term, every term has arity at most 2 and no repeated scope variable, no
+    unary or constant term holds INF, and the rows of each pairwise term are
+    non-empty intervals [lo, hi] of labels, with lo and hi non-decreasing
+    and every label in some row.  Variable
     i's indicator "label >= level" is node ``first_node[i] + level - 1``;
     nodes 0 and 1 are the source and the sink.  Arc k runs from ``tail[k]``
     to ``head[k]`` with capacity ``cap[k]``, INF for the exact infinite
     class, sorted by (tail, head); ``edges`` is the same as a dict.
-    ``costs`` is the instance's ``ScaledCosts``, built when not given;
-    ``solve_stp`` passes the one its check read.
+    ``costs`` is the instance's term store (``Instance.costs``).
 
     The encoding reads ``costs.groups`` in a few numpy passes, none per
     term.  The pairwise tables are padded to the largest pairwise shape by
@@ -406,9 +406,9 @@ class CutEncoding:
     forms it, so the network is the same to the bit.
     """
 
-    def __init__(self, instance, costs=None):
+    def __init__(self, instance):
         self.instance = instance
-        costs = ScaledCosts(instance.terms) if costs is None else costs
+        costs = instance.costs
         self.scale = costs.scale
         sizes = instance.domains.sizes
         size = np.array(sizes, dtype=np.intp)
@@ -509,14 +509,19 @@ class CutEncoding:
             tail, head, order = tail[at], head[at], order[at]
             cap = np.add.reduceat(cap, at)
         self.tail, self.head, self.cap, self._order = tail, head, cap, order
-        # the offset sums each pairwise term's g[0][0], then per variable
-        # its share at label 0 and its negative steps, in that order
+        # the offset sums each pairwise term's g[0][0] and each constant
+        # term's cost in term order, then per variable its share at label 0
+        # and its negative steps, in that order
+        constant = [(idxs, c[:, 0]) for idxs, shape, c, *_ in groups
+                    if not shape]
+        first = np.concatenate([g[:, 0, 0]] + [c for _, c in constant])
+        at = np.concatenate([pidx] + [idxs for idxs, _ in constant])
         acc[:, 1:] = step
         summed = np.ones(acc.shape, bool)
         summed[:, 1:] = down
         self.offset = functools.reduce(
-            operator.add, acc[summed].tolist(),
-            functools.reduce(operator.add, g[:, 0, 0].tolist(), 0))
+            operator.add, acc[summed].tolist(), functools.reduce(
+                operator.add, first[at.argsort()].tolist(), 0))
 
     @functools.cached_property
     def edges(self):
@@ -553,51 +558,46 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP):
     Takes the min-cut path when every variable's tournament is transitive and
     all terms are binary or unary; otherwise falls back to brute force.  On
     the min-cut path the pair is min/max in the extracted order, so each
-    term is checked under the pair itself, given the order's ranks: exact
-    finite tables are read by their adjacent 2x2 minors.  The unsupported
-    labels are then dropped and the rest put in that order by one
-    restriction.  The costs are scaled once, for the check, the pruning and
-    the encoding; a restriction that changes the instance rescales its
-    tables with the same scale.  The cut optimum is checked against the
-    cost of the decoded assignment, mapped back to the caller's labels and
-    summed over the scaled rows of the unrestricted terms, so the check
-    covers the restriction and the label mapping as well as the encoding.
-    When the pruning leaves one label per variable, there is no network:
-    that assignment is the argmin, and its cost the optimum.
+    term of ``instance.merged`` is checked under the pair itself, given the
+    order's ranks: exact finite tables are read by their adjacent 2x2
+    minors.  The unsupported labels are then dropped and the rest put in
+    that order by one restriction.  The check, the pruning and the final
+    cross-check read the merged instance's ``costs``, and the encoding the
+    restricted instance's own; a restriction that keeps every label in
+    order is the merged instance itself.  The cut optimum is checked
+    against the cost of the decoded assignment, mapped back to the caller's
+    labels and summed over the unrestricted terms, so the check covers the
+    restriction and the label mapping as well as the encoding.  When the
+    pruning leaves one label per variable, there is no network: that
+    assignment is the argmin, and its cost the optimum.
     """
     order = extract_tournament_order(pair)
-    scopes = [t.scope for t in instance.terms]
-    distinct = list(map(len, map(set, scopes)))  # each merged term's arity
-    merged = (instance if distinct == list(map(len, scopes)) else Instance(
-        instance.domains, [merge_repeated(t) for t in instance.terms]))
+    merged = instance.merged
     stats = {"path": "mincut"}
     if not order.all_ordered:
         stats["path"] = "bruteforce"
         stats["cycles"] = [c for c in order.cycles if c is not None]
-    elif max(distinct, default=0) > 2:
+    elif max((len(g[1]) for g in merged.costs.groups), default=0) > 2:
         stats["path"] = "bruteforce"
         stats["reason"] = "term arity above 2"
     if stats["path"] == "bruteforce":
         result = solve_bruteforce(instance, cap=cap)
         result.stats.update(stats)
         return result
-    costs = ScaledCosts(merged.terms)
+    costs = merged.costs
     ok, hit = check_binary_multimorphism(costs, pair, order.ranks)
     if not ok:
         raise VcspError(
             f"term {hit[0]} is not submodular under the extracted order at "
             f"{hit[1]}; the pair was not a multimorphism of every term")
-    survive = _prune_unsupported(merged, costs)
-    if any(not k for k in survive):
+    survive = _prune_unsupported(merged)
+    if any(not k for k in survive) or costs.infeasible_constant():
         return SolveResult(INF, None, stats)
     keep = [[a for a in labels if a in live]
             for labels, live in zip(order.orders, survive)]
     optimum, argmin = None, tuple(labels[0] for labels in keep)
     if any(len(labels) > 1 for labels in keep):
-        restricted = restrict_instance(merged, keep)
-        cut_costs = (costs if restricted is merged
-                     else ScaledCosts(restricted.terms, costs.scale))
-        optimum, argmin = CutEncoding(restricted, cut_costs).solve()
+        optimum, argmin = CutEncoding(restrict_instance(merged, keep)).solve()
         if argmin is None:
             return SolveResult(optimum, None, stats)
         argmin = tuple(keep[i][v] for i, v in enumerate(argmin))
@@ -647,15 +647,13 @@ def run_validate(instance, ops):
     ops.validate()
     ops = ops.normalized()
     mu = build_majority(ops.pair, ops.triple)
-    # mu is conservative, so every term over one position is closed under it
-    wide = [i for i, t in enumerate(instance.terms) if len(t.scope) > 1]
-    ok, idx = ternary_polymorphism_closed(mu, [instance.terms[i] for i in wide])
+    ok, idx = ternary_polymorphism_closed(mu, instance)
     if not ok:
         raise StageError(
             "validate",
             f"derived majority operation is not a polymorphism of term "
-            f"{wide[idx]}; the required operation structure is missing",
-            witness=wide[idx])
+            f"{idx}; the required operation structure is missing",
+            witness=idx)
     return ops
 
 
@@ -685,10 +683,11 @@ def solve_pipeline(instance, ops, cap=DEFAULT_CAP, paranoid=False, trace=None):
 
     t2 = time.perf_counter()
     trace_lines = [] if trace is None else trace
+    earlier = len(trace_lines)
     final_ops = run_stage2(inst_r, ops_r, net_r, paranoid=paranoid,
                            trace=trace_lines)
     stats["reduce_s"] = time.perf_counter() - t2
-    stats["reduce_iterations"] = len(trace_lines)
+    stats["reduce_iterations"] = len(trace_lines) - earlier
     stats["final_ops"] = final_ops
 
     t3 = time.perf_counter()

@@ -186,7 +186,8 @@ def verify_term(system, term):
     assert ok, f"generated table violates the pairwise inequality at {w}"
     if term.table.is_crisp():
         for comp in system.triple.ops:
-            assert ternary_polymorphism_closed(comp, [term]) == (True, None)
+            assert ternary_polymorphism_closed(
+                comp, Instance(system.domains, [term])) == (True, None)
     else:
         ok, w = check_ternary_multimorphism([term], system.triple)
         assert ok, f"generated table violates the three-way inequality at {w}"

@@ -46,6 +46,12 @@ image of a label set under a relation matrix), where the library reads
 masks of ``net.R``: same states, verdicts, witnesses and lists in the same
 order.
 
+``feasible_masks`` is the per-arity mask pass over every entry that the
+stages ran before each ``Instance`` built its term store
+(``ScaledCosts.masks`` derives the same masks from the store's groups), and
+``PerCallScaledCosts`` is the store as one call built it from a list of
+terms, with a Python list of scaled entries per table.
+
 ``intersect`` narrows one relation of a network and its transpose.
 ``apply_pair``, ``conservative_violation``, ``classify_pair``,
 ``check_polymorphism`` and ``check_global_multimorphism`` are per-entry
@@ -67,15 +73,18 @@ take it as an argument, and each test passes the one its costs imply.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 
 import numpy as np
 
 from vcsp.consistency import BinaryNetwork
-from vcsp.costs import EXACT_TYPES, INF, is_finite, parse_cost, tolerance
+from vcsp.costs import (EXACT_TYPES, INF, integer_costs, is_finite,
+                        parse_cost, tolerance)
 from vcsp.errors import (CapExceeded, FormatError, StageError, ValidationError,
                          VcspError)
-from vcsp.model import (DEFAULT_CAP, CostTable, DomainSpec, Instance, Term,
-                        merge_repeated)
+from vcsp.model import (_INT64_INF, _INT64_LIMIT, DEFAULT_CAP, CostTable,
+                        DomainSpec, Instance, Term, merge_repeated)
 from vcsp.operations import (BinaryPair, MjnTriple, OperationSystem, PairSet,
                              TernaryOp, all_label_pairs)
 from vcsp.reduction import ReductionState
@@ -203,6 +212,75 @@ def project(instance, vars, cap=DEFAULT_CAP):
             else:
                 out.add((x[vars[0]], x[vars[1]]))
     return out
+
+
+def feasible_masks(terms):
+    """The feasible sets of ``terms`` per arity k, as ``(term indices in
+    term order, scopes [T, k], masks [T, D_1, ..., D_k])``, padded with
+    False to the group's largest table extents; one pass per table shape."""
+    by_shape, by_arity = {}, {}
+    for idx, term in enumerate(terms):
+        by_shape.setdefault(term.table.shape, []).append(idx)
+        by_arity.setdefault(len(term.scope), []).append(idx)
+    groups = []
+    for k, idxs in by_arity.items():
+        blocks = [(by_shape[shape], np.fromiter(map(
+            operator.is_not, itertools.chain.from_iterable(
+                terms[i].table.entries for i in by_shape[shape]),
+            itertools.repeat(INF)), bool).reshape((-1,) + shape))
+            for shape in by_shape if len(shape) == k]
+        masks = blocks[0][1]
+        if len(blocks) > 1:
+            masks = np.zeros((len(idxs),) + tuple(map(
+                max, *(block.shape[1:] for _, block in blocks))), dtype=bool)
+            for members, block in blocks:
+                masks[(np.searchsorted(idxs, members),)
+                      + tuple(map(slice, block.shape[1:]))] = block
+        scopes = np.array([terms[i].scope for i in idxs], dtype=np.intp)
+        groups.append((idxs, scopes.reshape(len(idxs), k), masks))
+    return groups
+
+
+class PerCallScaledCosts:
+    """The term store built for one call from a list of terms, with the
+    scaled entries of each table kept as a Python list in ``rows``, and the
+    groups laid out from those rows."""
+
+    def __init__(self, terms):
+        self.scale, self.rows = integer_costs(
+            [term.table.entries for term in terms])
+        exact = [self.scale is not None or all(
+            e is INF or isinstance(e, EXACT_TYPES) for e in entries)
+            for entries in self.rows]
+        members = {}
+        for idx, (term, x) in enumerate(zip(terms, exact)):
+            members.setdefault((term.table.shape, x), []).append(idx)
+        flat = [e for idxs in members.values() for i in idxs
+                for e in self.rows[i]]
+        if self.scale is not None and max(
+                (e for e in flat if e is not INF), default=0) < _INT64_LIMIT:
+            values = np.fromiter(map({INF: _INT64_INF}.get, flat, flat),
+                                 np.int64, len(flat))
+            feasible = values != _INT64_INF
+        else:
+            values = np.array(flat, dtype=object)
+            feasible = np.array([e is not INF for e in flat], dtype=bool)
+        scopes = np.array([v for idxs in members.values() for i in idxs
+                           for v in terms[i].scope], dtype=np.intp)
+        self.groups = []
+        entry = position = 0
+        for (shape, x), idxs in members.items():
+            entries_at = slice(entry, entry + len(idxs) * math.prod(shape))
+            scopes_at = slice(position, position + len(idxs) * len(shape))
+            entry, position = entries_at.stop, scopes_at.stop
+            costs = values[entries_at].reshape(len(idxs), -1)
+            tol = None if x else np.array(
+                [tolerance(None, row) for row in costs], dtype=object)
+            self.groups.append((idxs, shape, costs,
+                                feasible[entries_at].reshape(len(idxs), -1),
+                                scopes[scopes_at].reshape(len(idxs),
+                                                          len(shape)),
+                                tol))
 
 
 def loop_binary_multimorphism(table, pair, scope, tol=0):
@@ -455,7 +533,9 @@ class LoopCutEncoding:
             for level in range(1, s - 1):
                 self._add(self.node_of[(i, level + 1)], self.node_of[(i, level)], INF)
         for term in instance.terms:
-            if term.table.arity == 1:
+            if term.table.arity == 0:
+                self._add_constant(term.table.entries[0])
+            elif term.table.arity == 1:
                 self._fold_unary(term.scope[0], term.table)
             elif term.table.arity == 2:
                 self._encode_pairwise(term)
@@ -480,6 +560,12 @@ class LoopCutEncoding:
             self.edges[(u, v)] = INF
         else:
             self.edges[(u, v)] = cur + cap
+
+    def _add_constant(self, c):
+        if c is INF:
+            raise VcspError(
+                "an infinite constant should have been caught before encoding")
+        self.offset = self.offset + c
 
     def _fold_unary(self, var, table):
         for a in range(table.shape[0]):

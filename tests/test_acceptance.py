@@ -145,7 +145,7 @@ def test_local_certificate_stricter_never_looser(corpus):
     for inst, system in cases:
         system.validate()
         mu = build_majority(system.pair, system.triple)
-        assert ternary_polymorphism_closed(mu, inst.terms) == (True, None)
+        assert ternary_polymorphism_closed(mu, inst) == (True, None)
         net, _ = enforce_strong_3_consistency(decompose_instance(inst))
         local = certify_decomposition(inst)
         exhaustive = certify_decomposition_exhaustive(net, inst)
@@ -226,7 +226,8 @@ def test_criterion_7_majority_construction(corpus):
     for inst, system, _, _ in runs:
         mu = build_majority(system.pair, system.triple)
         for term in inst.terms:
-            if not ternary_polymorphism_closed(mu, [term])[0]:
+            if not ternary_polymorphism_closed(
+                    mu, Instance(inst.domains, [term]))[0]:
                 not_polymorphism += 1
     ok = bad_majority == 0 and not_polymorphism == 0
     report(7, ok,

@@ -211,6 +211,32 @@ class TestSolve:
                 "stat reduce_iterations 0\n", "")
 
 
+    # a constant term admits every operation: 3 plus the unary 1 solves to
+    # 4, and an infinite constant makes the instance infeasible; the cut
+    # encoding dropped the constant, and stage 1 refused the infinite one
+    @pytest.mark.parametrize("constant, optimum, argmin, path", [
+        ("3", "4", "0 0", "mincut"), ("inf", "inf", "none", "infeasible")])
+    @pytest.mark.parametrize("flags", [[], ["--paranoid"], ["--float"]])
+    def test_nullary_term(self, tmp_path, capsys, constant, optimum, argmin,
+                          path, flags):
+        ipath, opath = tmp_path / "inst.vcsp", tmp_path / "ops.ops"
+        ipath.write_text(f"vcsp 2\ndomains 2 2\nterm 0\ndefault {constant}\n"
+                         "term 1 1\ndefault 1\n")
+        opath.write_text(serialize_ops(minmax_system(DomainSpec((2, 2)))))
+        if "--float" in flags and constant != "inf":
+            optimum = "4.0"
+        assert main(["oracle", str(ipath), *flags]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            f"optimum {optimum}", f"argmin {argmin}"]
+        assert main(["solve", str(ipath), str(opath), *flags]) == 0
+        stats = (f"stat path {path}\n" if path == "infeasible"
+                 else f"stat path {path}\nstat reduce_iterations 0\n")
+        assert capsys.readouterr() == (
+            f"optimum {optimum}\nargmin {argmin}\n{stats}", "")
+        assert main(["reduce", str(ipath), str(opath), *flags]) == 0
+        out = capsys.readouterr().out
+        assert (out == "empty true\n") == (path == "infeasible")
+
     @pytest.mark.parametrize("flags", [[], ["--paranoid"]])
     def test_costs_past_the_float_range(self, tmp_path, capsys, flags):
         # scaled costs and scales above the largest float solve exactly

@@ -24,11 +24,13 @@ from vcsp.consistency import (
     restrict_instance,
     restrict_network,
     restrict_operation_system,
+    run_stage1,
     support_maps,
 )
 from vcsp.io_formats import serialize_ops
 from vcsp.model import merge_repeated
-from vcsp.operations import MjnTriple, OperationSystem, TernaryOp
+from vcsp.operations import (BinaryPair, MjnTriple, OperationSystem, PairSet,
+                             TernaryOp)
 
 from harness import random_majority_closed_instance, random_system
 from oracles import (feasible_assignments, image, intersect,
@@ -385,6 +387,20 @@ class TestCertify:
         assert not certify_decomposition(inst)
         assert not certify_decomposition_exhaustive(
             decompose_instance(inst), inst)
+
+    @pytest.mark.parametrize("sizes", [(), (2,), (2, 3)])
+    def test_stage1_finds_an_infinite_constant_infeasible(self, sizes):
+        # no network holds a constant term, so stage 1 reads it off the
+        # store before it certifies, with no variable at all too
+        d = DomainSpec(sizes)
+        system = OperationSystem(BinaryPair.min_max(d), MjnTriple.canonical(d),
+                                 PairSet.full(d))
+        terms = [Term(CostTable((s,), [0] * s), (i,))
+                 for i, s in enumerate(sizes)]
+        for constant, feasible in ((INF, False), (Fraction(1, 2), True)):
+            inst = Instance(d, terms + [Term(CostTable((), [constant]), ())])
+            stage1 = run_stage1(inst, system, paranoid=True)
+            assert (stage1 is not None) == feasible
 
 
     def test_matches_exhaustive_term_by_term(self):

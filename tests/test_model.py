@@ -1,8 +1,12 @@
 """Costs, tables, instances, evaluation and projection."""
 
 import itertools
+import math
+import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +22,11 @@ from vcsp import (
 )
 from vcsp.costs import cost_eq, format_cost, is_finite, parse_cost
 from vcsp.errors import FormatError
+from vcsp.model import arity_masks, merge_repeated
 
-from oracles import cost_le, feasible_assignments, project
+from harness import random_instance
+from oracles import (PerCallScaledCosts, cost_le, feasible_assignments,
+                     feasible_masks, project)
 
 
 class TestExtCost:
@@ -252,3 +259,103 @@ def test_projection_symmetry(inst):
     fwd = project(inst, (0, 1))
     rev = project(inst, (1, 0))
     assert fwd == {(b, a) for a, b in rev}
+
+
+def assert_store_matches_oracles(inst):
+    """The store built with ``inst`` (its ``costs``, their ``arity_masks`` and
+    ``cost``, and ``merged``) equals what the per-call oracles build from
+    the term list."""
+    got, want = inst.costs, PerCallScaledCosts(inst.terms)
+    assert got.scale == want.scale
+    for g, w in zip(got.groups, want.groups, strict=True):
+        assert g[:2] == w[:2]
+        for a, b in zip(g[2:5], w[2:5]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert (g[5] is None) == (w[5] is None)
+        assert g[5] is None or g[5].tolist() == w[5].tolist()
+    for g, w in zip(arity_masks(got.groups), feasible_masks(inst.terms),
+                    strict=True):
+        assert list(g[0]) == list(w[0])
+        for a, b in zip(g[1:], w[1:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    rng = random.Random(len(inst.terms))
+    for _ in range(3):
+        x = tuple(rng.randrange(s) for s in inst.domains.sizes)
+        cost = got.cost(x)
+        if cost is not INF and got.scale is not None:
+            cost = Fraction(cost, got.scale)
+        assert cost_eq(cost, inst.evaluate(x))
+    merged = [merge_repeated(t) for t in inst.terms]
+    if merged == inst.terms:
+        assert inst.merged is inst
+    else:
+        assert inst.merged.terms == merged and inst.merged.merged is inst.merged
+        assert_store_matches_oracles(inst.merged)
+
+
+STORE_KINDS = ("int", "fraction", "float", "mixed", "past int64",
+               "past the float range")
+
+
+def random_store_instance(rng, kind):
+    """Terms of arity 0-3 over 1-4 variables of sizes 1-3, scopes drawn
+    with replacement, a sixth of the tables all INF and the others a fifth
+    INF, with costs of ``kind``: ``mixed`` holds ints, fractions and floats
+    in one table or in separate ones, ``past int64`` scales to integers at
+    2**59, 2**63 and beyond, ``past the float range`` has a scale above
+    the largest float."""
+    sizes = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+
+    def cost(table_kind):
+        if rng.random() < 0.2:
+            return INF
+        if table_kind == "mixed":
+            table_kind = rng.choice(("int", "fraction", "float"))
+        return {
+            "int": lambda: rng.randint(0, 9),
+            "fraction": lambda: Fraction(rng.randint(0, 9), rng.randint(1, 6)),
+            "float": lambda: rng.random() * 10,
+            "past int64": lambda: rng.choice((2**59, 2**63, 2**70))
+            + Fraction(rng.randint(0, 9), rng.randint(1, 3)),
+            "past the float range": lambda: Fraction(
+                rng.randint(1, 9), 7 ** rng.randint(360, 400)),
+        }[table_kind]()
+
+    terms = []
+    for _ in range(rng.randint(0, 6)):
+        scope = tuple(rng.randrange(len(sizes))
+                      for _ in range(rng.randint(0, 3)))
+        shape = tuple(sizes[i] for i in scope)
+        table_kind = kind if kind != "mixed" or rng.random() < 0.5 else (
+            rng.choice(("int", "fraction", "float")))
+        entries = ([INF] * math.prod(shape) if rng.random() < 1 / 6
+                   else [cost(table_kind) for _ in range(math.prod(shape))])
+        terms.append(Term(CostTable(shape, entries), scope))
+    return Instance(DomainSpec(sizes), terms)
+
+
+def test_store_matches_per_call_oracles_on_random_instances():
+    rng = random.Random(20323)
+    seen = Counter()
+    for k in range(600):
+        inst = random_store_instance(rng, STORE_KINDS[k % len(STORE_KINDS)])
+        assert_store_matches_oracles(inst)
+        groups = inst.costs.groups
+        seen["arity 0"] += any(not t.scope for t in inst.terms)
+        seen["arity 3"] += any(len(t.scope) == 3 for t in inst.terms)
+        seen["repeats"] += inst.merged is not inst
+        seen["all INF"] += any(not f.any() for _, _, _, f, _, _ in groups)
+        seen["no scale"] += inst.costs.scale is None
+        seen["exact and inexact"] += len({g[5] is None for g in groups}) == 2
+        seen["object"] += any(g[2].dtype == object and g[5] is None
+                              for g in groups)
+        seen["past the float range"] += (inst.costs.scale or 0) > 10**308
+    assert min(seen.values()) >= 30, seen
+
+
+def test_store_matches_per_call_oracles_on_criterion_1_draws():
+    # the draws of the criterion-1 corpus of test_acceptance
+    rng = random.Random(20240)
+    for _ in range(250):
+        inst, _ = random_instance(rng, max_vars=6, max_size=4)
+        assert_store_matches_oracles(inst)

@@ -32,10 +32,9 @@ from vcsp import (
     is_stp_on,
 )
 from vcsp.costs import FLOAT_TOL, integer_costs, is_finite, tolerance
-from vcsp.model import merge_repeated
+from vcsp.model import ScaledCosts, merge_repeated
 from vcsp.operations import (
     OperationSystem,
-    ScaledCosts,
     all_label_pairs,
     check_instance_multimorphism,
     normalize_pairset,
@@ -284,7 +283,7 @@ class TestCheckPolymorphism:
             if rng.random() < 0.25:
                 tuples = closure(op, tuples, scope)
             term = relation_term(d, scope, tuples)
-            got, hit = ternary_polymorphism_closed(op, [term])
+            got, hit = ternary_polymorphism_closed(op, Instance(d, [term]))
             assert got == check_polymorphism(op, tuples, scope)
             assert hit == (None if got else 0)
             seen[got] += 1
@@ -320,7 +319,7 @@ class TestCheckPolymorphism:
             want = next((idx for idx, t in enumerate(terms)
                          if not check_polymorphism(op, t.table.dom(),
                                                    t.scope)), None)
-            got = ternary_polymorphism_closed(op, terms)
+            got = ternary_polymorphism_closed(op, Instance(d, terms))
             assert got == ((True, None) if want is None else (False, want))
             seen[got[0]] += 1
             seen["fails after 0"] += bool(want)
@@ -356,12 +355,15 @@ class TestCheckPolymorphism:
     @staticmethod
     def closure_peak(terms, d):
         """(result, tracemalloc peak) of the derived min/max majority's
-        closure check of ``terms`` over three variables of size ``d``."""
+        closure check of ``terms`` over three variables of size ``d``; the
+        instance, and its term store, are built before the peak is
+        traced."""
         system = minmax_system(DomainSpec((d, d, d)))
         mu = build_majority(system.pair, system.triple)
+        instance = Instance(system.domains, terms)
         tracemalloc.start()
         try:
-            got = ternary_polymorphism_closed(mu, terms)
+            got = ternary_polymorphism_closed(mu, instance)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -28,12 +28,14 @@ from vcsp import (
 )
 from vcsp.consistency import BinaryNetwork
 from vcsp.costs import cost_eq, integer_costs, is_finite, scale_entries
-from vcsp.operations import OperationSystem, ScaledCosts, is_stp_on
+from vcsp.model import _INT64_LIMIT, ScaledCosts
+from vcsp.operations import OperationSystem, is_stp_on
 from vcsp.solvers import (CutEncoding, MaxFlow, _check_network_closed,
                           _prune_unsupported, run_validate)
 
 from harness import (
     minmax_system,
+    mixed_chain,
     random_boolean_mjn_instance,
     random_instance,
     random_submodular_instance,
@@ -470,6 +472,59 @@ class TestPipeline:
             if is_finite(res.optimum):
                 assert inst.evaluate(res.argmin) == res.optimum
 
+    def test_reduce_iterations_count_only_stage_2_lines(self):
+        # a caller's trace may already hold lines; stage 2 ran 16 iterations
+        inst, system = mixed_chain(random.Random(0), 12)
+        for earlier in ([], ["earlier line"]):
+            trace = list(earlier)
+            res = solve_pipeline(inst, system, trace=trace)
+            assert res.stats["reduce_iterations"] == 16
+            assert len(trace) == len(earlier) + 16
+
+    @pytest.mark.parametrize("constant, want", [
+        (3, (4, (0, 0), "mincut")), (INF, (INF, None, "infeasible"))])
+    def test_nullary_term(self, constant, want):
+        # 3 plus the unary 1 at label 0: the cut encoding dropped the
+        # constant and stage 1 refused the infinite one
+        d = DomainSpec((2, 2))
+        inst = Instance(d, [Term(CostTable((), [constant]), ()),
+                            Term(CostTable((2,), [1, 1]), (0,))])
+        res = solve_pipeline(inst, minmax_system(d), paranoid=True)
+        assert (res.optimum, res.argmin, res.stats["path"]) == want
+        res = solve_stp(inst, BinaryPair.min_max(d))
+        assert (res.optimum, res.argmin) == want[:2]
+
+    def test_nullary_terms_match_oracle(self):
+        # 1-2 constant terms, some INF, at random positions of mixed and
+        # submodular draws; pipeline and solve_stp agree with brute force
+        rng = random.Random(20322)
+        seen = Counter()
+        for k in range(60):
+            if k % 2:
+                inst, system = random_instance(rng, max_vars=5, max_size=3)
+            else:
+                inst, system = random_submodular_instance(
+                    rng, max_vars=4, max_size=3)
+            terms = list(inst.terms)
+            for _ in range(rng.randint(1, 2)):
+                c = rng.choice((0, Fraction(rng.randint(1, 9), 4), INF)
+                               if rng.random() < 0.9 else (INF,))
+                terms.insert(rng.randint(0, len(terms)),
+                             Term(CostTable((), [c]), ()))
+            inst = Instance(inst.domains, terms)
+            ref = solve_bruteforce(inst)
+            solves = [solve_pipeline(inst, system, paranoid=k % 4 < 2)]
+            if k % 2 == 0:
+                solves.append(solve_stp(inst, system.pair))
+            for res in solves:
+                assert res.optimum == ref.optimum
+                if is_finite(res.optimum):
+                    assert inst.evaluate(res.argmin) == res.optimum
+                else:
+                    assert res.argmin is None
+            seen[is_finite(ref.optimum)] += 1
+        assert min(seen[True], seen[False]) >= 15, seen
+
     def test_infeasible_instance(self):
         d = DomainSpec((2, 2, 2))
         neq = CostTable.relation((2, 2), [(0, 1), (1, 0)])
@@ -785,12 +840,12 @@ def test_costs_near_the_int64_limit_stay_exact():
             terms.append(Term(CostTable((3, 3), [
                 base + c for c in table.entries]), (0, 1 + k % 5)))
         inst = Instance(DomainSpec(sizes), terms)
-        costs = ScaledCosts(inst.terms)
+        costs = inst.costs
         assert costs.scale == 6
         assert all(group[2].dtype == np.int64 for group in costs.groups)
-        largest = max(e for row in costs.rows for e in row)
+        largest = max(int(group[2].max()) for group in costs.groups)
         assert largest < 2**59 and 40 * largest > 2**63
-        enc = CutEncoding(inst, costs)
+        enc = CutEncoding(inst)
         assert_same_network(enc, LoopCutEncoding(inst))
         assert type(enc.offset) is int
         assert all(cap is INF or type(cap) is int
@@ -816,7 +871,7 @@ def test_costs_past_the_float_range_stay_exact():
         assert got.optimum == want.optimum
         if want.optimum is not INF:
             assert inst.evaluate(got.argmin) == want.optimum
-            seen[ScaledCosts(inst.terms).scale > 10**308] += 1
+            seen[inst.costs.scale > 10**308] += 1
     assert min(seen.values()) >= 5 and len(seen) == 2
 
 
@@ -883,10 +938,10 @@ def test_extended_costs_near_the_int64_limit_stay_exact():
         Term(crisp, (0, 1)),
         Term(CostTable((20,), [big - b for b in range(20)]), (1,)),
         Term(fraction_submodular_table(random.Random(20301), 3, 2), (2, 0))])
-    costs = ScaledCosts(inst.terms)
+    costs = inst.costs
     assert costs.scale == 6
     assert all(group[2].dtype == np.int64 for group in costs.groups)
-    enc = CutEncoding(inst, costs)
+    enc = CutEncoding(inst)
     loop = LoopCutEncoding(inst)
     assert loop.extended == 1
     assert_same_network(enc, loop)
@@ -1039,7 +1094,6 @@ def test_integer_costs_whole_ints_match_the_lcm_pass():
     # tables of ints and INF alone skip the LCM pass; True, Fraction(n, 1)
     # and any p/q take it; both give the same scale, rows and groups, and
     # ints at 2**63 or above stay Python ints in an object array
-    from vcsp.operations import _INT64_LIMIT
     rng = random.Random(20312)
     seen = Counter()
     for _ in range(300):
@@ -1062,7 +1116,8 @@ def test_integer_costs_whole_ints_match_the_lcm_pass():
         rows = [scale_entries(t, scale) for t in tables]
         assert integer_costs(tables) == (scale, rows) == (1, rows)
         got = ScaledCosts(terms)
-        assert all(type(e) in (int, type(INF)) for r in got.rows for e in r)
+        assert all(type(e) in (int, type(INF)) for _, _, costs, *_
+                   in got.groups for e in costs.ravel().tolist())
         want = ScaledCosts([Term(CostTable(t.table.shape, [
             e if e is INF else Fraction(e) for e in t.table.entries]),
             t.scope) for t in terms])
@@ -1147,6 +1202,9 @@ def unsupported_fine_label(rng, n):
 
 
 def test_solve_scale_above_the_restricted_tables_lcm(encodings):
+    # the solved instance's scale is 7 times the LCM of the tables left
+    # after pruning; the restriction scales its own tables by that LCM, and
+    # the answer is exact either way
     rng = random.Random(20294)
     for _ in range(40):
         inst, pair = unsupported_fine_label(rng, rng.randint(2, 6))
@@ -1157,7 +1215,7 @@ def test_solve_scale_above_the_restricted_tables_lcm(encodings):
         assert str(res.optimum) == str(want.optimum)
         enc = encodings[-1]
         own = integer_costs([t.table.entries for t in enc.instance.terms])[0]
-        assert enc.scale == 7 * own
+        assert enc.scale == own and inst.costs.scale == 7 * own
         assert type(enc.offset) is int
         assert all(cap is INF or type(cap) is int
                    for cap in enc.edges.values())
@@ -1165,14 +1223,14 @@ def test_solve_scale_above_the_restricted_tables_lcm(encodings):
 
 @pytest.fixture
 def scale_calls(monkeypatch):
-    """Count ``integer_costs`` calls, wrapped in every module that binds
-    the name."""
+    """Record the number of entries of each ``integer_costs`` call, wrapped
+    in every module that binds the name."""
     import sys
     calls = []
     original = integer_costs
 
     def counted(tables):
-        calls.append(len(tables))
+        calls.append(sum(map(len, tables)))
         return original(tables)
 
     for name, module in list(sys.modules.items()):
@@ -1182,31 +1240,23 @@ def scale_calls(monkeypatch):
     return calls
 
 
-def test_one_scaling_per_mincut_solve(scale_calls, monkeypatch):
-    # one LCM pass per solve; an encoding of the solved instance itself (the
-    # restriction keeps every label in order) scales no table again
-    import sys
+def entry_count(instance):
+    return sum(len(t.table.entries) for t in instance.terms)
+
+
+def test_one_scaling_per_constructed_instance(scale_calls, monkeypatch):
+    # each instance scales its tables once, when it is constructed, and an
+    # instance with a repeated scope variable builds its merged instance
+    # too; a solve scales only the restriction it builds, which the
+    # encoding reads as it is, and nothing when the restriction keeps every
+    # label in order
     import vcsp.solvers as solvers
-    encoding = []
-    encoding_scales = []
-
-    def counted(entries, scale):
-        if encoding:
-            encoding_scales.append(scale)
-        return scale_entries(entries, scale)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "vcsp" and getattr(
-                module, "scale_entries", None) is scale_entries:
-            monkeypatch.setattr(module, "scale_entries", counted)
 
     class Watched(CutEncoding):
-        def __init__(self, instance, *args):
-            encoding.append(instance)
-            try:
-                super().__init__(instance, *args)
-            finally:
-                encoding.pop()
+        def __init__(self, instance):
+            before = len(scale_calls)
+            super().__init__(instance)
+            assert len(scale_calls) == before
             encoded.append(instance)
 
     encoded = []
@@ -1219,34 +1269,49 @@ def test_one_scaling_per_mincut_solve(scale_calls, monkeypatch):
             inst, system = submodular_chain(rng, rng.randint(2, 6))
             pair = system.pair
         scale_calls.clear()
-        encoding_scales.clear()
+        Instance(inst.domains, inst.terms)
+        assert scale_calls == [entry_count(inst)]
+        scale_calls.clear()
         assert solve_stp(inst, pair).stats["path"] == "mincut"
-        assert scale_calls == [len(inst.terms)]
-        assert (encoded[-1] is inst) == (k % 2 == 0)
-        if encoded[-1] is inst:
-            assert encoding_scales == []
+        if k % 2:
+            assert encoded[-1] is not inst
+            assert scale_calls == [entry_count(encoded[-1])]
+        else:
+            assert encoded[-1] is inst and scale_calls == []
+    repeated = Instance(DomainSpec((2,)), [Term(CostTable(
+        (2, 2), [0, Fraction(1, 2), 1, 3]), (0, 0))])
+    scale_calls.clear()
+    Instance(repeated.domains, repeated.terms)
+    assert scale_calls == [4, 2]
 
 
-def test_one_scaling_per_stage2_run_and_per_verify(scale_calls):
+def test_stage2_and_verify_scale_nothing(scale_calls):
+    # verify and stage 2 read the term store of the instance they are
+    # given; stage 1 scales only the restricted instance it builds
     from vcsp.consistency import run_stage1
     from vcsp.operations import check_instance_multimorphism
     from vcsp.reduction import run_stage2
     rng = random.Random(20296)
     seen = Counter()
-    while min(seen["none"], seen["three or more"], seen["verify"]) < 3:
+    while min(seen["none"], seen["three or more"], seen["verify"],
+              seen["restricted"]) < 3:
         inst, system = random_boolean_mjn_instance(rng)
         scale_calls.clear()
         check_instance_multimorphism(inst, system)
-        assert scale_calls == [len(inst.terms)]
+        assert scale_calls == []
         seen["verify"] += 1
         stage1 = run_stage1(inst, system.normalized())
         if stage1 is None:
             continue
         _, inst_r, ops_r, net_r = stage1
+        built = [] if inst_r is inst else [entry_count(inst_r)] + (
+            [] if inst_r.merged is inst_r else [entry_count(inst_r.merged)])
+        assert scale_calls == built
+        seen["restricted"] += bool(built)
         trace = []
         scale_calls.clear()
         run_stage2(inst_r, ops_r, net_r, trace=trace)
-        assert scale_calls == [len(inst_r.terms)]
+        assert scale_calls == []
         if not trace:
             seen["none"] += 1
         elif len(trace) >= 3:
@@ -1321,11 +1386,6 @@ def test_tournament_order_matches_loop():
                          "not conservative"}
 
 
-def prune(inst):
-    """``_prune_unsupported`` on the instance's ``ScaledCosts``."""
-    return _prune_unsupported(inst, ScaledCosts(inst.terms))
-
-
 def test_prune_unsupported_matches_loop():
     rng = random.Random(20284)
     emptied = pruned = 0
@@ -1341,7 +1401,7 @@ def test_prune_unsupported_matches_loop():
                 shape, lambda *t: INF if rng.random() < 0.3 else Fraction(1)),
                 scope))
         inst = Instance(DomainSpec(sizes), terms)
-        keep = prune(inst)
+        keep = _prune_unsupported(inst)
         assert keep == loop_prune_unsupported(inst)
         emptied += any(not k for k in keep)
         pruned += sum(map(len, keep)) < sum(sizes)
@@ -1369,7 +1429,7 @@ def test_prune_mixes_inf_free_and_crisp_terms():
                     shape, lambda *t: INF if rng.random() < 0.4 else 0)
             terms.append(Term(table, scope))
         inst = Instance(DomainSpec(sizes), terms)
-        keep = prune(inst)
+        keep = _prune_unsupported(inst)
         assert keep == loop_prune_unsupported(inst)
         empty = {i for i, k in enumerate(keep) if not k}
         seen["emptied" if empty else "pruned" if sum(map(len, keep)) < sum(
@@ -1405,7 +1465,7 @@ def test_prune_propagates_along_chains(empty_start):
         terms.append(Term(CostTable((d,), [
             Fraction(a) if a < top else INF for a in range(d)]), (0,)))
         inst = Instance(DomainSpec((d,) * (n + 1)), terms)
-        keep = prune(inst)
+        keep = _prune_unsupported(inst)
         assert keep == loop_prune_unsupported(inst)
         if empty_start:
             assert keep == [set()] * (n + 1)
