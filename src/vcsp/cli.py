@@ -109,6 +109,9 @@ def main(argv=None):
         if args.command == "consistency":
             net = decompose_instance(instance, cap=args.cap)
             net, empty = enforce_strong_3_consistency(net)
+            # the network has no place for a constant term; one at INF
+            # leaves no feasible assignment, as solve and reduce report
+            empty = empty or instance.costs.infeasible_constant()
             if args.json:
                 print(json.dumps({"empty": empty,
                                   "network": net.dump().splitlines()}))

@@ -11,7 +11,10 @@ constructed (``Instance.costs``), with its exact costs scaled to integers by
 the LCM of their denominators.  ``CutEncoding`` builds the network in a few
 numpy passes over those arrays, as three arc arrays that ``MaxFlow`` takes
 as they are; exact capacities are Python ints, float costs keep their values
-and are summed in term order.
+and are summed in term order.  ``MaxFlow`` saturates the direct paths
+source -> u -> v -> sink first and pushes the rest along a search tree of
+Boykov and Kolmogorov (PAMI 2004); its minimum cut is the residual reach of
+the source, the same for every maximum flow.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from .operations import (
     ternary_polymorphism_closed,
 )
 from .reduction import run_stage2
+
+_ROOT, _ORPHAN = -1, -2  # parent arcs of MaxFlow's search tree
 
 
 @dataclass
@@ -121,19 +126,20 @@ def extract_tournament_order(pair):
 
 
 class MaxFlow:
-    """Dinic's algorithm, after one sweep that saturates the direct paths
-    s -> u -> v -> t, on arcs ``tail[k]`` -> ``head[k]`` of capacity
-    ``cap[k]``, INF for infinite.
+    """Maximum flow and a minimum cut on arcs ``tail[k]`` -> ``head[k]`` of
+    capacity ``cap[k]``, INF for infinite: one sweep that saturates the
+    direct paths s -> u -> v -> t, then a search tree of Boykov and
+    Kolmogorov (PAMI 2004), kept from one augmenting path to the next.
 
     Position p of the flat residual lists is an arc to ``to[p]`` with
     residual ``cap[p]`` and reverse ``rev[p]``; node u's arcs are
     ``start[u]`` to ``start[u + 1]``, each k before its reverse, in k order.
     Here INF is ``math.inf``; no push touches it, and an s-t path of
     infinite arcs alone is looked for first, so no sum meets it.  Other
-    capacities are added and compared as given: Python ints for exact
-    costs, floats in float mode.  In a cut network most flow runs on the
-    direct paths, one coupling between a source edge and a sink edge;
-    Dinic's phases push the rest.
+    capacities are non-negative and are added and compared as given: Python
+    ints for exact costs, floats in float mode.  In a cut network most flow
+    runs on the direct paths, one coupling between a source edge and a sink
+    edge; the search tree pushes the rest.
     """
 
     def __init__(self, n, tail, head, cap):
@@ -150,17 +156,16 @@ class MaxFlow:
         self.rev = at[order ^ 1].tolist()
         self.start = np.searchsorted(tails[order], np.arange(n + 1)).tolist()
 
-    def _bfs(self, s):
+    def _infinite_path(self, s, t):
+        """Whether t is reached from s over infinite arcs alone."""
         caps, to, start = self.cap, self.to, self.start
-        level = [-1] * self.n
-        level[s] = 0
-        queue = [s]
-        for u in queue:
+        reach, seen = [s], {s}
+        for u in reach:
             for e in range(start[u], start[u + 1]):
-                if caps[e] > 0 and level[to[e]] < 0:
-                    level[to[e]] = level[u] + 1
-                    queue.append(to[e])
-        return level
+                if caps[e] == math.inf and to[e] not in seen:
+                    seen.add(to[e])
+                    reach.append(to[e])
+        return t in seen
 
     def _augment(self, path):
         """Push the bottleneck of ``path``, arcs that all have residual
@@ -200,53 +205,103 @@ class MaxFlow:
                     break
         return total
 
-    def _dfs(self, s, t, level, it):
-        """Push flow along one s-t path of the level graph; 0 when none.
-
-        The path is kept on an explicit stack, so its length is not bounded
-        by the interpreter's recursion limit.  ``it`` holds each node's
-        current arc; an arc is skipped for the rest of the phase once no
-        path to t continues through it.
-        """
-        caps, to, start = self.cap, self.to, self.start
-        path = []
-        u = s
-        while u != t:
-            e, end, below = it[u], start[u + 1], level[u] + 1
-            while e < end and not (caps[e] > 0 and level[to[e]] == below):
-                e += 1
-            it[u] = e
-            if e < end:
-                path.append(e)
-                u = to[e]
-            elif path:
-                u = to[self.rev[path.pop()]]
-                it[u] += 1
-            else:
-                return 0
-        return self._augment(path)
-
     def max_flow(self, s, t):
         """Total flow value, or INF when an infinite augmenting path exists.
-        A finite flow leaves ``source_side``, the residual reach of s that
-        the last search found: the source side of a minimum cut, the same
-        for every maximum flow."""
-        caps, to, start = self.cap, self.to, self.start
-        reach, seen = [s], {s}  # over the infinite arcs alone
-        for u in reach:
-            for e in range(start[u], start[u + 1]):
-                if caps[e] == math.inf and to[e] not in seen:
-                    seen.add(to[e])
-                    reach.append(to[e])
-        if t in seen:
+
+        A finite flow leaves ``source_side``, the node set of the final
+        search tree S.  It is the residual reach of s.  Each node of S hangs
+        from s by a chain of tree arcs with residual capacity.  And once no
+        node is active, every residual arc out of S ends in S: each node of
+        S scanned its arcs when last active, a node that leaves S activates
+        its neighbours in S with a residual arc into it, and an arc into t
+        would have closed an augmenting path, one into a free node grown S.
+        The residual reach of s is the source side of a minimum cut, the
+        smallest one, the same for every maximum flow.
+        """
+        if self._infinite_path(s, t):
             return INF
-        total = self._push_direct(s, t)
-        while (level := self._bfs(s))[t] >= 0:
-            it = start[:-1]
-            while d := self._dfs(s, t, level, it):
-                total += d
-        self.source_side = {u for u in range(self.n) if level[u] >= 0}
+        return self._push_direct(s, t) + self._search_tree(s, t)
+
+    def _search_tree(self, s, t):
+        """Push the rest of the flow along paths of a search tree S grown
+        from s over residual arcs and kept from one push to the next;
+        returns the flow pushed and sets ``source_side``.
+
+        ``tree`` marks the nodes of S, and ``parent`` holds the arc into
+        each from its parent: _ROOT at s.  Active nodes wait in a queue,
+        each once (``queued``), and grow S onto free neighbours.  An arc
+        into t closes a path of tree arcs, which is pushed; S then adopts
+        the orphans that its saturated arcs leave (``_adopt``).  This is
+        the source tree of Boykov and Kolmogorov; their second tree, grown
+        into t, only added work on the cut networks measured here.
+        """
+        caps, to, rev, start = self.cap, self.to, self.rev, self.start
+        tree, parent = [False] * self.n, [_ORPHAN] * self.n
+        queued = [False] * self.n
+        tree[s] = queued[s] = True
+        parent[s] = _ROOT
+        active = collections.deque((s,))
+        total = 0
+        while active:
+            u = active[0]
+            bridge = None
+            for e in range(start[u], start[u + 1]) if tree[u] else ():
+                if caps[e] > 0:
+                    v = to[e]
+                    if v == t:
+                        bridge = e
+                        break
+                    if not tree[v]:
+                        tree[v], parent[v] = True, e
+                        if not queued[v]:
+                            queued[v] = True
+                            active.append(v)
+            if bridge is None:  # u is done, or was freed while queued
+                active.popleft()
+                queued[u] = False
+                continue
+            path = [bridge]  # u stays queued: it may reach t again
+            v = to[rev[bridge]]
+            while parent[v] >= 0:
+                path.append(parent[v])
+                v = to[rev[parent[v]]]
+            total += self._augment(path)
+            self._adopt([to[e] for e in path[1:] if caps[e] == 0],
+                        tree, parent, active, queued)
+        self.source_side = {u for u in range(self.n) if tree[u]}
         return total
+
+    def _adopt(self, orphans, tree, parent, active, queued):
+        """Give each orphan a new parent in S, or free it.
+
+        The new parent is the first neighbour in S, over a residual arc
+        into the orphan, whose parent chain ends at s, not at an orphan.  A
+        freed orphan orphans its children and activates its neighbours in
+        S that have a residual arc into it.
+        """
+        caps, to, rev, start = self.cap, self.to, self.rev, self.start
+        for v in orphans:
+            parent[v] = _ORPHAN
+        for v in orphans:  # grows as freed orphans orphan their children
+            for e in range(start[v], start[v + 1]):
+                w = to[e]
+                if caps[rev[e]] > 0 and tree[w]:
+                    while parent[w] >= 0:
+                        w = to[rev[parent[w]]]
+                    if parent[w] == _ROOT:
+                        parent[v] = rev[e]
+                        break
+            else:
+                tree[v] = False
+                for e in range(start[v], start[v + 1]):
+                    w = to[e]
+                    if tree[w]:
+                        if caps[rev[e]] > 0 and not queued[w]:
+                            queued[w] = True
+                            active.append(w)
+                        if parent[w] == e:
+                            parent[w] = _ORPHAN
+                            orphans.append(w)
 
 
 def _prune_unsupported(instance):

@@ -12,6 +12,7 @@ before use.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from vcsp.costs import INF, is_finite
@@ -237,6 +238,19 @@ def random_instance(rng, max_vars=6, max_size=4, ternary=True):
     for term in instance.terms:
         verify_term(system, term)
     return instance, system
+
+
+_CRITERION_1 = (random.Random(20240), [])
+
+
+def criterion_1_draws(count):
+    """The first ``count`` draws of ``random_instance`` from seed 20240,
+    the stream of the acceptance corpus, as (instance, system) pairs; each
+    is drawn once for all the tests that read them."""
+    rng, draws = _CRITERION_1
+    while len(draws) < count:
+        draws.append(random_instance(rng, max_vars=6, max_size=4))
+    return draws[:count]
 
 
 def mixed_chain(rng, n, d=3):

@@ -20,7 +20,8 @@ entry and a dict from (variable, level) to node; ``CutEncoding`` builds the
 same network on costs scaled to integers.  Each table that is not exact
 compares its couplings within the tolerance of its own costs.
 ``loop_prune_unsupported`` rescans every term's table on every sweep.
-``DinicMaxFlow`` is ``MaxFlow`` without its first sweep over the paths
+``DinicMaxFlow`` is the max-flow that ``MaxFlow`` ran before its search
+tree: Dinic's BFS phases, here without the first sweep over the paths
 s -> u -> v -> t.
 ``loop_find_seed`` is ``find_seed`` reading the whole outside mask of M
 (``PairSet.outside``) with ``np.argwhere``.
@@ -669,11 +670,58 @@ class LoopCutEncoding:
 
 
 class DinicMaxFlow(MaxFlow):
-    """``MaxFlow`` without the sweep over direct paths: Dinic's phases
-    alone push every unit of flow."""
+    """``MaxFlow`` with Dinic's phases in place of the sweep over direct
+    paths and the search tree: each phase is a BFS level graph from s and
+    depth-first paths along it, and the last BFS leaves ``source_side``."""
 
-    def _push_direct(self, s, t):
-        return 0
+    def _bfs(self, s):
+        caps, to, start = self.cap, self.to, self.start
+        level = [-1] * self.n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for e in range(start[u], start[u + 1]):
+                if caps[e] > 0 and level[to[e]] < 0:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
+        return level
+
+    def _dfs(self, s, t, level, it):
+        """Push flow along one s-t path of the level graph; 0 when none.
+
+        The path is kept on an explicit stack, so its length is not bounded
+        by the interpreter's recursion limit.  ``it`` holds each node's
+        current arc; an arc is skipped for the rest of the phase once no
+        path to t continues through it.
+        """
+        caps, to, start = self.cap, self.to, self.start
+        path = []
+        u = s
+        while u != t:
+            e, end, below = it[u], start[u + 1], level[u] + 1
+            while e < end and not (caps[e] > 0 and level[to[e]] == below):
+                e += 1
+            it[u] = e
+            if e < end:
+                path.append(e)
+                u = to[e]
+            elif path:
+                u = to[self.rev[path.pop()]]
+                it[u] += 1
+            else:
+                return 0
+        return self._augment(path)
+
+    def max_flow(self, s, t):
+        if self._infinite_path(s, t):
+            return INF
+        total = 0
+        while (level := self._bfs(s))[t] >= 0:
+            it = self.start[:-1]
+            while d := self._dfs(s, t, level, it):
+                total += d
+        self.source_side = {u for u in range(self.n) if level[u] >= 0}
+        return total
 
 
 def intersect(net, i, j, mat):

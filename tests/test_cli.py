@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes and determinism."""
 
+import hashlib
 import json
 import random
 import warnings
@@ -15,8 +16,9 @@ from vcsp.io_formats import (parse_instance_text, parse_ops_text,
 from vcsp.operations import OperationSystem, is_stp_on
 from vcsp.solvers import solve_bruteforce
 
-from harness import (minmax_system, random_boolean_mjn_instance,
-                     random_instance, submodular_chain)
+from harness import (criterion_1_draws, minmax_system,
+                     random_boolean_mjn_instance, random_instance,
+                     submodular_chain)
 
 D3 = DomainSpec((3, 3))
 UNARY_3X3 = ("vcsp 2\ndomains 3 3\nterm 1 1\ndefault 0\nentry 2 1\n"
@@ -371,6 +373,35 @@ class TestConsistency:
         assert main(["consistency", str(ipath)]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "empty true"
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_infinite_constant_empties_the_network(self, tmp_path, capsys,
+                                                   as_json):
+        # the constant term is infinite, so no assignment is feasible, as
+        # oracle, solve and reduce report; the network lines stay the full
+        # relations of the other term, which has no place for the constant
+        text = ("vcsp 2\ndomains 2 2\nterm 0\ndefault inf\n"
+                "term 1 1\ndefault 1\n")
+        ipath = tmp_path / "inst.vcsp"
+        ipath.write_text(text)
+        opath = tmp_path / "system.ops"
+        opath.write_text(serialize_ops(minmax_system(DomainSpec((2, 2)))))
+        assert main(["oracle", str(ipath)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "optimum inf"
+        assert main(["solve", str(ipath), str(opath)]) == 0
+        assert capsys.readouterr().out.splitlines()[::2] == [
+            "optimum inf", "stat path infeasible"]
+        assert main(["reduce", str(ipath), str(opath)]) == 0
+        assert capsys.readouterr().out == "empty true\n"
+        network = ["unary 1 11", "unary 2 11", "binary 1 2 1111"]
+        if as_json:
+            assert main(["consistency", "--json", str(ipath)]) == 0
+            assert json.loads(capsys.readouterr().out) == {
+                "empty": True, "network": network}
+        else:
+            assert main(["consistency", str(ipath)]) == 0
+            assert capsys.readouterr().out.splitlines() == [
+                "empty true"] + network
+
     def test_repeated_variable_outside_the_projected_pair(self, tmp_path,
                                                           capsys):
         # on scope (1, 2, 3, 1) tuple 1 0 0 0 gives variable 1 two labels,
@@ -645,3 +676,34 @@ def test_input_pair_already_fails_a_term(tmp_path, capsys, flags, system,
     assert main([command, str(ipath), str(opath), *flags]) == code
     out = serialize_ops(system) if code == 0 else ""
     assert capsys.readouterr() == (out, error)
+
+
+# -- byte identity of the CLI on the criterion-1 draws ------------------------
+
+# SHA-256 over every command's exit code, stdout, stderr and trace file on
+# the first 100 seed-20240 draws of random_instance.  It was computed with
+# Dinic's phases as the max-flow, so it also shows that the search tree
+# prints the same bytes.  A change of output on purpose updates it.
+CLI_BYTES_DIGEST = (
+    "ca26d4e02c70c2209bbb20b80ca7b8c531092042ed76d91f4f3ca99cc1b11964")
+
+
+def test_cli_bytes_on_the_criterion_1_draws(tmp_path, capsys):
+    # the answers, the float answers, the stage-2 traces and the networks
+    # that every solver change leaves as they are, in one digest
+    digest = hashlib.sha256()
+    ipath, opath = tmp_path / "inst.vcsp", tmp_path / "ops.ops"
+    tpath = tmp_path / "trace.txt"
+    for inst, system in criterion_1_draws(100):
+        ipath.write_text(serialize_instance(inst))
+        opath.write_text(serialize_ops(system))
+        for command in (["solve"], ["solve", "--json"], ["solve", "--float"],
+                        ["reduce", "--trace", str(tpath)], ["consistency"]):
+            files = [str(ipath)] if command == ["consistency"] else [
+                str(ipath), str(opath)]
+            tpath.write_text("")
+            code = main([command[0], *files, *command[1:]])
+            out, err = capsys.readouterr()
+            for part in (str(code), out, err, tpath.read_text()):
+                digest.update(part.encode() + b"\0")
+    assert digest.hexdigest() == CLI_BYTES_DIGEST

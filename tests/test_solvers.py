@@ -28,12 +28,14 @@ from vcsp import (
 )
 from vcsp.consistency import BinaryNetwork
 from vcsp.costs import cost_eq, integer_costs, is_finite, scale_entries
+from vcsp.io_formats import parse_instance_text, serialize_instance
 from vcsp.model import _INT64_LIMIT, ScaledCosts
 from vcsp.operations import OperationSystem, is_stp_on
 from vcsp.solvers import (CutEncoding, MaxFlow, _check_network_closed,
                           _prune_unsupported, run_validate)
 
 from harness import (
+    criterion_1_draws,
     minmax_system,
     mixed_chain,
     random_boolean_mjn_instance,
@@ -42,6 +44,7 @@ from harness import (
     random_submodular_table,
     random_unary,
     submodular_chain,
+    submodular_ladder,
 )
 from oracles import (DinicMaxFlow, LoopCutEncoding, intersect,
                      loop_extract_tournament_order, loop_is_stp_on,
@@ -138,6 +141,43 @@ def network(n, edges, flow=MaxFlow):
     """A max-flow over (tail, head, capacity) triples, INF for infinite."""
     return flow(n, [u for u, _, _ in edges], [v for _, v, _ in edges],
                 [cap for _, _, cap in edges])
+
+
+class FreeingMaxFlow(MaxFlow):
+    """``MaxFlow`` counting the orphans its search tree frees: adoption
+    frees nodes and grows none, so each call's new free nodes are its."""
+
+    freed = 0
+
+    def _adopt(self, orphans, tree, parent, active, queued):
+        before = tree.count(False)
+        super()._adopt(orphans, tree, parent, active, queued)
+        self.freed += tree.count(False) - before
+
+
+def assert_same_cut(n, tail, head, cap):
+    """The search tree and Dinic's phases agree on the value and the
+    source side; returns the number of orphans the tree freed."""
+    got, want = (FreeingMaxFlow(n, tail, head, cap),
+                 DinicMaxFlow(n, tail, head, cap))
+    value = got.max_flow(0, 1)
+    assert value == want.max_flow(0, 1)
+    if value is not INF:
+        assert got.source_side == want.source_side
+    return got.freed
+
+
+def far_end_ising(n):
+    """Ising chain of ``n`` Boolean variables whose first variable prefers
+    1 and whose last prefers 0, both strongly: every augmenting path runs
+    along the chain."""
+    strong = Fraction(10)
+    couple = CostTable((2, 2), [Fraction(0), Fraction(1), Fraction(1),
+                                Fraction(0)])
+    terms = [Term(CostTable((2,), [strong, Fraction(0)]), (0,)),
+             Term(CostTable((2,), [Fraction(0), strong]), (n - 1,))]
+    terms += [Term(couple, (v, v + 1)) for v in range(n - 1)]
+    return Instance(DomainSpec((2,) * n), terms)
 
 
 class TestMaxFlow:
@@ -243,6 +283,92 @@ class TestMaxFlow:
                 (0, u) in arcs and (v, 1) in arcs
                 for u, v in arcs if {u, v}.isdisjoint((0, 1)))
         assert min(seen.values()) >= 30
+
+    def test_tree_adopts_and_frees_orphans(self):
+        # random networks of 10 to 40 nodes with a long infinite chain,
+        # parallel arcs, self-loops and arcs into s and out of t, on
+        # Fraction capacities and ints past 2**63 and past the float range:
+        # the search tree re-adopts and frees orphans, and still ends on the
+        # value and the source side of Dinic's phases.  Capacities of one
+        # or two units let a push saturate several tree arcs at once.
+        rng = random.Random(20323)
+        seen = Counter()
+        for _ in range(300):
+            n = rng.randint(10, 40)
+            unit = rng.choice((1, Fraction(1, 3), 2**64 + 1, 10**400))
+
+            def cap():
+                return INF if rng.random() < 0.1 else rng.randint(1, 2) * unit
+
+            edges = [(rng.randrange(n), rng.randrange(n), cap())
+                     for _ in range(rng.randint(n, 3 * n))]
+            chain = rng.sample(range(2, n), rng.randint(2, n - 2))
+            edges += [(u, v, INF) for u, v in zip(chain, chain[1:])]
+            loop = rng.randrange(n)
+            edges += [(rng.randrange(n), 0, cap()),
+                      (1, rng.randrange(n), cap()), (loop, loop, cap())]
+            edges += edges[:len(edges) // 2]  # parallel arcs
+            rng.shuffle(edges)
+            freed = assert_same_cut(n, *zip(*edges))
+            seen["freed" if freed else "kept"] += 1
+        assert seen["freed"] >= 30 and seen["kept"] >= 30
+
+    def test_freed_orphan_grows_back_from_an_adopted_one(self):
+        # the push 0 -> 5 -> 2 -> 4 -> 1 saturates the first of each
+        # parallel pair; orphan 2 comes first and is freed, since its one
+        # neighbour 5 is an orphan too, then 5 is adopted over the second
+        # arc from 0: freeing 2 must have activated 5, which grows S back
+        # over 2 and 4
+        edges = [(5, 2, 3), (0, 5, 3), (0, 5, 3), (5, 2, 3), (4, 1, 3),
+                 (2, 4, INF)]
+        f = network(6, edges, FreeingMaxFlow)
+        assert f.max_flow(0, 1) == 3
+        assert f.source_side == {0, 2, 4, 5}
+        assert f.freed == 2
+        assert assert_same_cut(6, *zip(*edges)) == 2
+
+    @pytest.mark.parametrize("width, columns", [(1, 10), (1, 1000), (3, 30),
+                                                (3, 1000)])
+    def test_ladder_networks_match_dinic(self, width, columns):
+        inst, _ = submodular_ladder(random.Random(20327 + columns), width,
+                                    columns)
+        enc = CutEncoding(inst)
+        assert_same_cut(enc.n_nodes, enc.tail, enc.head, enc.cap)
+
+    def test_far_end_ising_network_matches_dinic(self):
+        # each augmenting path saturates arcs deep in the tree: the orphans
+        # below them are freed and grown again, many times over
+        enc = CutEncoding(far_end_ising(1200))
+        assert assert_same_cut(enc.n_nodes, enc.tail, enc.head, enc.cap) >= 30
+
+    def test_float_draws_match_dinic(self, monkeypatch):
+        # float sums depend on the order of augmentation: on the
+        # criterion-1 draws parsed with float costs, the search tree's optimum
+        # is cost_eq to that of Dinic's phases, at the same argmin
+        import vcsp.solvers as solvers
+        networks = []
+
+        class Recorded(MaxFlow):
+            def __init__(self, *args):
+                networks.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(solvers, "MaxFlow", Recorded)
+        for inst, system in criterion_1_draws(250):
+            inst = parse_instance_text(serialize_instance(inst),
+                                       float_mode=True)
+            try:
+                solve_pipeline(inst, system)
+            except VcspError:
+                pass
+        for args in networks:
+            got, want = MaxFlow(*args), DinicMaxFlow(*args)
+            value = got.max_flow(0, 1)
+            assert cost_eq(value, want.max_flow(0, 1))
+            if value is not INF:
+                assert got.source_side == want.source_side
+        assert len(networks) >= 25
+        assert any(type(c) is float for args in networks for c in args[3])
 
 
 class TestMincut:
@@ -391,13 +517,8 @@ class TestSolveStp:
         # a recursive augmenting-path search overflowed the interpreter's
         # recursion limit here: the first variable prefers 1, the far end 0
         n = 1200
-        strong = Fraction(10)
-        couple = CostTable((2, 2), [Fraction(0), Fraction(1), Fraction(1),
-                                    Fraction(0)])
-        terms = [Term(CostTable((2,), [strong, Fraction(0)]), (0,)),
-                 Term(CostTable((2,), [Fraction(0), strong]), (n - 1,))]
-        terms += [Term(couple, (v, v + 1)) for v in range(n - 1)]
-        inst = Instance(DomainSpec((2,) * n), terms)
+        inst = far_end_ising(n)
+        terms = inst.terms
         unary = [[Fraction(0)] * 2 for _ in range(n)]
         links = [None] * n
         for term in terms:
