@@ -681,16 +681,17 @@ def test_input_pair_already_fails_a_term(tmp_path, capsys, flags, system,
 # -- byte identity of the CLI on the criterion-1 draws ------------------------
 
 # SHA-256 over every command's exit code, stdout, stderr and trace file on
-# the first 100 seed-20240 draws of random_instance.  It was computed with
-# Dinic's phases as the max-flow, so it also shows that the search tree
-# prints the same bytes.  A change of output on purpose updates it.
+# the first 100 seed-20240 draws of random_instance.  Every command but
+# ``solve --paranoid`` and ``verify`` printed the same bytes with Dinic's
+# phases as the max-flow.  A change of output on purpose updates it.
 CLI_BYTES_DIGEST = (
-    "ca26d4e02c70c2209bbb20b80ca7b8c531092042ed76d91f4f3ca99cc1b11964")
+    "d1ff8f28efc50dbddfc79ffa48a8fd086e656e906acc2603ec3f42a277519582")
 
 
 def test_cli_bytes_on_the_criterion_1_draws(tmp_path, capsys):
-    # the answers, the float answers, the stage-2 traces and the networks
-    # that every solver change leaves as they are, in one digest
+    # the answers, the float answers, the paranoid checks, the verdicts of
+    # verify, the stage-2 traces and the networks that every solver change
+    # leaves as they are, in one digest
     digest = hashlib.sha256()
     ipath, opath = tmp_path / "inst.vcsp", tmp_path / "ops.ops"
     tpath = tmp_path / "trace.txt"
@@ -698,6 +699,7 @@ def test_cli_bytes_on_the_criterion_1_draws(tmp_path, capsys):
         ipath.write_text(serialize_instance(inst))
         opath.write_text(serialize_ops(system))
         for command in (["solve"], ["solve", "--json"], ["solve", "--float"],
+                        ["solve", "--paranoid"], ["verify"],
                         ["reduce", "--trace", str(tpath)], ["consistency"]):
             files = [str(ipath)] if command == ["consistency"] else [
                 str(ipath), str(opath)]
