@@ -12,12 +12,13 @@ distinct i, j, k prune paths.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .costs import is_finite
 from .errors import CapExceeded, StageError, VcspError
-from .model import (DEFAULT_CAP, CostTable, DomainSpec, Instance, Term,
-                    arity_masks)
+from .model import DEFAULT_CAP, CostTable, DomainSpec, Instance, Term
 
 
 def compose(rel_a, rel_b):
@@ -83,16 +84,16 @@ def decompose_instance(instance, cap=DEFAULT_CAP):
 
     Terms are projected as ``instance.merged`` holds them, so a tuple giving
     one variable two labels never counts.  Pairs never jointly constrained
-    start as full products.  Per arity group of the merged instance's
-    ``arity_masks`` and axis pair p <= q, one unbuffered AND-reduction
+    start as full products.  Per arity of the merged instance's
+    ``costs.masks`` and axis pair p <= q, one unbuffered AND-reduction
     narrows the blocks ``R[i, j]`` and one their transposes ``R[j, i]``; for
     p = q, the diagonal of ``R[i, i]``.
     """
-    for size in (len(t.table.entries) for t in instance.terms):
-        if size > cap:
-            raise CapExceeded(size, cap)
+    for _, shape, *_ in instance.costs.groups:  # by their first terms
+        if math.prod(shape) > cap:
+            raise CapExceeded(math.prod(shape), cap)
     net = BinaryNetwork(instance.domains)
-    for _, scopes, masks in arity_masks(instance.merged.costs.groups):
+    for _, scopes, masks in instance.merged.costs.masks.values():
         shape = masks.shape[1:]
         for p in range(len(shape)):
             diag = np.arange(shape[p])
@@ -143,8 +144,9 @@ def certify_decomposition(instance):
     polymorphism always passes (Baker-Pixley).  The cost is exponential in
     term arity only.
     """
-    for _, _, masks in arity_masks([g for g in instance.merged.costs.groups
-                                    if not 0 < len(g[1]) <= 2]):
+    for k, (_, _, masks) in instance.merged.costs.masks.items():
+        if 0 < k <= 2:
+            continue
         joined = np.ones_like(masks)
         for p in range(masks.ndim - 1):
             for q in range(p + 1, masks.ndim - 1):

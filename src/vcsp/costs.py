@@ -72,25 +72,25 @@ def is_finite(c):
     return c is not INF
 
 
-def tolerance(scale, costs):
-    """Exact costs (``integer_costs`` gave them a ``scale``) compare exactly;
-    others within ``FLOAT_TOL`` times the largest finite magnitude (at least
-    1) among ``costs``, the costs compared or summed, as rounding grows with
-    it."""
-    return 0 if scale is not None else FLOAT_TOL * max(
-        [1] + [abs(c) for c in costs if c is not INF])
-
-
 #: The types of exact costs, which ``integer_costs`` scales.
 EXACT_TYPES = (int, Fraction)
+
+
+def tolerance(costs):
+    """0 when every finite cost among ``costs``, the costs compared or
+    summed, is exact; otherwise ``FLOAT_TOL`` times their largest finite
+    magnitude (at least 1), as rounding grows with it."""
+    finite = [c for c in costs if c is not INF]
+    if all(isinstance(c, EXACT_TYPES) for c in finite):
+        return 0
+    return FLOAT_TOL * max([1] + [abs(c) for c in finite])
 
 
 def cost_eq(a, b):
     """a == b, within ``tolerance`` of the two costs; INF equals only INF."""
     if a is INF or b is INF:
         return a is b
-    exact = isinstance(a, EXACT_TYPES) and isinstance(b, EXACT_TYPES)
-    return a == b or not exact and abs(a - b) <= tolerance(None, (a, b))
+    return a == b or abs(a - b) <= tolerance((a, b))
 
 
 def integer_costs(tables):

@@ -5,10 +5,12 @@ variable.  Tables are dense; desk-scale arities and domain sizes make that the
 simplest exact representation.
 
 An ``Instance`` builds its term store once, when it is constructed: its
-``costs`` (``ScaledCosts``) hold the terms grouped by table shape and cost
-class, with the exact costs scaled to integers by one LCM and a feasible mask
-per group, and ``merged`` is the instance with no repeated scope variable.
-Every stage reads these; none groups, scales or masks the entries again.
+``costs`` (``ScaledCosts``) hold the terms grouped by table shape, with the
+exact costs scaled to integers by one LCM and a feasible mask per group, and
+``merged`` is the instance with no repeated scope variable.  The store's
+per-arity view of the feasible masks (``ScaledCosts.masks``) is built on
+its first read and kept.  Every stage reads these; none groups, scales or
+masks the entries again.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import EXACT_TYPES, INF, integer_costs, is_finite, tolerance
+from .costs import INF, integer_costs, is_finite, tolerance
 from .errors import CapExceeded, VcspError
 
 #: Default cap on the number of tuples any single enumeration may visit.
@@ -173,34 +175,25 @@ class ScaledCosts:
     ``Instance`` holds its own as ``costs``, and every stage reads it.
 
     ``scale`` is the LCM of every denominator (``integer_costs``), or None
-    when some cost is not exact.  ``groups`` hold the terms by table shape
-    and cost class (exact or not), in the order of their first terms, each
-    as ``(term indices, shape, costs [term, entry], feasible [term, entry],
-    scopes [term, position], tol [term])``.  With a ``scale`` and every
-    scaled cost below 2**59, the costs are int64 with INF read as 2**61, so
-    that a sum holding INF exceeds every sum of three finite costs and no
-    sum of three overflows.  Otherwise the scaled costs, or without a
-    ``scale`` the tables' own values, go into an object array, INF
-    included; an inexact table (floats, any other mix) compares within the
-    ``tolerance`` of its own costs, ``tol``, None for exact groups.
+    when some cost is not exact.  ``groups`` hold the terms by table shape,
+    in the order of their first terms, each as ``(term indices, shape,
+    costs [term, entry], feasible [term, entry], scopes [term, position],
+    tol [term])``.  With a ``scale`` and every scaled cost below 2**59, the
+    costs are int64 with INF read as 2**61, so that a sum holding INF
+    exceeds every sum of three finite costs and no sum of three overflows.
+    Otherwise the scaled costs, or without a ``scale`` the tables' own
+    values, go into an object array, INF included.  ``tol`` is None with a
+    ``scale``; without one it holds each table's ``tolerance``, 0 for an
+    exact table, within which its sums compare.
     """
 
     def __init__(self, terms):
-        def grouped(key):
-            members = {}
-            for idx, term in enumerate(terms):
-                members.setdefault(key(term), []).append(idx)
-            return members, list(itertools.chain.from_iterable(
-                terms[i].table.entries for idxs in members.values()
-                for i in idxs))
-
-        members, flat = grouped(lambda term: (term.table.shape, True))
+        members = {}
+        for idx, term in enumerate(terms):
+            members.setdefault(term.table.shape, []).append(idx)
+        flat = list(itertools.chain.from_iterable(
+            terms[i].table.entries for idxs in members.values() for i in idxs))
         self.scale, (scaled,) = integer_costs([flat])
-        if self.scale is None:  # the cost class splits the groups
-            members, flat = grouped(lambda term: (term.table.shape, all(
-                e is INF or isinstance(e, EXACT_TYPES)
-                for e in term.table.entries)))
-            scaled = flat
         feasible = np.fromiter(map(operator.is_not, flat, itertools.repeat(
             INF)), bool, len(flat))
         values = np.array(scaled, dtype=object)
@@ -212,16 +205,42 @@ class ScaledCosts:
             np.intp)
         self.groups = []
         entry = position = 0
-        for (shape, exact), idxs in members.items():
+        for shape, idxs in members.items():
             entries_at = slice(entry, entry + len(idxs) * math.prod(shape))
             scopes_at = slice(position, position + len(idxs) * len(shape))
             entry, position = entries_at.stop, scopes_at.stop
             costs = values[entries_at].reshape(len(idxs), -1)
-            tol = None if exact else np.array(
-                [tolerance(None, row) for row in costs], dtype=object)
+            tol = None if self.scale is not None else np.array(
+                [tolerance(row) for row in costs], dtype=object)
             self.groups.append((
                 idxs, shape, costs, feasible[entries_at].reshape(len(idxs), -1),
                 scopes[scopes_at].reshape(len(idxs), len(shape)), tol))
+
+    @functools.cached_property
+    def masks(self):
+        """The feasible sets of the terms per arity k, in the order of the
+        arities' first groups, as ``{k: (term indices in term order, scopes
+        [T, k], masks [T, D_1, ..., D_k])}``, padded with False to the
+        largest table extents of the arity; the masks of an arity held by
+        one group are its own."""
+        by_arity = {}
+        for idxs, shape, _, feasible, scopes, _ in self.groups:
+            by_arity.setdefault(len(shape), []).append(
+                (idxs, shape, feasible.reshape((-1,) + shape), scopes))
+        out = {}
+        for k, parts in by_arity.items():
+            idxs, _, masks, scopes = parts[0]
+            if len(parts) > 1:
+                idxs = sorted(i for part in parts for i in part[0])
+                masks = np.zeros((len(idxs),) + tuple(map(max, zip(*(
+                    part[1] for part in parts)))), dtype=bool)
+                scopes = np.zeros((len(idxs), k), dtype=np.intp)
+                for members, shape, part, part_scopes in parts:
+                    at = np.searchsorted(idxs, members)
+                    masks[(at,) + tuple(map(slice, shape))] = part
+                    scopes[at] = part_scopes
+            out[k] = idxs, scopes, masks
+        return out
 
     def infeasible_constant(self):
         """True when a constant term (one over no variable) is INF."""
@@ -240,31 +259,6 @@ class ScaledCosts:
                 return INF
             total = total + sum(costs[at].tolist())
         return total
-
-
-def arity_masks(groups):
-    """The feasible sets of the terms of ``groups`` (``ScaledCosts.groups``)
-    per arity k, as ``(term indices in term order, scopes [T, k], masks [T,
-    D_1, ..., D_k])``, padded with False to the largest table extents of
-    the arity; the masks of an arity held by one group are its own."""
-    by_arity = {}
-    for idxs, shape, _, feasible, scopes, _ in groups:
-        by_arity.setdefault(len(shape), []).append(
-            (idxs, shape, feasible.reshape((-1,) + shape), scopes))
-    out = []
-    for k, parts in by_arity.items():
-        idxs, _, masks, scopes = parts[0]
-        if len(parts) > 1:
-            idxs = sorted(i for part in parts for i in part[0])
-            masks = np.zeros((len(idxs),) + tuple(map(max, zip(*(
-                part[1] for part in parts)))), dtype=bool)
-            scopes = np.zeros((len(idxs), k), dtype=np.intp)
-            for members, shape, part, part_scopes in parts:
-                at = np.searchsorted(idxs, members)
-                masks[(at,) + tuple(map(slice, shape))] = part
-                scopes[at] = part_scopes
-        out.append((idxs, scopes, masks))
-    return out
 
 
 class Instance:

@@ -22,20 +22,21 @@ entry by entry would find first, in the order its docstring states.
 
 The multimorphism checks share one numpy kernel that is exact.  They read the
 term store of ``model.ScaledCosts`` (an instance's ``costs``, or one built for
-a list of terms): the terms grouped by table shape and cost class, exact costs
-scaled to integers by one LCM of all their denominators (int64 below 2**59,
-Python ints in an object array above), float tables and any other mix as their
-Python values.  Each group is one kernel call, in batches of terms of falling
-count of feasible tuples.  INF reads as a value above every sum of finite
-costs, so that an infeasible image is a violation, and each inexact table's
-sums compare within the tolerance of its own costs (``costs.tolerance``).  A
-check returns the first failing term in term order, and as its witness the
+a list of terms): the terms grouped by table shape, exact costs scaled to
+integers by one LCM of all their denominators (int64 below 2**59, Python ints
+in an object array above), float tables and any other mix as their Python
+values.  Each group is one kernel call, in batches of terms of falling count
+of feasible tuples.  INF reads as a value above every sum of finite costs, so
+that an infeasible image is a violation, and each table's sums compare within
+the tolerance of its own costs (``costs.tolerance``, 0 for an exact table).
+A check returns the first failing term in term order, and as its witness the
 first violation in row-major order over ``table.dom()``.  Given the ranks of
 orders in which the pair is min/max, the binary check passes unary tables and
 reads exact finite pairwise tables by their adjacent 2x2 minors, and runs the
-kernel only where that test fails or does not apply.
-``ternary_polymorphism_closed`` runs the kernel on the crisp costs of an
-instance's feasible masks.
+kernel only where that test fails or does not apply.  ``_unclosed`` runs the
+kernel on the crisp costs of stacked relation masks: the per-arity masks of an
+instance's store in ``ternary_polymorphism_closed``, and the blocks of a
+binary network in the ``--paranoid`` check of ``solvers``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, VcspError
-from .model import DomainSpec, ScaledCosts, _layout, arity_masks
+from .model import ScaledCosts, _layout
 
 #: Largest temporary array of the multimorphism kernel, in elements; small
 #: enough that a group of thousands of terms adds little to peak memory.
@@ -616,24 +617,29 @@ def check_ternary_multimorphism(terms, triple):
     return _first_violation(terms, triple.index_stacks())
 
 
+def _unclosed(masks, scopes, stacks):
+    """None when the relations ``masks`` [relation, D_1, ..., D_k] over
+    ``scopes`` [relation, k] are closed under the conservative ``stacks``,
+    else (position of the first that is not, its witness): the kernel on
+    the crisp costs 0 (feasible) and 1 (infeasible)."""
+    feasible = masks.reshape(len(masks), math.prod(masks.shape[1:]))
+    if feasible.all():
+        return None
+    return _group_violation(masks.shape[1:], (~feasible).view(np.uint8),
+                            feasible, scopes, None, stacks)
+
+
 def ternary_polymorphism_closed(op, instance):
     """(True, None) when the componentwise image under the conservative
     ``op`` of every ordered triple of each term's feasible tuples is
     feasible, else (False, the first term in term order where one is not):
-    per arity group of ``arity_masks`` of its costs, the multimorphism kernel
-    with the one component ``op`` on the crisp costs 0 (feasible) and 1
-    (infeasible).  The image of three tuples over fewer than two positions
-    is one of them, and a group in which every tuple is feasible is closed
-    as it stands, so neither is checked."""
+    ``_unclosed`` per arity of the instance's ``costs.masks``.  The image
+    of three tuples over fewer than two positions is one of them, so those
+    arities are not checked."""
     stack = op.index_stack()[None]
     hits = []
-    for idxs, scopes, masks in arity_masks(
-            [g for g in instance.costs.groups if len(g[1]) > 1]):
-        feasible = masks.reshape(len(idxs), -1)
-        if feasible.all():
-            continue
-        hit = _group_violation(masks.shape[1:], (~feasible).view(np.uint8),
-                               feasible, scopes, None, stack)
+    for k, (idxs, scopes, masks) in instance.costs.masks.items():
+        hit = _unclosed(masks, scopes, stack) if k > 1 else None
         if hit is not None:
             hits.append(idxs[hit[0]])
     return (False, min(hits)) if hits else (True, None)

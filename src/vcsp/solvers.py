@@ -33,8 +33,9 @@ import numpy as np
 from .consistency import restrict_instance, run_stage1
 from .costs import INF, cost_eq
 from .errors import StageError, VcspError
-from .model import DEFAULT_CAP, CostTable, Term
+from .model import DEFAULT_CAP
 from .operations import (
+    _unclosed,
     build_majority,
     check_binary_multimorphism,
     is_stp_on,
@@ -669,23 +670,17 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP):
 
 
 def _check_network_closed(net, pair):
-    """Diagnostic: every network relation, as a crisp table, admits ``pair``.
+    """Diagnostic: every network relation ``R[i, j]``, i < j, is closed
+    under ``pair`` (``operations._unclosed`` on the blocks of ``net.R``).
 
     Once stage 1 is certified the relations are implied by the instance's
     own terms, so stage 3 solves without them; ``paranoid`` pipeline runs
     still check here that the final pair preserves them.
     """
-    n = net.domains.variable_count
-    terms = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            rel = net.rel(i, j)
-            terms.append(Term(CostTable.relation(
-                rel.shape, {(int(a), int(b)) for a, b in zip(*rel.nonzero())}),
-                (i, j)))
-    ok, hit = check_binary_multimorphism(terms, pair)
-    if not ok:
-        (i, j), witness = terms[hit[0]].scope, hit[1]
+    scopes = np.transpose(np.triu_indices(net.domains.variable_count, 1))
+    hit = _unclosed(net.R[tuple(scopes.T)], scopes, pair.index_stacks())
+    if hit is not None:
+        (i, j), witness = scopes[hit[0]].tolist(), hit[1]
         raise StageError(
             "solve", f"network relation on variables {i} and {j} is "
             f"not closed under the final pair at {witness}",

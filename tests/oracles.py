@@ -51,7 +51,12 @@ order.
 stages ran before each ``Instance`` built its term store
 (``ScaledCosts.masks`` derives the same masks from the store's groups), and
 ``PerCallScaledCosts`` is the store as one call built it from a list of
-terms, with a Python list of scaled entries per table.
+terms, with a Python list of scaled entries per table and each table's
+``tolerance`` taken from that list.
+``crisp_term_check_network_closed`` is the ``--paranoid`` network check
+that built one crisp ``Term`` per relation ``R[i, j]``, i < j, and ran
+``check_binary_multimorphism`` on their ``ScaledCosts``, where the library
+reads the blocks of ``net.R`` as masks: same errors, same witnesses.
 
 ``intersect`` narrows one relation of a network and its transpose.
 ``apply_pair``, ``conservative_violation``, ``classify_pair``,
@@ -87,7 +92,8 @@ from vcsp.errors import (CapExceeded, FormatError, StageError, ValidationError,
 from vcsp.model import (_INT64_INF, _INT64_LIMIT, DEFAULT_CAP, CostTable,
                         DomainSpec, Instance, Term, merge_repeated)
 from vcsp.operations import (BinaryPair, MjnTriple, OperationSystem, PairSet,
-                             TernaryOp, all_label_pairs)
+                             TernaryOp, all_label_pairs,
+                             check_binary_multimorphism)
 from vcsp.reduction import ReductionState
 from vcsp.solvers import MaxFlow, TournamentOrder
 
@@ -250,12 +256,9 @@ class PerCallScaledCosts:
     def __init__(self, terms):
         self.scale, self.rows = integer_costs(
             [term.table.entries for term in terms])
-        exact = [self.scale is not None or all(
-            e is INF or isinstance(e, EXACT_TYPES) for e in entries)
-            for entries in self.rows]
         members = {}
-        for idx, (term, x) in enumerate(zip(terms, exact)):
-            members.setdefault((term.table.shape, x), []).append(idx)
+        for idx, term in enumerate(terms):
+            members.setdefault(term.table.shape, []).append(idx)
         flat = [e for idxs in members.values() for i in idxs
                 for e in self.rows[i]]
         if self.scale is not None and max(
@@ -270,18 +273,42 @@ class PerCallScaledCosts:
                            for v in terms[i].scope], dtype=np.intp)
         self.groups = []
         entry = position = 0
-        for (shape, x), idxs in members.items():
+        for shape, idxs in members.items():
             entries_at = slice(entry, entry + len(idxs) * math.prod(shape))
             scopes_at = slice(position, position + len(idxs) * len(shape))
             entry, position = entries_at.stop, scopes_at.stop
             costs = values[entries_at].reshape(len(idxs), -1)
-            tol = None if x else np.array(
-                [tolerance(None, row) for row in costs], dtype=object)
+            tol = None if self.scale is not None else np.array(
+                [tolerance(self.rows[i]) for i in idxs], dtype=object)
             self.groups.append((idxs, shape, costs,
                                 feasible[entries_at].reshape(len(idxs), -1),
                                 scopes[scopes_at].reshape(len(idxs),
                                                           len(shape)),
                                 tol))
+
+
+def crisp_term_check_network_closed(net, pair):
+    """Diagnostic: every network relation, as a crisp table, admits ``pair``.
+
+    Once stage 1 is certified the relations are implied by the instance's
+    own terms, so stage 3 solves without them; ``paranoid`` pipeline runs
+    still check here that the final pair preserves them.
+    """
+    n = net.domains.variable_count
+    terms = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            rel = net.rel(i, j)
+            terms.append(Term(CostTable.relation(
+                rel.shape, {(int(a), int(b)) for a, b in zip(*rel.nonzero())}),
+                (i, j)))
+    ok, hit = check_binary_multimorphism(terms, pair)
+    if not ok:
+        (i, j), witness = terms[hit[0]].scope, hit[1]
+        raise StageError(
+            "solve", f"network relation on variables {i} and {j} is "
+            f"not closed under the final pair at {witness}",
+            witness=(i, j, witness))
 
 
 def loop_binary_multimorphism(table, pair, scope, tol=0):
@@ -609,7 +636,7 @@ class LoopCutEncoding:
         alpha = second_differences()
         exact = all(isinstance(e, EXACT_TYPES) for e in table.entries
                     if e is not INF)
-        tol = 0 if exact else tolerance(None, table.entries)
+        tol = 0 if exact else tolerance(table.entries)
         top = max((x for row in alpha for x in row), default=0)
         if top > tol:
             # the clamped table is not submodular: add top times the

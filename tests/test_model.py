@@ -20,9 +20,9 @@ from vcsp import (
     Term,
     VcspError,
 )
-from vcsp.costs import cost_eq, format_cost, is_finite, parse_cost
+from vcsp.costs import FLOAT_TOL, cost_eq, format_cost, is_finite, parse_cost
 from vcsp.errors import FormatError
-from vcsp.model import arity_masks, merge_repeated
+from vcsp.model import merge_repeated
 
 from harness import random_instance
 from oracles import (PerCallScaledCosts, cost_le, feasible_assignments,
@@ -262,7 +262,7 @@ def test_projection_symmetry(inst):
 
 
 def assert_store_matches_oracles(inst):
-    """The store built with ``inst`` (its ``costs``, their ``arity_masks`` and
+    """The store built with ``inst`` (its ``costs``, their ``masks`` and
     ``cost``, and ``merged``) equals what the per-call oracles build from
     the term list."""
     got, want = inst.costs, PerCallScaledCosts(inst.terms)
@@ -273,7 +273,9 @@ def assert_store_matches_oracles(inst):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert (g[5] is None) == (w[5] is None)
         assert g[5] is None or g[5].tolist() == w[5].tolist()
-    for g, w in zip(arity_masks(got.groups), feasible_masks(inst.terms),
+    assert list(got.masks) == [w[1].shape[1]
+                               for w in feasible_masks(inst.terms)]
+    for g, w in zip(got.masks.values(), feasible_masks(inst.terms),
                     strict=True):
         assert list(g[0]) == list(w[0])
         for a, b in zip(g[1:], w[1:]):
@@ -346,11 +348,28 @@ def test_store_matches_per_call_oracles_on_random_instances():
         seen["repeats"] += inst.merged is not inst
         seen["all INF"] += any(not f.any() for _, _, _, f, _, _ in groups)
         seen["no scale"] += inst.costs.scale is None
-        seen["exact and inexact"] += len({g[5] is None for g in groups}) == 2
+        seen["exact and inexact"] += any(
+            g[5] is not None and len({t == 0 for t in g[5]}) == 2
+            for g in groups)
         seen["object"] += any(g[2].dtype == object and g[5] is None
                               for g in groups)
         seen["past the float range"] += (inst.costs.scale or 0) > 10**308
     assert min(seen.values()) >= 30, seen
+
+
+def test_exact_and_float_tables_of_one_shape_share_a_group():
+    # the store groups by table shape alone; each table keeps the
+    # tolerance of its own costs, 0 for the exact one
+    exact = Term(CostTable((2, 2), [0, Fraction(1, 3), 2, INF]), (0, 1))
+    floats = Term(CostTable((2, 2), [0.5, INF, 3e9, 1.0]), (1, 0))
+    unary = Term(CostTable((2,), [1, 2]), (0,))
+    inst = Instance(DomainSpec((2, 2)), [exact, unary, floats])
+    assert inst.costs.scale is None
+    assert [g[:2] for g in inst.costs.groups] == [([0, 2], (2, 2)),
+                                                  ([1], (2,))]
+    assert inst.costs.groups[0][5].tolist() == [0, FLOAT_TOL * 3e9]
+    assert inst.costs.groups[1][5].tolist() == [0]
+    assert_store_matches_oracles(inst)
 
 
 def test_store_matches_per_call_oracles_on_criterion_1_draws():

@@ -370,7 +370,7 @@ class TestCheckPolymorphism:
         return got, peak
 
     def test_dense_term_pads_no_sparse_term(self):
-        # one arity group: a <= b over d=20 (210 tuples) and 300 equalities
+        # one arity: a <= b over d=20 (210 tuples) and 300 equalities
         # (20 tuples each); padding every term to 210 tuples would check
         # 301 * 210**3 triples and hold 2 * 301 * 210**2 intp (212 MB)
         d = 20
@@ -663,7 +663,7 @@ def kernel_cases(seed, count):
             rng, tuple(domains.sizes[i] for i in scope), kind)
         if kind != "float":
             rng.random()  # keeps the seeded sequence of cases
-        tol = tolerance(integer_costs([table.entries])[0], table.entries)
+        tol = tolerance(table.entries)
         yield (table, scope, *random_operations(rng, domains), tol)
 
 
@@ -760,8 +760,7 @@ def loop_over_terms(loop, terms, ops):
     its own costs imply: (True, None) or (False, (index of the first failing
     term, its witness)), the contract of the batched checks."""
     for idx, term in enumerate(terms):
-        tol = tolerance(integer_costs([term.table.entries])[0],
-                        term.table.entries)
+        tol = tolerance(term.table.entries)
         ok, witness = loop(term.table, ops, term.scope, tol)
         if not ok:
             return False, (idx, witness)
@@ -811,9 +810,8 @@ def term_lists(seed, count):
 
 
 def group_keys(terms):
-    """Each term's group in the batched checks: its shape and cost class."""
-    return [(t.table.shape, integer_costs([t.table.entries])[0] is not None)
-            for t in terms]
+    """Each term's group in the batched checks: its table shape."""
+    return [t.table.shape for t in terms]
 
 
 def ternary_is_cheap(terms):
@@ -843,7 +841,8 @@ def test_batched_checks_match_loops_witness_for_witness():
                 keys.index(keys[idx]) < first
                 and not binary_on(terms[idx].table, pair, terms[idx].scope)[0]
                 for idx in range(failing + 1, len(terms)))
-        seen["several classes"] += len({k[1] for k in keys}) > 1
+        seen["exact and inexact in one group"] += len(set(keys)) < len({
+            (t.table.shape, tolerance(t.table.entries) == 0) for t in terms})
         if ternary_is_cheap(terms):
             got = check_ternary_multimorphism(terms, triple)
             assert got == loop_over_terms(
@@ -944,8 +943,7 @@ def loop_instance_check(terms, pair, triple):
     """``check_instance_multimorphism`` as a loop over the terms, checking
     both inequalities on each in turn, the pair's before the triple's."""
     for idx, term in enumerate(terms):
-        tol = tolerance(integer_costs([term.table.entries])[0],
-                        term.table.entries)
+        tol = tolerance(term.table.entries)
         ok, w = loop_binary_multimorphism(term.table, pair, term.scope, tol)
         if not ok:
             return False, idx, ("binary", w)

@@ -1,5 +1,6 @@
 """Brute force, tournament orders, the min-cut path and the pipeline."""
 
+import functools
 import itertools
 import math
 import random
@@ -26,11 +27,12 @@ from vcsp import (
     solve_pipeline,
     solve_stp,
 )
-from vcsp.consistency import BinaryNetwork
+from vcsp.consistency import BinaryNetwork, run_stage1
 from vcsp.costs import cost_eq, integer_costs, is_finite, scale_entries
 from vcsp.io_formats import parse_instance_text, serialize_instance
 from vcsp.model import _INT64_LIMIT, ScaledCosts
 from vcsp.operations import OperationSystem, is_stp_on
+from vcsp.reduction import run_stage2
 from vcsp.solvers import (CutEncoding, MaxFlow, _check_network_closed,
                           _prune_unsupported, run_validate)
 
@@ -46,7 +48,8 @@ from harness import (
     submodular_chain,
     submodular_ladder,
 )
-from oracles import (DinicMaxFlow, LoopCutEncoding, intersect,
+from oracles import (DinicMaxFlow, LoopCutEncoding,
+                     crisp_term_check_network_closed, intersect,
                      loop_extract_tournament_order, loop_is_stp_on,
                      loop_prune_unsupported)
 
@@ -575,6 +578,72 @@ class TestPipeline:
             _check_network_closed(net, BinaryPair.min_max(d))
         assert exc.value.stage == "solve"
         _check_network_closed(BinaryNetwork(d), BinaryPair.min_max(d))
+
+    def test_network_check_matches_crisp_term_oracle(self):
+        # the blocks of R give the errors and witnesses of one crisp Term per
+        # relation, on the stage-1 networks of the criterion-1 draws, under
+        # the final pair and under random conservative pairs
+        def outcome(check, net, pair):
+            try:
+                check(net, pair)
+            except StageError as exc:
+                (i, j, _) = exc.witness
+                assert type(i) is int and type(j) is int
+                return exc.stage, str(exc), exc.witness
+            return None
+
+        rng = random.Random(20323)
+        seen = Counter()
+        for inst, system in criterion_1_draws(250):
+            try:
+                stage1 = run_stage1(inst, run_validate(inst, system))
+                if stage1 is None:
+                    continue
+                _, inst_r, ops_r, net = stage1
+                final = run_stage2(inst_r, ops_r, net).pair
+            except VcspError:
+                continue
+            d = net.domains
+            for kind in ["final"] + ["random"] * 8:
+                pair = final if kind == "final" else BinaryPair(d, *(
+                    [[[rng.choice((a, b)) for b in range(s)]
+                      for a in range(s)] for s in d.sizes] for _ in range(2)))
+                got = outcome(_check_network_closed, net, pair)
+                assert got == outcome(crisp_term_check_network_closed, net,
+                                      pair)
+                seen[kind, got is None] += 1
+        assert seen["final", True] >= 60 and seen["final", False] == 0, seen
+        assert min(seen["random", True], seen["random", False]) >= 30, seen
+
+    def test_pipeline_builds_the_mask_view_once(self, monkeypatch):
+        # validation, decomposition and certification read one per-arity
+        # view of the instance's store, built on the first read
+        view = ScaledCosts.__dict__["masks"]
+        builds, reads = [], []
+
+        def build(costs):
+            builds.append(costs)
+            return view.func(costs)
+
+        counted = functools.cached_property(build)
+        counted.__set_name__(ScaledCosts, "masks")
+        monkeypatch.setattr(ScaledCosts, "masks", property(
+            lambda costs: reads.append(costs) or counted.__get__(costs)))
+        seen = Counter()
+        for inst, system in criterion_1_draws(250):
+            inst = Instance(inst.domains, inst.terms)  # a store of its own
+            if inst.merged is not inst:
+                continue
+            builds.clear()
+            reads.clear()
+            try:
+                path = solve_pipeline(inst, system).stats["path"]
+            except VcspError:
+                continue
+            assert builds == [inst.costs]
+            assert reads == [inst.costs] * (2 if path == "infeasible" else 3)
+            seen[path == "infeasible"] += 1
+        assert seen[True] >= 40 and seen[False] >= 40, seen
 
     def test_boolean_pure_mjn_matches_oracle(self):
         rng = random.Random(103)
