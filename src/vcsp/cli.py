@@ -5,11 +5,13 @@ and per-term multimorphism checks), consistency (stage 1 network dump), and
 reduce (stages 1-2, final operations plus iteration trace).
 
 Exit codes: 0 success (an infeasible instance is a successful answer), 1 for
-failed verification or violated solver hypotheses, 2 for malformed input, an
-input file that cannot be read, bad usage, or an exceeded ``--cap``.  The
-cap bounds each term table, the oracle, the stage-3 brute-force fallback and
-the exhaustive stage-1 certificate of ``--paranoid``, not its other checks
-nor the assignment space of an instance that stage 3 solves by min-cut.
+failed verification or violated solver hypotheses, 2 for malformed input
+(a file that is not UTF-8 included), an input file that cannot be read, bad
+usage, or an exceeded ``--cap``.  The cap bounds each term table, checked
+as the instance file is parsed and before the table is built, the oracle,
+the stage-3 brute-force fallback and the exhaustive stage-1 certificate of
+``--paranoid``, not its other checks nor the assignment space of an
+instance that stage 3 solves by min-cut.
 Input arguments are always file paths.
 """
 
@@ -34,11 +36,13 @@ def _add_common(parser):
     parser.add_argument("--float", action="store_true", dest="float_mode",
                         help="use floating-point costs (tolerant comparisons)")
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="cap in tuples on each term table, on the "
-                             "oracle, the stage-3 brute-force fallback and "
-                             "the exhaustive stage-1 certificate of "
-                             "--paranoid; min-cut solves and the stage-2 "
-                             "scans are not bounded by it")
+                        help="cap in tuples on each term table (checked "
+                             "as the instance is parsed, before the table "
+                             "is built), on the oracle, the stage-3 "
+                             "brute-force fallback and the exhaustive "
+                             "stage-1 certificate of --paranoid; min-cut "
+                             "solves and the stage-2 scans are not bounded "
+                             "by it")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
     parser.add_argument("--paranoid", action="store_true",
@@ -102,7 +106,8 @@ def _write_trace(args, lines):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        instance = parse_instance(args.instance, float_mode=args.float_mode)
+        instance = parse_instance(args.instance, float_mode=args.float_mode,
+                                  cap=args.cap)
         if args.command == "oracle":
             _emit_result(solve_bruteforce(instance, cap=args.cap), args.json)
             return 0

@@ -544,6 +544,53 @@ class TestExitCodes:
         assert main(["oracle", ipath, "--cap", "1"]) == 2
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["oracle", "verify", "solve"])
+    def test_cap_bounds_a_table_as_it_is_parsed(self, tmp_path, capsys,
+                                                command):
+        # one table of 10**20 entries; verify never checked the cap
+        ipath, opath = tmp_path / "inst.vcsp", tmp_path / "ops.ops"
+        ipath.write_text("vcsp 20\ndomains" + " 10" * 20 + "\nterm 20"
+                         + "".join(f" {v}" for v in range(1, 21))
+                         + "\ndefault 0\n")
+        opath.write_text(serialize_ops(minmax_system(DomainSpec((10,) * 20))))
+        args = [command, str(ipath)] + ([] if command == "oracle"
+                                        else [str(opath)])
+        assert main(args) == 2
+        assert capsys.readouterr() == (
+            "", f"error: enumeration of {10 ** 20} tuples exceeds cap of "
+                f"{10 ** 7}\n")
+
+    def test_table_of_cap_entries_parses(self, tmp_path, capsys):
+        ipath, opath = tmp_path / "inst.vcsp", tmp_path / "ops.ops"
+        ipath.write_text("vcsp 3\ndomains 2 2 2\nterm 3 1 2 3\ndefault 1\n")
+        opath.write_text(serialize_ops(minmax_system(DomainSpec((2, 2, 2)))))
+        assert main(["verify", "--cap", "8", str(ipath), str(opath)]) == 0
+        assert capsys.readouterr() == ("ok\n", "")
+        assert main(["verify", "--cap", "7", str(ipath), str(opath)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: enumeration of 8 tuples exceeds cap of 7\n")
+
+    @pytest.mark.parametrize("command, which, data, error", [
+        ("oracle", "instance",
+         b"vcsp 1\ndomains 2\nterm 1 1\ndefault \xff\n",
+         "error: line 4: byte 0xff is not UTF-8\n"),
+        ("solve", "instance", b"vcsp 1\r\ndomains 2\r\n\xe2\x82\n",
+         "error: line 3: byte 0xe2 is not UTF-8\n"),
+        ("solve", "ops", b"meet 1\n0 0\n0 1\njoin 1\n0 1\n1 \xc3\n",
+         "error: line 6: byte 0xc3 is not UTF-8\n"),
+        ("verify", "ops", b"\x80", "error: line 1: byte 0x80 is not UTF-8\n"),
+    ])
+    def test_non_utf8_input_is_usage_error(self, tmp_path, capsys, command,
+                                           which, data, error):
+        ipath, opath = tmp_path / "inst.vcsp", tmp_path / "ops.ops"
+        ipath.write_text("vcsp 1\ndomains 2\nterm 1 1\ndefault 0\n")
+        opath.write_text(serialize_ops(minmax_system(DomainSpec((2,)))))
+        (ipath if which == "instance" else opath).write_bytes(data)
+        args = [command, str(ipath)] + ([] if command == "oracle"
+                                        else [str(opath)])
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", error)
+
     def test_chain_above_cap_solves(self, tmp_path, capsys):
         # 3^16 assignments exceed the default cap; no min-cut stage needs them
         inst, system = submodular_chain(random.Random(179), 16)

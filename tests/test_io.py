@@ -2,6 +2,8 @@
 
 import random
 import re
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +11,10 @@ import pytest
 
 from vcsp import (CostTable, DomainSpec, INF, Instance, Term, ValidationError,
                   VcspError)
-from vcsp.errors import FormatError
+from vcsp.errors import CapExceeded, FormatError
 from vcsp.io_formats import (
+    _REWRITE,
+    _SPACES,
     parse_instance,
     parse_instance_text,
     parse_ops,
@@ -371,6 +375,91 @@ class TestPathsAndText:
         assert serialize_ops(back) == text
 
 
+class TestStream:
+    def test_the_whitespace_and_line_breaks_are_pythons(self):
+        every = [chr(c) for c in range(sys.maxunicode + 1)]
+        assert set(_SPACES) == {c for c in every if c.isspace()}
+        assert set(_REWRITE) == {"#"} | {
+            c for c in every if c != "\n" and len(f"a{c}b".splitlines()) == 2}
+
+    def test_non_utf8_file_names_its_line(self, tmp_path):
+        path = tmp_path / "inst.vcsp"
+        path.write_bytes(b"vcsp 1\r\ndomains 2\n\nterm 1 1 \xff\n")
+        with pytest.raises(FormatError) as exc:
+            parse_instance(str(path))
+        assert str(exc.value) == "line 4: byte 0xff is not UTF-8"
+        path.write_bytes(serialize_ops(minmax_system(D1)).encode()[:-3]
+                         + "\u00e9".encode("latin-1"))
+        with pytest.raises(FormatError) as exc:
+            parse_ops(str(path), D1)
+        assert str(exc.value) == "line 22: byte 0xe9 is not UTF-8"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_files_read_as_their_text(self, tmp_path, newline):
+        inst, system = random_instance(random.Random(139), max_vars=4)
+        texts = serialize_instance(inst), serialize_ops(system)
+        paths = tmp_path / "inst.vcsp", tmp_path / "ops.ops"
+        for path, text in zip(paths, texts):
+            path.write_bytes(text.replace("\n", newline).encode())
+        assert same_instance(parse_instance(str(paths[0])),
+                             parse_instance_text(texts[0]))
+        assert same_system(parse_ops(str(paths[1]), inst.domains),
+                           parse_ops_text(texts[1], inst.domains))
+
+
+class TestCap:
+    TEXT = "vcsp 2\ndomains 3 4\nterm 2 1 2\ndefault 0\nentry 2 3 1\n"
+
+    def test_a_table_of_cap_entries_parses(self):
+        assert parse_instance_text(self.TEXT, cap=12).terms[0].table[
+            (2, 3)] == 1
+        with pytest.raises(CapExceeded) as exc:
+            parse_instance_text(self.TEXT, cap=11)
+        assert (exc.value.required, exc.value.cap) == (12, 11)
+
+    @pytest.mark.parametrize("tail, raised", [
+        ("entry 2 4 1\n", "line 6: label 4 out of range 0..3"),
+        ("default 1\n", "line 6: duplicate 'default' line"),
+        ("term 1 3\ndefault 0\n",  # a later line's error comes after
+         "enumeration of 12 tuples exceeds cap of 11"),
+    ])
+    def test_the_terms_own_errors_come_first(self, tail, raised):
+        with pytest.raises((FormatError, CapExceeded), match=raised):
+            parse_instance_text(self.TEXT + tail, cap=11)
+
+    def test_a_huge_table_is_refused_before_it_is_built(self):
+        text = ("vcsp 20\ndomains" + " 10" * 20 + "\nterm 20"
+                + "".join(f" {v}" for v in range(1, 21)) + "\ndefault 0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded) as exc:
+                parse_instance_text(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exc.value.required == 10 ** 20 and peak <= 2 ** 20
+
+
+class TestParseMemory:
+    # the 1000-variable ladder's 144 KB instance and 257 KB ops files; the
+    # parser that read them line by line peaked at 4.9 and 14.8 MB
+    @pytest.mark.parametrize("which, bound", [("instance", 4), ("ops", 11)])
+    def test_peak(self, which, bound):
+        inst, system = submodular_ladder(random.Random(1), 1, 1000)
+        if which == "instance":
+            parse, args = parse_instance_text, (serialize_instance(inst),)
+        else:
+            parse, args = parse_ops_text, (serialize_ops(system), inst.domains)
+        parse(*args)  # the first call fills the caches it reads
+        tracemalloc.start()
+        try:
+            parse(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2 ** 20
+
+
 def same_instance(a, b):
     """Equal domains and scopes, and equal table entries of equal types."""
     return a.domains == b.domains and len(a.terms) == len(b.terms) and all(
@@ -433,8 +522,58 @@ def mutant(rng, text):
     return "\n".join(lines)
 
 
+#: Each line break of ``str.splitlines`` but ``\n``, and some of the in-line
+#: whitespace of ``str.split``.
+BREAKS = ["\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+          "\u2029"]
+SPACES = ["\t", "\x1f", "\xa0", "\u3000"]
+
+
+def layouts(text):
+    """``text`` with each line break, with a cycle of all of them, with each
+    in-line whitespace, without its final newline, and with comments
+    straight after tokens."""
+    cycle = BREAKS + ["\n"]
+    return ([text.replace("\n", br) for br in BREAKS]
+            + ["".join(row + cycle[i % len(cycle)]
+                       for i, row in enumerate(text.split("\n")))]
+            + [text.replace(" ", space) for space in SPACES]
+            + [text.rstrip("\n"),
+               text.replace("\n", "#a\n", 2).replace(" 1\n", " 1#b 2\n")])
+
+
 class TestReferenceParsers:
     # the parsers read in bulk; the reference reads one token at a time
+
+    @pytest.mark.parametrize("kind, text", [
+        ("inst", "vcsp 2\ndomains 2 3\nterm 2 1 2\ndefault 1\nentry 1 2 3/2\n"
+                 "\nterm 1 2\nentry 0 inf\ndefault 0\n"),
+        ("inst", "vcsp 2\ndomains 2 3\nterm 2 1 2\ndefault 1\nentry 1 2 3/2\n"
+                 "\nterm 1 2\nentry 0 inf\nentry 3 1\n"),
+        ("inst", "vcsp 2\ndomains 2 3\nterm 1 1\ndefault 1\n\nterm 1 2\n"
+                 "entry 0 1\n"),
+        ("ops", OPS2),
+        ("ops", OPS2.replace("mn3 1\n0 0\n0 0\n0 0\n0 1",
+                             "mn3 1\n0 0\n0 0\n0 0\n0 2")),
+        ("ops", OPS2.replace("M 1 0:1", "M 1 0:1 1:x")),
+    ])
+    def test_line_breaks_and_spaces(self, kind, text):
+        # each text in every layout: its errors, on late lines, or the
+        # objects it reads are the reference's
+        for variant in layouts(text):
+            if kind == "ops":
+                parses = [(parse_ops_text, loop_parse_ops_text, (D1,), {})]
+            else:
+                parses = [(parse_instance_text, loop_parse_instance_text, (),
+                           {"float_mode": mode}) for mode in (False, True)]
+            for parse, reference, args, kwargs in parses:
+                got = outcome(parse, variant, *args, **kwargs)
+                want = outcome(reference, variant, *args, **kwargs)
+                if isinstance(want, tuple):
+                    assert got == want, variant
+                else:
+                    assert (same_system if kind == "ops" else same_instance)(
+                        got, want), variant
 
     def test_corpus(self, corpus):
         for inst_text, ops_text, domains in corpus:
