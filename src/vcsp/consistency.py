@@ -84,17 +84,23 @@ def decompose_instance(instance, cap=DEFAULT_CAP):
 
     Terms are projected as ``instance.merged`` holds them, so a tuple giving
     one variable two labels never counts.  Pairs never jointly constrained
-    start as full products.  Per arity of the merged instance's
-    ``costs.masks`` and axis pair p <= q, one unbuffered AND-reduction
-    narrows the blocks ``R[i, j]`` and one their transposes ``R[j, i]``; for
-    p = q, the diagonal of ``R[i, i]``.
+    start as full products.  Per group of the merged instance's ``costs``
+    and axis pair p <= q, one unbuffered AND-reduction narrows the blocks
+    ``R[i, j]`` and one their transposes ``R[j, i]``; for p = q, the
+    diagonal of ``R[i, i]``.  ``cap`` bounds each term's own table: the
+    first term in term order with more entries raises ``CapExceeded``.
     """
-    for _, shape, *_ in instance.costs.groups:  # by their first terms
-        if math.prod(shape) > cap:
-            raise CapExceeded(math.prod(shape), cap)
+    over = {}
+    for idxs, shape, _, _, scopes, _ in instance.costs.groups:
+        if math.prod(shape) > cap:  # padded: a table of it may be smaller
+            counts = np.array(instance.domains.sizes)[scopes].prod(1)
+            over.update((idxs[t], int(counts[t]))
+                        for t in np.flatnonzero(counts > cap).tolist())
+    if over:
+        raise CapExceeded(over[min(over)], cap, table=True)
     net = BinaryNetwork(instance.domains)
-    for _, scopes, masks in instance.merged.costs.masks.values():
-        shape = masks.shape[1:]
+    for _, shape, _, feasible, scopes, _ in instance.merged.costs.groups:
+        masks = feasible.reshape((-1,) + shape)
         for p in range(len(shape)):
             diag = np.arange(shape[p])
             np.logical_and.at(net.R, (scopes[:, p, None],) * 2 + (diag,) * 2,
@@ -144,9 +150,10 @@ def certify_decomposition(instance):
     polymorphism always passes (Baker-Pixley).  The cost is exponential in
     term arity only.
     """
-    for k, (_, _, masks) in instance.merged.costs.masks.items():
-        if 0 < k <= 2:
+    for _, shape, _, feasible, _, _ in instance.merged.costs.groups:
+        if 0 < len(shape) <= 2:
             continue
+        masks = feasible.reshape((-1,) + shape)
         joined = np.ones_like(masks)
         for p in range(masks.ndim - 1):
             for q in range(p + 1, masks.ndim - 1):

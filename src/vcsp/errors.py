@@ -16,13 +16,15 @@ class FormatError(VcspError):
 
 
 class CapExceeded(VcspError):
-    """Enumeration would exceed the configured tuple cap."""
+    """An enumeration, or with ``table`` one term's table, would exceed the
+    configured cap."""
 
-    def __init__(self, required, cap):
+    def __init__(self, required, cap, table=False):
         self.required = required
         self.cap = cap
         super().__init__(
-            f"enumeration of {required} tuples exceeds cap of {cap}"
+            f"table of {required} entries exceeds cap of {cap}" if table
+            else f"enumeration of {required} tuples exceeds cap of {cap}"
         )
 
 

@@ -255,7 +255,7 @@ def _term(s, k, sizes, costs, float_mode, cap):
                           line=s.num(k - 1))
     count = math.prod(shape)
     if count > cap:
-        raise CapExceeded(count, cap)
+        raise CapExceeded(count, cap, table=True)
     table = [default] * count
     for flat, cost in entries.items():
         table[flat] = cost

@@ -5,12 +5,11 @@ variable.  Tables are dense; desk-scale arities and domain sizes make that the
 simplest exact representation.
 
 An ``Instance`` builds its term store once, when it is constructed: its
-``costs`` (``ScaledCosts``) hold the terms grouped by table shape, with the
-exact costs scaled to integers by one LCM and a feasible mask per group, and
-``merged`` is the instance with no repeated scope variable.  The store's
-per-arity view of the feasible masks (``ScaledCosts.masks``) is built on
-its first read and kept.  Every stage reads these; none groups, scales or
-masks the entries again.
+``costs`` (``ScaledCosts``) hold the terms grouped by arity, each table
+padded with infeasible entries to the largest extents of its arity, with
+the exact costs scaled to integers by one LCM and a feasible mask per
+group, and ``merged`` is the instance with no repeated scope variable.
+Every stage reads these; none groups, scales or masks the entries again.
 """
 
 from __future__ import annotations
@@ -175,22 +174,26 @@ class ScaledCosts:
     ``Instance`` holds its own as ``costs``, and every stage reads it.
 
     ``scale`` is the LCM of every denominator (``integer_costs``), or None
-    when some cost is not exact.  ``groups`` hold the terms by table shape,
-    in the order of their first terms, each as ``(term indices, shape,
-    costs [term, entry], feasible [term, entry], scopes [term, position],
-    tol [term])``.  With a ``scale`` and every scaled cost below 2**59, the
-    costs are int64 with INF read as 2**61, so that a sum holding INF
-    exceeds every sum of three finite costs and no sum of three overflows.
-    Otherwise the scaled costs, or without a ``scale`` the tables' own
-    values, go into an object array, INF included.  ``tol`` is None with a
-    ``scale``; without one it holds each table's ``tolerance``, 0 for an
-    exact table, within which its sums compare.
+    when some cost is not exact.  ``groups`` hold the terms by arity, in
+    the order of their first terms, each as ``(term indices, shape, costs
+    [term, entry], feasible [term, entry], scopes [term, position], tol
+    [term])``.  ``shape`` holds the largest table extents of the arity, and
+    a smaller table is padded to it with infeasible entries, so row-major
+    order over its real entries stays lexicographic; an arity whose tables
+    share one shape holds them as they are.  With a ``scale`` and every
+    scaled cost below 2**59, the costs are int64 with INF read as 2**61, so
+    that a sum holding INF exceeds every sum of three finite costs and no
+    sum of three overflows.  Otherwise the scaled costs, or without a
+    ``scale`` the tables' own values, go into an object array, INF
+    included.  ``tol`` is None with a ``scale``; without one it holds each
+    table's ``tolerance``, 0 for an exact table, within which its sums
+    compare.
     """
 
     def __init__(self, terms):
         members = {}
         for idx, term in enumerate(terms):
-            members.setdefault(term.table.shape, []).append(idx)
+            members.setdefault(len(term.scope), []).append(idx)
         flat = list(itertools.chain.from_iterable(
             terms[i].table.entries for idxs in members.values() for i in idxs))
         self.scale, (scaled,) = integer_costs([flat])
@@ -205,42 +208,29 @@ class ScaledCosts:
             np.intp)
         self.groups = []
         entry = position = 0
-        for shape, idxs in members.items():
-            entries_at = slice(entry, entry + len(idxs) * math.prod(shape))
-            scopes_at = slice(position, position + len(idxs) * len(shape))
+        for k, idxs in members.items():
+            shapes = [terms[i].table.shape for i in idxs]
+            shape = tuple(map(max, zip(*shapes)))
+            entries_at = slice(entry, entry + sum(map(math.prod, shapes)))
+            scopes_at = slice(position, position + len(idxs) * k)
             entry, position = entries_at.stop, scopes_at.stop
-            costs = values[entries_at].reshape(len(idxs), -1)
+            costs, feas = values[entries_at], feasible[entries_at]
+            if shapes.count(shape) < len(shapes):
+                size = math.prod(shape)
+                at = np.concatenate([_layout(shape)[1] @ _layout(s)[0]
+                                     + row * size
+                                     for row, s in enumerate(shapes)])
+                pad = _INT64_INF if values.dtype == np.int64 else INF
+                costs = np.full(len(idxs) * size, pad, values.dtype)
+                costs[at] = values[entries_at]
+                feas = np.zeros(len(costs), bool)
+                feas[at] = feasible[entries_at]
+            costs = costs.reshape(len(idxs), -1)
             tol = None if self.scale is not None else np.array(
                 [tolerance(row) for row in costs], dtype=object)
-            self.groups.append((
-                idxs, shape, costs, feasible[entries_at].reshape(len(idxs), -1),
-                scopes[scopes_at].reshape(len(idxs), len(shape)), tol))
-
-    @functools.cached_property
-    def masks(self):
-        """The feasible sets of the terms per arity k, in the order of the
-        arities' first groups, as ``{k: (term indices in term order, scopes
-        [T, k], masks [T, D_1, ..., D_k])}``, padded with False to the
-        largest table extents of the arity; the masks of an arity held by
-        one group are its own."""
-        by_arity = {}
-        for idxs, shape, _, feasible, scopes, _ in self.groups:
-            by_arity.setdefault(len(shape), []).append(
-                (idxs, shape, feasible.reshape((-1,) + shape), scopes))
-        out = {}
-        for k, parts in by_arity.items():
-            idxs, _, masks, scopes = parts[0]
-            if len(parts) > 1:
-                idxs = sorted(i for part in parts for i in part[0])
-                masks = np.zeros((len(idxs),) + tuple(map(max, zip(*(
-                    part[1] for part in parts)))), dtype=bool)
-                scopes = np.zeros((len(idxs), k), dtype=np.intp)
-                for members, shape, part, part_scopes in parts:
-                    at = np.searchsorted(idxs, members)
-                    masks[(at,) + tuple(map(slice, shape))] = part
-                    scopes[at] = part_scopes
-            out[k] = idxs, scopes, masks
-        return out
+            self.groups.append((idxs, shape, costs,
+                                feas.reshape(len(idxs), -1),
+                                scopes[scopes_at].reshape(len(idxs), k), tol))
 
     def infeasible_constant(self):
         """True when a constant term (one over no variable) is INF."""

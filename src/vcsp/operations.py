@@ -22,21 +22,23 @@ entry by entry would find first, in the order its docstring states.
 
 The multimorphism checks share one numpy kernel that is exact.  They read the
 term store of ``model.ScaledCosts`` (an instance's ``costs``, or one built for
-a list of terms): the terms grouped by table shape, exact costs scaled to
-integers by one LCM of all their denominators (int64 below 2**59, Python ints
-in an object array above), float tables and any other mix as their Python
-values.  Each group is one kernel call, in batches of terms of falling count
-of feasible tuples.  INF reads as a value above every sum of finite costs, so
-that an infeasible image is a violation, and each table's sums compare within
-the tolerance of its own costs (``costs.tolerance``, 0 for an exact table).
+a list of terms): the terms grouped by arity and padded with infeasible
+entries to the arity's largest extents, exact costs scaled to integers by one
+LCM of all their denominators (int64 below 2**59, Python ints in an object
+array above), float tables and any other mix as their Python values.  Each
+group is one kernel call, in batches of terms of falling count of feasible
+tuples; a padded entry is never one of them.  INF reads as a value above
+every sum of finite costs, so that an infeasible image is a violation, and
+each table's sums compare within the tolerance of its own costs
+(``costs.tolerance``, 0 for an exact table).
 A check returns the first failing term in term order, and as its witness the
 first violation in row-major order over ``table.dom()``.  Given the ranks of
 orders in which the pair is min/max, the binary check passes unary tables and
 reads exact finite pairwise tables by their adjacent 2x2 minors, and runs the
 kernel only where that test fails or does not apply.  ``_unclosed`` runs the
-kernel on the crisp costs of stacked relation masks: the per-arity masks of an
-instance's store in ``ternary_polymorphism_closed``, and the blocks of a
-binary network in the ``--paranoid`` check of ``solvers``.
+kernel on the crisp costs of stacked relation masks: the feasible masks of the
+groups of an instance's merged store in ``ternary_polymorphism_closed``, and
+the blocks of a binary network in the ``--paranoid`` check of ``solvers``.
 """
 
 from __future__ import annotations
@@ -445,8 +447,8 @@ def _outer_sum(parts):
 
 
 def _group_violation(shape, costs, feasible, scopes, tol, stacks):
-    """Exact kernel of the multimorphism checks on one group of same-shape
-    tables, ``costs`` [term, entry] with ``scopes`` [term, position].
+    """Exact kernel of the multimorphism checks on one group of tables of
+    ``shape``, ``costs`` [term, entry] with ``scopes`` [term, position].
 
     ``stacks`` holds the operation tuple as one padded ``intp`` array indexed
     ``[component, variable, arg_1, ..., arg_k]``.  For every term, every
@@ -543,10 +545,11 @@ def _passes_min_max(shape, costs, feasible, scopes, tol, ranks):
 
     A unary group always passes: min/max maps {a, b} to itself, so both
     sides of the check add the same two costs.  An exact pairwise group
-    with no INF passes when every table, its rows and columns put at their
-    ranks, has g[l + 1, m + 1] + g[l, m] <= g[l + 1, m] + g[l, m + 1] at
-    every l, m: on a product of two chains that is submodularity (Topkis,
-    Oper. Res. 1978), so the two tests agree term by term.  In int64 each
+    with no INF, padding included, passes when every table, its rows and
+    columns put at their ranks, has g[l + 1, m + 1] + g[l, m] <= g[l + 1,
+    m] + g[l, m + 1] at every l, m: on a product of two chains that is
+    submodularity (Topkis, Oper. Res. 1978), so the two tests agree term
+    by term.  In int64 each
     cost is below 2**59, so no sum of two overflows.
     """
     if len(shape) == 1:
@@ -633,13 +636,15 @@ def ternary_polymorphism_closed(op, instance):
     """(True, None) when the componentwise image under the conservative
     ``op`` of every ordered triple of each term's feasible tuples is
     feasible, else (False, the first term in term order where one is not):
-    ``_unclosed`` per arity of the instance's ``costs.masks``.  The image
-    of three tuples over fewer than two positions is one of them, so those
-    arities are not checked."""
+    ``_unclosed`` per group of ``instance.merged.costs``, so that a tuple
+    giving one variable two labels never counts.  The image of three
+    tuples over fewer than two positions is one of them, so those arities
+    are not checked."""
     stack = op.index_stack()[None]
     hits = []
-    for k, (idxs, scopes, masks) in instance.costs.masks.items():
-        hit = _unclosed(masks, scopes, stack) if k > 1 else None
+    for idxs, shape, _, feasible, scopes, _ in instance.merged.costs.groups:
+        hit = _unclosed(feasible.reshape((-1,) + shape), scopes,
+                        stack) if len(shape) > 1 else None
         if hit is not None:
             hits.append(idxs[hit[0]])
     return (False, min(hits)) if hits else (True, None)
@@ -729,9 +734,10 @@ def check_instance_multimorphism(instance, ops):
 
     The first failing term in term order is reported, its binary failure
     before its ternary one, as a loop over the terms checking both would.
-    Both checks read the instance's ``costs``.
+    Both checks read ``instance.merged.costs``, so a witness is in the
+    merged term's coordinates.
     """
-    costs = instance.costs
+    costs = instance.merged.costs
     ok, hit = check_binary_multimorphism(costs, ops.pair)
     ok3, hit3 = _first_violation(costs, ops.triple.index_stacks(),
                                  None if ok else hit[0])

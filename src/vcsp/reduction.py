@@ -191,7 +191,8 @@ def run_stage2(instance, ops, net, paranoid=False, trace=None):
     described by ``net``.  Returns the final operation system; its pair is a
     fully commutative conservative pair and still satisfies the pairwise
     multimorphism inequality on every term, which is re-verified each
-    iteration on the instance's ``costs``.
+    iteration on ``instance.merged.costs``, where no tuple gives one
+    variable two labels.
     """
     limit = PairSet.full(ops.domains).total_size() + 1
     iteration = 0
@@ -222,7 +223,7 @@ def run_stage2(instance, ops, net, paranoid=False, trace=None):
                 raise StageError(
                     "reduce", f"exchange scan failed: {bad[0]}", witness=bad[0])
         ops = apply_modification(state, ops)
-        ok, hit = check_binary_multimorphism(instance.costs, ops.pair)
+        ok, hit = check_binary_multimorphism(instance.merged.costs, ops.pair)
         if not ok:
             raise StageError(
                 "reduce", "rewritten pair is no longer a multimorphism of "

@@ -309,8 +309,9 @@ def _prune_unsupported(instance):
     """Drop labels with no finite support in some term; fixpoint.
 
     Returns per-variable sets of kept labels, possibly empty.  The feasible
-    masks of the instance's ``costs`` name the terms with an INF, whose
-    feasible tuples are read once; a term without one supports every kept
+    masks of the instance's ``costs`` name the terms with an INF, those
+    with fewer feasible entries than their own tables have, whose feasible
+    tuples are read once; a term without one supports every kept
     label until a variable of it is emptied, so it is looked at only then.
     After a round, only the terms over a variable that lost labels drop
     their dead tuples and are scanned again.  The greatest fixpoint does
@@ -319,8 +320,12 @@ def _prune_unsupported(instance):
     terms = instance.terms
     keep = [set(range(s)) for s in instance.domains.sizes]
     has_inf = np.zeros(len(terms), dtype=bool)
-    for idxs, _, _, feasible, _, _ in instance.costs.groups:
-        has_inf[idxs] = ~feasible.all(1)
+    for idxs, _, _, feasible, scopes, _ in instance.costs.groups:
+        missing = ~feasible.all(1)
+        if missing.any():  # an INF, or padding: count the real entries
+            sizes = np.array(instance.domains.sizes, dtype=np.intp)
+            missing = feasible.sum(1) < sizes[scopes].prod(1)
+        has_inf[idxs] = missing
     live = [None] * len(terms)
     for k in np.flatnonzero(has_inf).tolist():
         table = terms[k].table
@@ -348,43 +353,6 @@ def _prune_unsupported(instance):
                 live[k] = [t for t in live[k] if all(
                     t[p] in keep[var] for p, var in enumerate(scope))]
     return keep
-
-
-@functools.lru_cache(maxsize=256)
-def _pad_index(shape, top):
-    """Index into the flat entries of a table of ``shape`` that pads it to
-    ``top`` by repeating the last label at every position."""
-    if shape == top:
-        return slice(None)
-    at = np.ravel_multi_index(np.ix_(*(
-        np.minimum(np.arange(t), s - 1) for s, t in zip(shape, top))), shape)
-    at.flags.writeable = False  # shared by callers
-    return at.reshape(-1)
-
-
-def _padded_pairs(groups):
-    """The pairwise terms among ``ScaledCosts.groups`` in term order: their
-    indices, scopes [term, 2], costs and feasible masks [term, rows, cols],
-    each table padded to the largest rows and cols among them by repeating
-    its last row and column, and tolerances [term], 0 for exact tables."""
-    pairs = [g for g in groups if len(g[1]) == 2]
-    top = tuple(map(max, zip((1, 1), *(g[1] for g in pairs))))
-    idxs = np.array([i for g in pairs for i in g[0]], dtype=np.intp)
-    parts = [(scopes, costs[:, at], feasible[:, at],
-              np.zeros(len(costs), costs.dtype) if tol is None else tol)
-             for _, shape, costs, feasible, scopes, tol in pairs
-             for at in [_pad_index(shape, top)]]
-    if not parts:
-        dtype = groups[0][2].dtype if groups else np.int64
-        parts = [(np.zeros((0, 2), np.intp), np.zeros((0, 1), dtype),
-                  np.zeros((0, 1), bool), np.zeros(0, dtype))]
-    elif len(parts) > 1:  # join the groups' terms in term order
-        order = idxs.argsort()
-        parts = [[np.concatenate(column)[order] for column in zip(*parts)]]
-        idxs = idxs[order]
-    scopes, costs, feasible, tol = parts[0]
-    return (idxs, scopes, costs.reshape((-1,) + top),
-            feasible.reshape((-1,) + top), tol)
 
 
 _Slots = collections.namedtuple(
@@ -439,13 +407,15 @@ class CutEncoding:
     class, sorted by (tail, head); ``edges`` is the same as a dict.
     ``costs`` is the instance's term store (``Instance.costs``).
 
-    The encoding reads ``costs.groups`` in a few numpy passes, none per
-    term.  The pairwise tables are padded to the largest pairwise shape by
-    repeating their last row and column, and one pass computes every row's
-    feasible interval, the rows clamped to it, the couplings and the
-    infinite edges; a padded row or column adds no coupling, and its edges
-    are masked.  A clamped table need not be submodular: a term whose
-    largest alpha K exceeds its tolerance (0 for exact tables) gets
+    The encoding reads the pairwise and the unary group of ``costs.groups``
+    in a few numpy passes, none per term.  The store pads the pairwise
+    tables to the largest pairwise shape with infeasible entries, and one
+    pass computes every row's feasible interval, the rows clamped to it,
+    the couplings and the infinite edges; a padded row or column adds no
+    coupling, and its edges are masked.  No unary entry is INF, so an
+    infeasible unary entry is padding, and it reads as 0.  A clamped table
+    need not be submodular: a term whose largest alpha K exceeds its
+    tolerance (0 for exact tables) gets
     K * (max(0, lo[a] - b) + max(0, b - hi[a])) added, which is 0 on the
     feasible set and has an alpha of at most -1 across each step of lo or
     hi.  The one check is on the result: an alpha above the tolerance
@@ -471,10 +441,19 @@ class CutEncoding:
         first = (size - 1).cumsum() - size + 3
         self.first_node = first.tolist()
         self.n_nodes = 2 + sum(sizes) - len(sizes)
-        groups = costs.groups
-        unary = [g for g in groups if len(g[1]) == 1]
-        pidx, scope, cost, feas, tol = _padded_pairs(groups)
-        T, SI, SJ = cost.shape
+        groups = {len(g[1]): g for g in costs.groups}
+        dtype = costs.groups[0][2].dtype if costs.groups else np.int64
+
+        def group(k):  # an empty group when no term has arity k
+            return groups.get(k, ([], (1,) * k, np.zeros((0, 1), dtype),
+                                  np.zeros((0, 1), bool),
+                                  np.zeros((0, k), np.intp), None))
+
+        pidx, (SI, SJ), cost, feas, scope, tol = group(2)
+        pidx, T = np.array(pidx, np.intp), len(cost)
+        cost, feas = cost.reshape(T, SI, SJ), feas.reshape(T, SI, SJ)
+        if tol is None:
+            tol = np.zeros(T, dtype)
         slot = _slots(SI, SJ, max(sizes, default=1))
         C = (SI - 1) * (SJ - 1)  # coupling slots
 
@@ -523,17 +502,19 @@ class CutEncoding:
 
         # the unary costs and each pairwise term's shares of them, one row
         # per step of a term, added in term order
+        uidx, _, unary, ufeas, uscope, _ = group(1)
+        if not ufeas.all():  # the padding
+            unary = np.where(ufeas, unary, 0)
         dtype = g.dtype
-        largest = max([g.max(initial=0)] + [c.max() for _, _, c, *_ in unary])
+        largest = max(g.max(initial=0), unary.max(initial=0))
         if dtype != object and len(instance.terms) * int(largest) >= 1 << 61:
             dtype = object  # a sum of shares could leave int64
         steps = np.zeros(
             (len(instance.terms), max(SI + SJ - 2, 1), slot.reach.shape[1]),
             dtype)
         owner = np.zeros(steps.shape[:2], np.intp)
-        for idxs, (s,), unary_cost, _, unary_scope, _ in unary:
-            steps[idxs, 0, :s] = unary_cost
-            owner[idxs, 0] = unary_scope[:, 0]
+        steps[uidx, 0, :unary.shape[1]] = unary
+        owner[uidx, 0] = uscope[:, 0]
         w = np.concatenate([g[:, 1:, 0] - g[:, :-1, 0] + alpha.sum(2),
                             g[:, 0, 1:] - g[:, 0, :-1]], axis=1)
         steps[pidx, :SI + SJ - 2] = np.where(slot.reach, w[:, :, None], 0)
@@ -568,10 +549,9 @@ class CutEncoding:
         # the offset sums each pairwise term's g[0][0] and each constant
         # term's cost in term order, then per variable its share at label 0
         # and its negative steps, in that order
-        constant = [(idxs, c[:, 0]) for idxs, shape, c, *_ in groups
-                    if not shape]
-        first = np.concatenate([g[:, 0, 0]] + [c for _, c in constant])
-        at = np.concatenate([pidx] + [idxs for idxs, _ in constant])
+        cidx, _, constant, *_ = group(0)
+        first = np.concatenate([g[:, 0, 0], constant[:, 0]])
+        at = np.concatenate([pidx, cidx])
         acc[:, 1:] = step
         summed = np.ones(acc.shape, bool)
         summed[:, 1:] = down

@@ -48,8 +48,8 @@ masks of ``net.R``: same states, verdicts, witnesses and lists in the same
 order.
 
 ``feasible_masks`` is the per-arity mask pass over every entry that the
-stages ran before each ``Instance`` built its term store
-(``ScaledCosts.masks`` derives the same masks from the store's groups), and
+stages ran before each ``Instance`` built its term store (the store's
+groups, one per arity, hold the same masks, padded the same way), and
 ``PerCallScaledCosts`` is the store as one call built it from a list of
 terms, with a Python list of scaled entries per table and each table's
 ``tolerance`` taken from that list.
@@ -772,7 +772,7 @@ def loop_decompose_instance(instance, cap=DEFAULT_CAP):
         for s in term.table.shape:
             size *= s
         if size > cap:
-            raise CapExceeded(size, cap)
+            raise CapExceeded(size, cap, table=True)
         dom = term.table.dom()
         positions = {}
         for pos, var in enumerate(term.scope):

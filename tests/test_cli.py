@@ -557,7 +557,7 @@ class TestExitCodes:
                                         else [str(opath)])
         assert main(args) == 2
         assert capsys.readouterr() == (
-            "", f"error: enumeration of {10 ** 20} tuples exceeds cap of "
+            "", f"error: table of {10 ** 20} entries exceeds cap of "
                 f"{10 ** 7}\n")
 
     def test_table_of_cap_entries_parses(self, tmp_path, capsys):
@@ -568,7 +568,7 @@ class TestExitCodes:
         assert capsys.readouterr() == ("ok\n", "")
         assert main(["verify", "--cap", "7", str(ipath), str(opath)]) == 2
         assert capsys.readouterr() == (
-            "", "error: enumeration of 8 tuples exceeds cap of 7\n")
+            "", "error: table of 8 entries exceeds cap of 7\n")
 
     @pytest.mark.parametrize("command, which, data, error", [
         ("oracle", "instance",

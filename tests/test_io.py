@@ -421,7 +421,7 @@ class TestCap:
         ("entry 2 4 1\n", "line 6: label 4 out of range 0..3"),
         ("default 1\n", "line 6: duplicate 'default' line"),
         ("term 1 3\ndefault 0\n",  # a later line's error comes after
-         "enumeration of 12 tuples exceeds cap of 11"),
+         "table of 12 entries exceeds cap of 11"),
     ])
     def test_the_terms_own_errors_come_first(self, tail, raised):
         with pytest.raises((FormatError, CapExceeded), match=raised):

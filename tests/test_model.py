@@ -22,7 +22,7 @@ from vcsp import (
 )
 from vcsp.costs import FLOAT_TOL, cost_eq, format_cost, is_finite, parse_cost
 from vcsp.errors import FormatError
-from vcsp.model import merge_repeated
+from vcsp.model import _INT64_INF, merge_repeated
 
 from harness import random_instance
 from oracles import (PerCallScaledCosts, cost_le, feasible_assignments,
@@ -262,24 +262,41 @@ def test_projection_symmetry(inst):
 
 
 def assert_store_matches_oracles(inst):
-    """The store built with ``inst`` (its ``costs``, their ``masks`` and
-    ``cost``, and ``merged``) equals what the per-call oracles build from
-    the term list."""
+    """The store built with ``inst`` (its ``costs`` and their ``cost``, and
+    ``merged``) holds, term by term, what the per-call oracles build from
+    the term list: each term's real entries, feasibility, scope and
+    tolerance, in one group per arity in the order of the arities' first
+    terms, and only infeasible entries beyond a table's own extents."""
     got, want = inst.costs, PerCallScaledCosts(inst.terms)
     assert got.scale == want.scale
-    for g, w in zip(got.groups, want.groups, strict=True):
-        assert g[:2] == w[:2]
-        for a, b in zip(g[2:5], w[2:5]):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert (g[5] is None) == (w[5] is None)
-        assert g[5] is None or g[5].tolist() == w[5].tolist()
-    assert list(got.masks) == [w[1].shape[1]
-                               for w in feasible_masks(inst.terms)]
-    for g, w in zip(got.masks.values(), feasible_masks(inst.terms),
-                    strict=True):
-        assert list(g[0]) == list(w[0])
-        for a, b in zip(g[1:], w[1:]):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    oracle = {i: (costs[r], feasible[r], scopes[r], None if tol is None
+                  else tol[r])
+              for idxs, _, costs, feasible, scopes, tol in want.groups
+              for r, i in enumerate(idxs)}
+    masks = feasible_masks(inst.terms)
+    assert [len(g[1]) for g in got.groups] == list(dict.fromkeys(
+        len(t.scope) for t in inst.terms))
+    for (idxs, shape, costs, feasible, scopes, tol), (m_idxs, _, m) in zip(
+            got.groups, masks, strict=True):
+        assert list(idxs) == list(m_idxs)
+        assert feasible.dtype == bool and np.array_equal(
+            feasible.reshape((-1,) + shape), m)
+        assert scopes.dtype == np.intp and (tol is None) == (
+            got.scale is not None)
+        for row, i in enumerate(idxs):
+            w_costs, w_feasible, w_scope, w_tol = oracle[i]
+            real = np.zeros(shape, bool)
+            real[tuple(map(slice, inst.terms[i].table.shape))] = True
+            real = real.ravel()
+            assert costs.dtype == w_costs.dtype
+            assert np.array_equal(costs[row][real], w_costs)
+            assert np.array_equal(feasible[row][real], w_feasible)
+            assert not feasible[row][~real].any()
+            pad = costs[row][~real].tolist()
+            assert all(e is INF for e in pad) if costs.dtype == object else (
+                pad == [_INT64_INF] * len(pad))
+            assert scopes[row].tolist() == w_scope.tolist()
+            assert tol is None or tol[row] == w_tol
     rng = random.Random(len(inst.terms))
     for _ in range(3):
         x = tuple(rng.randrange(s) for s in inst.domains.sizes)
@@ -345,8 +362,11 @@ def test_store_matches_per_call_oracles_on_random_instances():
         groups = inst.costs.groups
         seen["arity 0"] += any(not t.scope for t in inst.terms)
         seen["arity 3"] += any(len(t.scope) == 3 for t in inst.terms)
+        seen["padded"] += len(groups) < len({t.table.shape
+                                              for t in inst.terms})
         seen["repeats"] += inst.merged is not inst
-        seen["all INF"] += any(not f.any() for _, _, _, f, _, _ in groups)
+        seen["all INF"] += any(not f.any(1).all()
+                               for _, _, _, f, _, _ in groups)
         seen["no scale"] += inst.costs.scale is None
         seen["exact and inexact"] += any(
             g[5] is not None and len({t == 0 for t in g[5]}) == 2
@@ -357,9 +377,30 @@ def test_store_matches_per_call_oracles_on_random_instances():
     assert min(seen.values()) >= 30, seen
 
 
+def test_tables_of_one_arity_share_a_padded_group():
+    # (2, 3) and (3, 2) tables pad to (3, 3) and a (2,) table to (3,), with
+    # infeasible entries after each table's own, in row-major order
+    pad = _INT64_INF
+    inst = Instance(DomainSpec((2, 3)), [
+        Term(CostTable((2, 3), range(6)), (0, 1)),
+        Term(CostTable((3,), [7, 8, 9]), (1,)),
+        Term(CostTable((3, 2), range(6)), (1, 0)),
+        Term(CostTable((2,), [5, INF]), (0,))])
+    groups = inst.costs.groups
+    assert [g[:2] for g in groups] == [([0, 2], (3, 3)), ([1, 3], (3,))]
+    assert groups[0][2].tolist() == [[0, 1, 2, 3, 4, 5, pad, pad, pad],
+                                     [0, 1, pad, 2, 3, pad, 4, 5, pad]]
+    assert groups[0][4].tolist() == [[0, 1], [1, 0]]
+    assert groups[1][2].tolist() == [[7, 8, 9], [5, pad, pad]]
+    assert groups[1][3].tolist() == [[True] * 3, [True, False, False]]
+    assert inst.costs.cost((0, 1)) == 1 + 8 + 2 + 5
+    assert inst.costs.cost((1, 2)) is INF
+    assert_store_matches_oracles(inst)
+
+
 def test_exact_and_float_tables_of_one_shape_share_a_group():
-    # the store groups by table shape alone; each table keeps the
-    # tolerance of its own costs, 0 for the exact one
+    # the store groups by arity alone; each table keeps the tolerance of
+    # its own costs, 0 for the exact one
     exact = Term(CostTable((2, 2), [0, Fraction(1, 3), 2, INF]), (0, 1))
     floats = Term(CostTable((2, 2), [0.5, INF, 3e9, 1.0]), (1, 0))
     unary = Term(CostTable((2,), [1, 2]), (0,))

@@ -269,7 +269,7 @@ class TestCheckPolymorphism:
         # the tuple sets are closed under the operation first
         rng = random.Random(3)
         seen = Counter()
-        for _ in range(200):
+        for _ in range(600):
             d = DomainSpec(tuple(
                 rng.randint(1, 4) for _ in range(rng.randint(1, 4))))
             system = random_system(rng, d)
@@ -284,7 +284,11 @@ class TestCheckPolymorphism:
                 tuples = closure(op, tuples, scope)
             term = relation_term(d, scope, tuples)
             got, hit = ternary_polymorphism_closed(op, Instance(d, [term]))
-            assert got == check_polymorphism(op, tuples, scope)
+            # the closure is of the merged term: a tuple giving one
+            # variable two labels never counts
+            merged = merge_repeated(term)
+            assert got == check_polymorphism(op, merged.table.dom(),
+                                             merged.scope)
             assert hit == (None if got else 0)
             seen[got] += 1
         assert min(seen.values()) >= 20
@@ -297,7 +301,7 @@ class TestCheckPolymorphism:
         # the triple's components (two majority-like, one minority)
         rng = random.Random(20318)
         seen = Counter()
-        for _ in range(400):
+        for _ in range(800):
             d = DomainSpec(tuple(
                 rng.randint(1, 4) for _ in range(rng.randint(1, 4))))
             system = random_system(rng, d)
@@ -316,7 +320,8 @@ class TestCheckPolymorphism:
                 if rng.random() < 0.5:
                     tuples = closure(op, tuples, scope)
                 terms.append(relation_term(d, scope, tuples))
-            want = next((idx for idx, t in enumerate(terms)
+            want = next((idx for idx, t in enumerate(map(merge_repeated,
+                                                         terms))
                          if not check_polymorphism(op, t.table.dom(),
                                                    t.scope)), None)
             got = ternary_polymorphism_closed(op, Instance(d, terms))
@@ -810,8 +815,8 @@ def term_lists(seed, count):
 
 
 def group_keys(terms):
-    """Each term's group in the batched checks: its table shape."""
-    return [t.table.shape for t in terms]
+    """Each term's group in the batched checks: its arity."""
+    return [t.table.arity for t in terms]
 
 
 def ternary_is_cheap(terms):
@@ -842,7 +847,7 @@ def test_batched_checks_match_loops_witness_for_witness():
                 and not binary_on(terms[idx].table, pair, terms[idx].scope)[0]
                 for idx in range(failing + 1, len(terms)))
         seen["exact and inexact in one group"] += len(set(keys)) < len({
-            (t.table.shape, tolerance(t.table.entries) == 0) for t in terms})
+            (t.table.arity, tolerance(t.table.entries) == 0) for t in terms})
         if ternary_is_cheap(terms):
             got = check_ternary_multimorphism(terms, triple)
             assert got == loop_over_terms(
@@ -940,9 +945,10 @@ def test_min_max_fast_path_matches_kernel():
 
 
 def loop_instance_check(terms, pair, triple):
-    """``check_instance_multimorphism`` as a loop over the terms, checking
-    both inequalities on each in turn, the pair's before the triple's."""
-    for idx, term in enumerate(terms):
+    """``check_instance_multimorphism`` as a loop over the merged terms,
+    checking both inequalities on each in turn, the pair's before the
+    triple's."""
+    for idx, term in enumerate(map(merge_repeated, terms)):
         tol = tolerance(term.table.entries)
         ok, w = loop_binary_multimorphism(term.table, pair, term.scope, tol)
         if not ok:
@@ -955,7 +961,7 @@ def loop_instance_check(terms, pair, triple):
 
 def test_instance_check_matches_term_loop():
     seen = Counter()
-    for terms, pair, triple in term_lists(20282, 300):
+    for terms, pair, triple in term_lists(20282, 600):
         if not ternary_is_cheap(terms):
             continue
         want = loop_instance_check(terms, pair, triple)
@@ -972,13 +978,13 @@ def test_instance_check_ignores_ternary_failures_after_a_binary_one():
     # which passes both, shares t's kernel group, so the ternary check runs
     # over t although the answer is b's binary failure
     found = 0
-    for terms, pair, triple in term_lists(20298, 800):
+    for terms, pair, triple in term_lists(20298, 1200):
         if not ternary_is_cheap(terms):
             continue
         ops = OperationSystem(pair, triple, PairSet.empty(pair.domains))
         verdicts = [check_instance_multimorphism(
             Instance(pair.domains, [t]), ops)[2] for t in terms]
-        keys = group_keys(terms)
+        keys = group_keys([merge_repeated(t) for t in terms])
         b = next((t for t, v in zip(terms, verdicts)
                   if v and v[0] == "binary"), None)
         pick = next(((a, t) for t, v, key in zip(terms, verdicts, keys)

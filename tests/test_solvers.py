@@ -1,6 +1,5 @@
 """Brute force, tournament orders, the min-cut path and the pipeline."""
 
-import functools
 import itertools
 import math
 import random
@@ -27,11 +26,12 @@ from vcsp import (
     solve_pipeline,
     solve_stp,
 )
-from vcsp.consistency import BinaryNetwork, run_stage1
+from vcsp.consistency import BinaryNetwork, decompose_instance, run_stage1
 from vcsp.costs import cost_eq, integer_costs, is_finite, scale_entries
 from vcsp.io_formats import parse_instance_text, serialize_instance
 from vcsp.model import _INT64_LIMIT, ScaledCosts
-from vcsp.operations import OperationSystem, is_stp_on
+from vcsp.operations import (OperationSystem, check_instance_multimorphism,
+                             is_stp_on)
 from vcsp.reduction import run_stage2
 from vcsp.solvers import (CutEncoding, MaxFlow, _check_network_closed,
                           _prune_unsupported, run_validate)
@@ -569,6 +569,42 @@ class TestPipeline:
         assert res.stats["path"] == "mincut"
         assert (res.optimum, res.argmin) == (direct.optimum, direct.argmin)
 
+    def test_padded_extents_never_trip_the_cap(self):
+        # the (2, 5) and (5, 2) tables of one store group pad to 25
+        # entries; the cap bounds each table's own 10
+        d = DomainSpec((2, 5))
+        inst = Instance(d, [
+            Term(CostTable.from_function((2, 5), lambda a, b: (a - b) ** 2),
+                 (0, 1)),
+            Term(CostTable.from_function((5, 2), lambda b, a: abs(b - 3 * a)),
+                 (1, 0))])
+        assert [g[1] for g in inst.costs.groups] == [(5, 5)]
+        decompose_instance(inst, cap=10)
+        res = solve_pipeline(inst, minmax_system(d), cap=10)
+        assert res.optimum == solve_bruteforce(inst, cap=10).optimum
+
+    def test_a_term_over_one_variable_twice_is_read_merged(self):
+        # a term over (i, i) is a unary of x_i: validation, the stage-2
+        # re-check and verify read it merged, so that its entries off the
+        # diagonal, which no assignment reads, fail no check.  Half the
+        # terms are crisp, the others 0 on the diagonal and finite off it
+        rng = random.Random(20325)
+        for inst, system in criterion_1_draws(150):
+            i = rng.randrange(inst.domains.variable_count)
+            size = inst.domains.sizes[i]
+            crisp = rng.random() < 0.5
+            table = CostTable.from_function((size, size), lambda a, b: (
+                rng.choice((0, 0, 0, INF)) if crisp and a == b
+                else rng.choice((0, 1, INF)) if crisp
+                else 0 if a == b
+                else Fraction(rng.randint(0, 9), rng.randint(1, 4))))
+            plus = Instance(inst.domains,
+                            inst.terms + [Term(table, (i, i))])
+            assert (solve_pipeline(plus, system).optimum
+                    == solve_bruteforce(plus).optimum)
+            assert (check_instance_multimorphism(plus, system)
+                    == check_instance_multimorphism(inst, system))
+
     def test_paranoid_network_closure_check(self):
         # the "differ" relation is not closed under min/max
         d = DomainSpec((2, 2))
@@ -614,36 +650,6 @@ class TestPipeline:
                 seen[kind, got is None] += 1
         assert seen["final", True] >= 60 and seen["final", False] == 0, seen
         assert min(seen["random", True], seen["random", False]) >= 30, seen
-
-    def test_pipeline_builds_the_mask_view_once(self, monkeypatch):
-        # validation, decomposition and certification read one per-arity
-        # view of the instance's store, built on the first read
-        view = ScaledCosts.__dict__["masks"]
-        builds, reads = [], []
-
-        def build(costs):
-            builds.append(costs)
-            return view.func(costs)
-
-        counted = functools.cached_property(build)
-        counted.__set_name__(ScaledCosts, "masks")
-        monkeypatch.setattr(ScaledCosts, "masks", property(
-            lambda costs: reads.append(costs) or counted.__get__(costs)))
-        seen = Counter()
-        for inst, system in criterion_1_draws(250):
-            inst = Instance(inst.domains, inst.terms)  # a store of its own
-            if inst.merged is not inst:
-                continue
-            builds.clear()
-            reads.clear()
-            try:
-                path = solve_pipeline(inst, system).stats["path"]
-            except VcspError:
-                continue
-            assert builds == [inst.costs]
-            assert reads == [inst.costs] * (2 if path == "infeasible" else 3)
-            seen[path == "infeasible"] += 1
-        assert seen[True] >= 40 and seen[False] >= 40, seen
 
     def test_boolean_pure_mjn_matches_oracle(self):
         rng = random.Random(103)
