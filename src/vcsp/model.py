@@ -191,11 +191,17 @@ class ScaledCosts:
     """
 
     def __init__(self, terms):
-        members = {}
+        by_shape, by_arity = {}, {}
         for idx, term in enumerate(terms):
-            members.setdefault(len(term.scope), []).append(idx)
+            by_shape.setdefault(term.table.shape, []).append(idx)
+        for shape, idxs in by_shape.items():
+            by_arity.setdefault(len(shape), {})[shape] = idxs
+        # each arity's terms in term order, and its table shapes
+        members = [(next(iter(parts.values())) if len(parts) == 1 else sorted(
+            itertools.chain.from_iterable(parts.values())), list(parts))
+            for parts in by_arity.values()]
         flat = list(itertools.chain.from_iterable(
-            terms[i].table.entries for idxs in members.values() for i in idxs))
+            terms[i].table.entries for idxs, _ in members for i in idxs))
         self.scale, (scaled,) = integer_costs([flat])
         feasible = np.fromiter(map(operator.is_not, flat, itertools.repeat(
             INF)), bool, len(flat))
@@ -204,22 +210,22 @@ class ScaledCosts:
                 initial=0) < _INT64_LIMIT:
             values = np.where(feasible, values, _INT64_INF).astype(np.int64)
         scopes = np.fromiter(itertools.chain.from_iterable(
-            terms[i].scope for idxs in members.values() for i in idxs),
-            np.intp)
+            terms[i].scope for idxs, _ in members for i in idxs), np.intp)
         self.groups = []
         entry = position = 0
-        for k, idxs in members.items():
-            shapes = [terms[i].table.shape for i in idxs]
-            shape = tuple(map(max, zip(*shapes)))
-            entries_at = slice(entry, entry + sum(map(math.prod, shapes)))
+        for idxs, shapes in members:
+            shape, k = tuple(map(max, zip(*shapes))), len(shapes[0])
+            size, at = math.prod(shape), None
+            if len(shapes) > 1:  # each real entry's place in a padded row
+                at = np.concatenate([
+                    _layout(shape)[1] @ _layout(terms[i].table.shape)[0]
+                    + row * size for row, i in enumerate(idxs)])
+            entries_at = slice(entry, entry + (
+                len(idxs) * size if at is None else len(at)))
             scopes_at = slice(position, position + len(idxs) * k)
             entry, position = entries_at.stop, scopes_at.stop
             costs, feas = values[entries_at], feasible[entries_at]
-            if shapes.count(shape) < len(shapes):
-                size = math.prod(shape)
-                at = np.concatenate([_layout(shape)[1] @ _layout(s)[0]
-                                     + row * size
-                                     for row, s in enumerate(shapes)])
+            if at is not None:
                 pad = _INT64_INF if values.dtype == np.int64 else INF
                 costs = np.full(len(idxs) * size, pad, values.dtype)
                 costs[at] = values[entries_at]
