@@ -7,12 +7,12 @@ are padded to the largest domain and padded labels are always False;
 is then the single path-consistency rule ``R_ij <= R_ik o R_kj`` over all
 triples (Montanari 1974; Mackworth 1977): k = i or k = j restricts a binary
 relation to its unary domains, i = j keeps only supported labels, and
-distinct i, j, k prune paths.
+distinct i, j, k prune paths.  Decomposition and certification read the
+instance's term store (``Instance.costs``), which holds the terms merged,
+so a tuple giving one variable two labels never counts.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -82,24 +82,18 @@ def _projections(masks, p, q):
 def decompose_instance(instance, cap=DEFAULT_CAP):
     """Project every term's feasible set onto its variables and variable pairs.
 
-    Terms are projected as ``instance.merged`` holds them, so a tuple giving
-    one variable two labels never counts.  Pairs never jointly constrained
-    start as full products.  Per group of the merged instance's ``costs``
-    and axis pair p <= q, one unbuffered AND-reduction narrows the blocks
-    ``R[i, j]`` and one their transposes ``R[j, i]``; for p = q, the
-    diagonal of ``R[i, i]``.  ``cap`` bounds each term's own table: the
-    first term in term order with more entries raises ``CapExceeded``.
+    Pairs never jointly constrained start as full products.  Per group of
+    the instance's ``costs`` and axis pair p <= q, one unbuffered
+    AND-reduction narrows the blocks ``R[i, j]`` and one their transposes
+    ``R[j, i]``; for p = q, the diagonal of ``R[i, i]``.  ``cap`` bounds
+    each term's table as given: the first term in term order with more
+    entries raises ``CapExceeded``.
     """
-    over = {}
-    for idxs, shape, _, _, scopes, _ in instance.costs.groups:
-        if math.prod(shape) > cap:  # padded: a table of it may be smaller
-            counts = np.array(instance.domains.sizes)[scopes].prod(1)
-            over.update((idxs[t], int(counts[t]))
-                        for t in np.flatnonzero(counts > cap).tolist())
-    if over:
-        raise CapExceeded(over[min(over)], cap, table=True)
+    for term in instance.terms:
+        if len(term.table.entries) > cap:
+            raise CapExceeded(len(term.table.entries), cap, table=True)
     net = BinaryNetwork(instance.domains)
-    for _, shape, _, feasible, scopes, _ in instance.merged.costs.groups:
+    for _, shape, _, feasible, scopes, _ in instance.costs.groups:
         masks = feasible.reshape((-1,) + shape)
         for p in range(len(shape)):
             diag = np.arange(shape[p])
@@ -140,17 +134,16 @@ def enforce_strong_3_consistency(net, rng=None):
 def certify_decomposition(instance):
     """Per-term certificate that binary networks capture the feasible set.
 
-    After merging repeated scope variables (``instance.merged``), each
-    term's feasible set must equal the join of its own unary and binary
-    projections; terms over one or two variables pass trivially.  When
-    every term passes, the network of ``decompose_instance`` has exactly
-    the globally feasible assignments as solutions, and strong
-    3-consistency keeps that solution set, so this implies
-    ``certify_decomposition_exhaustive``.  A relation with a majority
-    polymorphism always passes (Baker-Pixley).  The cost is exponential in
-    term arity only.
+    Each merged term's feasible set must equal the join of its own unary
+    and binary projections; terms over one or two variables pass
+    trivially.  When every term passes, the network of
+    ``decompose_instance`` has exactly the globally feasible assignments as
+    solutions, and strong 3-consistency keeps that solution set, so this
+    implies ``certify_decomposition_exhaustive``.  A relation with a
+    majority polymorphism always passes (Baker-Pixley).  The cost is
+    exponential in term arity only.
     """
-    for _, shape, _, feasible, _, _ in instance.merged.costs.groups:
+    for _, shape, _, feasible, _, _ in instance.costs.groups:
         if 0 < len(shape) <= 2:
             continue
         masks = feasible.reshape((-1,) + shape)

@@ -4,12 +4,11 @@ Variables are indexed 0..V-1 and labels 0..|D_i|-1.  Domains may differ per
 variable.  Tables are dense; desk-scale arities and domain sizes make that the
 simplest exact representation.
 
-An ``Instance`` builds its term store once, when it is constructed: its
-``costs`` (``ScaledCosts``) hold the terms grouped by arity, each table
-padded with infeasible entries to the largest extents of its arity, with
-the exact costs scaled to integers by one LCM and a feasible mask per
-group, and ``merged`` is the instance with no repeated scope variable.
-Every stage reads these; none groups, scales or masks the entries again.
+An ``Instance`` builds its one term store when it is constructed: its ``costs``
+(``ScaledCosts``) hold its terms merged (``merge_repeated``), grouped by arity,
+each table padded with infeasible entries to the largest extents of its arity,
+with the exact costs scaled to integers by one LCM and a feasible mask per
+group.  Every stage reads it; none groups, scales or masks the entries again.
 """
 
 from __future__ import annotations
@@ -170,8 +169,8 @@ def _layout(shape):
 
 
 class ScaledCosts:
-    """The cost tables of a list of terms, scaled and grouped once; each
-    ``Instance`` holds its own as ``costs``, and every stage reads it.
+    """The cost tables of a list of terms as given, scaled and grouped once; an
+    ``Instance`` holds the store of its merged terms as ``costs``.
 
     ``scale`` is the LCM of every denominator (``integer_costs``), or None
     when some cost is not exact.  ``groups`` hold the terms by arity, in
@@ -258,9 +257,9 @@ class ScaledCosts:
 
 
 class Instance:
-    """A sum of cost-function terms over finite-domain variables, with its
-    term store ``costs`` and ``merged``, the instance of its terms after
-    ``merge_repeated`` (itself when no scope repeats a variable)."""
+    """A sum of cost-function terms over finite-domain variables, with the
+    term store ``costs`` of its terms after ``merge_repeated``, term for
+    term in the same order."""
 
     def __init__(self, domains, terms):
         self.domains = domains
@@ -277,10 +276,9 @@ class Instance:
                         f"variable {i} has domain size {domains.sizes[i]}"
                     )
             self.terms.append(t)
-        self.costs = ScaledCosts(self.terms)
-        self.merged = self if all(
+        self.costs = ScaledCosts(self.terms if all(
             len(set(t.scope)) == len(t.scope) for t in self.terms
-        ) else Instance(domains, [merge_repeated(t) for t in self.terms])
+        ) else [merge_repeated(t) for t in self.terms])
 
     def evaluate(self, x):
         """Total cost of assignment ``x``; INF absorbs."""

@@ -20,25 +20,25 @@ tuples derived from the arrays on each read.  The contract checks
 per-size label grids.  Each returns or raises the witness a scan
 entry by entry would find first, in the order its docstring states.
 
-The multimorphism checks share one numpy kernel that is exact.  They read the
-term store of ``model.ScaledCosts`` (an instance's ``costs``, or one built for
-a list of terms): the terms grouped by arity and padded with infeasible
-entries to the arity's largest extents, exact costs scaled to integers by one
-LCM of all their denominators (int64 below 2**59, Python ints in an object
-array above), float tables and any other mix as their Python values.  Each
-group is one kernel call, in batches of terms of falling count of feasible
-tuples; a padded entry is never one of them.  INF reads as a value above
-every sum of finite costs, so that an infeasible image is a violation, and
-each table's sums compare within the tolerance of its own costs
-(``costs.tolerance``, 0 for an exact table).
-A check returns the first failing term in term order, and as its witness the
-first violation in row-major order over ``table.dom()``.  Given the ranks of
-orders in which the pair is min/max, the binary check passes unary tables and
-reads exact finite pairwise tables by their adjacent 2x2 minors, and runs the
+The multimorphism checks share one numpy kernel that is exact.  They read a
+term store, ``model.ScaledCosts``: an instance's ``costs``, of its merged
+terms, or one built for a list of terms as given.  It holds the terms grouped
+by arity and padded with infeasible entries to the arity's largest extents,
+exact costs scaled to integers by one LCM of all their denominators (int64
+below 2**59, Python ints in an object array above), float tables and any other
+mix as their Python values.  Each group is one kernel call, in batches of terms
+of falling count of feasible tuples; a padded entry is never one of them.  INF
+reads as a value above every sum of finite costs, so that an infeasible image
+is a violation, and each table's sums compare within the tolerance of its own
+costs (``costs.tolerance``, 0 for an exact table).  A check returns the first
+failing term in term order, and as its witness the first violation in row-major
+order over ``table.dom()``.  Given the ranks of orders in which the pair is
+min/max, the binary check passes unary tables and reads exact pairwise tables,
+with no INF in their own extents, by their adjacent 2x2 minors, and runs the
 kernel only where that test fails or does not apply.  ``_unclosed`` runs the
 kernel on the crisp costs of stacked relation masks: the feasible masks of the
-groups of an instance's merged store in ``ternary_polymorphism_closed``, and
-the blocks of a binary network in the ``--paranoid`` check of ``solvers``.
+groups of an instance's ``costs`` in ``ternary_polymorphism_closed``, and the
+blocks of a binary network in the ``--paranoid`` check of ``solvers``.
 """
 
 from __future__ import annotations
@@ -538,41 +538,46 @@ def _group_violation(shape, costs, feasible, scopes, tol, stacks):
     return found
 
 
-def _passes_min_max(shape, costs, feasible, scopes, tol, ranks):
+def _passes_min_max(shape, costs, feasible, scopes, tol, ranks, sizes):
     """True when one group of ``ScaledCosts.groups`` is known to pass the
     binary check under a pair that is min/max in the orders ``ranks``
-    [variable, label] gives; False when the kernel must decide.
+    [variable, label] gives, over domains of ``sizes``; False when the
+    kernel must decide.
 
     A unary group always passes: min/max maps {a, b} to itself, so both
-    sides of the check add the same two costs.  An exact pairwise group
-    with no INF, padding included, passes when every table, its rows and
-    columns put at their ranks, has g[l + 1, m + 1] + g[l, m] <= g[l + 1,
-    m] + g[l, m + 1] at every l, m: on a product of two chains that is
-    submodularity (Topkis, Oper. Res. 1978), so the two tests agree term
-    by term.  In int64 each
-    cost is below 2**59, so no sum of two overflows.
+    sides of the check add the same two costs.  An exact pairwise group with
+    no INF in each table's own extents passes when every table, its rows and
+    columns put at their ranks, has g[l + 1, m + 1] + g[l, m] <= g[l + 1, m]
+    + g[l, m + 1] at every l, m of its own: on a product of two chains that
+    is submodularity (Topkis, Oper. Res. 1978), so the two tests agree term
+    by term.  The ranks keep a padded label at its own index, so a table's
+    own block stays top-left, as in ``feasible``.  In int64 a cost is below
+    2**59 and padding 2**61, so no sum of two overflows.
     """
     if len(shape) == 1:
         return True
-    if len(shape) != 2 or tol is not None or not feasible.all():
+    if len(shape) != 2 or tol is not None or not feasible.all() and (
+            feasible.sum(1) < np.array(sizes, np.intp)[scopes].prod(1)).any():
         return False
     g = np.empty((len(costs),) + shape, dtype=costs.dtype)
     g[np.arange(len(costs))[:, None, None],
       ranks[scopes[:, 0], :shape[0]][:, :, None],
       ranks[scopes[:, 1], :shape[1]][:, None, :]] = costs.reshape(g.shape)
-    return bool((g[:, 1:, 1:] + g[:, :-1, :-1]
-                 <= g[:, 1:, :-1] + g[:, :-1, 1:]).all())
+    ok = g[:, 1:, 1:] + g[:, :-1, :-1] <= g[:, 1:, :-1] + g[:, :-1, 1:]
+    # feasible is now each table's own block: a minor that reads padding,
+    # off its bottom-right corner, checks nothing
+    return bool((ok | ~feasible.reshape(g.shape)[:, 1:, 1:]).all())
 
 
-def _first_violation(terms, stacks, limit=None, ranks=None):
+def _first_violation(terms, stacks, limit=None, ranks=None, sizes=None):
     """The batched multimorphism check of ``terms``, a term list or its
     ``ScaledCosts``, under ``stacks``: (True, None), or (False, (term index,
     witness)) for the first failing term in term order.  Each group of
     ``ScaledCosts.groups`` is one kernel call; a group whose first term
     comes after a failing term, or at ``limit`` or after, is not checked,
     and a term from ``limit`` on never fails.  Given ``ranks``, a binary
-    pair min/max in those orders, a group that ``_passes_min_max`` skips
-    the kernel."""
+    pair min/max in those orders, and the domain ``sizes``, a group that
+    ``_passes_min_max`` skips the kernel."""
     if not isinstance(terms, ScaledCosts):
         terms = ScaledCosts(terms)
     found = None
@@ -580,7 +585,7 @@ def _first_violation(terms, stacks, limit=None, ranks=None):
     for idxs, shape, *group in terms.groups:
         if idxs[0] >= bound:
             break
-        if ranks is not None and _passes_min_max(shape, *group, ranks):
+        if ranks is not None and _passes_min_max(shape, *group, ranks, sizes):
             continue
         hit = _group_violation(shape, *group, stacks)
         if hit is not None and idxs[hit[0]] < bound:
@@ -591,8 +596,8 @@ def _first_violation(terms, stacks, limit=None, ranks=None):
 
 def check_binary_multimorphism(terms, pair, ranks=None):
     """Inequality f(x meet y) + f(x join y) <= f(x) + f(y) over feasible
-    pairs of every term of ``terms``, a sequence of ``Term``s or their
-    ``ScaledCosts``.
+    pairs of every term of ``terms``, a sequence of ``Term``s, stored as
+    they are given, or a ``ScaledCosts`` such as an instance's ``costs``.
 
     Returns (True, None) or (False, (term_index, (x, y))): the first failing
     term in term order, with the lexicographically smallest violating
@@ -606,7 +611,8 @@ def check_binary_multimorphism(terms, pair, ranks=None):
     test, or any other group, goes to the kernel, so the result is the
     same.
     """
-    return _first_violation(terms, pair.index_stacks(), ranks=ranks)
+    return _first_violation(terms, pair.index_stacks(), ranks=ranks,
+                            sizes=pair.domains.sizes)
 
 
 def check_ternary_multimorphism(terms, triple):
@@ -636,13 +642,13 @@ def ternary_polymorphism_closed(op, instance):
     """(True, None) when the componentwise image under the conservative
     ``op`` of every ordered triple of each term's feasible tuples is
     feasible, else (False, the first term in term order where one is not):
-    ``_unclosed`` per group of ``instance.merged.costs``, so that a tuple
-    giving one variable two labels never counts.  The image of three
+    ``_unclosed`` per group of ``instance.costs``, whose terms are merged,
+    so that a tuple giving one variable two labels never counts.  The image of three
     tuples over fewer than two positions is one of them, so those arities
     are not checked."""
     stack = op.index_stack()[None]
     hits = []
-    for idxs, shape, _, feasible, scopes, _ in instance.merged.costs.groups:
+    for idxs, shape, _, feasible, scopes, _ in instance.costs.groups:
         hit = _unclosed(feasible.reshape((-1,) + shape), scopes,
                         stack) if len(shape) > 1 else None
         if hit is not None:
@@ -734,10 +740,10 @@ def check_instance_multimorphism(instance, ops):
 
     The first failing term in term order is reported, its binary failure
     before its ternary one, as a loop over the terms checking both would.
-    Both checks read ``instance.merged.costs``, so a witness is in the
-    merged term's coordinates.
+    Both checks read ``instance.costs``, so a witness is in the merged
+    term's coordinates.
     """
-    costs = instance.merged.costs
+    costs = instance.costs
     ok, hit = check_binary_multimorphism(costs, ops.pair)
     ok3, hit3 = _first_violation(costs, ops.triple.index_stacks(),
                                  None if ok else hit[0])

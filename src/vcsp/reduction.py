@@ -4,8 +4,9 @@ Each iteration seeds on a non-commutative label pair, grows a region (the
 pivot variable k, a variable set U and label sets A_i, B_i) over the
 consistent network, checks the structural invariants of that region, and then
 rewrites the meet/join tables on A_i x B_i so the seed pair becomes
-commutative.  The commutative pair set strictly grows, so the loop terminates
-with a fully commutative conservative pair.
+commutative, re-checked on the instance's store of merged terms.  The
+commutative pair set strictly grows, so the loop terminates with a fully
+commutative conservative pair.
 """
 
 from __future__ import annotations
@@ -191,8 +192,8 @@ def run_stage2(instance, ops, net, paranoid=False, trace=None):
     described by ``net``.  Returns the final operation system; its pair is a
     fully commutative conservative pair and still satisfies the pairwise
     multimorphism inequality on every term, which is re-verified each
-    iteration on ``instance.merged.costs``, where no tuple gives one
-    variable two labels.
+    iteration on ``instance.costs``, whose merged terms give no variable
+    two labels in a tuple.
     """
     limit = PairSet.full(ops.domains).total_size() + 1
     iteration = 0
@@ -223,7 +224,7 @@ def run_stage2(instance, ops, net, paranoid=False, trace=None):
                 raise StageError(
                     "reduce", f"exchange scan failed: {bad[0]}", witness=bad[0])
         ops = apply_modification(state, ops)
-        ok, hit = check_binary_multimorphism(instance.merged.costs, ops.pair)
+        ok, hit = check_binary_multimorphism(instance.costs, ops.pair)
         if not ok:
             raise StageError(
                 "reduce", "rewritten pair is no longer a multimorphism of "

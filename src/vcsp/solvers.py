@@ -7,8 +7,9 @@ crisp (infinite-cost) structure are enforced with an exact infinite edge
 class, never a large constant.  Nothing here scales or groups a cost table:
 the check, the pruning, the encoding and the final cross-check of
 ``solve_stp`` read the term store each instance built when it was
-constructed (``Instance.costs``), with its exact costs scaled to integers by
-the LCM of their denominators.  ``CutEncoding`` builds the network in a few
+constructed (``Instance.costs``): its terms merged, so that no tuple gives
+one variable two labels, with their exact costs scaled to integers by the
+LCM of their denominators.  ``CutEncoding`` builds the network in a few
 numpy passes over those arrays, as three arc arrays that ``MaxFlow`` takes
 as they are; exact capacities are Python ints, float costs keep their values
 and are summed in term order.  ``MaxFlow`` saturates the direct paths
@@ -33,7 +34,7 @@ import numpy as np
 from .consistency import restrict_instance, run_stage1
 from .costs import INF, cost_eq
 from .errors import StageError, VcspError
-from .model import DEFAULT_CAP
+from .model import DEFAULT_CAP, _layout
 from .operations import (
     _unclosed,
     build_majority,
@@ -308,50 +309,48 @@ class MaxFlow:
 def _prune_unsupported(instance):
     """Drop labels with no finite support in some term; fixpoint.
 
-    Returns per-variable sets of kept labels, possibly empty.  The feasible
-    masks of the instance's ``costs`` name the terms with an INF, those
-    with fewer feasible entries than their own tables have, whose feasible
-    tuples are read once; a term without one supports every kept
-    label until a variable of it is emptied, so it is looked at only then.
-    After a round, only the terms over a variable that lost labels drop
-    their dead tuples and are scanned again.  The greatest fixpoint does
-    not depend on that order.
+    Returns per-variable sets of kept labels, possibly empty.  In the
+    instance's ``costs``, a row with fewer feasible entries than its own
+    table has holds an INF, and its feasible tuples are read once; padding
+    is infeasible, so it supports no label.  A term without an INF
+    supports every kept label until a variable of it is emptied, so it is
+    looked at only then.  After a round, only the terms over a variable
+    that lost labels drop their dead tuples and are scanned again.  The
+    greatest fixpoint does not depend on that order.
     """
-    terms = instance.terms
     keep = [set(range(s)) for s in instance.domains.sizes]
-    has_inf = np.zeros(len(terms), dtype=bool)
-    for idxs, _, _, feasible, scopes, _ in instance.costs.groups:
-        missing = ~feasible.all(1)
-        if missing.any():  # an INF, or padding: count the real entries
-            sizes = np.array(instance.domains.sizes, dtype=np.intp)
-            missing = feasible.sum(1) < sizes[scopes].prod(1)
-        has_inf[idxs] = missing
-    live = [None] * len(terms)
-    for k in np.flatnonzero(has_inf).tolist():
-        table = terms[k].table
-        live[k] = [t for t, e in zip(table.tuples(), table.entries)
-                   if e is not INF]
-    pending = [k for k, tuples in enumerate(live) if tuples is not None]
+    groups, live = instance.costs.groups, {}
+    for idxs, shape, _, feasible, scopes, _ in groups:
+        if feasible.all():
+            continue
+        sizes = np.array(instance.domains.sizes, dtype=np.intp)
+        short = np.flatnonzero(feasible.sum(1) < sizes[scopes].prod(1))
+        tuples = _layout(shape)[0].T.tolist()
+        for r, row in zip(short.tolist(), feasible[short].tolist()):
+            live[idxs[r]] = list(itertools.compress(tuples, row))
+    if not live:
+        return keep
+    scope = {k: vars_ for idxs, *_, scopes, _ in groups
+             for k, vars_ in zip(idxs, scopes.tolist())}
+    pending = sorted(live)
     while pending:
         shrunk = set()
         for k in pending:
-            scope = terms[k].scope
-            if live[k] is None:
-                if all(keep[var] for var in scope):
+            if k not in live:
+                if all(keep[var] for var in scope[k]):
                     continue
                 live[k] = []
-            for p, var in enumerate(scope):
+            for p, var in enumerate(scope[k]):
                 allowed = {t[p] for t in live[k]}
                 if not keep[var] <= allowed:
                     keep[var] &= allowed
                     shrunk.add(var)
-        pending = [k for k, term in enumerate(terms)
-                   if not shrunk.isdisjoint(term.scope)]
+        pending = [k for k, vars_ in scope.items()
+                   if not shrunk.isdisjoint(vars_)]
         for k in pending:
-            if live[k]:
-                scope = terms[k].scope
+            if live.get(k):
                 live[k] = [t for t in live[k] if all(
-                    t[p] in keep[var] for p, var in enumerate(scope))]
+                    t[p] in keep[var] for p, var in enumerate(scope[k]))]
     return keep
 
 
@@ -396,18 +395,19 @@ class CutEncoding:
     """Min-cut formulation of an ordered, binary, submodular instance.
 
     Built from an instance as ``solve_stp`` hands it over, and not checked
-    for it again: numeric min/max is the pairwise multimorphism of every
-    term, every term has arity at most 2 and no repeated scope variable, no
-    unary or constant term holds INF, and the rows of each pairwise term are
+    for it again, on the merged terms that its term store
+    (``Instance.costs``) holds: numeric min/max is the pairwise
+    multimorphism of every term, every term has arity at most 2, no unary
+    or constant term holds INF, and the rows of each pairwise term are
     non-empty intervals [lo, hi] of labels, with lo and hi non-decreasing
-    and every label in some row.  Variable
-    i's indicator "label >= level" is node ``first_node[i] + level - 1``;
-    nodes 0 and 1 are the source and the sink.  Arc k runs from ``tail[k]``
-    to ``head[k]`` with capacity ``cap[k]``, INF for the exact infinite
-    class, sorted by (tail, head); ``edges`` is the same as a dict.
-    ``costs`` is the instance's term store (``Instance.costs``).
+    and every label in some row; a term over (i, i) counts as a unary term
+    of i.  Variable i's indicator "label >= level" is node ``first_node[i] +
+    level - 1``; nodes 0 and 1 are the source and the sink.  Arc k runs
+    from ``tail[k]`` to ``head[k]`` with capacity ``cap[k]``, INF for the
+    exact infinite class, sorted by (tail, head); ``edges`` is the same as
+    a dict.
 
-    The encoding reads the pairwise and the unary group of ``costs.groups``
+    The encoding reads the pairwise and the unary group of the store
     in a few numpy passes, none per term.  The store pads the pairwise
     tables to the largest pairwise shape with infeasible entries, and one
     pass computes every row's feasible interval, the rows clamped to it,
@@ -592,48 +592,47 @@ def solve_stp(instance, pair, cap=DEFAULT_CAP):
     """Solve an instance whose pair is a full STP multimorphism of every term.
 
     Takes the min-cut path when every variable's tournament is transitive and
-    all terms are binary or unary; otherwise falls back to brute force.  On
-    the min-cut path the pair is min/max in the extracted order, so each
-    term of ``instance.merged`` is checked under the pair itself, given the
-    order's ranks: exact finite tables are read by their adjacent 2x2
-    minors.  The unsupported labels are then dropped and the rest put in
-    that order by one restriction.  The check, the pruning and the final
-    cross-check read the merged instance's ``costs``, and the encoding the
-    restricted instance's own; a restriction that keeps every label in
-    order is the merged instance itself.  The cut optimum is checked
-    against the cost of the decoded assignment, mapped back to the caller's
-    labels and summed over the unrestricted terms, so the check covers the
-    restriction and the label mapping as well as the encoding.  When the
-    pruning leaves one label per variable, there is no network: that
-    assignment is the argmin, and its cost the optimum.
+    all merged terms are binary or unary; otherwise falls back to brute
+    force.  On the min-cut path the pair is min/max in the extracted order,
+    so each term is checked under the pair itself, given the order's ranks:
+    exact finite tables are read by their adjacent 2x2 minors.  The
+    unsupported labels are then dropped and the rest put in that order by
+    one restriction.  The check, the pruning and the final cross-check read
+    the instance's ``costs``, which hold its merged terms, and the encoding
+    the restricted instance's own; a restriction that keeps every label in
+    order is the instance itself.  The cut optimum is checked against the
+    cost of the decoded assignment, mapped back to the caller's labels and
+    summed over the unrestricted terms, so the check covers the restriction
+    and the label mapping as well as the encoding.  When the pruning leaves
+    one label per variable, there is no network: that assignment is the
+    argmin, and its cost the optimum.
     """
     order = extract_tournament_order(pair)
-    merged = instance.merged
+    costs = instance.costs
     stats = {"path": "mincut"}
     if not order.all_ordered:
         stats["path"] = "bruteforce"
         stats["cycles"] = [c for c in order.cycles if c is not None]
-    elif max((len(g[1]) for g in merged.costs.groups), default=0) > 2:
+    elif max((len(g[1]) for g in costs.groups), default=0) > 2:
         stats["path"] = "bruteforce"
         stats["reason"] = "term arity above 2"
     if stats["path"] == "bruteforce":
         result = solve_bruteforce(instance, cap=cap)
         result.stats.update(stats)
         return result
-    costs = merged.costs
     ok, hit = check_binary_multimorphism(costs, pair, order.ranks)
     if not ok:
         raise VcspError(
             f"term {hit[0]} is not submodular under the extracted order at "
             f"{hit[1]}; the pair was not a multimorphism of every term")
-    survive = _prune_unsupported(merged)
+    survive = _prune_unsupported(instance)
     if any(not k for k in survive) or costs.infeasible_constant():
         return SolveResult(INF, None, stats)
     keep = [[a for a in labels if a in live]
             for labels, live in zip(order.orders, survive)]
     optimum, argmin = None, tuple(labels[0] for labels in keep)
     if any(len(labels) > 1 for labels in keep):
-        optimum, argmin = CutEncoding(restrict_instance(merged, keep)).solve()
+        optimum, argmin = CutEncoding(restrict_instance(instance, keep)).solve()
         if argmin is None:
             return SolveResult(optimum, None, stats)
         argmin = tuple(keep[i][v] for i, v in enumerate(argmin))

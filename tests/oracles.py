@@ -19,7 +19,7 @@ values (``Fraction`` capacities for exact costs), with one table lookup per
 entry and a dict from (variable, level) to node; ``CutEncoding`` builds the
 same network on costs scaled to integers.  Each table that is not exact
 compares its couplings within the tolerance of its own costs.
-``loop_prune_unsupported`` rescans every term's table on every sweep.
+``loop_prune_unsupported`` rescans every merged term's table on every sweep.
 ``DinicMaxFlow`` is the max-flow that ``MaxFlow`` ran before its search
 tree: Dinic's BFS phases, here without the first sweep over the paths
 s -> u -> v -> t.
@@ -511,12 +511,12 @@ def _find_three_cycle(pair, i):
 
 
 def loop_prune_unsupported(instance):
-    """Drop labels with no finite support in some term; fixpoint."""
+    """Drop labels with no finite support in some merged term; fixpoint."""
     keep = [set(range(s)) for s in instance.domains.sizes]
     changed = True
     while changed:
         changed = False
-        for term in instance.terms:
+        for term in map(merge_repeated, instance.terms):
             live = [t for t in term.table.tuples()
                     if is_finite(term.table[t])
                     and all(t[p] in keep[term.scope[p]] for p in range(len(t)))]

@@ -265,18 +265,19 @@ class TestBatchedStage1:
 
     def test_first_oversized_term_raises(self):
         domains = DomainSpec((2, 3, 3, 2))
-        # tables of 4, 18, 36 and 9 entries
-        scopes = [(0, 3), (1, 2, 3), (1, 2, 0, 3), (1, 2)]
+        # tables of 4, 9, 18, 36 and 9 entries; the cap bounds the table
+        # over (1, 1) as given, not its merged table of 3
+        scopes = [(0, 3), (1, 1), (1, 2, 3), (1, 2, 0, 3), (1, 2)]
         inst = Instance(domains, [Term(CostTable.from_function(
             tuple(domains.sizes[v] for v in scope), lambda *t: 0), scope)
             for scope in scopes])
-        for cap in (5, 17, 30):
+        for cap, required in ((5, 9), (9, 18), (17, 18), (30, 36)):
             with pytest.raises(CapExceeded) as got:
                 decompose_instance(inst, cap=cap)
             with pytest.raises(CapExceeded) as want:
                 loop_decompose_instance(inst, cap=cap)
             assert ((got.value.required, got.value.cap)
-                    == (want.value.required, want.value.cap))
+                    == (want.value.required, want.value.cap) == (required, cap))
         assert decompose_instance(inst, cap=36).equal(
             loop_decompose_instance(inst, cap=36))
 

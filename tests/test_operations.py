@@ -35,6 +35,7 @@ from vcsp.costs import FLOAT_TOL, integer_costs, is_finite, tolerance
 from vcsp.model import ScaledCosts, merge_repeated
 from vcsp.operations import (
     OperationSystem,
+    _passes_min_max,
     all_label_pairs,
     check_instance_multimorphism,
     normalize_pairset,
@@ -925,8 +926,9 @@ def min_max_case(rng):
 
 def test_min_max_fast_path_matches_kernel():
     # given the ranks of a min/max order, the check skips unary groups and
-    # reads exact finite pairwise groups by their adjacent minors; verdict,
-    # term and witness are the kernel's
+    # reads exact pairwise groups, finite within each table's own extents,
+    # by their adjacent minors; verdict, term and witness are the kernel's,
+    # also on groups padded to several table shapes
     rng = random.Random(20316)
     seen = Counter()
     for _ in range(800):
@@ -934,6 +936,11 @@ def test_min_max_fast_path_matches_kernel():
         costs = ScaledCosts(terms)
         got = check_binary_multimorphism(costs, pair, ranks)
         assert got == check_binary_multimorphism(costs, pair)
+        for _, shape, *group in costs.groups:
+            if len(shape) == 2 and not group[1].all():
+                seen["padded, " + ("skipped" if _passes_min_max(
+                    shape, *group, ranks, pair.domains.sizes)
+                    else "kernel")] += 1
         if got[0]:
             seen["pass"] += 1
             continue
@@ -942,6 +949,41 @@ def test_min_max_fast_path_matches_kernel():
              and integer_costs([table.entries])[0] is not None
              and INF not in table.entries else "fail, other"] += 1
     assert min(seen.values()) >= 50, seen
+
+
+def test_min_max_fast_path_reads_padded_groups(monkeypatch):
+    # (2, 3) and (3, 2) tables pad to one (3, 3) group; exact and finite in
+    # their own extents and submodular, they pass without the kernel, and a
+    # table that is not goes to the kernel for its witness
+    import vcsp.operations as operations
+
+    calls = []
+    kernel = operations._group_violation
+
+    def counted(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(operations, "_group_violation", counted)
+    d = DomainSpec((2, 3))
+    pair = BinaryPair.min_max(d)
+    ranks = extract_tournament_order(pair).ranks
+    square = CostTable.from_function((2, 3), lambda a, b: (a - b) ** 2)
+    terms = [Term(square, (0, 1)), Term(CostTable.from_function(
+        (3, 2), lambda b, a: Fraction(abs(a - b), 3)), (1, 0))]
+    costs = ScaledCosts(terms)
+    assert [g[1] for g in costs.groups] == [(3, 3)]
+    assert check_binary_multimorphism(costs, pair, ranks) == (True, None)
+    assert calls == []
+    assert check_binary_multimorphism(costs, pair) == (True, None)
+    assert calls == [(3, 3)]
+    calls.clear()
+    terms.append(Term(CostTable.from_function(
+        (3, 2), lambda b, a: 4 - (a - b) ** 2), (1, 0)))
+    costs = ScaledCosts(terms)
+    got = check_binary_multimorphism(costs, pair, ranks)
+    assert not got[0] and got[1][0] == 2 and calls == [(3, 3)]
+    assert got == check_binary_multimorphism(costs, pair)
 
 
 def loop_instance_check(terms, pair, triple):

@@ -29,7 +29,7 @@ from vcsp import (
 from vcsp.consistency import BinaryNetwork, decompose_instance, run_stage1
 from vcsp.costs import cost_eq, integer_costs, is_finite, scale_entries
 from vcsp.io_formats import parse_instance_text, serialize_instance
-from vcsp.model import _INT64_LIMIT, ScaledCosts
+from vcsp.model import _INT64_LIMIT, ScaledCosts, merge_repeated
 from vcsp.operations import (OperationSystem, check_instance_multimorphism,
                              is_stp_on)
 from vcsp.reduction import run_stage2
@@ -1165,10 +1165,11 @@ def relabelled(inst, perms):
 
 
 def assert_encodable(instance):
-    """What CutEncoding takes on trust: arity at most 2, no unary INF, and
-    each pairwise term's rows non-empty intervals [lo, hi], lo and hi
-    non-decreasing, and every label of its second variable in some row."""
-    for term in instance.terms:
+    """What CutEncoding takes on trust of the merged terms that it reads:
+    arity at most 2, no unary INF, and each pairwise term's rows non-empty
+    intervals [lo, hi], lo and hi non-decreasing, and every label of its
+    second variable in some row."""
+    for term in map(merge_repeated, instance.terms):
         table = term.table
         assert table.arity <= 2
         if table.arity < 2:
@@ -1186,7 +1187,8 @@ def assert_encodable(instance):
 def test_solve_hands_the_encoder_its_preconditions(monkeypatch):
     # the seed draws, with every variable's labels permuted (so that the
     # extracted orders are reversed or shuffled) and with terms that
-    # repeat a variable; every instance solve_stp encodes is checked
+    # repeat a variable; every instance solve_stp encodes is checked on
+    # the merged terms that the encoder reads, since it may hold (i, i)
     import vcsp.solvers as solvers
 
     encoded = []
@@ -1212,7 +1214,10 @@ def test_solve_hands_the_encoder_its_preconditions(monkeypatch):
         assert res.optimum == solve_bruteforce(inst).optimum
     assert len(encoded) >= 150
     assert sum(any(t.table.arity == 2 and INF in t.table.entries
-                   for t in e.terms) for e in encoded) >= 50
+                   for t in map(merge_repeated, e.terms))
+               for e in encoded) >= 50
+    assert sum(any(len(set(t.scope)) < len(t.scope) for t in e.terms)
+               for e in encoded) >= 100
 
 
 def test_float_networks_follow_the_loops_term_order():
@@ -1437,15 +1442,15 @@ def scale_calls(monkeypatch):
 
 
 def entry_count(instance):
-    return sum(len(t.table.entries) for t in instance.terms)
+    """The entries of the merged tables, which the instance's store holds."""
+    return sum(len(merge_repeated(t).table.entries) for t in instance.terms)
 
 
 def test_one_scaling_per_constructed_instance(scale_calls, monkeypatch):
-    # each instance scales its tables once, when it is constructed, and an
-    # instance with a repeated scope variable builds its merged instance
-    # too; a solve scales only the restriction it builds, which the
-    # encoding reads as it is, and nothing when the restriction keeps every
-    # label in order
+    # each instance scales its merged tables once, when it is constructed,
+    # also when a scope repeats a variable; a solve scales only the
+    # restriction it builds, which the encoding reads as it is, and nothing
+    # when the restriction keeps every label in order
     import vcsp.solvers as solvers
 
     class Watched(CutEncoding):
@@ -1478,7 +1483,7 @@ def test_one_scaling_per_constructed_instance(scale_calls, monkeypatch):
         (2, 2), [0, Fraction(1, 2), 1, 3]), (0, 0))])
     scale_calls.clear()
     Instance(repeated.domains, repeated.terms)
-    assert scale_calls == [4, 2]
+    assert scale_calls == [2]
 
 
 def test_stage2_and_verify_scale_nothing(scale_calls):
@@ -1500,8 +1505,7 @@ def test_stage2_and_verify_scale_nothing(scale_calls):
         if stage1 is None:
             continue
         _, inst_r, ops_r, net_r = stage1
-        built = [] if inst_r is inst else [entry_count(inst_r)] + (
-            [] if inst_r.merged is inst_r else [entry_count(inst_r.merged)])
+        built = [] if inst_r is inst else [entry_count(inst_r)]
         assert scale_calls == built
         seen["restricted"] += bool(built)
         trace = []

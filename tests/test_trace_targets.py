@@ -1,20 +1,24 @@
-"""Every library function the benchmark traces can be found by its name.
+"""Every library function the benchmark traces can be found by its name,
+and every name its generators and oracle use still works.
 
 The benchmark wraps the functions listed in ``perfbench/layers.py`` by
 qualified name; a target that moved or was renamed reads as a missing span
-there, and so does one that a solve no longer calls.  This reads
+there, and so does one that a solve no longer calls.  ``perfbench/gen.py``
+builds the benchmark's instances from the library's model and operation
+classes, and ``perfbench/oracle.py`` checks every answer.  This reads
 ``perfbench/`` and changes nothing in it.
 """
 
 import importlib
 import importlib.util
+import math
 import pkgutil
 import random
 from collections import Counter
 from pathlib import Path
 
 import vcsp
-from vcsp import solve_pipeline, solve_stp
+from vcsp import INF, solve_pipeline, solve_stp
 
 from harness import submodular_chain
 
@@ -91,3 +95,26 @@ def test_mincut_solve_opens_every_stp_large_span():
     assert result.stats["path"] == "mincut"
     assert tracer.missing == []
     assert sorted({span[0] for span in tracer.spans}) == sorted(wanted)
+
+
+def test_bench_families_solve_to_the_bench_oracle():
+    # one small instance of each family of perfbench/workloads.json, built
+    # by gen.build and solved by the workloads' entry points, against
+    # oracle.reference_optimum; the ordered families also against the
+    # column DP that the large ones need
+    gen, oracle = load_perfbench("gen"), load_perfbench("oracle")
+    specs = [{"family": "mixed"}, {"family": "boolean_mjn"},
+             {"family": "ladder", "width": 2, "columns": 3},
+             {"family": "ising", "vars": 6, "far_end_prefers_zero": True}]
+    for seed in range(3):
+        for k, spec in enumerate(specs):
+            instance, system, columns = gen.build(
+                random.Random(seed), random.Random(f"shape/{seed}/{k}"), spec)
+            expected, _ = oracle.reference_optimum(instance, columns)
+            results = [solve_pipeline(instance, system)]
+            if columns is not None:
+                assert oracle.column_optimum(instance, columns) == expected
+                results.append(solve_stp(instance, system.pair))
+            for result in results:
+                assert (math.inf if result.optimum is INF
+                        else result.optimum) == expected
